@@ -51,6 +51,8 @@ def _make_family(cfg: ExperimentConfig, model):
 
 def cmd_sample(cfg: ExperimentConfig, threads: int, writer: ManifestWriter):
     _require(cfg, "a single tau", cfg.run.tau is not None)
+    _require(cfg, "replicas to be 1 or omitted (sample runs one chain)",
+             "replicas" not in cfg.raw["run"] or cfg.run.replicas == 1)
     model = build_model(cfg)
     window = build_window(cfg, model)
     spec = ProposalSpec(cfg.run.tau, window.n, cfg.run.increment_family)

@@ -9,7 +9,7 @@ configuration on the outside sites that the boundary interacts with.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -135,6 +135,10 @@ class SiteTables:
     ``bval[s, i]``.  Inactive slots (free-boundary drops, adjacency padding)
     contribute nothing.  For lattice windows slot s corresponds to the s-th
     nonzero offset of the neighborhood.
+
+    The same values in one gather: with ``xe = [x, ext_values]``, slot s of
+    site i reads ``xe[ext_idx[s, i]]``, where ``ext_values`` holds the
+    distinct frozen values the active outside slots read.
     """
 
     offsets: tuple[Vertex, ...] | None  # None for adjacency-form windows
@@ -142,6 +146,20 @@ class SiteTables:
     inside: np.ndarray   # (S, n) bool
     bval: np.ndarray     # (S, n) float
     active: np.ndarray   # (S, n) bool
+    ext_idx: np.ndarray = field(init=False)     # (S, n) int into [x, ext_values]
+    ext_values: np.ndarray = field(init=False)  # (m,) float
+    all_active: np.ndarray = field(init=False)  # (S,) bool, slot active at every site
+
+    def __post_init__(self):
+        outside = self.active & ~self.inside
+        values, pos = np.unique(self.bval[outside], return_inverse=True)
+        ext_idx = np.where(self.inside, self.idx, 0)
+        ext_idx[outside] = self.n + pos
+        derived = {"ext_idx": ext_idx, "ext_values": values,
+                   "all_active": self.active.all(axis=1)}
+        for name, arr in derived.items():
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def n_slots(self) -> int:

@@ -109,10 +109,13 @@ def site_energies(model: InteractionModel, window: Window, values: np.ndarray) -
     t = window.site_tables(model.neighborhood)
     diag, cross = model.slot_coeffs(t)
     eps = model.self_energy(x)
+    xe = x
+    if t.ext_values.size:
+        frozen = np.broadcast_to(t.ext_values, x.shape[:-1] + t.ext_values.shape)
+        xe = np.concatenate([x, frozen], axis=-1)
     for s in range(t.n_slots):
-        nv = np.where(t.inside[s], x[..., t.idx[s]], t.bval[s])
-        term = diag[s] * x * x - cross[s] * x * nv
-        eps = eps + np.where(t.active[s], term, 0.0)
+        term = diag[s] * x * x - cross[s] * x * xe[..., t.ext_idx[s]]
+        eps = eps + (term if t.all_active[s] else np.where(t.active[s], term, 0.0))
     return eps
 
 

@@ -9,18 +9,28 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
-from scipy.linalg import cho_factor, cho_solve, cholesky, solve_triangular
+from scipy.linalg import cho_solve, cholesky, solve_triangular
 
 from .models import Configuration, InteractionModel, site_energies
 from .lattice import Window
 
+# Elements per block of the blockwise array passes below (the symmetry check
+# and the boundary-distance scan): their temporaries stay a few MB instead of
+# several copies of an (n, n) or (n, boundary) array.
+_BLOCK = 1 << 18
+
 
 @dataclass(frozen=True)
 class PrecisionMatrix:
-    """Quadratic window energy H(x) = x'Qx/2 - b'x with Q positive definite."""
+    """Quadratic window energy H(x) = x'Qx/2 - b'x with Q positive definite.
+
+    The Cholesky factor is computed on first use and shared by every later
+    draw and solve on this object.
+    """
 
     matrix: np.ndarray  # Q, (n, n)
     shift: np.ndarray   # b, (n,)
@@ -30,23 +40,38 @@ class PrecisionMatrix:
         Q = self.matrix
         if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
             raise ValueError("precision matrix must be square")
-        if not np.allclose(Q, Q.T, atol=1e-12):
-            raise ValueError("precision matrix must be symmetric")
+        n = Q.shape[0]
+        rows = max(1, _BLOCK // max(n, 1))
+        for start in range(0, n, rows):
+            block = slice(start, start + rows)
+            if not np.allclose(Q[block], Q[:, block].T, atol=1e-12):
+                raise ValueError("precision matrix must be symmetric")
 
     @property
     def n(self) -> int:
         return self.matrix.shape[0]
 
+    @cached_property
+    def _upper(self) -> np.ndarray:
+        U = cholesky(self.matrix, lower=False)
+        U.setflags(write=False)
+        return U
+
     def chol_upper(self) -> np.ndarray:
-        return cholesky(self.matrix, lower=False)
+        """Upper factor U with U'U = Q (read-only, computed once)."""
+        return self._upper
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Q^{-1} rhs through the shared factor."""
+        return cho_solve((self._upper, False), rhs)
 
     def mean(self) -> np.ndarray:
         if not self.shift.any():
             return np.zeros(self.n)
-        return cho_solve(cho_factor(self.matrix), self.shift)
+        return self.solve(self.shift)
 
     def covariance(self) -> np.ndarray:
-        return cho_solve(cho_factor(self.matrix), np.eye(self.n))
+        return self.solve(np.eye(self.n))
 
 
 def build_precision(model: InteractionModel, window: Window) -> PrecisionMatrix:
@@ -89,18 +114,21 @@ def gaussian_exact_samples(precision: PrecisionMatrix, rng: np.random.Generator,
 
 
 def central_interior_vertex(window: Window):
-    """Interior vertex farthest from the boundary (lexicographic tie-break)."""
-    interior = [v for v in window.vertices if v not in window.boundary]
-    if not interior:
+    """Interior vertex farthest, in Chebyshev distance, from the boundary
+    (lexicographic tie-break)."""
+    inner = window.interior_indices()
+    if not inner.size:
         raise ValueError("window has no interior vertex")
     if not window.boundary:
-        return interior[len(interior) // 2]
-
-    def dist(v):
-        return min(max(abs(a - b) for a, b in zip(v, w)) for w in window.boundary)
-
-    best = max(dist(v) for v in interior)
-    return min(v for v in interior if dist(v) == best)
+        return window.vertices[inner[len(inner) // 2]]
+    pts = np.array(window.vertices, dtype=np.int64)[inner]
+    bdry = np.array(list(window.boundary), dtype=np.int64)
+    dist = np.full(len(pts), np.iinfo(np.int64).max)
+    step = max(1, _BLOCK // (len(pts) * pts.shape[1]))
+    for start in range(0, len(bdry), step):
+        gap = np.abs(pts[:, None, :] - bdry[None, start:start + step, :])
+        np.minimum(dist, gap.max(axis=2).min(axis=1), out=dist)
+    return min(window.vertices[i] for i in inner[dist == dist.max()])
 
 
 def gaussian_s2_exact(model: InteractionModel, window: Window) -> float:
@@ -112,7 +140,7 @@ def gaussian_s2_exact(model: InteractionModel, window: Window) -> float:
     prec = build_precision(model, window)
     k = central_interior_vertex(window)
     a = prec.matrix[window.index_of[k]]
-    return float(a @ cho_solve(cho_factor(prec.matrix), a))
+    return float(a @ prec.solve(a))
 
 
 # -- Quadrature --------------------------------------------------------------

@@ -34,7 +34,12 @@ def _atomic_write(path: str, data: str):
     dirname = os.path.dirname(os.path.abspath(path))
     os.makedirs(dirname, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=dirname, prefix=".tmp_", text=True)
+    # mkstemp creates the file 0600; give it the mode open() would, 0666
+    # less the umask.  os.umask can only be read by setting it.
+    umask = os.umask(0o077)
+    os.umask(umask)
     try:
+        os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(data)
         os.replace(tmp, path)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .lattice import Window
 from .models import Configuration, InteractionModel, site_energies
-from .oracle import build_precision, gaussian_exact_sample
+from .oracle import PrecisionMatrix, build_precision, gaussian_exact_sample
 
 CHUNK = 256
 _MASK64 = (1 << 64) - 1
@@ -139,7 +139,7 @@ class ChainRun:
     first_coord_path: np.ndarray | None  # (steps + 1, m) leading coordinates
     initial_source: str
     final_state: Configuration
-    wall_time: float
+    wall_time: float  # this chain's share of its batch: batch wall / replicas
 
     @property
     def window(self) -> Window:
@@ -186,8 +186,13 @@ def init_state(model: InteractionModel, window: Window, mode: str = "exact_gauss
                rng: np.random.Generator | None = None, seed: int | None = None,
                chain_id: int = 0, burn_steps: int | None = None,
                burn_tau: float = 2.38, given: Configuration | None = None,
-               increment_family: str = "standard_normal") -> Configuration:
-    """Initial chain state: exact stationary draw, burn-in end state, or given."""
+               increment_family: str = "standard_normal",
+               precision: PrecisionMatrix | None = None) -> Configuration:
+    """Initial chain state: exact stationary draw, burn-in end state, or given.
+
+    An exact draw uses `precision` when given (it must be the model's on this
+    window), so that callers drawing several states factor Q only once.
+    """
     if mode == "given":
         if given is None:
             raise ValueError("mode='given' needs a configuration")
@@ -201,7 +206,11 @@ def init_state(model: InteractionModel, window: Window, mode: str = "exact_gauss
     if mode == "exact_gaussian":
         if not model.is_quadratic:
             raise ValueError(f"exact stationary sampling unavailable for {model.family}")
-        return gaussian_exact_sample(build_precision(model, window), rng)
+        if precision is None:
+            precision = build_precision(model, window)
+        elif precision.window is not window:
+            raise ValueError("precision matrix lives on a different window")
+        return gaussian_exact_sample(precision, rng)
     if mode == "burn_in":
         steps = burn_steps if burn_steps is not None else 50 * window.n
         spec = ProposalSpec(burn_tau, window.n, increment_family)
@@ -244,9 +253,10 @@ def _drive(model: InteractionModel, window: Window, spec: ProposalSpec, steps: i
             y = x + sigma * incr[:, j]
             eps_y = site_energies(model, window, y)
             dh = (eps_y - eps_x).sum(axis=-1)
+            # exp(-max(dh, 0)) is 1 for downhill moves; a non-finite dH
+            # (inf - inf in the energies) is always rejected.
             with np.errstate(under="ignore"):
-                p = np.where(dh > 0, np.exp(-np.maximum(dh, 0.0)), 1.0)
-            acc = us[:, j] < p
+                acc = (us[:, j] < np.exp(-np.maximum(dh, 0.0))) & np.isfinite(dh)
             k = t + j
             dh_all[:, k] = dh
             acc_all[:, k] = acc
@@ -284,10 +294,16 @@ def run_replicas(model: InteractionModel, window: Window, spec: ProposalSpec,
         raise ValueError("need one chain id per replica")
     started = time.perf_counter()
     rngs = [chain_rng(seed, cid) for cid in ids]
+    # One factorization serves every replica's exact draw; each replica still
+    # draws its own z and solves on its own.
+    precision = (build_precision(model, window)
+                 if init == "exact_gaussian" and model.is_quadratic else None)
     inits = [init_state(model, window, init, rng=rngs[r], given=init_config,
                         burn_steps=burn_steps, burn_tau=burn_tau,
-                        increment_family=spec.increment_family)
+                        increment_family=spec.increment_family,
+                        precision=precision)
              for r in range(n_replicas)]
+    del precision  # Q and its factor are not needed while the chains run
     x0 = np.stack([cfg.values for cfg in inits])
     keep_arrays = recording == "full"
     want_states = recording in ("full", "thinned") and thin > 0
@@ -295,7 +311,7 @@ def run_replicas(model: InteractionModel, window: Window, spec: ProposalSpec,
         model, window, spec, steps, rngs, x0,
         keep_arrays=keep_arrays, thin=thin if want_states else 0,
         track_first=track_first)
-    wall = time.perf_counter() - started
+    wall = (time.perf_counter() - started) / n_replicas
     runs = []
     for r in range(n_replicas):
         summary = summarize_records(dh[r], acc[r], jump[r])

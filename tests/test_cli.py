@@ -115,6 +115,15 @@ class TestCliCommands:
         assert header == ["t", "delta_h", "accepted", "jump_sq_first_coord"]
         assert len(rows) == doc["run"]["steps"]
 
+    def test_sample_rejects_several_replicas(self, tmp_path, capsys):
+        doc = base_config(output_dir=str(tmp_path / "o"))
+        doc["run"]["replicas"] = 4
+        assert self.run_cli("sample", write_config(tmp_path, doc)) == 2
+        assert "replicas" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "trajectory.csv").exists()
+        doc["run"]["replicas"] = 1
+        assert self.run_cli("sample", write_config(tmp_path, doc)) == 0
+
     def test_manifest_contents(self, tmp_path):
         doc = base_config(output_dir=str(tmp_path / "o"))
         self.run_cli("sample", write_config(tmp_path, doc))

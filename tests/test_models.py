@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gibbsrwm.lattice import Neighborhood, Window, build_box, build_line, nearest_neighbor
+from gibbsrwm.lattice import (Neighborhood, Window, build_box, build_line,
+                              exterior_halo, nearest_neighbor)
 from gibbsrwm.models import (Configuration, custom_pairwise, delta_hamiltonian,
                              gaussian_product, gff, grad_hamiltonian,
                              hamiltonian, hamiltonian_gradient,
@@ -42,6 +43,58 @@ def models_to_probe():
         ("gff", gff(1.3, 0.7, d=2), build_box(2, 2, nearest_neighbor(2))),
         ("phi4", phi4(0.5, -1.0, d=1), build_box(1, 3, nearest_neighbor(1))),
     ]
+
+
+def slot_loop_site_energies(model, window, values):
+    """Per-slot gather-then-select loop, the reference for site_energies."""
+    x = np.asarray(values, dtype=float)
+    t = window.site_tables(model.neighborhood)
+    diag, cross = model.slot_coeffs(t)
+    eps = model.self_energy(x)
+    for s in range(t.n_slots):
+        nv = np.where(t.inside[s], x[..., t.idx[s]], t.bval[s])
+        term = diag[s] * x * x - cross[s] * x * nv
+        eps = eps + np.where(t.active[s], term, 0.0)
+    return eps
+
+
+def gather_windows():
+    nb = nearest_neighbor(2)
+    rect = [(i, j) for i in range(4) for j in range(3)]
+    halo = sorted(exterior_halo(rect, nb))
+    explicit = {v: (-0.0 if k % 3 == 0 else 0.4 * k - 2.0) for k, v in enumerate(halo)}
+    ring = [[(i - 1) % 7, (i + 1) % 7] for i in range(7)]
+    return {
+        "zero": build_box(2, 3, nb),
+        "constant": build_box(2, 3, nb, "constant", -1.7),
+        "free": build_box(2, 3, nb, "free"),
+        "explicit": Window(rect, nb, "explicit", explicit_values=explicit),
+        "adjacency": Window([(i, 0) for i in range(7)], nb, adjacency=ring),
+    }
+
+
+class TestSiteEnergiesGather:
+    @pytest.mark.parametrize("name", ["zero", "constant", "free", "explicit",
+                                      "adjacency"])
+    @pytest.mark.parametrize("model", [gff(0.7, 0.3, d=2), gff(1.0, 1.0, d=2),
+                                       phi4(0.25, -0.5, d=2)],
+                             ids=["gff_0.7_0.3", "gff_1_1", "phi4"])
+    def test_bit_equal_to_slot_loop(self, name, model):
+        w = gather_windows()[name]
+        for shape in [(w.n,), (3, w.n), (2, 4, w.n)]:
+            x = RNG.standard_normal(shape)
+            x.flat[0] = -0.0
+            got = site_energies(model, w, x)
+            want = slot_loop_site_energies(model, w, x)
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_frozen_values_deduplicated(self):
+        t = build_box(2, 3, nearest_neighbor(2), "constant", -1.7).site_tables()
+        assert t.ext_values.tolist() == [-1.7]
+        out = t.active & ~t.inside
+        assert np.all(t.ext_idx[out] == t.n)
+        assert np.array_equal(t.ext_idx[t.inside], t.idx[t.inside])
 
 
 class TestHamiltonian:

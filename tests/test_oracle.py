@@ -2,11 +2,13 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 
-from gibbsrwm.lattice import Window, build_box, build_line, nearest_neighbor
+from gibbsrwm.lattice import (Neighborhood, Window, build_box, build_line,
+                              nearest_neighbor)
 from gibbsrwm.models import (Configuration, gaussian_product, gff, hamiltonian,
                              phi4)
-from gibbsrwm.oracle import (PrecisionMatrix, build_precision,
+from gibbsrwm.oracle import (_BLOCK, PrecisionMatrix, build_precision,
                              central_interior_vertex, gaussian_exact_sample,
                              gaussian_s2_exact, quad_acceptance,
                              quad_expectation_1d)
@@ -62,6 +64,37 @@ class TestBuildPrecision:
         w = build_line(2, m.neighborhood)
         with pytest.raises(ValueError):
             PrecisionMatrix(np.array([[1.0, 0.2], [0.0, 1.0]]), np.zeros(2), w)
+
+    def test_blockwise_symmetry_check(self):
+        # Large enough that the check runs in several row blocks; the only
+        # asymmetric pair lies in the last one.
+        n = 1024
+        assert _BLOCK // n < n - 2
+        w = build_line(n, gaussian_product(1.0, d=1).neighborhood)
+        Q = np.eye(n)
+        Q[n - 1, n - 2] = 1e-9
+        with pytest.raises(ValueError, match="symmetric"):
+            PrecisionMatrix(Q, np.zeros(n), w)
+        Q[n - 1, n - 2] = 5e-13  # within atol=1e-12: accepted as before
+        PrecisionMatrix(Q, np.zeros(n), w)
+
+
+class TestSharedFactor:
+    def test_factor_computed_once_and_read_only(self):
+        m = gff(1.0, 1.0, d=2)
+        prec = build_precision(m, build_box(2, 3, m.neighborhood))
+        U = prec.chol_upper()
+        assert prec.chol_upper() is U
+        assert not U.flags.writeable
+        assert np.allclose(U.T @ U, prec.matrix, atol=1e-12)
+
+    def test_solves_bit_equal_to_fresh_factorization(self):
+        m = gff(0.7, 0.3, d=2)
+        prec = build_precision(m, build_box(2, 4, m.neighborhood, "constant", 1.3))
+        fresh = cho_factor(prec.matrix)
+        assert prec.shift.any()
+        assert np.array_equal(prec.mean(), cho_solve(fresh, prec.shift))
+        assert np.array_equal(prec.covariance(), cho_solve(fresh, np.eye(prec.n)))
 
 
 class TestExactSampling:
@@ -154,6 +187,36 @@ class TestS2Exact:
     def test_central_vertex_is_deep_interior(self):
         w = build_box(2, 3, nearest_neighbor(2))
         assert central_interior_vertex(w) == (0, 0)
+
+    @staticmethod
+    def brute_central_vertex(window):
+        interior = [v for v in window.vertices if v not in window.boundary]
+        if not window.boundary:
+            return interior[len(interior) // 2]
+
+        def dist(v):
+            return min(max(abs(a - b) for a, b in zip(v, w))
+                       for w in window.boundary)
+
+        best = max(dist(v) for v in interior)
+        return min(v for v in interior if dist(v) == best)
+
+    @pytest.mark.parametrize("window", [
+        build_box(1, 5, nearest_neighbor(1)),
+        build_box(2, 4, nearest_neighbor(2)),
+        build_box(3, 2, nearest_neighbor(3)),
+        build_box(2, 5, Neighborhood.from_offsets([(2, 0), (1, 1), (0, 1)])),
+        build_box(2, 3, nearest_neighbor(2), "constant", 2.5),
+        # Rectangle (ties along a segment) and an L shape, as vertex lists.
+        Window([(i, j) for i in range(9) for j in range(4)], nearest_neighbor(2)),
+        Window([(i, j) for i in range(8) for j in range(8) if i < 3 or j < 3][::-1],
+               nearest_neighbor(2)),
+    ], ids=["box1", "box2", "box3", "box2_range2", "constant", "rectangle",
+            "l_shape"])
+    def test_central_vertex_matches_brute_force(self, window):
+        found = central_interior_vertex(window)
+        assert found == self.brute_central_vertex(window)
+        assert found in window.index_of
 
     def test_no_interior_errors(self):
         m = gff(1.0, 1.0, d=1)

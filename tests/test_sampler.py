@@ -1,11 +1,14 @@
 import math
+import time
 
 import numpy as np
 import pytest
 
+from gibbsrwm import sampler
 from gibbsrwm.lattice import build_box, build_line
 from gibbsrwm.models import (Configuration, custom_pairwise, gaussian_product,
                              gff, phi4, zeros_configuration)
+from gibbsrwm.oracle import build_precision, gaussian_exact_sample
 from gibbsrwm.sampler import (ProposalSpec, accept_prob, chain_rng, init_state,
                               propose, run_chain, run_replicas, step)
 
@@ -166,6 +169,13 @@ class TestInitState:
         with pytest.raises(ValueError):
             init_state(m, build_line(3, m.neighborhood), "given", given=x)
 
+    def test_precision_window_mismatch(self):
+        m = gaussian_product(1.0, d=1)
+        prec = build_precision(m, build_line(3, m.neighborhood))
+        with pytest.raises(ValueError, match="different window"):
+            init_state(m, build_line(3, m.neighborhood), "exact_gaussian",
+                       seed=0, precision=prec)
+
     def test_burn_in_tagged(self):
         m = phi4(0.5, -1.0, d=1)
         w = build_box(1, 2, m.neighborhood)
@@ -258,6 +268,53 @@ class TestRunChain:
             run_chain(m, w, ProposalSpec(1.0, 5), 10, seed=0, recording="verbose")
         with pytest.raises(ValueError):
             run_chain(m, w, ProposalSpec(1.0, 5), 10, seed=0, track_first=9)
+
+    @pytest.mark.parametrize("mode,const", [("zero", 0.0), ("constant", 1.3)])
+    def test_exact_init_matches_per_replica_draw(self, mode, const):
+        m = gff(0.7, 0.3, d=2)
+        w = build_box(2, 3, m.neighborhood, mode, const)
+        ids = [4, 0, 7]
+        runs = run_replicas(m, w, ProposalSpec(1.0, w.n), 1, seed=31,
+                            n_replicas=3, chain_ids=ids, track_first=w.n)
+        for run, cid in zip(runs, ids):
+            solo = gaussian_exact_sample(build_precision(m, w), chain_rng(31, cid))
+            assert np.array_equal(run.first_coord_path[0], solo.values)
+
+    def test_one_precision_per_call(self, monkeypatch):
+        calls = []
+
+        def counting(model, window):
+            calls.append(window)
+            return build_precision(model, window)
+
+        monkeypatch.setattr(sampler, "build_precision", counting)
+        m = gff(1.0, 1.0, d=2)
+        w = build_box(2, 2, m.neighborhood)
+        run_replicas(m, w, ProposalSpec(1.0, w.n), 5, seed=1, n_replicas=4)
+        assert len(calls) == 1
+        run_replicas(m, w, ProposalSpec(1.0, w.n), 5, seed=1, n_replicas=2,
+                     init="burn_in", burn_steps=10)
+        assert len(calls) == 1
+
+    def test_wall_time_is_per_chain_share(self):
+        m = gaussian_product(1.0, d=1)
+        w = build_line(20, m.neighborhood)
+        started = time.perf_counter()
+        runs = run_replicas(m, w, ProposalSpec(1.0, 20), 2000, seed=4, n_replicas=4)
+        elapsed = time.perf_counter() - started
+        assert len({r.wall_time for r in runs}) == 1
+        assert 0.0 < sum(r.wall_time for r in runs) <= elapsed
+
+    def test_nonfinite_delta_h_rejected(self):
+        # tau=1e160 overflows the quartic: every dH is inf - inf = NaN.
+        m = phi4(1.0, -1.0, d=1)
+        w = build_line(20, m.neighborhood)
+        with np.errstate(over="ignore", invalid="ignore"):
+            run = run_chain(m, w, ProposalSpec(1e160, w.n), 50, seed=0,
+                            init="given", init_config=zeros_configuration(w))
+        assert np.isnan(run.records.delta_h).all()
+        assert not run.records.accepted.any()
+        assert np.array_equal(run.final_state.values, np.zeros(w.n))
 
     def test_acceptance_invariant_recomputable(self):
         m = gff(1.0, 1.0, d=1)

@@ -13,7 +13,7 @@ from gibbsrwm.runio import write_csv
 from gibbsrwm.scaling import mosco_m2_check, product_chain_family
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--cylinder", default="sin_x1",
                     choices=sorted(CYLINDER_FUNCTIONS))
@@ -23,7 +23,7 @@ def main():
     ap.add_argument("--replicas", type=int, default=4)
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--out", default="results")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     f = CYLINDER_FUNCTIONS[args.cylinder]
     table = mosco_m2_check(f, product_chain_family(1.0), args.n_list,

@@ -15,7 +15,7 @@ from gibbsrwm.runio import write_csv
 from gibbsrwm.scaling import sweep_tau, tau_star
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--n", type=int, default=100)
     ap.add_argument("--steps", type=int, default=100_000)
@@ -24,9 +24,8 @@ def main():
     ap.add_argument("--tau-min", type=float, default=0.5)
     ap.add_argument("--tau-max", type=float, default=6.0)
     ap.add_argument("--tau-step", type=float, default=0.25)
-    ap.add_argument("--threads", type=int, default=4)
     ap.add_argument("--out", default="results")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     model = gaussian_product(1.0, d=1)
     window = build_line(args.n, model.neighborhood)
@@ -37,7 +36,7 @@ def main():
         t += args.tau_step
 
     curve = sweep_tau(model, window, grid, args.steps, args.replicas,
-                      args.seed, threads=args.threads)
+                      args.seed)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "scaling_curve.csv")
     write_csv(path, ["tau", "acc", "acc_se", "esjd", "esjd_se", "c_theory",

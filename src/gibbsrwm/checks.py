@@ -38,8 +38,8 @@ def mc_vs_quad_acceptance(seed: int, steps: int = 150_000,
     ok = True
     for i, tau in enumerate(taus):
         run = run_chain(model, window, ProposalSpec(tau, 1), steps, seed,
-                        chain_id=i, recording="full")
-        mc = acceptance_rate(run.records)
+                        chain_id=i, recording="summary")
+        mc = acceptance_rate(run.summary)
         q = quad_acceptance(model, window, tau)
         z = abs(mc.value - q) / max(mc.std_error, 1e-12)
         worst = max(worst, z)

@@ -42,6 +42,11 @@ def _require(cfg: ExperimentConfig, what: str, ok: bool):
         raise ConfigError(f"run: this command needs {what}")
 
 
+def _require_single_chain(cfg: ExperimentConfig):
+    _require(cfg, "replicas to be 1 or omitted (it runs one chain)",
+             "replicas" not in cfg.raw["run"] or cfg.run.replicas == 1)
+
+
 def _make_family(cfg: ExperimentConfig, model):
     def make(n: int):
         return model, build_window(cfg, model, n_override=n)
@@ -49,10 +54,9 @@ def _make_family(cfg: ExperimentConfig, model):
     return make
 
 
-def cmd_sample(cfg: ExperimentConfig, threads: int, writer: ManifestWriter):
+def cmd_sample(cfg: ExperimentConfig, writer: ManifestWriter):
     _require(cfg, "a single tau", cfg.run.tau is not None)
-    _require(cfg, "replicas to be 1 or omitted (sample runs one chain)",
-             "replicas" not in cfg.raw["run"] or cfg.run.replicas == 1)
+    _require_single_chain(cfg)
     model = build_model(cfg)
     window = build_window(cfg, model)
     spec = ProposalSpec(cfg.run.tau, window.n, cfg.run.increment_family)
@@ -65,8 +69,8 @@ def cmd_sample(cfg: ExperimentConfig, threads: int, writer: ManifestWriter):
     writer.register(write_csv(writer.path("trajectory.csv"),
                               ["t", "delta_h", "accepted", "jump_sq_first_coord"],
                               rows))
-    acc = acceptance_rate(rec)
-    esjd = esjd_first_coord(rec, window.n)
+    acc = acceptance_rate(run.summary)
+    esjd = esjd_first_coord(run.summary, window.n)
     dh = delta_h_stats(rec)
     writer.register(write_json(writer.path("summary.json"), {
         "n": window.n, "tau": cfg.run.tau, "steps": cfg.run.steps,
@@ -80,12 +84,12 @@ def cmd_sample(cfg: ExperimentConfig, threads: int, writer: ManifestWriter):
         ("dh_mean", dh.mean), ("dh_var", dh.variance)]))
 
 
-def cmd_sweep_tau(cfg: ExperimentConfig, threads: int, writer: ManifestWriter):
+def cmd_sweep_tau(cfg: ExperimentConfig, writer: ManifestWriter):
     _require(cfg, "a tau_grid", cfg.run.tau_grid is not None)
     model = build_model(cfg)
     window = build_window(cfg, model)
     curve = sweep_tau(model, window, cfg.run.tau_grid, cfg.run.steps,
-                      cfg.run.replicas, cfg.seed, threads=threads,
+                      cfg.run.replicas, cfg.seed,
                       increment_family=cfg.run.increment_family,
                       init=cfg.run.init, burn_steps=cfg.run.burn_steps)
     rows = [[r.tau, r.acceptance.value, r.acceptance.std_error,
@@ -99,14 +103,13 @@ def cmd_sweep_tau(cfg: ExperimentConfig, threads: int, writer: ManifestWriter):
                                {"s_hat": curve.s_hat}))
 
 
-def cmd_sweep_n(cfg: ExperimentConfig, threads: int, writer: ManifestWriter):
+def cmd_sweep_n(cfg: ExperimentConfig, writer: ManifestWriter):
     _require(cfg, "an n_list", cfg.run.n_list is not None)
     _require(cfg, "a single tau", cfg.run.tau is not None)
     model = build_model(cfg)
     rows = sweep_n(_make_family(cfg, model), cfg.run.n_list, cfg.run.tau,
                    cfg.run.steps, cfg.seed, replicas=cfg.run.replicas,
-                   init=cfg.run.init, threads=threads,
-                   burn_steps=cfg.run.burn_steps)
+                   init=cfg.run.init, burn_steps=cfg.run.burn_steps)
     writer.register(write_csv(
         writer.path("acceptance_vs_n.csv"),
         ["n", "acc", "acc_se", "c_theory", "gap"],
@@ -114,8 +117,9 @@ def cmd_sweep_n(cfg: ExperimentConfig, threads: int, writer: ManifestWriter):
          for r in rows]))
 
 
-def cmd_estimate_s(cfg: ExperimentConfig, threads: int, writer: ManifestWriter):
+def cmd_estimate_s(cfg: ExperimentConfig, writer: ManifestWriter):
     _require(cfg, "a single tau", cfg.run.tau is not None)
+    _require_single_chain(cfg)
     model = build_model(cfg)
     window = build_window(cfg, model)
     spec = ProposalSpec(cfg.run.tau, window.n, cfg.run.increment_family)
@@ -131,7 +135,7 @@ def cmd_estimate_s(cfg: ExperimentConfig, threads: int, writer: ManifestWriter):
                                         [("s2_hat", s2)]))
 
 
-def cmd_dirichlet_check(cfg: ExperimentConfig, threads: int, writer: ManifestWriter):
+def cmd_dirichlet_check(cfg: ExperimentConfig, writer: ManifestWriter):
     _require(cfg, "an n_list", cfg.run.n_list is not None)
     _require(cfg, "a single tau", cfg.run.tau is not None)
     _require(cfg, "a cylinder function name", cfg.run.cylinder is not None)
@@ -140,7 +144,7 @@ def cmd_dirichlet_check(cfg: ExperimentConfig, threads: int, writer: ManifestWri
     table = mosco_m2_check(f, _make_family(cfg, model), cfg.run.n_list,
                            cfg.run.tau, cfg.run.steps, cfg.seed,
                            replicas=cfg.run.replicas, init=cfg.run.init,
-                           threads=threads, burn_steps=cfg.run.burn_steps)
+                           burn_steps=cfg.run.burn_steps)
     writer.register(write_csv(
         writer.path("m2_table.csv"),
         ["n", "empirical_En_f", "empirical_se", "limiting_E_f", "limiting_se",
@@ -151,8 +155,9 @@ def cmd_dirichlet_check(cfg: ExperimentConfig, threads: int, writer: ManifestWri
                                {"cylinder": f.name, "s_hat": table.s_hat}))
 
 
-def cmd_clt_check(cfg: ExperimentConfig, threads: int, writer: ManifestWriter):
+def cmd_clt_check(cfg: ExperimentConfig, writer: ManifestWriter):
     _require(cfg, "a single tau", cfg.run.tau is not None)
+    _require_single_chain(cfg)
     model = build_model(cfg)
     window = build_window(cfg, model)
     spec = ProposalSpec(cfg.run.tau, window.n, cfg.run.increment_family)
@@ -182,7 +187,7 @@ def cmd_clt_check(cfg: ExperimentConfig, threads: int, writer: ManifestWriter):
     writer.register(write_json(writer.path("clt.json"), out))
 
 
-def cmd_oracle_check(cfg: ExperimentConfig, threads: int, writer: ManifestWriter):
+def cmd_oracle_check(cfg: ExperimentConfig, writer: ManifestWriter):
     names = cfg.run.battery if cfg.run.battery is not None else list(BATTERY)
     results = run_battery(names, cfg.seed,
                           corrupt_determinism=cfg.run.corrupt_determinism)
@@ -218,7 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="JSON experiment config")
         p.add_argument("--out", default=None, help="override output directory")
         p.add_argument("--seed-override", type=int, default=None)
-        p.add_argument("--threads", type=int, default=1)
     return parser
 
 
@@ -239,7 +243,7 @@ def main(argv=None) -> int:
     writer = ManifestWriter(cfg.output_dir, cfg.raw, cfg.seed)
     started = time.perf_counter()
     try:
-        COMMANDS[args.command](cfg, max(1, args.threads), writer)
+        COMMANDS[args.command](cfg, writer)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

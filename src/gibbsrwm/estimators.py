@@ -1,8 +1,9 @@
 """Trajectory estimators: acceptance, gradient second moment, delta-H law,
 empirical and limiting Dirichlet forms, and first-coordinate ESJD.
 
-All MCMC error bars use batch means with a fixed batch count, which stays
-honest under the mild autocorrelation these chains show at stationarity.
+All MCMC error bars use batch means with a fixed batch count (the layout is
+`sampler.batch_means`), which stays honest under the mild autocorrelation
+these chains show at stationarity.
 """
 
 from __future__ import annotations
@@ -14,9 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .models import InteractionModel, hamiltonian_gradient
-from .sampler import ChainRun, ChainSummary, StepRecords
-
-N_BATCHES = 50
+from .sampler import ChainRun, ChainSummary, StepRecords, batch_means
 
 
 @dataclass(frozen=True)
@@ -30,54 +29,28 @@ class EstimateWithError:
             raise ValueError("std_error must be nonnegative")
 
 
-def batch_means_se(xs, n_batches: int = N_BATCHES) -> float:
-    """Standard error of the mean of a (possibly autocorrelated) series."""
-    x = np.asarray(xs, dtype=float).ravel()
-    m = x.size
-    if m < 2:
-        return 0.0
-    if m < 2 * n_batches:
-        return float(x.std(ddof=1) / math.sqrt(m))
-    nb = n_batches
-    size = m // nb
-    means = x[: nb * size].reshape(nb, size).mean(axis=1)
-    return float(means.std(ddof=1) / math.sqrt(nb))
-
-
-def _se_from_batches(batch_means: np.ndarray) -> float:
-    nb = len(batch_means)
+def _batch_se(batch: np.ndarray) -> float:
+    nb = len(batch)
     if nb < 2:
         return 0.0
-    return float(np.std(batch_means, ddof=1) / math.sqrt(nb))
+    return float(np.std(batch, ddof=1) / math.sqrt(nb))
 
 
-def _require_records(records: StepRecords):
-    if records is None or len(records) == 0:
-        raise ValueError("no step records")
+def batch_means_se(xs) -> float:
+    """Standard error of the mean of a (possibly autocorrelated) series."""
+    return _batch_se(batch_means(xs))
 
 
-def acceptance_rate(records: StepRecords) -> EstimateWithError:
+def acceptance_rate(summary: ChainSummary) -> EstimateWithError:
     """Mean accept flag with batch-means error bar."""
-    _require_records(records)
-    acc = records.accepted.astype(float)
-    return EstimateWithError(float(acc.mean()), batch_means_se(acc), len(records))
+    return EstimateWithError(summary.acceptance, _batch_se(summary.batch_acc),
+                             summary.steps)
 
 
-def acceptance_from_summary(summary: ChainSummary) -> EstimateWithError:
-    return EstimateWithError(summary.acceptance,
-                             _se_from_batches(summary.batch_acc), summary.steps)
-
-
-def esjd_first_coord(records: StepRecords, n: int) -> EstimateWithError:
+def esjd_first_coord(summary: ChainSummary, n: int) -> EstimateWithError:
     """n * mean squared displacement of the first coordinate per step."""
-    _require_records(records)
-    j = records.jump_sq_first_coord
-    return EstimateWithError(float(n * j.mean()), n * batch_means_se(j), len(records))
-
-
-def esjd_from_summary(summary: ChainSummary, n: int) -> EstimateWithError:
     return EstimateWithError(n * summary.mean_jump_sq,
-                             n * _se_from_batches(summary.batch_jump), summary.steps)
+                             n * _batch_se(summary.batch_jump), summary.steps)
 
 
 @dataclass(frozen=True)
@@ -88,7 +61,8 @@ class DeltaHStats:
 
 def delta_h_stats(records: StepRecords) -> DeltaHStats:
     """Sample mean and variance of proposed-move energy differences."""
-    _require_records(records)
+    if records is None or len(records) == 0:
+        raise ValueError("no step records")
     dh = records.delta_h
     m = len(records)
     mean = float(dh.mean())

@@ -61,14 +61,6 @@ class ProposalSpec:
 
 
 @dataclass(frozen=True)
-class StepRecord:
-    delta_h: float
-    accepted: bool
-    u: float
-    jump_sq_first_coord: float
-
-
-@dataclass(frozen=True)
 class StepRecords:
     """Per-step record columns of a chain run."""
 
@@ -89,10 +81,8 @@ class ChainSummary:
     accept_count: int
     jump_sq_sum: float
     dh_sum: float
-    dh_sq_sum: float
-    batch_acc: np.ndarray   # per-batch acceptance means
-    batch_jump: np.ndarray  # per-batch jump_sq means
-    batch_dh: np.ndarray    # per-batch delta_h means
+    batch_acc: np.ndarray   # batch means of the accept flags
+    batch_jump: np.ndarray  # batch means of jump_sq
 
     @property
     def acceptance(self) -> float:
@@ -103,24 +93,28 @@ class ChainSummary:
         return self.jump_sq_sum / self.steps
 
 
-def summarize_records(delta_h, accepted, jump_sq, n_batches: int = N_BATCHES) -> ChainSummary:
+def batch_means(xs) -> np.ndarray:
+    """Batch means under the one layout every error bar uses: one batch per
+    sample below 2 * N_BATCHES samples, else N_BATCHES equal batches with the
+    tail trimmed."""
+    x = np.asarray(xs, dtype=float).ravel()
+    if x.size < 2 * N_BATCHES:
+        return x
+    size = x.size // N_BATCHES
+    return x[: N_BATCHES * size].reshape(N_BATCHES, size).mean(axis=1)
+
+
+def summarize_records(delta_h, accepted, jump_sq) -> ChainSummary:
     steps = len(delta_h)
-    nb = max(1, min(n_batches, steps))
-    size = steps // nb
-    trimmed = slice(0, nb * size)
-
-    def bmeans(x):
-        return np.asarray(x, dtype=float)[trimmed].reshape(nb, size).mean(axis=1)
-
+    if steps == 0:
+        raise ValueError("no step records")
     return ChainSummary(
         steps=steps,
         accept_count=int(np.count_nonzero(accepted)),
         jump_sq_sum=float(np.sum(jump_sq)),
         dh_sum=float(np.sum(delta_h)),
-        dh_sq_sum=float(np.sum(np.square(delta_h))),
-        batch_acc=bmeans(accepted),
-        batch_jump=bmeans(jump_sq),
-        batch_dh=bmeans(delta_h),
+        batch_acc=batch_means(accepted),
+        batch_jump=batch_means(jump_sq),
     )
 
 
@@ -144,42 +138,6 @@ class ChainRun:
     @property
     def window(self) -> Window:
         return self.final_state.window
-
-
-def accept_prob(model: InteractionModel, x: Configuration, y: Configuration) -> float:
-    """min(1, exp(-dH)) evaluated without exponentiating large positives."""
-    from .models import delta_hamiltonian
-
-    dh = delta_hamiltonian(model, x, y)
-    if dh <= 0:
-        return 1.0
-    return math.exp(-dh)  # underflows to 0.0 for huge uphill moves
-
-
-def propose(state: Configuration, spec: ProposalSpec, rng: np.random.Generator) -> Configuration:
-    if spec.n != state.window.n:
-        raise ValueError("proposal spec n does not match window size")
-    incr = spec.draw_increments(rng, state.window.n)
-    return Configuration(state.window, state.values + spec.sigma * incr)
-
-
-def step(model: InteractionModel, state: Configuration, spec: ProposalSpec,
-         rng: np.random.Generator, u_override: float | None = None
-         ) -> tuple[Configuration, StepRecord]:
-    """One Metropolis step: one proposal, one uniform; state is not modified.
-
-    u_override replaces the uniform draw (test hook; skips the rng draw).
-    """
-    candidate = propose(state, spec, rng)
-    u = float(rng.random()) if u_override is None else float(u_override)
-    from .models import delta_hamiltonian
-
-    dh = delta_hamiltonian(model, state, candidate)
-    p = 1.0 if dh <= 0 else math.exp(-dh)
-    accepted = u < p
-    jump = (candidate.values[0] - state.values[0]) ** 2 if accepted else 0.0
-    new_state = candidate if accepted else state
-    return new_state, StepRecord(dh, bool(accepted), u, float(jump))
 
 
 def init_state(model: InteractionModel, window: Window, mode: str = "exact_gaussian",

@@ -13,7 +13,6 @@ the model.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -21,10 +20,9 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 from scipy.special import erfc
 
-from .estimators import (CylinderFunction, EstimateWithError,
-                         acceptance_from_summary, esjd_from_summary,
-                         dirichlet_form_empirical, estimate_s2, limiting_form,
-                         pool_replicas)
+from .estimators import (CylinderFunction, EstimateWithError, acceptance_rate,
+                         dirichlet_form_empirical, esjd_first_coord,
+                         estimate_s2, limiting_form, pool_replicas)
 from .lattice import Window, build_line
 from .models import InteractionModel, gaussian_product
 from .oracle import (build_precision, gaussian_exact_samples,
@@ -112,8 +110,20 @@ def reference_s_hat(model: InteractionModel, window: Window, seed: int,
     return math.sqrt(estimate_s2(model, run).value)
 
 
+def _run_point(model: InteractionModel, window: Window, spec: ProposalSpec,
+               index: int, replicas: int, steps: int, seed: int, init: str,
+               burn_steps: int | None, track_first: int = 0):
+    """Summary-recorded replicas of grid point `index`, on the chain ids
+    index * replicas + r, so every grid point draws from its own streams."""
+    ids = [index * replicas + r for r in range(replicas)]
+    return run_replicas(model, window, spec, steps, seed, replicas,
+                        chain_ids=ids, recording="summary",
+                        track_first=track_first, init=init,
+                        burn_steps=burn_steps)
+
+
 def sweep_tau(model: InteractionModel, window: Window, tau_grid, steps: int,
-              replicas: int, seed: int, threads: int = 1,
+              replicas: int, seed: int,
               increment_family: str = "standard_normal",
               init: str = "exact_gaussian", s_hat: float | None = None,
               burn_steps: int | None = None) -> ScalingCurve:
@@ -122,23 +132,16 @@ def sweep_tau(model: InteractionModel, window: Window, tau_grid, steps: int,
     if s_hat is None:
         s_hat = reference_s_hat(model, window, seed, init=init)
 
-    def one_tau(ti: int):
-        tau = taus[ti]
-        spec = ProposalSpec(tau, window.n, increment_family)
-        ids = [ti * replicas + r for r in range(replicas)]
-        runs = run_replicas(model, window, spec, steps, seed, replicas,
-                            chain_ids=ids, recording="summary", init=init,
-                            burn_steps=burn_steps)
-        acc = pool_replicas(acceptance_from_summary(r.summary) for r in runs)
-        esjd = pool_replicas(esjd_from_summary(r.summary, window.n) for r in runs)
+    def one_tau(ti: int, tau: float):
+        runs = _run_point(model, window,
+                          ProposalSpec(tau, window.n, increment_family), ti,
+                          replicas, steps, seed, init, burn_steps)
+        acc = pool_replicas(acceptance_rate(r.summary) for r in runs)
+        esjd = pool_replicas(esjd_first_coord(r.summary, window.n) for r in runs)
         return ScalingCurveRow(tau, acc, esjd, c_theoretical(tau, s_hat),
                                efficiency(tau, s_hat))
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(one_tau, range(len(taus))))
-    else:
-        rows = [one_tau(ti) for ti in range(len(taus))]
+    rows = [one_tau(ti, tau) for ti, tau in enumerate(taus)]
     return ScalingCurve(tuple(rows), s_hat)
 
 
@@ -163,36 +166,38 @@ def product_chain_family(variance: float = 1.0) -> Callable[[int], tuple[Interac
     return make
 
 
-def sweep_n(make_model_window: Callable[[int], tuple[InteractionModel, Window]],
-            n_list, tau: float, steps: int, seed: int, replicas: int = 4,
-            init: str = "exact_gaussian", s_hat: float | None = None,
-            threads: int = 1, burn_steps: int | None = None) -> list[SweepNRow]:
-    """Acceptance against window size at fixed tau, with the limiting value."""
+def _window_sizes(make_model_window: Callable[[int], tuple[InteractionModel, Window]],
+                  n_list, s_hat: float | None, seed: int, init: str):
+    """Strictly increasing window sizes, the largest window's model and
+    window, and s-hat: exact on quadratic models, else a reference chain."""
     ns = [int(n) for n in n_list]
-    if ns != sorted(set(ns)):
-        raise ValueError("n_list must be strictly increasing")
+    if not ns or ns != sorted(set(ns)):
+        raise ValueError("n_list must be non-empty and strictly increasing")
+    model_max, window_max = make_model_window(ns[-1])
     if s_hat is None:
-        model_max, window_max = make_model_window(ns[-1])
         if model_max.is_quadratic:
             s_hat = math.sqrt(gaussian_s2_exact(model_max, window_max))
         else:
             s_hat = reference_s_hat(model_max, window_max, seed, init=init)
+    return ns, model_max, window_max, s_hat
+
+
+def sweep_n(make_model_window: Callable[[int], tuple[InteractionModel, Window]],
+            n_list, tau: float, steps: int, seed: int, replicas: int = 4,
+            init: str = "exact_gaussian", s_hat: float | None = None,
+            burn_steps: int | None = None) -> list[SweepNRow]:
+    """Acceptance against window size at fixed tau, with the limiting value."""
+    ns, _, _, s_hat = _window_sizes(make_model_window, n_list, s_hat, seed, init)
     c_lim = c_theoretical(tau, s_hat)
 
-    def one_n(ni: int):
-        n = ns[ni]
+    def one_n(ni: int, n: int):
         model, window = make_model_window(n)
-        ids = [ni * replicas + r for r in range(replicas)]
-        runs = run_replicas(model, window, ProposalSpec(tau, window.n), steps,
-                            seed, replicas, chain_ids=ids, recording="summary",
-                            init=init, burn_steps=burn_steps)
-        acc = pool_replicas(acceptance_from_summary(r.summary) for r in runs)
+        runs = _run_point(model, window, ProposalSpec(tau, window.n), ni,
+                          replicas, steps, seed, init, burn_steps)
+        acc = pool_replicas(acceptance_rate(r.summary) for r in runs)
         return SweepNRow(n, acc, c_lim, abs(acc.value - c_lim))
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(one_n, range(len(ns))))
-    return [one_n(ni) for ni in range(len(ns))]
+    return [one_n(ni, n) for ni, n in enumerate(ns)]
 
 
 # -- Dirichlet-form convergence table ---------------------------------------
@@ -234,20 +239,12 @@ def mosco_m2_check(f: CylinderFunction,
                    n_list, tau: float, steps: int, seed: int, replicas: int = 4,
                    init: str = "exact_gaussian", s_hat: float | None = None,
                    limiting: str = "auto", mc_samples: int = 200_000,
-                   threads: int = 1, burn_steps: int | None = None) -> M2Table:
+                   burn_steps: int | None = None) -> M2Table:
     """Empirical one-step form per window size against its limiting value."""
-    ns = [int(n) for n in n_list]
-    if ns != sorted(set(ns)):
-        raise ValueError("n_list must be strictly increasing")
+    ns, model_max, window_max, s_hat = _window_sizes(make_model_window, n_list,
+                                                     s_hat, seed, init)
     if f.n_coords > ns[0]:
         raise ValueError(f"{f.name} needs {f.n_coords} coordinates, smallest n is {ns[0]}")
-
-    model_max, window_max = make_model_window(ns[-1])
-    if s_hat is None:
-        if model_max.is_quadratic:
-            s_hat = math.sqrt(gaussian_s2_exact(model_max, window_max))
-        else:
-            s_hat = reference_s_hat(model_max, window_max, seed, init=init)
 
     if limiting == "auto":
         if f.n_coords == 1 and model_max.family == "gaussian_product":
@@ -271,20 +268,13 @@ def mosco_m2_check(f: CylinderFunction,
     else:
         raise ValueError(f"unknown limiting route {limiting!r}")
 
-    def one_n(ni: int):
-        n = ns[ni]
+    def one_n(ni: int, n: int):
         model, window = make_model_window(n)
-        ids = [ni * replicas + r for r in range(replicas)]
-        runs = run_replicas(model, window, ProposalSpec(tau, window.n), steps,
-                            seed, replicas, chain_ids=ids, recording="summary",
-                            track_first=f.n_coords, init=init,
-                            burn_steps=burn_steps)
+        runs = _run_point(model, window, ProposalSpec(tau, window.n), ni,
+                          replicas, steps, seed, init, burn_steps,
+                          track_first=f.n_coords)
         emp = pool_replicas(dirichlet_form_empirical(f, r) for r in runs)
         return M2Row(n, emp, lim, abs(emp.value - lim.value))
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(one_n, range(len(ns))))
-    else:
-        rows = [one_n(ni) for ni in range(len(ns))]
+    rows = [one_n(ni, n) for ni, n in enumerate(ns)]
     return M2Table(tuple(rows), lim, s_hat)

@@ -14,7 +14,7 @@ import pytest
 
 from gibbsrwm.checks import detailed_balance, mc_vs_quad_acceptance
 from gibbsrwm.cli import main as cli_main
-from gibbsrwm.estimators import (CYLINDER_FUNCTIONS, acceptance_from_summary,
+from gibbsrwm.estimators import (CYLINDER_FUNCTIONS, acceptance_rate,
                                  delta_h_stats, estimate_s2, pool_replicas)
 from gibbsrwm.lattice import (Window, boundary_ratio, build_box, build_line,
                               h2_diagnostics, loglog_slope, nearest_neighbor)
@@ -22,7 +22,8 @@ from gibbsrwm.models import (Configuration, custom_pairwise, gaussian_product,
                              gff, hamiltonian, hamiltonian_gradient,
                              log_density_ratio, phi4)
 from gibbsrwm.oracle import gaussian_s2_exact
-from gibbsrwm.sampler import ProposalSpec, accept_prob, chain_rng, run_replicas
+from gibbsrwm.sampler import (ProposalSpec, chain_rng, run_chain,
+                              run_replicas)
 from gibbsrwm.scaling import (c_mc_oracle, c_theoretical, mosco_m2_check,
                               product_chain_family, sweep_tau, tau_star)
 
@@ -43,7 +44,7 @@ def test_criterion_01_optimal_acceptance_0234():
     runs = run_replicas(model, window, spec, 200_000, SEED, n_replicas=8,
                         recording="summary", init="exact_gaussian")
     elapsed = time.perf_counter() - t0
-    pooled = pool_replicas(acceptance_from_summary(r.summary) for r in runs)
+    pooled = pool_replicas(acceptance_rate(r.summary) for r in runs)
     assert 0.210 <= pooled.value <= 0.260, pooled
     assert elapsed <= 60.0, f"runtime {elapsed:.1f}s exceeds 60s"
     report("1 optimal acceptance 0.234",
@@ -266,12 +267,16 @@ def test_criterion_10_property_suites():
     wb = build_box(1, 2, base.neighborhood)
     ws = build_box(1, 2, shifted.neighborhood)
     worst_shift = 0.0
-    for _ in range(40):
-        vx = rng.standard_normal(wb.n)
-        vy = rng.standard_normal(wb.n)
-        worst_shift = max(worst_shift, abs(
-            accept_prob(base, Configuration(wb, vx), Configuration(wb, vy))
-            - accept_prob(shifted, Configuration(ws, vx), Configuration(ws, vy))))
+    for i in range(20):
+        start = rng.standard_normal(wb.n)
+        a, b = [run_chain(model, window, ProposalSpec(2.38, window.n), 300,
+                          SEED + i, init="given",
+                          init_config=Configuration(window, start)).records
+                for model, window in ((base, wb), (shifted, ws))]
+        worst_shift = max(worst_shift, np.max(np.abs(
+            np.exp(-np.maximum(a.delta_h, 0.0))
+            - np.exp(-np.maximum(b.delta_h, 0.0)))))
+        assert np.array_equal(a.accepted, b.accepted)
     assert worst_shift <= 1e-12, worst_shift
 
     # increment families: mean and variance within CLT bounds

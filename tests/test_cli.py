@@ -115,14 +115,19 @@ class TestCliCommands:
         assert header == ["t", "delta_h", "accepted", "jump_sq_first_coord"]
         assert len(rows) == doc["run"]["steps"]
 
-    def test_sample_rejects_several_replicas(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["sample", "estimate-s", "clt-check"])
+    def test_single_chain_commands_reject_several_replicas(self, tmp_path, capsys,
+                                                           command):
+        output = {"sample": "trajectory.csv", "estimate-s": "s2.json",
+                  "clt-check": "clt.json"}[command]
         doc = base_config(output_dir=str(tmp_path / "o"))
         doc["run"]["replicas"] = 4
-        assert self.run_cli("sample", write_config(tmp_path, doc)) == 2
+        assert self.run_cli(command, write_config(tmp_path, doc)) == 2
         assert "replicas" in capsys.readouterr().err
-        assert not (tmp_path / "o" / "trajectory.csv").exists()
+        assert not (tmp_path / "o" / output).exists()
         doc["run"]["replicas"] = 1
-        assert self.run_cli("sample", write_config(tmp_path, doc)) == 0
+        assert self.run_cli(command, write_config(tmp_path, doc)) == 0
+        assert (tmp_path / "o" / output).exists()
 
     def test_manifest_contents(self, tmp_path):
         doc = base_config(output_dir=str(tmp_path / "o"))
@@ -156,7 +161,7 @@ class TestCliCommands:
     def test_sweep_tau_csv_round_trip(self, tmp_path):
         doc = base_config(output_dir=str(tmp_path / "o"))
         doc["run"] = {"steps": 600, "tau_grid": [0.5, 1.0, 2.0], "replicas": 2}
-        code = self.run_cli("sweep-tau", write_config(tmp_path, doc), "--threads", "2")
+        code = self.run_cli("sweep-tau", write_config(tmp_path, doc))
         assert code == 0
         header, rows = read_csv(str(tmp_path / "o" / "scaling_curve.csv"))
         assert header == ["tau", "acc", "acc_se", "esjd", "esjd_se", "c_theory",
@@ -232,6 +237,10 @@ class TestCliCommands:
         doc = base_config()
         doc["model"]["family"] = "bogus"
         assert self.run_cli("sample", write_config(tmp_path, doc)) == 2
+        doc["model"]["family"] = "gaussian_product"
+        with pytest.raises(SystemExit) as exc:  # no such flag
+            self.run_cli("sweep-tau", write_config(tmp_path, doc), "--threads", "2")
+        assert exc.value.code == 2
 
     def test_vertex_list_window(self, tmp_path):
         doc = {

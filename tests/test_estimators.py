@@ -11,7 +11,8 @@ from gibbsrwm.estimators import (CYLINDER_FUNCTIONS, CylinderFunction,
 from gibbsrwm.lattice import Window, build_box, build_line
 from gibbsrwm.models import gaussian_product, gff
 from gibbsrwm.oracle import build_precision, gaussian_exact_sample, gaussian_s2_exact
-from gibbsrwm.sampler import ProposalSpec, StepRecords, chain_rng, run_chain
+from gibbsrwm.sampler import (N_BATCHES, ProposalSpec, StepRecords, chain_rng,
+                              run_chain, summarize_records)
 from gibbsrwm.scaling import c_theoretical
 
 
@@ -26,6 +27,14 @@ def make_records(delta_h, accepted, u=None, jump=None):
                        np.asarray(jump, float))
 
 
+def make_summary(accepted, jump=None):
+    accepted = np.asarray(accepted, dtype=bool)
+    if jump is None:
+        jump = np.where(accepted, 1.0, 0.0)
+    return summarize_records(np.zeros(accepted.size), accepted,
+                             np.asarray(jump, float))
+
+
 class TestBatchMeans:
     def test_constant_series(self):
         assert batch_means_se(np.ones(1000)) == 0.0
@@ -37,6 +46,18 @@ class TestBatchMeans:
         x = chain_rng(1, 0).standard_normal(100_000)
         classic = x.std(ddof=1) / math.sqrt(x.size)
         assert batch_means_se(x) == pytest.approx(classic, rel=0.35)
+
+    def test_summary_route_uses_same_rule(self):
+        # Chains of 51-99 steps once kept only 50 one-sample batches.
+        rng = chain_rng(6, 0)
+        for steps in range(1, 301):
+            acc = rng.random(steps) < 0.3
+            jump = np.where(acc, rng.random(steps), 0.0)
+            summary = summarize_records(np.zeros(steps), acc, jump)
+            assert acceptance_rate(summary).std_error == batch_means_se(acc)
+            assert esjd_first_coord(summary, 7).std_error == 7 * batch_means_se(jump)
+            if 1 < steps < 2 * N_BATCHES:  # one batch per sample
+                assert batch_means_se(jump) == np.std(jump, ddof=1) / math.sqrt(steps)
 
     def test_halving_grows_error_like_sqrt2(self):
         x = chain_rng(2, 0).standard_normal(200_000)
@@ -53,26 +74,27 @@ class TestEstimateWithError:
 
 class TestAcceptanceRate:
     def test_all_accepted(self):
-        rec = make_records(np.zeros(100), np.ones(100, dtype=bool))
-        assert acceptance_rate(rec).value == 1.0
+        assert acceptance_rate(make_summary(np.ones(100, dtype=bool))).value == 1.0
 
     def test_empty_errors(self):
         with pytest.raises(ValueError):
-            acceptance_rate(make_records([], []))
+            summarize_records([], [], [])
 
     def test_tau_zero_chain(self):
         m = gaussian_product(1.0, d=1)
         w = build_line(5, m.neighborhood)
-        run = run_chain(m, w, ProposalSpec(0.0, 5), 200, seed=0)
-        assert acceptance_rate(run.records).value == 1.0
+        run = run_chain(m, w, ProposalSpec(0.0, 5), 200, seed=0,
+                        recording="summary")
+        assert acceptance_rate(run.summary).value == 1.0
 
     def test_value_in_unit_interval_and_recomputable(self):
         m = gaussian_product(1.0, d=1)
         w = build_line(20, m.neighborhood)
         run = run_chain(m, w, ProposalSpec(1.5, 20), 2000, seed=3)
-        est = acceptance_rate(run.records)
+        est = acceptance_rate(run.summary)
         assert 0.0 <= est.value <= 1.0
         assert est.value == run.records.accepted.mean()
+        assert est.std_error == batch_means_se(run.records.accepted)
 
 
 class TestDeltaHStats:
@@ -102,17 +124,16 @@ class TestDeltaHStats:
 
 class TestEsjd:
     def test_tau_zero(self):
-        rec = make_records(np.zeros(10), np.ones(10, bool), jump=np.zeros(10))
-        assert esjd_first_coord(rec, 100).value == 0.0
+        summary = make_summary(np.ones(10, bool), jump=np.zeros(10))
+        assert esjd_first_coord(summary, 100).value == 0.0
 
     def test_all_rejected(self):
-        rec = make_records(np.ones(10), np.zeros(10, bool), jump=np.zeros(10))
-        assert esjd_first_coord(rec, 100).value == 0.0
+        summary = make_summary(np.zeros(10, bool), jump=np.zeros(10))
+        assert esjd_first_coord(summary, 100).value == 0.0
 
     def test_scaling_by_n(self):
-        rec = make_records(np.zeros(4), np.ones(4, bool),
-                           jump=[0.1, 0.2, 0.3, 0.4])
-        assert esjd_first_coord(rec, 10).value == pytest.approx(2.5)
+        summary = make_summary(np.ones(4, bool), jump=[0.1, 0.2, 0.3, 0.4])
+        assert esjd_first_coord(summary, 10).value == pytest.approx(2.5)
 
 
 class TestEstimateS2:

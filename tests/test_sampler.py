@@ -6,11 +6,41 @@ import pytest
 
 from gibbsrwm import sampler
 from gibbsrwm.lattice import build_box, build_line
-from gibbsrwm.models import (Configuration, custom_pairwise, gaussian_product,
-                             gff, phi4, zeros_configuration)
+from gibbsrwm.models import (Configuration, custom_pairwise, delta_hamiltonian,
+                             gaussian_product, gff, phi4, zeros_configuration)
 from gibbsrwm.oracle import build_precision, gaussian_exact_sample
-from gibbsrwm.sampler import (ProposalSpec, accept_prob, chain_rng, init_state,
-                              propose, run_chain, run_replicas, step)
+from gibbsrwm.sampler import (ProposalSpec, chain_rng, init_state, run_chain,
+                              run_replicas)
+
+
+def scalar_reference(model, window, spec, steps, rng, x):
+    """The Metropolis chain one step at a time, from the stream `rng` left
+    after the initial draw: per chunk of c <= CHUNK steps, the (c, n)
+    increments and then c uniforms; dH from delta_hamiltonian."""
+    delta_h, us, accepted = [], [], []
+    for t in range(0, steps, sampler.CHUNK):
+        c = min(sampler.CHUNK, steps - t)
+        incr = spec.draw_increments(rng, (c, window.n))
+        u = rng.random(c)
+        for j in range(c):
+            y = Configuration(window, x.values + spec.sigma * incr[j])
+            dh = delta_hamiltonian(model, x, y)
+            acc = bool(u[j] < np.exp(-max(dh, 0.0)))
+            delta_h.append(dh)
+            us.append(u[j])
+            accepted.append(acc)
+            if acc:
+                x = y
+    return x, np.array(delta_h), np.array(us), np.array(accepted)
+
+
+def given_run(model, window, tau, steps, values, seed=0,
+              increment_family="standard_normal"):
+    """Fully recorded run_chain from the given values, tracking every site."""
+    spec = ProposalSpec(tau, window.n, increment_family)
+    return run_chain(model, window, spec, steps, seed, init="given",
+                     track_first=window.n,
+                     init_config=Configuration(window, values))
 
 
 class TestProposalSpec:
@@ -45,53 +75,71 @@ class TestProposalSpec:
 
 
 class TestPropose:
+    """Proposals of the batched kernel: x + (tau / sqrt(n)) * increment."""
+
     def test_tau_zero_returns_same_values(self):
         m = gaussian_product(1.0, d=1)
         w = build_line(5, m.neighborhood)
-        x = Configuration(w, np.arange(5.0))
-        y = propose(x, ProposalSpec(0.0, 5), chain_rng(1, 0))
-        assert np.array_equal(y.values, x.values)
+        run = given_run(m, w, 0.0, 300, np.arange(5.0),
+                        increment_family="uniform")
+        assert np.all(run.first_coord_path == np.arange(5.0))
+        assert np.array_equal(run.final_state.values, np.arange(5.0))
 
     def test_reproducible(self):
         m = gaussian_product(1.0, d=1)
         w = build_line(5, m.neighborhood)
-        x = zeros_configuration(w)
-        spec = ProposalSpec(1.0, 5)
-        a = propose(x, spec, chain_rng(2, 0))
-        b = propose(x, spec, chain_rng(2, 0))
-        assert np.array_equal(a.values, b.values)
+        a = given_run(m, w, 1.0, 300, np.zeros(5), seed=2)
+        b = given_run(m, w, 1.0, 300, np.zeros(5), seed=2)
+        assert np.array_equal(a.first_coord_path, b.first_coord_path)
+        assert np.array_equal(a.records.delta_h, b.records.delta_h)
 
     def test_state_unmodified(self):
         m = gaussian_product(1.0, d=1)
         w = build_line(5, m.neighborhood)
         x = zeros_configuration(w)
-        propose(x, ProposalSpec(1.0, 5), chain_rng(2, 0))
+        run = run_chain(m, w, ProposalSpec(1.0, 5), 300, seed=2, init="given",
+                        init_config=x)
+        assert run.records.accepted.any()
         assert np.array_equal(x.values, np.zeros(5))
 
 
 class TestAcceptProb:
+    """The kernel accepts with probability min(1, exp(-dH))."""
+
     def test_same_state_accepts(self):
-        m = gaussian_product(1.0, d=1)
-        w = build_line(2, m.neighborhood)
-        x = Configuration(w, [0.3, -0.7])
-        assert accept_prob(m, x, x) == 1.0
+        m = gff(1.0, 1.0, d=1)
+        w = build_box(1, 3, m.neighborhood)
+        run = given_run(m, w, 0.0, 300, np.linspace(-1.0, 1.0, w.n))
+        assert np.all(run.records.delta_h == 0.0)
+        assert run.records.accepted.all()
 
     def test_downhill_accepts(self):
         m = gaussian_product(1.0, d=1)
         w = build_line(1, m.neighborhood)
-        assert accept_prob(m, Configuration(w, [3.0]), Configuration(w, [0.0])) == 1.0
+        run = given_run(m, w, 1.0, 300, [3.0])
+        downhill = run.records.delta_h <= 0
+        assert downhill.any()
+        assert run.records.accepted[downhill].all()
 
     def test_gaussian_uphill_value(self):
+        # From x = 0 every move of the unit Gaussian is uphill by y^2 / 2.
         m = gaussian_product(1.0, d=1)
         w = build_line(1, m.neighborhood)
-        p = accept_prob(m, Configuration(w, [0.0]), Configuration(w, [1.0]))
-        assert p == pytest.approx(math.exp(-0.5))
+        for seed in range(20):
+            run = given_run(m, w, 1.0, 1, [0.0], seed=seed)
+            rng = chain_rng(seed, 0)
+            y = rng.standard_normal((1, 1))[0, 0]
+            u = rng.random(1)[0]
+            assert run.records.delta_h[0] == pytest.approx(0.5 * y * y)
+            assert run.records.accepted[0] == (u < math.exp(-0.5 * y * y))
 
     def test_huge_delta_no_overflow(self):
-        m = gaussian_product(1.0, d=1)
-        w = build_line(1, m.neighborhood)
-        assert accept_prob(m, Configuration(w, [0.0]), Configuration(w, [100.0])) == 0.0
-        assert accept_prob(m, Configuration(w, [100.0]), Configuration(w, [0.0])) == 1.0
+        m = phi4(0.5, -1.0, d=1)
+        w = build_line(3, m.neighborhood)
+        with np.errstate(all="raise"):
+            run = given_run(m, w, 1e4, 300, np.zeros(w.n))
+        assert np.all(np.isfinite(run.records.delta_h))
+        assert not run.records.accepted.any()
 
     def test_invariant_under_constant_potential_shift(self):
         base = custom_pairwise({(1,): 0.5, (-1,): 0.5},
@@ -100,45 +148,48 @@ class TestAcceptProb:
                                   lambda x: 0.5 * x * x + 7.25, lambda x: x)
         w = build_box(1, 2, base.neighborhood)
         ws = build_box(1, 2, shifted.neighborhood)
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            vals_x = rng.standard_normal(w.n)
-            vals_y = rng.standard_normal(w.n)
-            p0 = accept_prob(base, Configuration(w, vals_x), Configuration(w, vals_y))
-            p1 = accept_prob(shifted, Configuration(ws, vals_x), Configuration(ws, vals_y))
-            assert abs(p0 - p1) <= 1e-12
+        x0 = np.random.default_rng(0).standard_normal(w.n)
+        for seed in range(5):
+            a = given_run(base, w, 2.0, 300, x0, seed=seed).records
+            b = given_run(shifted, ws, 2.0, 300, x0, seed=seed).records
+            pa = np.exp(-np.maximum(a.delta_h, 0.0))
+            pb = np.exp(-np.maximum(b.delta_h, 0.0))
+            assert np.max(np.abs(pa - pb)) <= 1e-12
+            assert np.array_equal(a.accepted, b.accepted)
 
 
 class TestStep:
+    """Per-step records of the batched kernel."""
+
     def test_tau_zero_always_accepts_zero_jump(self):
         m = gaussian_product(1.0, d=1)
         w = build_line(4, m.neighborhood)
-        x = zeros_configuration(w)
-        new, rec = step(m, x, ProposalSpec(0.0, 4), chain_rng(0, 0))
-        assert rec.accepted and rec.delta_h == 0.0 and rec.jump_sq_first_coord == 0.0
-        assert np.array_equal(new.values, x.values)
+        run = given_run(m, w, 0.0, 300, np.zeros(4))
+        rec = run.records
+        assert rec.accepted.all() and np.all(rec.delta_h == 0.0)
+        assert np.all(rec.jump_sq_first_coord == 0.0)
+        assert np.array_equal(run.final_state.values, np.zeros(4))
 
     def test_forced_u_one_always_rejects(self):
+        # exp(-dH) underflows to 0, so no uniform accepts the move.
         m = gaussian_product(1.0, d=1)
         w = build_line(4, m.neighborhood)
-        x = Configuration(w, [2.0, -1.0, 0.5, 0.0])
-        new, rec = step(m, x, ProposalSpec(1.0, 4), chain_rng(0, 0), u_override=1.0)
-        assert not rec.accepted
-        assert new is x  # rejection hands back the same object
-        assert rec.jump_sq_first_coord == 0.0
+        x0 = np.array([2.0, -1.0, 0.5, 0.0])
+        run = given_run(m, w, 1e4, 300, x0)
+        assert not run.records.accepted.any()
+        assert np.all(run.records.jump_sq_first_coord == 0.0)
+        assert np.array_equal(run.final_state.values, x0)
 
     def test_record_invariant(self):
         m = gaussian_product(1.0, d=1)
         w = build_line(4, m.neighborhood)
-        x = zeros_configuration(w)
-        rng = chain_rng(5, 0)
-        for _ in range(50):
-            x, rec = step(m, x, ProposalSpec(2.0, 4), rng)
-            p = 1.0 if rec.delta_h <= 0 else math.exp(-rec.delta_h)
-            assert rec.accepted == (rec.u < p)
-            assert rec.jump_sq_first_coord >= 0.0
-            if not rec.accepted:
-                assert rec.jump_sq_first_coord == 0.0
+        run = given_run(m, w, 2.0, 300, np.zeros(4), seed=5)
+        rec = run.records
+        p = np.exp(-np.maximum(rec.delta_h, 0.0))
+        assert np.array_equal(rec.accepted, rec.u < p)
+        jump = np.diff(run.first_coord_path[:, 0]) ** 2
+        assert np.all(rec.jump_sq_first_coord[~rec.accepted] == 0.0)
+        assert np.allclose(rec.jump_sq_first_coord, jump, rtol=1e-9, atol=1e-15)
 
 
 class TestInitState:
@@ -192,10 +243,26 @@ class TestRunChain:
         run = run_chain(m, w, spec, 1, seed=42)
         rng = chain_rng(42, 0)
         x0 = init_state(m, w, "exact_gaussian", rng=rng)
-        st, rec = step(m, x0, spec, rng)
+        st, dh, u, acc = scalar_reference(m, w, spec, 1, rng, x0)
         assert np.array_equal(run.final_state.values, st.values)
-        assert run.records.delta_h[0] == rec.delta_h
-        assert run.records.u[0] == rec.u
+        assert np.array_equal(run.records.delta_h, dh)
+        assert np.array_equal(run.records.u, u)
+        assert np.array_equal(run.records.accepted, acc)
+
+    def test_matches_scalar_reference_across_chunks(self):
+        m = gff(1.0, 1.0, d=1)
+        w = build_box(1, 3, m.neighborhood, "constant", 0.4)
+        spec = ProposalSpec(2.0, w.n)
+        steps = sampler.CHUNK + 44
+        run = run_chain(m, w, spec, steps, seed=8, chain_id=0)
+        rng = chain_rng(8, 0)
+        x0 = init_state(m, w, "exact_gaussian", rng=rng)
+        st, dh, u, acc = scalar_reference(m, w, spec, steps, rng, x0)
+        assert np.array_equal(run.final_state.values, st.values)
+        assert np.array_equal(run.records.delta_h, dh)
+        assert np.array_equal(run.records.u, u)
+        assert np.array_equal(run.records.accepted, acc)
+        assert 0 < acc.sum() < steps
 
     def test_same_seed_identical(self):
         m = gff(1.0, 1.0, d=1)

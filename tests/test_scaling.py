@@ -122,17 +122,6 @@ class TestSweepTau:
         flips = np.count_nonzero(np.diff(slopes) != 0)
         assert flips == 1
 
-    def test_threads_deterministic(self):
-        m = gaussian_product(1.0, d=1)
-        w = build_line(10, m.neighborhood)
-        a = sweep_tau(m, w, [0.5, 1.0, 2.0], steps=500, replicas=2, seed=4,
-                      s_hat=1.0, threads=3)
-        b = sweep_tau(m, w, [0.5, 1.0, 2.0], steps=500, replicas=2, seed=4,
-                      s_hat=1.0, threads=1)
-        assert [r.acceptance.value for r in a.rows] == \
-            [r.acceptance.value for r in b.rows]
-        assert [r.esjd.value for r in a.rows] == [r.esjd.value for r in b.rows]
-
     def test_invalid_grid(self):
         m = gaussian_product(1.0, d=1)
         w = build_line(5, m.neighborhood)

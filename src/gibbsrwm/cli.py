@@ -60,8 +60,9 @@ def cmd_sample(cfg: ExperimentConfig, writer: ManifestWriter):
     model = build_model(cfg)
     window = build_window(cfg, model)
     spec = ProposalSpec(cfg.run.tau, window.n, cfg.run.increment_family)
+    # Per-step records only: sample writes no states, so none are kept.
     run = run_chain(model, window, spec, cfg.run.steps, cfg.seed,
-                    recording="full", thin=cfg.run.thin, init=cfg.run.init,
+                    recording="full", thin=0, init=cfg.run.init,
                     burn_steps=cfg.run.burn_steps)
     rec = run.records
     rows = [[t, rec.delta_h[t], rec.accepted[t], rec.jump_sq_first_coord[t]]

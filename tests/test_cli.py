@@ -214,6 +214,19 @@ class TestCliCommands:
         assert out["target_var"] == pytest.approx(1.0)
         assert out["ks_stat"] >= 0.0
 
+    def test_clt_check_non_quadratic_target_from_states(self, tmp_path):
+        # Without an exact s^2, the target comes from the thinned states.
+        doc = base_config(output_dir=str(tmp_path / "o"))
+        doc["model"] = {"family": "phi4",
+                        "parameters": {"a": 0.25, "b": -0.5, "coupling": 1.0}}
+        doc["graph"]["L"] = 5
+        doc["run"] = {"steps": 600, "tau": 1.0, "thin": 10,
+                      "init": "burn_in", "burn_steps": 200}
+        assert self.run_cli("clt-check", write_config(tmp_path, doc)) == 0
+        out = json.loads((tmp_path / "o" / "clt.json").read_text())
+        assert out["target_mean"] > 0.0
+        assert out["target_var"] == pytest.approx(2.0 * out["target_mean"])
+
     def test_oracle_check_pass_and_negative_control(self, tmp_path):
         doc = base_config(output_dir=str(tmp_path / "o"))
         doc["run"] = {"steps": 100,

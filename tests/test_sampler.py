@@ -7,7 +7,8 @@ import pytest
 from gibbsrwm import sampler
 from gibbsrwm.lattice import build_box, build_line
 from gibbsrwm.models import (Configuration, custom_pairwise, delta_hamiltonian,
-                             gaussian_product, gff, phi4, zeros_configuration)
+                             gaussian_product, gff, phi4, site_energies,
+                             zeros_configuration)
 from gibbsrwm.oracle import build_precision, gaussian_exact_sample
 from gibbsrwm.sampler import (ProposalSpec, chain_rng, init_state, run_chain,
                               run_replicas)
@@ -16,8 +17,10 @@ from gibbsrwm.sampler import (ProposalSpec, chain_rng, init_state, run_chain,
 def scalar_reference(model, window, spec, steps, rng, x):
     """The Metropolis chain one step at a time, from the stream `rng` left
     after the initial draw: per chunk of c <= CHUNK steps, the (c, n)
-    increments and then c uniforms; dH from delta_hamiltonian."""
-    delta_h, us, accepted = [], [], []
+    increments and then c uniforms; dH from delta_hamiltonian, and a
+    non-finite dH rejected.  Returns the final state, the dH, u and accept
+    columns, and the (steps, n) states after each step."""
+    delta_h, us, accepted, states = [], [], [], []
     for t in range(0, steps, sampler.CHUNK):
         c = min(sampler.CHUNK, steps - t)
         incr = spec.draw_increments(rng, (c, window.n))
@@ -25,13 +28,56 @@ def scalar_reference(model, window, spec, steps, rng, x):
         for j in range(c):
             y = Configuration(window, x.values + spec.sigma * incr[j])
             dh = delta_hamiltonian(model, x, y)
-            acc = bool(u[j] < np.exp(-max(dh, 0.0)))
+            acc = math.isfinite(dh) and bool(u[j] < np.exp(-max(dh, 0.0)))
             delta_h.append(dh)
             us.append(u[j])
             accepted.append(acc)
             if acc:
                 x = y
-    return x, np.array(delta_h), np.array(us), np.array(accepted)
+            states.append(x.values)
+    return (x, np.array(delta_h), np.array(us), np.array(accepted),
+            np.array(states))
+
+
+class CountingSiteEnergies:
+    """Stands in for sampler.site_energies and counts its calls."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __call__(self, model, window, values):
+        self.calls += 1
+        return site_energies(model, window, values)
+
+
+def assert_matches_reference(model, window, spec, steps, seed, ids, thin=0,
+                             track_first=0, init_values=None):
+    """run_replicas over the chain ids equals scalar_reference for every
+    chain, bit for bit: records, final state, thinned states and paths.
+    Chains start from `init_values`, else from an exact Gaussian draw."""
+    init = {} if init_values is None else dict(
+        init="given", init_config=Configuration(window, init_values))
+    runs = run_replicas(model, window, spec, steps, seed, n_replicas=len(ids),
+                        chain_ids=ids, recording="full", thin=thin,
+                        track_first=track_first, **init)
+    for run, cid in zip(runs, ids):
+        rng = chain_rng(seed, cid)
+        x0 = (init["init_config"] if init
+              else init_state(model, window, "exact_gaussian", rng=rng))
+        st, dh, u, acc, states = scalar_reference(model, window, spec, steps,
+                                                  rng, x0)
+        rec = run.records
+        assert np.array_equal(run.final_state.values, st.values)
+        assert np.array_equal(rec.delta_h, dh, equal_nan=True)
+        assert np.array_equal(rec.u, u)
+        assert np.array_equal(rec.accepted, acc)
+        assert run.summary.accept_count == acc.sum()
+        if thin:
+            assert np.array_equal(run.states, states[thin - 1::thin])
+        if track_first:
+            path = np.vstack([x0.values[:track_first], states[:, :track_first]])
+            assert np.array_equal(run.first_coord_path, path)
+    return runs
 
 
 def given_run(model, window, tau, steps, values, seed=0,
@@ -239,30 +285,14 @@ class TestRunChain:
     def test_steps_one_equals_single_step(self):
         m = gaussian_product(1.0, d=1)
         w = build_line(6, m.neighborhood)
-        spec = ProposalSpec(1.5, 6)
-        run = run_chain(m, w, spec, 1, seed=42)
-        rng = chain_rng(42, 0)
-        x0 = init_state(m, w, "exact_gaussian", rng=rng)
-        st, dh, u, acc = scalar_reference(m, w, spec, 1, rng, x0)
-        assert np.array_equal(run.final_state.values, st.values)
-        assert np.array_equal(run.records.delta_h, dh)
-        assert np.array_equal(run.records.u, u)
-        assert np.array_equal(run.records.accepted, acc)
+        assert_matches_reference(m, w, ProposalSpec(1.5, 6), 1, seed=42, ids=[0])
 
     def test_matches_scalar_reference_across_chunks(self):
         m = gff(1.0, 1.0, d=1)
         w = build_box(1, 3, m.neighborhood, "constant", 0.4)
-        spec = ProposalSpec(2.0, w.n)
-        steps = sampler.CHUNK + 44
-        run = run_chain(m, w, spec, steps, seed=8, chain_id=0)
-        rng = chain_rng(8, 0)
-        x0 = init_state(m, w, "exact_gaussian", rng=rng)
-        st, dh, u, acc = scalar_reference(m, w, spec, steps, rng, x0)
-        assert np.array_equal(run.final_state.values, st.values)
-        assert np.array_equal(run.records.delta_h, dh)
-        assert np.array_equal(run.records.u, u)
-        assert np.array_equal(run.records.accepted, acc)
-        assert 0 < acc.sum() < steps
+        (run,) = assert_matches_reference(m, w, ProposalSpec(2.0, w.n),
+                                          sampler.CHUNK + 44, seed=8, ids=[0])
+        assert 0 < run.summary.accept_count < run.steps
 
     def test_same_seed_identical(self):
         m = gff(1.0, 1.0, d=1)
@@ -382,6 +412,8 @@ class TestRunChain:
         assert np.isnan(run.records.delta_h).all()
         assert not run.records.accepted.any()
         assert np.array_equal(run.final_state.values, np.zeros(w.n))
+        assert run.summary.nonfinite_dh == 50
+        assert run.summary.acceptance == 0.0
 
     def test_acceptance_invariant_recomputable(self):
         m = gff(1.0, 1.0, d=1)
@@ -391,3 +423,101 @@ class TestRunChain:
         with np.errstate(under="ignore"):
             p = np.where(rec.delta_h > 0, np.exp(-np.maximum(rec.delta_h, 0.0)), 1.0)
         assert np.array_equal(rec.accepted, rec.u < p)
+
+
+class TestLookahead:
+    """Rounds of several proposals per site_energies call, pinned bit for bit
+    to the one-step scalar reference where the lookahead is active."""
+
+    @pytest.fixture
+    def counter(self, monkeypatch):
+        counting = CountingSiteEnergies()
+        monkeypatch.setattr(sampler, "site_energies", counting)
+        return counting
+
+    def test_low_acceptance_phi4_two_chunks_and_tail(self, counter):
+        m = phi4(0.25, -0.5, d=1)
+        w = build_box(1, 10, m.neighborhood)
+        steps = 2 * sampler.CHUNK + 37
+        x0 = 0.5 * np.random.default_rng(3).standard_normal(w.n)
+        (run,) = assert_matches_reference(m, w, ProposalSpec(3.0, w.n), steps,
+                                          seed=5, ids=[0], init_values=x0)
+        assert 0 < run.summary.acceptance < 0.3
+        assert counter.calls < steps
+
+    def test_batched_rows_match_standalone_and_reference(self, counter):
+        m = gff(1.0, 1.0, d=1)
+        w = build_box(1, 5, m.neighborhood)
+        spec = ProposalSpec(4.0, w.n)
+        steps = sampler.CHUNK + 100
+        ids = [5, 0, 2]
+        runs = assert_matches_reference(m, w, spec, steps, seed=17, ids=ids)
+        assert counter.calls < steps
+        for run, cid in zip(runs, ids):
+            solo = run_chain(m, w, spec, steps, seed=17, chain_id=cid)
+            assert np.array_equal(run.records.delta_h, solo.records.delta_h)
+            assert np.array_equal(run.records.accepted, solo.records.accepted)
+            assert np.array_equal(run.final_state.values, solo.final_state.values)
+
+    def test_thinned_states_and_path_inside_rounds(self, counter):
+        m = gaussian_product(1.0, d=1)
+        w = build_line(12, m.neighborhood)
+        steps = sampler.CHUNK + 60
+        (run,) = assert_matches_reference(m, w, ProposalSpec(3.5, w.n), steps,
+                                          seed=9, ids=[1], thin=7, track_first=3,
+                                          init_values=np.linspace(-1.0, 1.0, w.n))
+        assert run.states.shape == (steps // 7, w.n)
+        assert counter.calls < steps
+
+    def test_uniform_increments(self, counter):
+        m = gaussian_product(1.0, d=1)
+        w = build_line(10, m.neighborhood)
+        steps = sampler.CHUNK + 80
+        assert_matches_reference(m, w, ProposalSpec(3.5, w.n, "uniform"), steps,
+                                 seed=2, ids=[0], init_values=np.zeros(w.n))
+        assert counter.calls < steps
+
+    def test_nonfinite_dh_inside_a_round(self, counter):
+        # The self potential drops to -inf beyond |x| = 2: every such
+        # proposal has dH = -inf and must be rejected, not accepted.
+        m = custom_pairwise({(1,): 0.5, (-1,): 0.5},
+                            lambda x: np.where(np.abs(x) > 2.0, -np.inf, 0.5 * x * x),
+                            lambda x: x)
+        w = build_box(1, 4, m.neighborhood)
+        steps = sampler.CHUNK + 120
+        (run,) = assert_matches_reference(m, w, ProposalSpec(3.0, w.n), steps,
+                                          seed=4, ids=[0], init_values=np.zeros(w.n))
+        dh = run.records.delta_h
+        assert np.isneginf(dh[sampler.CHUNK:]).any()
+        assert not run.records.accepted[~np.isfinite(dh)].any()
+        assert run.summary.nonfinite_dh == np.count_nonzero(~np.isfinite(dh))
+        assert counter.calls < steps
+
+    def test_phi4_chain_makes_at_most_half_as_many_calls_as_steps(self, counter):
+        m = phi4(0.25, -0.5, d=1)
+        w = build_box(1, 49, m.neighborhood)
+        steps = 2048
+        run_chain(m, w, ProposalSpec(1.4, w.n), steps, seed=1, init="given",
+                  init_config=zeros_configuration(w), recording="summary")
+        assert counter.calls <= steps / 2
+
+    def test_large_batch_makes_one_call_per_step(self, counter):
+        m = gff(1.0, 1.0, d=2)
+        w = build_box(2, 24, m.neighborhood)
+        steps = 300
+        runs = run_replicas(m, w, ProposalSpec(6.0, w.n), steps, seed=1,
+                            n_replicas=8, init="given",
+                            init_config=zeros_configuration(w))
+        assert max(r.summary.acceptance for r in runs) < 0.2
+        assert counter.calls == steps + 1
+
+    def test_round_size_rule(self):
+        # No steps yet (a = 1): one proposal per round.
+        assert sampler._lookahead(1.0, 1, 99, sampler.CHUNK) == 1
+        k = sampler._lookahead(0.23, 1, 99, sampler.CHUNK)
+        assert 1 < k * 99 <= sampler.ROUND_SITES
+        assert sampler._lookahead(0.0, 1, 1, 5) == 5
+        # A round of two proposals would exceed the site budget.
+        assert sampler._lookahead(0.0, 8, 100, sampler.CHUNK) == 1
+        assert sampler._lookahead(0.0, 8, 2401, sampler.CHUNK) == 1
+

@@ -31,11 +31,7 @@ def main(argv=None):
                            replicas=args.replicas)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, f"m2_{args.cylinder}.csv")
-    write_csv(path, ["n", "empirical_En_f", "empirical_se", "limiting_E_f",
-                     "limiting_se", "gap"],
-              [[r.n, r.empirical.value, r.empirical.std_error,
-                r.limiting.value, r.limiting.std_error, r.gap]
-               for r in table.rows])
+    write_csv(path, *table.csv_table())
     print(f"wrote {path}   E(f) = {table.limiting.value:.6f}")
     for r in table.rows:
         print(f"  n={r.n:5d}  En(f) = {r.empirical.value:.5f} "

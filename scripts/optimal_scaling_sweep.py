@@ -39,11 +39,7 @@ def main(argv=None):
                       args.seed)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "scaling_curve.csv")
-    write_csv(path, ["tau", "acc", "acc_se", "esjd", "esjd_se", "c_theory",
-                     "eff_theory"],
-              [[r.tau, r.acceptance.value, r.acceptance.std_error,
-                r.esjd.value, r.esjd.std_error, r.c_theory,
-                r.efficiency_theory] for r in curve.rows])
+    write_csv(path, *curve.csv_table())
 
     best = max(curve.rows, key=lambda r: r.esjd.value)
     print(f"wrote {path}  (s_hat = {curve.s_hat:.4f})")

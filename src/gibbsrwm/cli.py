@@ -2,7 +2,8 @@
 
 One subcommand per experiment kind; every command reads a single JSON config
 document, writes CSV/JSON artifacts plus a manifest into the output
-directory, and is byte-reproducible given (config, seed).
+directory, and is byte-reproducible given (config, seed).  A `run` key that
+the command does not read (see RUN_KEYS) is a config error.
 
 Exit codes: 0 success, 2 config error, 3 runtime error, 4 check failure.
 """
@@ -17,8 +18,8 @@ import time
 from scipy.stats import kstest
 
 from .checks import BATTERY, run_battery
-from .config import (ConfigError, ExperimentConfig, build_model, build_window,
-                     load_config, parse_config)
+from .config import (ConfigError, ExperimentConfig, _check_keys, build_model,
+                     build_window, load_config, parse_config)
 from .estimators import (CYLINDER_FUNCTIONS, acceptance_rate, delta_h_stats,
                          esjd_first_coord, estimate_s2)
 from .oracle import gaussian_s2_exact
@@ -37,14 +38,34 @@ class CheckFailure(RuntimeError):
     pass
 
 
-def _require(cfg: ExperimentConfig, what: str, ok: bool):
-    if not ok:
-        raise ConfigError(f"run: this command needs {what}")
+# command -> (run keys it needs, run keys it may take).  Every other run key
+# is a config error: a key either does something or is rejected.  `steps` is
+# the one exception: every document needs it, and oracle-check ignores it.
+RUN_KEYS = {
+    "sample": ({"steps", "tau"},
+               {"replicas", "init", "burn_steps", "increment_family"}),
+    "sweep-tau": ({"steps", "tau_grid"},
+                  {"replicas", "init", "burn_steps", "increment_family"}),
+    "sweep-n": ({"steps", "tau", "n_list"}, {"replicas", "init", "burn_steps"}),
+    "estimate-s": ({"steps", "tau"}, {"replicas", "thin", "init", "burn_steps",
+                                      "increment_family"}),
+    "dirichlet-check": ({"steps", "tau", "n_list", "cylinder"},
+                        {"replicas", "init", "burn_steps"}),
+    "clt-check": ({"steps", "tau"}, {"replicas", "thin", "init", "burn_steps",
+                                     "increment_family"}),
+    "oracle-check": ({"steps"}, {"battery", "corrupt_determinism"}),
+}
+SINGLE_CHAIN = ("sample", "estimate-s", "clt-check")
 
 
-def _require_single_chain(cfg: ExperimentConfig):
-    _require(cfg, "replicas to be 1 or omitted (it runs one chain)",
-             "replicas" not in cfg.raw["run"] or cfg.run.replicas == 1)
+def check_run_keys(command: str, cfg: ExperimentConfig):
+    """Reject the run keys `command` does not read, and a missing one it needs."""
+    required, optional = RUN_KEYS[command]
+    run = cfg.raw["run"]
+    _check_keys(run, required | optional, required, f"run (for {command})")
+    if command in SINGLE_CHAIN and run.get("replicas", 1) != 1:
+        raise ConfigError(f"run (for {command}): replicas must be 1 or omitted "
+                          "(it runs one chain)")
 
 
 def _make_family(cfg: ExperimentConfig, model):
@@ -55,8 +76,6 @@ def _make_family(cfg: ExperimentConfig, model):
 
 
 def cmd_sample(cfg: ExperimentConfig, writer: ManifestWriter):
-    _require(cfg, "a single tau", cfg.run.tau is not None)
-    _require_single_chain(cfg)
     model = build_model(cfg)
     window = build_window(cfg, model)
     spec = ProposalSpec(cfg.run.tau, window.n, cfg.run.increment_family)
@@ -86,27 +105,19 @@ def cmd_sample(cfg: ExperimentConfig, writer: ManifestWriter):
 
 
 def cmd_sweep_tau(cfg: ExperimentConfig, writer: ManifestWriter):
-    _require(cfg, "a tau_grid", cfg.run.tau_grid is not None)
     model = build_model(cfg)
     window = build_window(cfg, model)
     curve = sweep_tau(model, window, cfg.run.tau_grid, cfg.run.steps,
                       cfg.run.replicas, cfg.seed,
                       increment_family=cfg.run.increment_family,
                       init=cfg.run.init, burn_steps=cfg.run.burn_steps)
-    rows = [[r.tau, r.acceptance.value, r.acceptance.std_error,
-             r.esjd.value, r.esjd.std_error, r.c_theory, r.efficiency_theory]
-            for r in curve.rows]
-    writer.register(write_csv(
-        writer.path("scaling_curve.csv"),
-        ["tau", "acc", "acc_se", "esjd", "esjd_se", "c_theory", "eff_theory"],
-        rows))
+    writer.register(write_csv(writer.path("scaling_curve.csv"),
+                              *curve.csv_table()))
     writer.register(write_json(writer.path("sweep_info.json"),
                                {"s_hat": curve.s_hat}))
 
 
 def cmd_sweep_n(cfg: ExperimentConfig, writer: ManifestWriter):
-    _require(cfg, "an n_list", cfg.run.n_list is not None)
-    _require(cfg, "a single tau", cfg.run.tau is not None)
     model = build_model(cfg)
     rows = sweep_n(_make_family(cfg, model), cfg.run.n_list, cfg.run.tau,
                    cfg.run.steps, cfg.seed, replicas=cfg.run.replicas,
@@ -119,8 +130,6 @@ def cmd_sweep_n(cfg: ExperimentConfig, writer: ManifestWriter):
 
 
 def cmd_estimate_s(cfg: ExperimentConfig, writer: ManifestWriter):
-    _require(cfg, "a single tau", cfg.run.tau is not None)
-    _require_single_chain(cfg)
     model = build_model(cfg)
     window = build_window(cfg, model)
     spec = ProposalSpec(cfg.run.tau, window.n, cfg.run.increment_family)
@@ -137,28 +146,18 @@ def cmd_estimate_s(cfg: ExperimentConfig, writer: ManifestWriter):
 
 
 def cmd_dirichlet_check(cfg: ExperimentConfig, writer: ManifestWriter):
-    _require(cfg, "an n_list", cfg.run.n_list is not None)
-    _require(cfg, "a single tau", cfg.run.tau is not None)
-    _require(cfg, "a cylinder function name", cfg.run.cylinder is not None)
     model = build_model(cfg)
     f = CYLINDER_FUNCTIONS[cfg.run.cylinder]
     table = mosco_m2_check(f, _make_family(cfg, model), cfg.run.n_list,
                            cfg.run.tau, cfg.run.steps, cfg.seed,
                            replicas=cfg.run.replicas, init=cfg.run.init,
                            burn_steps=cfg.run.burn_steps)
-    writer.register(write_csv(
-        writer.path("m2_table.csv"),
-        ["n", "empirical_En_f", "empirical_se", "limiting_E_f", "limiting_se",
-         "gap"],
-        [[r.n, r.empirical.value, r.empirical.std_error, r.limiting.value,
-          r.limiting.std_error, r.gap] for r in table.rows]))
+    writer.register(write_csv(writer.path("m2_table.csv"), *table.csv_table()))
     writer.register(write_json(writer.path("m2_info.json"),
                                {"cylinder": f.name, "s_hat": table.s_hat}))
 
 
 def cmd_clt_check(cfg: ExperimentConfig, writer: ManifestWriter):
-    _require(cfg, "a single tau", cfg.run.tau is not None)
-    _require_single_chain(cfg)
     model = build_model(cfg)
     window = build_window(cfg, model)
     spec = ProposalSpec(cfg.run.tau, window.n, cfg.run.increment_family)
@@ -238,6 +237,7 @@ def main(argv=None) -> int:
             if args.out is not None:
                 doc["output_dir"] = args.out
             cfg = parse_config(doc)
+        check_run_keys(args.command, cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -9,7 +9,7 @@ configuration on the outside sites that the boundary interacts with.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -81,13 +81,6 @@ class Neighborhood:
     def nonzero_offsets(self) -> tuple[Vertex, ...]:
         return tuple(v for v in self.offsets if v != self.origin)
 
-    def to_json_dict(self) -> dict:
-        return {"offsets": [list(v) for v in self.offsets]}
-
-    @staticmethod
-    def from_json_dict(obj: dict) -> "Neighborhood":
-        return Neighborhood.from_offsets(obj["offsets"])
-
 
 def self_neighborhood(d: int) -> Neighborhood:
     """The trivial neighborhood {0}: purely on-site potentials."""
@@ -130,36 +123,20 @@ class MissingBoundaryValueError(KeyError):
 class SiteTables:
     """Per-slot neighbor bookkeeping for vectorized Hamiltonian evaluation.
 
-    Slot s of site i points at the value the s-th neighbor term of site i
-    reads: ``x[idx[s, i]]`` when ``inside[s, i]`` else the frozen value
-    ``bval[s, i]``.  Inactive slots (free-boundary drops, adjacency padding)
-    contribute nothing.  For lattice windows slot s corresponds to the s-th
+    With ``xe = [x, ext_values]``, slot s of site i reads ``xe[idx[s, i]]``:
+    a window site when ``inside[s, i]`` (``idx < n``), else one of the
+    distinct frozen values that outside slots read.  Inactive slots
+    (free-boundary drops, adjacency padding) contribute nothing and are
+    never inside.  For lattice windows slot s corresponds to the s-th
     nonzero offset of the neighborhood.
-
-    The same values in one gather: with ``xe = [x, ext_values]``, slot s of
-    site i reads ``xe[ext_idx[s, i]]``, where ``ext_values`` holds the
-    distinct frozen values the active outside slots read.
     """
 
     offsets: tuple[Vertex, ...] | None  # None for adjacency-form windows
-    idx: np.ndarray      # (S, n) int
-    inside: np.ndarray   # (S, n) bool
-    bval: np.ndarray     # (S, n) float
-    active: np.ndarray   # (S, n) bool
-    ext_idx: np.ndarray = field(init=False)     # (S, n) int into [x, ext_values]
-    ext_values: np.ndarray = field(init=False)  # (m,) float
-    all_active: np.ndarray = field(init=False)  # (S,) bool, slot active at every site
-
-    def __post_init__(self):
-        outside = self.active & ~self.inside
-        values, pos = np.unique(self.bval[outside], return_inverse=True)
-        ext_idx = np.where(self.inside, self.idx, 0)
-        ext_idx[outside] = self.n + pos
-        derived = {"ext_idx": ext_idx, "ext_values": values,
-                   "all_active": self.active.all(axis=1)}
-        for name, arr in derived.items():
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+    idx: np.ndarray         # (S, n) int into [x, ext_values]
+    ext_values: np.ndarray  # (m,) float
+    active: np.ndarray      # (S, n) bool
+    inside: np.ndarray      # (S, n) bool, active and idx < n
+    all_active: np.ndarray  # (S,) bool, slot active at every site
 
     @property
     def n_slots(self) -> int:
@@ -223,10 +200,6 @@ class Window:
     def n(self) -> int:
         return len(self.vertices)
 
-    @property
-    def d(self) -> int:
-        return self.neighborhood.d
-
     def boundary_value_at(self, vertex: Vertex):
         """Frozen value at an outside vertex, or None when dropped (free mode)."""
         if vertex in self.index_of:
@@ -259,7 +232,9 @@ class Window:
 
     def _build_tables(self, nb: Neighborhood) -> SiteTables:
         n = self.n
+        frozen_at, frozen = [], []  # outside slots (s, i) and the value each reads
         if self.adjacency is not None:
+            offs = None
             degree = max((len(a) for a in self.adjacency), default=0)
             idx = np.zeros((degree, n), dtype=np.intp)
             active = np.zeros((degree, n), dtype=bool)
@@ -267,32 +242,33 @@ class Window:
                 for s, j in enumerate(nbrs):
                     idx[s, i] = j
                     active[s, i] = True
-            inside = active.copy()
-            bval = np.zeros((degree, n))
-            return SiteTables(None, idx, inside, bval, active)
-
-        offs = nb.nonzero_offsets
-        S = len(offs)
-        idx = np.zeros((S, n), dtype=np.intp)
-        inside = np.zeros((S, n), dtype=bool)
-        bval = np.zeros((S, n))
-        active = np.ones((S, n), dtype=bool)
-        for s, off in enumerate(offs):
-            for i, k in enumerate(self.vertices):
-                tgt = _add(k, off)
-                j = self.index_of.get(tgt)
-                if j is not None:
-                    idx[s, i] = j
-                    inside[s, i] = True
-                else:
+        else:
+            offs = nb.nonzero_offsets
+            idx = np.zeros((len(offs), n), dtype=np.intp)
+            active = np.ones((len(offs), n), dtype=bool)
+            for s, off in enumerate(offs):
+                for i, k in enumerate(self.vertices):
+                    tgt = _add(k, off)
+                    j = self.index_of.get(tgt)
+                    if j is not None:
+                        idx[s, i] = j
+                        continue
                     val = self.boundary_value_at(tgt)
                     if val is None:
                         active[s, i] = False
                     else:
-                        bval[s, i] = val
-        for arr in (idx, inside, bval, active):
+                        frozen_at.append((s, i))
+                        frozen.append(val)
+        ext_values, pos = np.unique(np.array(frozen, dtype=float),
+                                    return_inverse=True)
+        if frozen_at:
+            slots, sites = np.array(frozen_at).T
+            idx[slots, sites] = n + pos
+        tables = SiteTables(offs, idx, ext_values, active, active & (idx < n),
+                            active.all(axis=1))
+        for arr in (idx, ext_values, active, tables.inside, tables.all_active):
             arr.setflags(write=False)
-        return SiteTables(offs, idx, inside, bval, active)
+        return tables
 
     def to_json_dict(self) -> dict:
         obj = {

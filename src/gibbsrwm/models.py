@@ -102,6 +102,14 @@ def _check_model_window(model: InteractionModel, window: Window):
         raise ValueError(f"{model.family} does not support free boundary conditions")
 
 
+def _extended(x: np.ndarray, t: SiteTables) -> np.ndarray:
+    """``[x, ext_values]`` along the last axis, the vector ``t.idx`` indexes."""
+    if not t.ext_values.size:
+        return x
+    frozen = np.broadcast_to(t.ext_values, x.shape[:-1] + t.ext_values.shape)
+    return np.concatenate([x, frozen], axis=-1)
+
+
 def site_energies(model: InteractionModel, window: Window, values: np.ndarray) -> np.ndarray:
     """Per-site energies eps_k; `values` may carry leading batch axes."""
     _check_model_window(model, window)
@@ -109,12 +117,9 @@ def site_energies(model: InteractionModel, window: Window, values: np.ndarray) -
     t = window.site_tables(model.neighborhood)
     diag, cross = model.slot_coeffs(t)
     eps = model.self_energy(x)
-    xe = x
-    if t.ext_values.size:
-        frozen = np.broadcast_to(t.ext_values, x.shape[:-1] + t.ext_values.shape)
-        xe = np.concatenate([x, frozen], axis=-1)
+    xe = _extended(x, t)
     for s in range(t.n_slots):
-        term = diag[s] * x * x - cross[s] * x * xe[..., t.ext_idx[s]]
+        term = diag[s] * x * x - cross[s] * x * xe[..., t.idx[s]]
         eps = eps + (term if t.all_active[s] else np.where(t.active[s], term, 0.0))
     return eps
 
@@ -145,13 +150,14 @@ def hamiltonian_gradient(model: InteractionModel, window: Window, values: np.nda
     t = window.site_tables(model.neighborhood)
     diag, cross = model.slot_coeffs(t)
     g = model.d_self_energy(x)
+    xe = _extended(x, t)
     for s in range(t.n_slots):
-        nv = np.where(t.inside[s], x[..., t.idx[s]], t.bval[s])
+        nv = xe[..., t.idx[s]]
         g = g + np.where(t.active[s], 2.0 * diag[s] * x - cross[s] * nv, 0.0)
         # Mirror term: site i also appears as the neighbor of i-v.  For a
         # symmetric offset set with J(v) == J(-v) this gathers through the
         # same slot, restricted to in-window sources.
-        g = g - np.where(t.active[s] & t.inside[s], cross[s] * x[..., t.idx[s]], 0.0)
+        g = g - np.where(t.inside[s], cross[s] * nv, 0.0)
     return g
 
 

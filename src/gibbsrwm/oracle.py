@@ -89,11 +89,11 @@ def build_precision(model: InteractionModel, window: Window) -> PrecisionMatrix:
         act = t.active[s]
         Q[sites[act], sites[act]] += 2.0 * diag[s]
         # A pair term -cross * x_i * x_j adds -cross to both Q_ij and Q_ji.
-        ins = act & t.inside[s]
+        ins = t.inside[s]
         Q[sites[ins], t.idx[s][ins]] -= cross[s]
         Q[t.idx[s][ins], sites[ins]] -= cross[s]
-        outs = act & ~t.inside[s]
-        b[sites[outs]] += cross[s] * t.bval[s][outs]
+        outs = act & ~ins
+        b[sites[outs]] += cross[s] * t.ext_values[t.idx[s][outs] - n]
     return PrecisionMatrix(Q, b, window)
 
 
@@ -169,13 +169,9 @@ def quad_expectation_1d(g, mu: float = 0.0, var: float = 1.0,
 
 
 def _state_bounds(model: InteractionModel, window: Window) -> tuple[np.ndarray, np.ndarray]:
-    """Per-site integration bounds covering essentially all of exp(-H)."""
-    if model.is_quadratic:
-        prec = build_precision(model, window)
-        mu = prec.mean()
-        sd = np.sqrt(np.diag(prec.covariance()))
-        return mu - 10.0 * sd, mu + 10.0 * sd
-    # Scan outward along each axis until the density is negligible.
+    """Per-site integration bounds covering essentially all of exp(-H), for
+    non-quadratic models: scan outward along each axis until the density is
+    negligible."""
     n = window.n
     lo = np.zeros(n)
     hi = np.zeros(n)

@@ -146,7 +146,6 @@ class ChainRun:
     records: StepRecords | None
     states: np.ndarray | None            # thinned post-step states, (T, n)
     first_coord_path: np.ndarray | None  # (steps + 1, m) leading coordinates
-    initial_source: str
     final_state: Configuration
     wall_time: float  # this chain's share of its batch: batch wall / replicas
 
@@ -333,7 +332,6 @@ def run_replicas(model: InteractionModel, window: Window, spec: ProposalSpec,
             summary=summary, records=records,
             states=states[r].copy() if states is not None else None,
             first_coord_path=path[r].copy() if path is not None else None,
-            initial_source=inits[r].source,
             final_state=Configuration(window, x[r], source=inits[r].source),
             wall_time=wall,
         ))

@@ -84,6 +84,14 @@ class ScalingCurve:
     rows: tuple[ScalingCurveRow, ...]
     s_hat: float
 
+    def csv_table(self) -> tuple[list[str], list[list]]:
+        """Header and rows of scaling_curve.csv."""
+        return (["tau", "acc", "acc_se", "esjd", "esjd_se", "c_theory",
+                 "eff_theory"],
+                [[r.tau, r.acceptance.value, r.acceptance.std_error,
+                  r.esjd.value, r.esjd.std_error, r.c_theory,
+                  r.efficiency_theory] for r in self.rows])
+
 
 def _check_grid(grid):
     taus = [float(t) for t in grid]
@@ -96,16 +104,16 @@ def _check_grid(grid):
     return taus
 
 
-def reference_s_hat(model: InteractionModel, window: Window, seed: int,
-                    steps: int = 20_000, tau: float | None = None,
-                    thin: int = 10, init: str = "exact_gaussian") -> float:
-    """One reference chain, squared-gradient average, reused across a sweep."""
-    if tau is None:
-        # Rough curvature scale so the reference chain mixes reasonably.
-        s0 = math.sqrt(gaussian_s2_exact(model, window)) if model.is_quadratic else 1.0
-        tau = 2.38 / s0
-    run = run_chain(model, window, ProposalSpec(tau, window.n), steps, seed,
-                    chain_id=REFERENCE_CHAIN_ID, recording="thinned", thin=thin,
+def _resolve_s_hat(model: InteractionModel, window: Window, s_hat: float | None,
+                   seed: int, init: str) -> float:
+    """s-hat as given, else exact on quadratic models, else from one reference
+    chain at tau = 2.38 (20 000 steps, every 10th state)."""
+    if s_hat is not None:
+        return s_hat
+    if model.is_quadratic:
+        return math.sqrt(gaussian_s2_exact(model, window))
+    run = run_chain(model, window, ProposalSpec(2.38, window.n), 20_000, seed,
+                    chain_id=REFERENCE_CHAIN_ID, recording="thinned", thin=10,
                     init=init)
     return math.sqrt(estimate_s2(model, run).value)
 
@@ -129,8 +137,7 @@ def sweep_tau(model: InteractionModel, window: Window, tau_grid, steps: int,
               burn_steps: int | None = None) -> ScalingCurve:
     """Acceptance and ESJD across a tau grid, joined with the theory curve."""
     taus = _check_grid(tau_grid)
-    if s_hat is None:
-        s_hat = reference_s_hat(model, window, seed, init=init)
+    s_hat = _resolve_s_hat(model, window, s_hat, seed, init)
 
     def one_tau(ti: int, tau: float):
         runs = _run_point(model, window,
@@ -174,11 +181,7 @@ def _window_sizes(make_model_window: Callable[[int], tuple[InteractionModel, Win
     if not ns or ns != sorted(set(ns)):
         raise ValueError("n_list must be non-empty and strictly increasing")
     model_max, window_max = make_model_window(ns[-1])
-    if s_hat is None:
-        if model_max.is_quadratic:
-            s_hat = math.sqrt(gaussian_s2_exact(model_max, window_max))
-        else:
-            s_hat = reference_s_hat(model_max, window_max, seed, init=init)
+    s_hat = _resolve_s_hat(model_max, window_max, s_hat, seed, init)
     return ns, model_max, window_max, s_hat
 
 
@@ -216,6 +219,14 @@ class M2Table:
     rows: tuple[M2Row, ...]
     limiting: EstimateWithError
     s_hat: float
+
+    def csv_table(self) -> tuple[list[str], list[list]]:
+        """Header and rows of the M2 table CSV."""
+        return (["n", "empirical_En_f", "empirical_se", "limiting_E_f",
+                 "limiting_se", "gap"],
+                [[r.n, r.empirical.value, r.empirical.std_error,
+                  r.limiting.value, r.limiting.std_error, r.gap]
+                 for r in self.rows])
 
 
 def limiting_form_quadrature(f: CylinderFunction, model: InteractionModel,

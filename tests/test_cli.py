@@ -1,10 +1,12 @@
 import json
+import pathlib
+import re
 import subprocess
 import sys
 
 import pytest
 
-from gibbsrwm.cli import main
+from gibbsrwm.cli import COMMANDS, check_run_keys, main
 from gibbsrwm.config import (ConfigError, config_hash, load_config,
                              parse_config)
 from gibbsrwm.runio import read_csv
@@ -14,7 +16,7 @@ def base_config(**overrides):
     doc = {
         "model": {"family": "gaussian_product", "parameters": {"variance": 1.0}},
         "graph": {"d": 1, "L": 12},
-        "run": {"steps": 800, "tau": 2.38, "thin": 5},
+        "run": {"steps": 800, "tau": 2.38},
         "seed": 321,
         "output_dir": "out",
     }
@@ -300,3 +302,81 @@ class TestCliCommands:
         proc = subprocess.run([sys.executable, "-m", "gibbsrwm.cli", "sample",
                                "--config", cfg], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
+
+
+# Per command: every run key it reads, with a value it accepts, and the
+# primary output it writes.
+READ_KEYS = {
+    "sample": ({"steps": 200, "tau": 1.0, "replicas": 1, "init": "burn_in",
+                "burn_steps": 50, "increment_family": "uniform"},
+               "trajectory.csv"),
+    "sweep-tau": ({"steps": 200, "tau_grid": [1.0, 2.0], "replicas": 2,
+                   "init": "burn_in", "burn_steps": 50,
+                   "increment_family": "uniform"}, "scaling_curve.csv"),
+    "sweep-n": ({"steps": 200, "tau": 1.0, "n_list": [4, 9], "replicas": 2,
+                 "init": "burn_in", "burn_steps": 50}, "acceptance_vs_n.csv"),
+    "estimate-s": ({"steps": 200, "tau": 1.0, "replicas": 1, "thin": 5,
+                    "init": "burn_in", "burn_steps": 50,
+                    "increment_family": "uniform"}, "s2.json"),
+    "dirichlet-check": ({"steps": 200, "tau": 1.0, "n_list": [4, 9],
+                         "cylinder": "sin_x1", "replicas": 2, "init": "burn_in",
+                         "burn_steps": 50}, "m2_table.csv"),
+    "clt-check": ({"steps": 200, "tau": 1.0, "replicas": 1, "thin": 5,
+                   "init": "burn_in", "burn_steps": 50,
+                   "increment_family": "uniform"}, "clt.json"),
+    "oracle-check": ({"steps": 100, "battery": ["determinism"],
+                      "corrupt_determinism": False}, "checks.csv"),
+}
+
+# Run keys each command once accepted but never read, so they changed no
+# output.  sweep-n and dirichlet-check ran Gaussian increments under
+# "increment_family": "uniform" and exited 0.
+UNREAD_KEYS = [
+    *[("sample", k) for k in ("tau_grid", "n_list", "thin", "cylinder",
+                              "battery", "corrupt_determinism")],
+    *[("sweep-tau", k) for k in ("tau", "n_list", "thin", "cylinder",
+                                 "battery", "corrupt_determinism")],
+    *[("sweep-n", k) for k in ("tau_grid", "thin", "increment_family",
+                               "cylinder", "battery", "corrupt_determinism")],
+    *[(c, k) for c in ("estimate-s", "clt-check")
+      for k in ("tau_grid", "n_list", "cylinder", "battery",
+                "corrupt_determinism")],
+    *[("dirichlet-check", k) for k in ("tau_grid", "thin", "increment_family",
+                                       "battery", "corrupt_determinism")],
+    *[("oracle-check", k) for k in ("tau", "tau_grid", "n_list", "replicas",
+                                    "thin", "init", "burn_steps",
+                                    "increment_family", "cylinder")],
+]
+VALUES = {"tau": 1.0, "tau_grid": [1.0, 2.0], "n_list": [4, 9], "replicas": 2,
+          "thin": 5, "init": "burn_in", "burn_steps": 50,
+          "increment_family": "uniform", "cylinder": "sin_x1",
+          "battery": ["determinism"], "corrupt_determinism": False}
+
+
+class TestRunKeys:
+    @pytest.mark.parametrize("command", sorted(READ_KEYS))
+    def test_every_read_key_accepted(self, tmp_path, command):
+        run, output = READ_KEYS[command]
+        doc = base_config(output_dir=str(tmp_path / "o"), run=dict(run))
+        assert main([command, "--config", write_config(tmp_path, doc)]) == 0
+        assert (tmp_path / "o" / output).exists()
+
+    @pytest.mark.parametrize("command,key", UNREAD_KEYS,
+                             ids=[f"{c}-{k}" for c, k in UNREAD_KEYS])
+    def test_unread_key_rejected(self, tmp_path, capsys, command, key):
+        run, _ = READ_KEYS[command]
+        doc = base_config(output_dir=str(tmp_path / "o"),
+                          run={**run, key: VALUES[key]})
+        assert main([command, "--config", write_config(tmp_path, doc)]) == 2
+        err = capsys.readouterr().err
+        assert command in err and repr(key) in err
+        assert not (tmp_path / "o").exists()
+
+    def test_readme_example_config_is_valid(self):
+        readme = (pathlib.Path(__file__).resolve().parent.parent
+                  / "README.md").read_text()
+        before, block = re.search(r"(.*?)```json\n(.*?)```", readme, re.S).groups()
+        intro = before.strip().split("\n\n")[-1]
+        named = {c for c in re.findall(r"`([a-z-]+)`", intro) if c in COMMANDS}
+        assert len(named) == 1, intro
+        check_run_keys(named.pop(), parse_config(json.loads(block)))

@@ -46,15 +46,36 @@ def models_to_probe():
 
 
 def slot_loop_site_energies(model, window, values):
-    """Per-slot gather-then-select loop, the reference for site_energies."""
+    """Per-slot gather-then-select loop straight from the window definition
+    (index_of, boundary_value_at, adjacency), the reference for site_energies."""
     x = np.asarray(values, dtype=float)
-    t = window.site_tables(model.neighborhood)
-    diag, cross = model.slot_coeffs(t)
+    n = window.n
+    if window.adjacency is None:
+        slots = [(model.pair_diag[v], model.pair_cross[v],
+                  [tuple(a + b for a, b in zip(k, v)) for k in window.vertices])
+                 for v in model.neighborhood.nonzero_offsets]
+    else:
+        (diag,), (cross,) = set(model.pair_diag.values()), set(model.pair_cross.values())
+        degree = max(len(nbrs) for nbrs in window.adjacency)
+        slots = [(diag, cross, [window.vertices[nbrs[s]] if s < len(nbrs) else None
+                                for nbrs in window.adjacency])
+                 for s in range(degree)]
     eps = model.self_energy(x)
-    for s in range(t.n_slots):
-        nv = np.where(t.inside[s], x[..., t.idx[s]], t.bval[s])
-        term = diag[s] * x * x - cross[s] * x * nv
-        eps = eps + np.where(t.active[s], term, 0.0)
+    for diag, cross, targets in slots:
+        idx = np.zeros(n, dtype=np.intp)
+        inside = np.zeros(n, dtype=bool)
+        bval = np.zeros(n)
+        active = np.ones(n, dtype=bool)
+        for i, tgt in enumerate(targets):
+            if tgt in window.index_of:
+                idx[i], inside[i] = window.index_of[tgt], True
+            elif tgt is None or window.boundary_value_at(tgt) is None:
+                active[i] = False
+            else:
+                bval[i] = window.boundary_value_at(tgt)
+        nv = np.where(inside, x[..., idx], bval)
+        term = diag * x * x - cross * x * nv
+        eps = eps + np.where(active, term, 0.0)
     return eps
 
 
@@ -93,8 +114,8 @@ class TestSiteEnergiesGather:
         t = build_box(2, 3, nearest_neighbor(2), "constant", -1.7).site_tables()
         assert t.ext_values.tolist() == [-1.7]
         out = t.active & ~t.inside
-        assert np.all(t.ext_idx[out] == t.n)
-        assert np.array_equal(t.ext_idx[t.inside], t.idx[t.inside])
+        assert out.any() and np.all(t.idx[out] == t.n)
+        assert np.all(t.idx[t.inside] < t.n)
 
 
 class TestHamiltonian:

@@ -59,13 +59,17 @@ SINGLE_CHAIN = ("sample", "estimate-s", "clt-check")
 
 
 def check_run_keys(command: str, cfg: ExperimentConfig):
-    """Reject the run keys `command` does not read, and a missing one it needs."""
+    """Reject the run keys `command` does not read, a missing one it needs,
+    and `burn_steps` unless `init` is "burn_in"."""
     required, optional = RUN_KEYS[command]
     run = cfg.raw["run"]
     _check_keys(run, required | optional, required, f"run (for {command})")
     if command in SINGLE_CHAIN and run.get("replicas", 1) != 1:
         raise ConfigError(f"run (for {command}): replicas must be 1 or omitted "
                           "(it runs one chain)")
+    if "burn_steps" in run and cfg.run.init != "burn_in":
+        raise ConfigError(f"run (for {command}): 'burn_steps' is read only "
+                          "with init 'burn_in'")
 
 
 def _make_family(cfg: ExperimentConfig, model):

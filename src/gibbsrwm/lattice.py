@@ -184,6 +184,8 @@ class Window:
                 for j in nbrs:
                     if not 0 <= j < self.n:
                         raise ValueError(f"adjacency index {j} out of range")
+                    if j == i:
+                        raise ValueError(f"adjacency lists vertex {i} as its own neighbor")
                     if i not in self.adjacency[j]:
                         raise ValueError("adjacency relation is not symmetric")
         if self.adjacency is not None:

@@ -1,7 +1,7 @@
 """Independent exact references: Gaussian precision algebra and quadrature.
 
 Everything here validates the sampling/estimation path from the side:
-closed-form Gaussian sampling and moments for quadratic energies, and
+closed-form Gaussian sampling, moments and s^2 for quadratic energies, and
 deterministic quadrature for one- and two-site windows.
 """
 
@@ -18,9 +18,8 @@ from scipy.linalg import cho_solve, cholesky, solve_triangular
 from .models import Configuration, InteractionModel, site_energies
 from .lattice import Window
 
-# Elements per block of the blockwise array passes below (the symmetry check
-# and the boundary-distance scan): their temporaries stay a few MB instead of
-# several copies of an (n, n) or (n, boundary) array.
+# Elements per row block of the precision symmetry check: its temporaries
+# stay a few MB instead of several copies of the (n, n) matrix.
 _BLOCK = 1 << 18
 
 
@@ -74,20 +73,29 @@ class PrecisionMatrix:
         return self.solve(np.eye(self.n))
 
 
-def build_precision(model: InteractionModel, window: Window) -> PrecisionMatrix:
-    """Assemble Q and b from the model's quadratic structure."""
+def _precision_diagonal(model: InteractionModel, window: Window) -> np.ndarray:
+    """Diagonal of Q: 2*self_quad_coeff plus 2*diag[s] for each slot active
+    at the site, added in slot order."""
     if not model.is_quadratic:
         raise ValueError(f"{model.family} has no quadratic Hamiltonian")
     t = window.site_tables(model.neighborhood)
-    diag, cross = model.slot_coeffs(t)
+    q = np.full(window.n, 2.0 * model.self_quad_coeff)
+    for s, diag in enumerate(model.slot_coeffs(t)[0]):
+        q[t.active[s]] += 2.0 * diag
+    return q
+
+
+def build_precision(model: InteractionModel, window: Window) -> PrecisionMatrix:
+    """Assemble Q and b from the model's quadratic structure."""
+    q = _precision_diagonal(model, window)
+    t = window.site_tables(model.neighborhood)
+    cross = model.slot_coeffs(t)[1]
     n = window.n
-    Q = np.zeros((n, n))
+    Q = np.diag(q)
     b = np.zeros(n)
-    Q[np.diag_indices(n)] += 2.0 * model.self_quad_coeff
     sites = np.arange(n)
     for s in range(t.n_slots):
         act = t.active[s]
-        Q[sites[act], sites[act]] += 2.0 * diag[s]
         # A pair term -cross * x_i * x_j adds -cross to both Q_ij and Q_ji.
         ins = t.inside[s]
         Q[sites[ins], t.idx[s][ins]] -= cross[s]
@@ -98,49 +106,31 @@ def build_precision(model: InteractionModel, window: Window) -> PrecisionMatrix:
 
 
 def gaussian_exact_sample(precision: PrecisionMatrix, rng: np.random.Generator) -> Configuration:
-    """One exact draw from exp(-H)/Z via x = mu + U^{-1} z, U'U = Q."""
-    U = precision.chol_upper()
-    z = rng.standard_normal(precision.n)
-    x = precision.mean() + solve_triangular(U, z, lower=False)
+    """One exact draw from exp(-H)/Z (see gaussian_exact_samples)."""
+    x = gaussian_exact_samples(precision, rng, 1)[0]
     return Configuration(precision.window, x, source="exact")
 
 
 def gaussian_exact_samples(precision: PrecisionMatrix, rng: np.random.Generator,
                            count: int) -> np.ndarray:
-    """(count, n) exact draws sharing one factorization."""
+    """(count, n) exact draws x = mu + U^{-1} z (U'U = Q), one factorization."""
     U = precision.chol_upper()
     z = rng.standard_normal((precision.n, count))
     return (precision.mean()[:, None] + solve_triangular(U, z, lower=False)).T
 
 
-def central_interior_vertex(window: Window):
-    """Interior vertex farthest, in Chebyshev distance, from the boundary
-    (lexicographic tie-break)."""
+def gaussian_s2_exact(model: InteractionModel, window: Window) -> float:
+    """Exact stationary s^2 = E[(D_k H)^2] at the middle interior site k.
+
+    By Stein's identity (integration by parts against exp(-H)) it equals
+    E[D_k^2 H], the constant Q_kk for quadratic H. Every slot is active at
+    every interior site of a lattice window, so all of them give the same
+    Q_kk; adjacency windows have no boundary."""
+    q = _precision_diagonal(model, window)
     inner = window.interior_indices()
     if not inner.size:
         raise ValueError("window has no interior vertex")
-    if not window.boundary:
-        return window.vertices[inner[len(inner) // 2]]
-    pts = np.array(window.vertices, dtype=np.int64)[inner]
-    bdry = np.array(list(window.boundary), dtype=np.int64)
-    dist = np.full(len(pts), np.iinfo(np.int64).max)
-    step = max(1, _BLOCK // (len(pts) * pts.shape[1]))
-    for start in range(0, len(bdry), step):
-        gap = np.abs(pts[:, None, :] - bdry[None, start:start + step, :])
-        np.minimum(dist, gap.max(axis=2).min(axis=1), out=dist)
-    return min(window.vertices[i] for i in inner[dist == dist.max()])
-
-
-def gaussian_s2_exact(model: InteractionModel, window: Window) -> float:
-    """Exact stationary second moment of the energy gradient at a central site.
-
-    D_k H is linear, a'x - b_k with a the k-th row of Q, so the expectation
-    is the Gaussian quadratic form a' Q^{-1} a.
-    """
-    prec = build_precision(model, window)
-    k = central_interior_vertex(window)
-    a = prec.matrix[window.index_of[k]]
-    return float(a @ prec.solve(a))
+    return float(q[inner[len(inner) // 2]])
 
 
 # -- Quadrature --------------------------------------------------------------

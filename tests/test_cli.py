@@ -372,6 +372,23 @@ class TestRunKeys:
         assert command in err and repr(key) in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command,init", [("sample", None),
+                                              ("sweep-tau", "exact_gaussian")])
+    def test_burn_steps_needs_burn_in(self, tmp_path, capsys, command, init):
+        # burn_steps is read only under init "burn_in"; with the exact init it
+        # once changed no output.
+        run = {k: v for k, v in READ_KEYS[command][0].items() if k != "init"}
+        if init is not None:
+            run["init"] = init
+        doc = base_config(output_dir=str(tmp_path / "o"), run=run)
+        assert main([command, "--config", write_config(tmp_path, doc)]) == 2
+        err = capsys.readouterr().err
+        assert command in err and "'burn_steps'" in err
+        assert not (tmp_path / "o").exists()
+        doc["run"]["init"] = "burn_in"
+        assert main([command, "--config", write_config(tmp_path, doc)]) == 0
+        assert (tmp_path / "o" / READ_KEYS[command][1]).exists()
+
     def test_readme_example_config_is_valid(self):
         readme = (pathlib.Path(__file__).resolve().parent.parent
                   / "README.md").read_text()

@@ -148,6 +148,12 @@ class TestWindow:
             Window([(0,), (1,), (2,)], self_neighborhood(1),
                    adjacency=[(1,), (), ()])
 
+    def test_adjacency_self_loop_rejected(self):
+        # Q_kk, and so the exact s^2, would then also carry the pair cross term.
+        with pytest.raises(ValueError, match="own neighbor"):
+            Window([(0,), (1,), (2,)], self_neighborhood(1),
+                   adjacency=[(0, 1), (0, 2), (1,)])
+
     def test_adjacency_tables(self):
         w = Window([(0,), (1,), (2,)], self_neighborhood(1),
                    adjacency=[(1,), (0, 2), (1,)])

@@ -2,16 +2,16 @@ import dataclasses
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
 from gibbsrwm.lattice import (Neighborhood, Window, build_box, build_line,
                               nearest_neighbor)
 from gibbsrwm.models import (Configuration, gaussian_product, gff, hamiltonian,
                              phi4)
+from gibbsrwm import oracle
 from gibbsrwm.oracle import (_BLOCK, PrecisionMatrix, build_precision,
-                             central_interior_vertex, gaussian_exact_sample,
-                             gaussian_s2_exact, quad_acceptance,
-                             quad_expectation_1d)
+                             gaussian_exact_sample, gaussian_s2_exact,
+                             quad_acceptance, quad_expectation_1d)
 from gibbsrwm.sampler import chain_rng
 
 RNG = np.random.default_rng(77)
@@ -146,6 +146,22 @@ class TestExactSampling:
         se = np.sqrt((np.outer(np.diag(cov), np.diag(cov)) + cov**2) / len(xs))
         assert np.all(np.abs(emp - cov) <= 4 * se)
 
+    @pytest.mark.parametrize("d,L", [(1, 3), (1, 8), (2, 1), (2, 3), (2, 5),
+                                     (3, 1)])
+    def test_single_draw_equals_direct_formula(self, d, L):
+        # x = mu + U^{-1} z with z drawn as one (n,) vector, as the single
+        # draw was computed before it went through gaussian_exact_samples.
+        m = gff(0.7, 0.3, d=d)
+        prec = build_precision(m, build_box(d, L, m.neighborhood, "constant", 2.5))
+        assert prec.shift.any()
+        for cid in range(5):
+            rng = chain_rng(41, cid)
+            z = rng.standard_normal(prec.n)
+            direct = prec.mean() + solve_triangular(prec.chol_upper(), z, lower=False)
+            got = gaussian_exact_sample(prec, chain_rng(41, cid))
+            assert got.source == "exact"
+            assert np.array_equal(got.values, direct)
+
     def test_nonzero_mean_with_constant_boundary(self):
         m = gff(1.0, 1.0, d=1)
         w = build_box(1, 1, m.neighborhood, "constant", 2.0)
@@ -156,6 +172,53 @@ class TestExactSampling:
                           for _ in range(50_000)])
         assert np.all(np.abs(draws.mean(axis=0) - mu)
                       <= 4 * draws.std(axis=0, ddof=1) / np.sqrt(len(draws)))
+
+
+def dense_s2(model, window, k):
+    """E[(D_k H)^2] as the Gaussian quadratic form a'Q^{-1}a, a = Q e_k:
+    the reference the closed form Q_kk is checked against."""
+    prec = build_precision(model, window)
+    a = prec.matrix[k]
+    return float(a @ prec.solve(a))
+
+
+def brute_central_vertex(window):
+    """Interior vertex farthest, in Chebyshev distance, from the boundary
+    (lexicographic tie-break)."""
+    interior = [v for v in window.vertices if v not in window.boundary]
+    if not window.boundary:
+        return interior[len(interior) // 2]
+
+    def dist(v):
+        return min(max(abs(a - b) for a, b in zip(v, w)) for w in window.boundary)
+
+    best = max(dist(v) for v in interior)
+    return min(v for v in interior if dist(v) == best)
+
+
+RANGE2 = Neighborhood.from_offsets([(2, 0), (1, 1), (0, 1)])
+L_SHAPE = [(i, j) for i in range(8) for j in range(8) if i < 3 or j < 3][::-1]
+# A ring of 7 with chords 3-0 and 3-5: the middle vertex 3 is the only one
+# of degree 4, so its Q_kk differs from every other vertex's.
+CHORD_RING = [((i - 1) % 7, (i + 1) % 7) for i in range(7)]
+CHORD_RING[3] += (0, 5)
+CHORD_RING[0] += (3,)
+CHORD_RING[5] += (3,)
+
+NN2 = nearest_neighbor(2)
+S2_CASES = {
+    **{f"gff{b},{m2}-L{L}-{mode}": (gff(b, m2), build_box(2, L, NN2, mode, 2.5))
+       for b, m2 in ((1.0, 1.0), (0.7, 0.3), (1.0, 0.01))
+       for L in (3, 7) for mode in ("zero", "constant", "free")},
+    "gff-3d": (gff(0.9, 0.2, d=3), build_box(3, 2, nearest_neighbor(3))),
+    "gff-range2": (gff(0.7, 0.3, neighborhood=RANGE2),
+                   build_box(2, 4, RANGE2, "constant", 2.5)),
+    "gff-l_shape": (gff(0.7, 0.3), Window(L_SHAPE, NN2)),
+    "gff-adjacency": (gff(0.7, 0.3), Window([(i, 0) for i in range(7)], NN2,
+                                            adjacency=CHORD_RING)),
+    "product0.3": (gaussian_product(0.3), build_line(7)),
+    "product2.5": (gaussian_product(2.5), build_line(15)),
+}
 
 
 class TestS2Exact:
@@ -182,41 +245,57 @@ class TestS2Exact:
         # for the zero-boundary field, D_k H = (Qx)_k so s^2 = Q_kk
         m = gff(1.0, 1.0, d=2)
         w = build_box(2, 4, m.neighborhood)
-        assert gaussian_s2_exact(m, w) == pytest.approx(5.0)
+        assert gaussian_s2_exact(m, w) == 5.0
+
+    @pytest.mark.parametrize("case", sorted(S2_CASES))
+    def test_closed_form_matches_dense(self, case):
+        model, window = S2_CASES[case]
+        inner = window.interior_indices()
+        k = inner[len(inner) // 2]
+        s2 = gaussian_s2_exact(model, window)
+        dense = dense_s2(model, window, k)
+        assert abs(s2 - dense) <= 4 * np.spacing(max(abs(s2), abs(dense)))
+        assert s2 == build_precision(model, window).matrix[k, k]
+
+    def test_no_precision_or_factorization(self, monkeypatch):
+        calls = []
+
+        def forbidden(name):
+            return lambda *args, **kwargs: calls.append(name)
+
+        for name in ("build_precision", "cholesky", "cho_solve"):
+            monkeypatch.setattr(oracle, name, forbidden(name))
+        m = gff(0.7, 0.3)
+        assert gaussian_s2_exact(m, build_box(2, 5, m.neighborhood)) == 3.0999999999999996
+        assert calls == []
 
     def test_central_vertex_is_deep_interior(self):
-        w = build_box(2, 3, nearest_neighbor(2))
-        assert central_interior_vertex(w) == (0, 0)
-
-    @staticmethod
-    def brute_central_vertex(window):
-        interior = [v for v in window.vertices if v not in window.boundary]
-        if not window.boundary:
-            return interior[len(interior) // 2]
-
-        def dist(v):
-            return min(max(abs(a - b) for a, b in zip(v, w))
-                       for w in window.boundary)
-
-        best = max(dist(v) for v in interior)
-        return min(v for v in interior if dist(v) == best)
+        # With a free boundary Q_kk is smaller on the boundary, so the value
+        # shows that s^2 is taken at an interior site such as (0, 0).
+        m = gff(1.0, 1.0)
+        w = build_box(2, 3, m.neighborhood, "free")
+        Q = build_precision(m, w).matrix
+        centre, corner = w.index_of[(0, 0)], w.index_of[(-3, -3)]
+        assert gaussian_s2_exact(m, w) == Q[centre, centre] > Q[corner, corner]
 
     @pytest.mark.parametrize("window", [
         build_box(1, 5, nearest_neighbor(1)),
         build_box(2, 4, nearest_neighbor(2)),
         build_box(3, 2, nearest_neighbor(3)),
-        build_box(2, 5, Neighborhood.from_offsets([(2, 0), (1, 1), (0, 1)])),
+        build_box(2, 5, RANGE2),
         build_box(2, 3, nearest_neighbor(2), "constant", 2.5),
         # Rectangle (ties along a segment) and an L shape, as vertex lists.
         Window([(i, j) for i in range(9) for j in range(4)], nearest_neighbor(2)),
-        Window([(i, j) for i in range(8) for j in range(8) if i < 3 or j < 3][::-1],
-               nearest_neighbor(2)),
+        Window(L_SHAPE, NN2),
     ], ids=["box1", "box2", "box3", "box2_range2", "constant", "rectangle",
             "l_shape"])
     def test_central_vertex_matches_brute_force(self, window):
-        found = central_interior_vertex(window)
-        assert found == self.brute_central_vertex(window)
-        assert found in window.index_of
+        # Every interior site of a lattice window has the same Q_kk, bit for
+        # bit, so the middle interior site gives the value at the vertex
+        # farthest from the boundary.
+        m = gff(0.7, 0.3, neighborhood=window.neighborhood)
+        k = window.index_of[brute_central_vertex(window)]
+        assert gaussian_s2_exact(m, window) == build_precision(m, window).matrix[k, k]
 
     def test_no_interior_errors(self):
         m = gff(1.0, 1.0, d=1)

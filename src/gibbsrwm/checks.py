@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import ndtr  # the standard normal CDF
 
 from .estimators import acceptance_rate, batch_means_se
 from .lattice import build_box, build_line
@@ -74,9 +75,7 @@ def detailed_balance(seed: int, tau: float = 1.5, steps: int = 200_000,
                 worst_flux = max(worst_flux,
                                  abs(counts[i, j] - counts[j, i]) / math.sqrt(tot))
 
-    from scipy.stats import norm
-
-    probs = np.diff(norm.cdf(np.concatenate([[-np.inf], edges, [np.inf]])))
+    probs = np.diff(ndtr(np.concatenate([[-np.inf], edges, [np.inf]])))
     worst_occ = 0.0
     for c in range(n_cells + 2):
         ind = (cells == c).astype(float)

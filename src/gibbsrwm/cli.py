@@ -15,8 +15,6 @@ import math
 import sys
 import time
 
-from scipy.stats import kstest
-
 from .checks import BATTERY, run_battery
 from .config import (ConfigError, ExperimentConfig, _check_keys, build_model,
                      build_window, load_config, parse_config)
@@ -162,6 +160,8 @@ def cmd_dirichlet_check(cfg: ExperimentConfig, writer: ManifestWriter):
 
 
 def cmd_clt_check(cfg: ExperimentConfig, writer: ManifestWriter):
+    from scipy.stats import kstest
+
     model = build_model(cfg)
     window = build_window(cfg, model)
     spec = ProposalSpec(cfg.run.tau, window.n, cfg.run.increment_family)

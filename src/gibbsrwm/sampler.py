@@ -4,7 +4,9 @@ Randomness comes from counter-based Philox streams keyed by (seed, chain id),
 so replicas are independent and every run is bit-reproducible.  Within a
 chain, draws are consumed in a fixed order: per chunk of steps, first the
 increment block, then the uniforms.  The chunk length is a constant, which
-makes single-chain and batched execution produce identical chains.
+makes single-chain and batched execution produce identical chains.  Each
+row of a batch has its own proposal scale sigma = tau / sqrt(n), so one
+batch may stack the replicas of several tau values (scaling.sweep_tau does).
 
 Within a chunk the kernel runs in rounds.  A rejected proposal leaves the
 state unchanged, so the proposals up to the next acceptance all start from
@@ -13,12 +15,17 @@ site_energies call and commits the steps up to and including the first
 that some row accepts.  The chain, its records and its draw order are those
 of the one-step kernel, bit for bit; K (see _lookahead) only sets how much
 work each call does.
+
+Each chain's ChainSummary is streamed chunk by chunk (_SummaryStream), so a
+run keeps per-step arrays only when it records them ("full"); "summary"
+mode and burn-in use memory of one chunk, whatever the number of steps.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,11 +73,21 @@ class ProposalSpec:
     def sigma(self) -> float:
         return self.tau / math.sqrt(self.n)
 
-    def draw_increments(self, rng: np.random.Generator, shape) -> np.ndarray:
+    def draw_increments(self, rng: np.random.Generator, shape,
+                        out: np.ndarray | None = None) -> np.ndarray:
+        """Unit-variance increments of `shape`, written into `out` if given
+        (a C-contiguous float array of that shape)."""
+        if out is None:
+            out = np.empty(shape)
         if self.increment_family == "standard_normal":
-            return rng.standard_normal(shape)
-        half = math.sqrt(3.0)  # unit variance on [-sqrt(3), sqrt(3)]
-        return rng.uniform(-half, half, shape)
+            return rng.standard_normal(shape, out=out)
+        # Unit variance on [-sqrt(3), sqrt(3)], as low + (high - low) * u:
+        # the formula and draws of Generator.uniform, bit for bit.
+        low, high = -math.sqrt(3.0), math.sqrt(3.0)
+        rng.random(shape, out=out)
+        out *= high - low
+        out += low
+        return out
 
 
 @dataclass(frozen=True)
@@ -107,18 +124,27 @@ class ChainSummary:
         return self.jump_sq_sum / self.steps
 
 
+def _batch_layout(count: int) -> tuple[int, int]:
+    """(batches, batch size) of the one layout every error bar uses: one
+    batch per sample below 2 * N_BATCHES samples, else N_BATCHES equal
+    batches with the tail trimmed."""
+    if count < 2 * N_BATCHES:
+        return count, 1
+    return N_BATCHES, count // N_BATCHES
+
+
 def batch_means(xs) -> np.ndarray:
-    """Batch means under the one layout every error bar uses: one batch per
-    sample below 2 * N_BATCHES samples, else N_BATCHES equal batches with the
-    tail trimmed."""
+    """Means of the batches of `_batch_layout`."""
     x = np.asarray(xs, dtype=float).ravel()
-    if x.size < 2 * N_BATCHES:
+    nb, size = _batch_layout(x.size)
+    if size == 1:
         return x
-    size = x.size // N_BATCHES
-    return x[: N_BATCHES * size].reshape(N_BATCHES, size).mean(axis=1)
+    return x[: nb * size].reshape(nb, size).mean(axis=1)
 
 
 def summarize_records(delta_h, accepted, jump_sq) -> ChainSummary:
+    """ChainSummary of whole record columns (the reference _SummaryStream
+    matches)."""
     steps = len(delta_h)
     if steps == 0:
         raise ValueError("no step records")
@@ -131,6 +157,64 @@ def summarize_records(delta_h, accepted, jump_sq) -> ChainSummary:
         batch_acc=batch_means(accepted),
         batch_jump=batch_means(jump_sq),
     )
+
+
+class _SummaryStream:
+    """Every row's ChainSummary, built chunk by chunk while _drive runs.
+
+    Counts are integers and the two sums add one chunk at a time.  Each batch
+    mean is taken from that batch's own contiguous slice, which gives
+    batch_means bit for bit, so the buffer holds at most one batch plus one
+    chunk per row.
+    """
+
+    def __init__(self, rows: int, steps: int):
+        self.steps = steps
+        self.n_batches, self.size = _batch_layout(steps)
+        self.accept = np.zeros(rows, dtype=np.int64)
+        self.nonfinite = np.zeros(rows, dtype=np.int64)
+        self.jump_sum = np.zeros(rows)
+        self.dh_sum = np.zeros(rows)
+        # [0] accept flags, [1] jump_sq: batch means, and the samples of the
+        # batches not yet complete.
+        self.batches = np.empty((2, rows, self.n_batches))
+        self.done = 0
+        self.pending = np.empty((2, rows, self.size + CHUNK))
+        self.fill = 0
+
+    def add(self, acc: np.ndarray, dh: np.ndarray, jump: np.ndarray):
+        """Fold in one chunk of (rows, c) accept flags, dH and jump_sq."""
+        self.accept += np.count_nonzero(acc, axis=1)
+        self.nonfinite += np.count_nonzero(~np.isfinite(dh), axis=1)
+        self.jump_sum += jump.sum(axis=1)
+        self.dh_sum += dh.sum(axis=1)
+        if self.done == self.n_batches:
+            return  # the tail beyond the last batch is trimmed
+        buf, fill, size = self.pending, self.fill, self.size
+        c = acc.shape[1]
+        buf[0, :, fill:fill + c] = acc
+        buf[1, :, fill:fill + c] = jump
+        fill += c
+        k = min(fill // size, self.n_batches - self.done)
+        if k:
+            used = k * size
+            whole = buf[:, :, :used].reshape(2, buf.shape[1], k, size)
+            self.batches[:, :, self.done:self.done + k] = whole.mean(axis=3)
+            self.done += k
+            buf[:, :, :fill - used] = buf[:, :, used:fill]
+            fill -= used
+        self.fill = fill
+
+    def summary(self, row: int) -> ChainSummary:
+        return ChainSummary(
+            steps=self.steps,
+            accept_count=int(self.accept[row]),
+            jump_sq_sum=float(self.jump_sum[row]),
+            dh_sum=float(self.dh_sum[row]),
+            nonfinite_dh=int(self.nonfinite[row]),
+            batch_acc=self.batches[0, row].copy(),
+            batch_jump=self.batches[1, row].copy(),
+        )
 
 
 @dataclass(frozen=True)
@@ -147,7 +231,9 @@ class ChainRun:
     states: np.ndarray | None            # thinned post-step states, (T, n)
     first_coord_path: np.ndarray | None  # (steps + 1, m) leading coordinates
     final_state: Configuration
-    wall_time: float  # this chain's share of its batch: batch wall / replicas
+    # This chain's share of its run_replicas call: call wall / replicas.  A
+    # stacked sweep block spans several tau, so the share is a block average.
+    wall_time: float
 
     @property
     def window(self) -> Window:
@@ -187,7 +273,7 @@ def init_state(model: InteractionModel, window: Window, mode: str = "exact_gauss
         steps = burn_steps if burn_steps is not None else 50 * window.n
         spec = ProposalSpec(burn_tau, window.n, increment_family)
         x0 = np.zeros((1, window.n))
-        x, *_ = _drive(model, window, spec, steps, [rng], x0,
+        x, *_ = _drive(model, window, [spec], steps, [rng], x0,
                        keep_arrays=False, thin=0, track_first=0)
         return Configuration(window, x[0], source="burn_in")
     raise ValueError(f"unknown init mode {mode!r}")
@@ -209,21 +295,32 @@ def _lookahead(accept_rate: float, rows: int, n: int, room: int) -> int:
     return int(k[np.argmin((ROUND_SITES + k * rows * n) / steps)])
 
 
-def _drive(model: InteractionModel, window: Window, spec: ProposalSpec, steps: int,
-           rngs: list[np.random.Generator], x0: np.ndarray, keep_arrays: bool,
-           thin: int, track_first: int):
-    """Batched Metropolis driver over len(rngs) replicas sharing one window,
-    in lookahead rounds (see the module docstring)."""
+def _drive(model: InteractionModel, window: Window, specs: list[ProposalSpec],
+           steps: int, rngs: list[np.random.Generator], x0: np.ndarray,
+           keep_arrays: bool, thin: int, track_first: int):
+    """Batched Metropolis loop: row r runs specs[r] on the stream rngs[r],
+    every row on one window, in lookahead rounds (see the module docstring).
+
+    Returns the final states, the _SummaryStream, the (dh, accepted, u,
+    jump_sq) record columns when keep_arrays (else None), the thinned states
+    and the leading-coordinate paths.
+    """
     R = len(rngs)
     n = window.n
-    sigma = spec.sigma
+    sigma = np.array([spec.sigma for spec in specs])[:, None, None]
     x = np.array(x0, dtype=float)
     eps_x = site_energies(model, window, x)
 
-    dh_all = np.empty((R, steps))
-    acc_all = np.empty((R, steps), dtype=bool)
-    u_all = np.empty((R, steps)) if keep_arrays else None
-    jump_all = np.empty((R, steps))
+    stream = _SummaryStream(R, steps)
+    records = None
+    if keep_arrays:
+        records = (np.empty((R, steps)), np.empty((R, steps), dtype=bool),
+                   np.empty((R, steps)), np.empty((R, steps)))
+    width = min(CHUNK, steps)
+    incr = np.empty((R, width, n))  # one buffer, refilled every chunk
+    us = np.empty((R, width))
+    dh_buf = np.empty((R, width))
+    acc_buf = np.empty((R, width), dtype=bool)
     n_snaps = steps // thin if thin else 0
     states = np.empty((R, n_snaps, n)) if n_snaps else None
     path = np.empty((R, steps + 1, track_first)) if track_first else None
@@ -231,34 +328,34 @@ def _drive(model: InteractionModel, window: Window, spec: ProposalSpec, steps: i
         path[:, 0] = x[:, :track_first]
 
     t = 0
-    accepted = 0
     while t < steps:
         c = min(CHUNK, steps - t)
-        incr = np.empty((R, c, n))
-        us = np.empty((R, c))
         for r in range(R):
-            incr[r] = spec.draw_increments(rngs[r], (c, n))
-            us[r] = rngs[r].random(c)
-        incr *= sigma  # the proposal moves, sigma * increment
+            specs[r].draw_increments(rngs[r], (c, n), out=incr[r, :c])
+            rngs[r].random(out=us[r, :c])
+        incr_c, us_c = incr[:, :c], us[:, :c]
+        dh_c, acc_c = dh_buf[:, :c], acc_buf[:, :c]
+        incr_c *= sigma  # the proposal moves, sigma * increment
         # Before any step, assume every proposal is accepted: K = 1.
+        accepted = int(stream.accept.sum())
         K = _lookahead(accepted / (R * t) if t else 1.0, R, n, c)
         # exp(-max(dh, 0)) is 1 for downhill moves and may underflow.
         with np.errstate(under="ignore"):
             j = 0
             while j < c:
                 k = min(K, c - j)
-                y = x[:, None] + incr[:, j:j + k]
+                y = x[:, None] + incr_c[:, j:j + k]
                 eps_y = site_energies(model, window, y)
                 dh = (eps_y - eps_x[:, None]).sum(axis=-1)
                 # A non-finite dH (inf - inf in the energies) is rejected.
-                acc = (us[:, j:j + k] < np.exp(-np.maximum(dh, 0.0))) & np.isfinite(dh)
+                acc = (us_c[:, j:j + k] < np.exp(-np.maximum(dh, 0.0))) & np.isfinite(dh)
                 m = k
                 if k > 1:
                     hits = np.flatnonzero(acc.any(axis=0))
                     m = int(hits[0]) + 1 if hits.size else k
                 start, end = t + j, t + j + m
-                dh_all[:, start:end] = dh[:, :m]
-                acc_all[:, start:end] = acc[:, :m]
+                dh_c[:, j:j + m] = dh[:, :m]
+                acc_c[:, j:j + m] = acc[:, :m]
                 # Every committed step but the last was rejected by every
                 # row, so the state after each of them is x.
                 if path is not None:
@@ -273,29 +370,39 @@ def _drive(model: InteractionModel, window: Window, spec: ProposalSpec, steps: i
                 if states is not None and end % thin == 0:
                     states[:, end // thin - 1] = x
                 j += m
-        acc_c = acc_all[:, t:t + c]
-        accepted += int(np.count_nonzero(acc_c))
-        if u_all is not None:
-            u_all[:, t:t + c] = us
-        jump_all[:, t:t + c] = np.where(acc_c, incr[:, :, 0] ** 2, 0.0)
+        jump_c = np.where(acc_c, incr_c[:, :, 0] ** 2, 0.0)
+        stream.add(acc_c, dh_c, jump_c)
+        if records is not None:
+            for column, chunk in zip(records, (dh_c, acc_c, us_c, jump_c)):
+                column[:, t:t + c] = chunk
         t += c
-    return x, dh_all, acc_all, u_all, jump_all, states, path
+    return x, stream, records, states, path
 
 
-def run_replicas(model: InteractionModel, window: Window, spec: ProposalSpec,
+def run_replicas(model: InteractionModel, window: Window,
+                 spec: ProposalSpec | Sequence[ProposalSpec],
                  steps: int, seed: int, n_replicas: int = 1,
                  chain_ids=None, recording: str = "summary", thin: int = 10,
                  track_first: int = 0, init: str = "exact_gaussian",
                  init_config: Configuration | None = None,
                  burn_steps: int | None = None, burn_tau: float = 2.38
                  ) -> list[ChainRun]:
-    """Run replicas with disjoint RNG streams; results in chain-id order."""
+    """Run replicas with disjoint RNG streams; results in chain-id order.
+
+    `spec` is one ProposalSpec for every replica or a sequence of one per
+    replica; all of them have the window's n and one increment family.
+    """
     if steps < 1:
         raise ValueError("steps must be >= 1")
     if recording not in RECORDING_MODES:
         raise ValueError(f"unknown recording mode {recording!r}")
-    if spec.n != window.n:
+    specs = [spec] * n_replicas if isinstance(spec, ProposalSpec) else list(spec)
+    if len(specs) != n_replicas:
+        raise ValueError("need one proposal spec per replica")
+    if any(s.n != window.n for s in specs):
         raise ValueError("proposal spec n does not match window size")
+    if len({s.increment_family for s in specs}) > 1:
+        raise ValueError("replicas must share one increment family")
     if track_first > window.n:
         raise ValueError("track_first exceeds window size")
     ids = list(chain_ids) if chain_ids is not None else list(range(n_replicas))
@@ -309,33 +416,27 @@ def run_replicas(model: InteractionModel, window: Window, spec: ProposalSpec,
                  if init == "exact_gaussian" and model.is_quadratic else None)
     inits = [init_state(model, window, init, rng=rngs[r], given=init_config,
                         burn_steps=burn_steps, burn_tau=burn_tau,
-                        increment_family=spec.increment_family,
+                        increment_family=specs[r].increment_family,
                         precision=precision)
              for r in range(n_replicas)]
     del precision  # Q and its factor are not needed while the chains run
     x0 = np.stack([cfg.values for cfg in inits])
-    keep_arrays = recording == "full"
     want_states = recording in ("full", "thinned") and thin > 0
-    x, dh, acc, u, jump, states, path = _drive(
-        model, window, spec, steps, rngs, x0,
-        keep_arrays=keep_arrays, thin=thin if want_states else 0,
+    x, stream, records, states, path = _drive(
+        model, window, specs, steps, rngs, x0,
+        keep_arrays=recording == "full", thin=thin if want_states else 0,
         track_first=track_first)
     wall = (time.perf_counter() - started) / n_replicas
-    runs = []
-    for r in range(n_replicas):
-        summary = summarize_records(dh[r], acc[r], jump[r])
-        records = None
-        if keep_arrays:
-            records = StepRecords(dh[r].copy(), acc[r].copy(), u[r].copy(), jump[r].copy())
-        runs.append(ChainRun(
-            seed=seed, chain_id=ids[r], steps=steps, tau=spec.tau, n=window.n,
-            summary=summary, records=records,
-            states=states[r].copy() if states is not None else None,
-            first_coord_path=path[r].copy() if path is not None else None,
-            final_state=Configuration(window, x[r], source=inits[r].source),
-            wall_time=wall,
-        ))
-    return runs
+    return [ChainRun(
+        seed=seed, chain_id=ids[r], steps=steps, tau=specs[r].tau, n=window.n,
+        summary=stream.summary(r),
+        records=(StepRecords(*(column[r].copy() for column in records))
+                 if records is not None else None),
+        states=states[r].copy() if states is not None else None,
+        first_coord_path=path[r].copy() if path is not None else None,
+        final_state=Configuration(window, x[r], source=inits[r].source),
+        wall_time=wall,
+    ) for r in range(n_replicas)]
 
 
 def run_chain(model: InteractionModel, window: Window, spec: ProposalSpec,

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 from scipy.special import erfc
 
 from .estimators import (CylinderFunction, EstimateWithError, acceptance_rate,
@@ -30,6 +29,10 @@ from .oracle import (build_precision, gaussian_exact_samples,
 from .sampler import ProposalSpec, chain_rng, run_chain, run_replicas
 
 REFERENCE_CHAIN_ID = 0xFFFF_FFFF  # reserved stream for the s-hat reference run
+# Rows x sites of one stacked block of grid points (see _run_points).  The
+# increment buffer of a block is 2 kB per row-site (CHUNK doubles), so
+# 8192 costs 16 MB and holds a 9-point x 8-replica sweep at n = 100.
+STACK_SITES = 8192
 
 
 def c_theoretical(tau: float, s: float) -> float:
@@ -59,6 +62,8 @@ def efficiency(tau: float, s: float) -> float:
 
 def tau_star(s: float) -> float:
     """Golden-section maximizer of tau^2 c(tau) on [0, 20/s]."""
+    from scipy.optimize import minimize_scalar
+
     if s <= 0:
         raise ValueError("s must be positive")
     res = minimize_scalar(lambda t: -efficiency(t, s),
@@ -118,16 +123,25 @@ def _resolve_s_hat(model: InteractionModel, window: Window, s_hat: float | None,
     return math.sqrt(estimate_s2(model, run).value)
 
 
-def _run_point(model: InteractionModel, window: Window, spec: ProposalSpec,
-               index: int, replicas: int, steps: int, seed: int, init: str,
-               burn_steps: int | None, track_first: int = 0):
-    """Summary-recorded replicas of grid point `index`, on the chain ids
-    index * replicas + r, so every grid point draws from its own streams."""
-    ids = [index * replicas + r for r in range(replicas)]
-    return run_replicas(model, window, spec, steps, seed, replicas,
-                        chain_ids=ids, recording="summary",
-                        track_first=track_first, init=init,
-                        burn_steps=burn_steps)
+def _run_points(model: InteractionModel, window: Window, specs: list[ProposalSpec],
+                first: int, replicas: int, steps: int, seed: int, init: str,
+                burn_steps: int | None, track_first: int = 0):
+    """Summary-recorded replicas of the grid points first, first + 1, ...
+    (one spec each), one list of runs per point.  Point i runs on the chain
+    ids i * replicas + r, so every grid point draws from its own streams.
+    Consecutive points share one run_replicas call while their rows x sites
+    fit in STACK_SITES; a run is bit for bit the same in any block."""
+    per_block = max(1, STACK_SITES // (replicas * window.n))
+    runs = []
+    for b in range(0, len(specs), per_block):
+        block = specs[b:b + per_block]
+        ids = [(first + b) * replicas + i for i in range(len(block) * replicas)]
+        runs += run_replicas(model, window,
+                             [spec for spec in block for _ in range(replicas)],
+                             steps, seed, len(ids), chain_ids=ids,
+                             recording="summary", track_first=track_first,
+                             init=init, burn_steps=burn_steps)
+    return [runs[i * replicas:(i + 1) * replicas] for i in range(len(specs))]
 
 
 def sweep_tau(model: InteractionModel, window: Window, tau_grid, steps: int,
@@ -138,17 +152,14 @@ def sweep_tau(model: InteractionModel, window: Window, tau_grid, steps: int,
     """Acceptance and ESJD across a tau grid, joined with the theory curve."""
     taus = _check_grid(tau_grid)
     s_hat = _resolve_s_hat(model, window, s_hat, seed, init)
-
-    def one_tau(ti: int, tau: float):
-        runs = _run_point(model, window,
-                          ProposalSpec(tau, window.n, increment_family), ti,
-                          replicas, steps, seed, init, burn_steps)
+    specs = [ProposalSpec(tau, window.n, increment_family) for tau in taus]
+    rows = []
+    for tau, runs in zip(taus, _run_points(model, window, specs, 0, replicas,
+                                           steps, seed, init, burn_steps)):
         acc = pool_replicas(acceptance_rate(r.summary) for r in runs)
         esjd = pool_replicas(esjd_first_coord(r.summary, window.n) for r in runs)
-        return ScalingCurveRow(tau, acc, esjd, c_theoretical(tau, s_hat),
-                               efficiency(tau, s_hat))
-
-    rows = [one_tau(ti, tau) for ti, tau in enumerate(taus)]
+        rows.append(ScalingCurveRow(tau, acc, esjd, c_theoretical(tau, s_hat),
+                                    efficiency(tau, s_hat)))
     return ScalingCurve(tuple(rows), s_hat)
 
 
@@ -195,8 +206,8 @@ def sweep_n(make_model_window: Callable[[int], tuple[InteractionModel, Window]],
 
     def one_n(ni: int, n: int):
         model, window = make_model_window(n)
-        runs = _run_point(model, window, ProposalSpec(tau, window.n), ni,
-                          replicas, steps, seed, init, burn_steps)
+        (runs,) = _run_points(model, window, [ProposalSpec(tau, window.n)], ni,
+                              replicas, steps, seed, init, burn_steps)
         acc = pool_replicas(acceptance_rate(r.summary) for r in runs)
         return SweepNRow(n, acc, c_lim, abs(acc.value - c_lim))
 
@@ -281,9 +292,9 @@ def mosco_m2_check(f: CylinderFunction,
 
     def one_n(ni: int, n: int):
         model, window = make_model_window(n)
-        runs = _run_point(model, window, ProposalSpec(tau, window.n), ni,
-                          replicas, steps, seed, init, burn_steps,
-                          track_first=f.n_coords)
+        (runs,) = _run_points(model, window, [ProposalSpec(tau, window.n)], ni,
+                              replicas, steps, seed, init, burn_steps,
+                              track_first=f.n_coords)
         emp = pool_replicas(dirichlet_form_empirical(f, r) for r in runs)
         return M2Row(n, emp, lim, abs(emp.value - lim.value))
 

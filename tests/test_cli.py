@@ -295,6 +295,17 @@ class TestCliCommands:
     def test_missing_config_file(self):
         assert main(["sample", "--config", "/nonexistent/cfg.json"]) == 2
 
+    def test_import_leaves_scipy_stats_and_optimize_unloaded(self):
+        # Only clt-check needs scipy.stats and only tau_star scipy.optimize;
+        # every other command skips their import cost.
+        code = ("import sys, gibbsrwm.cli; print(sorted(m for m in sys.modules "
+                "if m.split('.')[:2] in (['scipy', 'stats'], "
+                "['scipy', 'optimize'])))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
     def test_console_entry_point(self, tmp_path):
         doc = base_config(output_dir=str(tmp_path / "o"))
         doc["run"]["steps"] = 50

@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from gibbsrwm.models import (Configuration, custom_pairwise, delta_hamiltonian,
                              zeros_configuration)
 from gibbsrwm.oracle import build_precision, gaussian_exact_sample
 from gibbsrwm.sampler import (ProposalSpec, chain_rng, init_state, run_chain,
-                              run_replicas)
+                              run_replicas, summarize_records)
 
 
 def scalar_reference(model, window, spec, steps, rng, x):
@@ -118,6 +120,24 @@ class TestProposalSpec:
         spec = ProposalSpec(2.38, 10_000)
         incr = spec.sigma * spec.draw_increments(chain_rng(0, 0), 100_000)
         assert incr.std() == pytest.approx(0.0238, rel=0.01)
+
+    @pytest.mark.parametrize("family", ["standard_normal", "uniform"])
+    def test_draw_into_buffer_is_the_generator_draw(self, family):
+        # Drawing into a reused buffer consumes the stream exactly like the
+        # Generator method of the family, and leaves it in the same state.
+        spec = ProposalSpec(1.0, 7, family)
+        buf = np.full((2, 300, 7), np.nan)
+        a, b, c = chain_rng(5, 1), chain_rng(5, 1), chain_rng(5, 1)
+        for _ in range(2):
+            got = spec.draw_increments(a, (300, 7), out=buf[1])
+            half = math.sqrt(3.0)
+            want = (b.standard_normal((300, 7)) if family == "standard_normal"
+                    else b.uniform(-half, half, (300, 7)))
+            assert got is buf[1] or np.shares_memory(got, buf[1])
+            assert np.array_equal(buf[1], want)
+            assert np.array_equal(spec.draw_increments(c, (300, 7)), want)
+        assert np.isnan(buf[0]).all()
+        assert a.random() == b.random() == c.random()
 
 
 class TestPropose:
@@ -414,6 +434,84 @@ class TestRunChain:
         assert np.array_equal(run.final_state.values, np.zeros(w.n))
         assert run.summary.nonfinite_dh == 50
         assert run.summary.acceptance == 0.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            streamed = run_chain(m, w, ProposalSpec(1e160, w.n), 50, seed=0,
+                                 init="given", init_config=zeros_configuration(w),
+                                 recording="summary")
+        assert streamed.summary.nonfinite_dh == 50
+
+    @pytest.mark.parametrize("steps", [1, 49, 99, 100, 255, 256, 257, 10_000])
+    def test_streamed_summary_matches_records(self, steps):
+        # Rows at three tau (every move accepted at tau = 0) in one batch.
+        m = gaussian_product(1.0, d=1)
+        w = build_line(6, m.neighborhood)
+        specs = [ProposalSpec(tau, w.n) for tau in (0.0, 2.38, 9.0)]
+        full = run_replicas(m, w, specs, steps, seed=steps, n_replicas=3,
+                            recording="full")
+        summary = run_replicas(m, w, specs, steps, seed=steps, n_replicas=3)
+        for run, other in zip(full, summary):
+            rec = run.records
+            ref = summarize_records(rec.delta_h, rec.accepted,
+                                    rec.jump_sq_first_coord)
+            for got in (run.summary, other.summary):
+                assert got.steps == ref.steps == steps
+                assert got.accept_count == ref.accept_count
+                assert got.nonfinite_dh == ref.nonfinite_dh
+                assert np.array_equal(got.batch_acc, ref.batch_acc)
+                assert np.array_equal(got.batch_jump, ref.batch_jump)
+                assert got.jump_sq_sum == pytest.approx(ref.jump_sq_sum, rel=1e-12)
+                assert got.dh_sum == pytest.approx(ref.dh_sum, rel=1e-12)
+            assert other.summary.jump_sq_sum == run.summary.jump_sq_sum
+            assert other.summary.dh_sum == run.summary.dh_sum
+        assert full[0].summary.accept_count == steps
+
+    def test_summary_mode_memory_does_not_grow_with_steps(self):
+        m = gaussian_product(1.0, d=1)
+        w = build_line(20, m.neighborhood)
+        spec = ProposalSpec(2.38, w.n)
+        init = dict(init="given", init_config=zeros_configuration(w))
+        peaks = []
+        for steps in (10 * sampler.CHUNK, 100 * sampler.CHUNK):
+            tracemalloc.start()
+            try:
+                run_replicas(m, w, spec, steps, seed=1, n_replicas=2,
+                             recording="summary", **init)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.5 * peaks[0], peaks
+
+    def test_per_replica_specs_match_single_spec_runs(self):
+        m = gff(1.0, 1.0, d=1)
+        w = build_box(1, 4, m.neighborhood)
+        taus = [0.5, 2.0, 2.0, 6.0]
+        runs = run_replicas(m, w, [ProposalSpec(t, w.n, "uniform") for t in taus],
+                            sampler.CHUNK + 30, seed=6, n_replicas=4,
+                            chain_ids=[3, 1, 0, 2], recording="full",
+                            track_first=2)
+        for run, tau, cid in zip(runs, taus, [3, 1, 0, 2]):
+            solo = run_chain(m, w, ProposalSpec(tau, w.n, "uniform"),
+                             sampler.CHUNK + 30, seed=6, chain_id=cid,
+                             track_first=2)
+            assert run.tau == tau
+            for a, b in zip(dataclasses.astuple(run.records),
+                            dataclasses.astuple(solo.records)):
+                assert np.array_equal(a, b)
+            assert np.array_equal(run.first_coord_path, solo.first_coord_path)
+            assert np.array_equal(run.final_state.values, solo.final_state.values)
+
+    def test_per_replica_specs_validation(self):
+        m = gaussian_product(1.0, d=1)
+        w = build_line(5, m.neighborhood)
+        with pytest.raises(ValueError, match="one proposal spec per replica"):
+            run_replicas(m, w, [ProposalSpec(1.0, 5)], 10, seed=0, n_replicas=2)
+        with pytest.raises(ValueError, match="window size"):
+            run_replicas(m, w, [ProposalSpec(1.0, 5), ProposalSpec(1.0, 4)],
+                         10, seed=0, n_replicas=2)
+        with pytest.raises(ValueError, match="increment family"):
+            run_replicas(m, w, [ProposalSpec(1.0, 5),
+                                ProposalSpec(1.0, 5, "uniform")],
+                         10, seed=0, n_replicas=2)
 
     def test_acceptance_invariant_recomputable(self):
         m = gff(1.0, 1.0, d=1)

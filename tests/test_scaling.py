@@ -5,13 +5,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gibbsrwm.estimators import CYLINDER_FUNCTIONS, CylinderFunction
+from gibbsrwm import scaling
+from gibbsrwm.estimators import (CYLINDER_FUNCTIONS, CylinderFunction,
+                                 acceptance_rate, esjd_first_coord,
+                                 pool_replicas)
 from gibbsrwm.lattice import build_box, build_line
 from gibbsrwm.models import gaussian_product, gff
+from gibbsrwm.sampler import ProposalSpec, run_replicas
 from gibbsrwm.scaling import (c_mc_oracle, c_theoretical, efficiency,
                               limiting_form_quadrature, mosco_m2_check,
                               product_chain_family, sweep_n, sweep_tau,
                               tau_star)
+
+
+@pytest.fixture
+def captured_runs(monkeypatch):
+    """Every run_replicas call scaling makes: one list of runs per call."""
+    calls = []
+
+    def capture(*args, **kwargs):
+        runs = run_replicas(*args, **kwargs)
+        calls.append(runs)
+        return runs
+
+    monkeypatch.setattr(scaling, "run_replicas", capture)
+    return calls
 
 OPT = 2.381202494517  # argmax of u^2 * 2*Phi(-u/2), to 1e-10
 
@@ -129,6 +147,68 @@ class TestSweepTau:
             sweep_tau(m, w, [], steps=10, replicas=1, seed=0, s_hat=1.0)
         with pytest.raises(ValueError):
             sweep_tau(m, w, [2.0, 1.0], steps=10, replicas=1, seed=0, s_hat=1.0)
+
+
+class TestStackedSweep:
+    """sweep_tau stacks the grid points of a block into one run_replicas
+    call; every chain and every curve column equals per-point runs."""
+
+    @pytest.mark.parametrize("family", ["standard_normal", "uniform"])
+    @pytest.mark.parametrize("init,burn_steps", [("exact_gaussian", None),
+                                                 ("burn_in", 150)])
+    def test_blocks_equal_per_point_runs(self, monkeypatch, captured_runs,
+                                         family, init, burn_steps):
+        m = gff(0.7, 0.3, d=1)
+        w = build_box(1, 5, m.neighborhood, "constant", 0.4)
+        grid = [0.5, 1.5, 2.38, 3.0, 6.0]
+        replicas, steps, seed = 2, 300, 41
+        # Two grid points per block: three blocks, the last one partial.
+        monkeypatch.setattr(scaling, "STACK_SITES", 2 * replicas * w.n + 1)
+        curve = sweep_tau(m, w, grid, steps, replicas, seed,
+                          increment_family=family, init=init,
+                          burn_steps=burn_steps)
+        assert [len(runs) for runs in captured_runs] == [4, 4, 2]
+        stacked = [run for runs in captured_runs for run in runs]
+        for ti, tau in enumerate(grid):
+            ids = [ti * replicas + r for r in range(replicas)]
+            solo = run_replicas(m, w, ProposalSpec(tau, w.n, family), steps,
+                                seed, replicas, chain_ids=ids,
+                                recording="summary", init=init,
+                                burn_steps=burn_steps)
+            for a, b in zip(stacked[ti * replicas:(ti + 1) * replicas], solo):
+                for field in ("seed", "chain_id", "steps", "tau", "n",
+                              "records", "states", "first_coord_path"):
+                    assert getattr(a, field) == getattr(b, field), field
+                for field in ("steps", "accept_count", "jump_sq_sum", "dh_sum",
+                              "nonfinite_dh"):
+                    assert getattr(a.summary, field) == getattr(b.summary, field)
+                assert np.array_equal(a.summary.batch_acc, b.summary.batch_acc)
+                assert np.array_equal(a.summary.batch_jump, b.summary.batch_jump)
+                assert np.array_equal(a.final_state.values, b.final_state.values)
+                assert a.final_state.source == b.final_state.source
+            row = curve.rows[ti]
+            assert row.tau == tau
+            assert row.acceptance == pool_replicas(
+                acceptance_rate(r.summary) for r in solo)
+            assert row.esjd == pool_replicas(
+                esjd_first_coord(r.summary, w.n) for r in solo)
+
+    def test_benchmark_grid_is_one_block(self, captured_runs):
+        # 9 tau x 8 replicas at n = 100: one call, so one factorization.
+        m = gaussian_product(1.0, d=1)
+        w = build_line(100, m.neighborhood)
+        grid = [round(1.38 + 0.25 * k, 2) for k in range(9)]
+        sweep_tau(m, w, grid, steps=2, replicas=8, seed=1, s_hat=1.0)
+        assert [len(runs) for runs in captured_runs] == [72]
+        assert [r.chain_id for r in captured_runs[0]] == list(range(72))
+        assert [r.tau for r in captured_runs[0]] == [t for t in grid
+                                                      for _ in range(8)]
+
+    def test_n_sweep_runs_one_point_per_window(self, captured_runs):
+        sweep_n(product_chain_family(1.0), [2, 3], tau=1.0, steps=50, seed=5,
+                replicas=2)
+        assert [[r.chain_id for r in runs] for runs in captured_runs] == \
+            [[0, 1], [2, 3]]
 
 
 class TestSweepN:

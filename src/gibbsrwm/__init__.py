@@ -20,11 +20,10 @@ from .models import (Configuration, InteractionModel, custom_pairwise,
                      delta_hamiltonian, gaussian_product, gff,
                      grad_hamiltonian, hamiltonian, hamiltonian_gradient,
                      log_density_ratio, phi4)
-from .oracle import (PrecisionMatrix, build_precision, gaussian_exact_sample,
-                     gaussian_exact_samples, gaussian_s2_exact,
-                     quad_acceptance, quad_expectation_1d)
+from .oracle import (PrecisionMatrix, build_precision, gaussian_exact_samples,
+                     gaussian_s2_exact, quad_acceptance, quad_expectation_1d)
 from .sampler import (ChainRun, ProposalSpec, StepRecords, chain_rng,
-                      init_state, run_chain, run_replicas)
+                      run_chain, run_replicas)
 from .scaling import (M2Table, ScalingCurve, c_mc_oracle, c_theoretical,
                       mosco_m2_check, product_chain_family, sweep_n, sweep_tau,
                       tau_star)

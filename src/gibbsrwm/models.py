@@ -79,7 +79,6 @@ class Configuration:
 
     window: Window
     values: np.ndarray
-    source: str = "given"
 
     def __post_init__(self):
         vals = np.array(self.values, dtype=float)
@@ -92,7 +91,7 @@ class Configuration:
 
 
 def zeros_configuration(window: Window) -> Configuration:
-    return Configuration(window, np.zeros(window.n), source="given")
+    return Configuration(window, np.zeros(window.n))
 
 
 def _check_model_window(model: InteractionModel, window: Window):

@@ -15,7 +15,7 @@ import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
 from scipy.linalg import cho_solve, cholesky, solve_triangular
 
-from .models import Configuration, InteractionModel, site_energies
+from .models import InteractionModel, site_energies
 from .lattice import Window
 
 # Elements per row block of the precision symmetry check: its temporaries
@@ -103,12 +103,6 @@ def build_precision(model: InteractionModel, window: Window) -> PrecisionMatrix:
         outs = act & ~ins
         b[sites[outs]] += cross[s] * t.ext_values[t.idx[s][outs] - n]
     return PrecisionMatrix(Q, b, window)
-
-
-def gaussian_exact_sample(precision: PrecisionMatrix, rng: np.random.Generator) -> Configuration:
-    """One exact draw from exp(-H)/Z (see gaussian_exact_samples)."""
-    x = gaussian_exact_samples(precision, rng, 1)[0]
-    return Configuration(precision.window, x, source="exact")
 
 
 def gaussian_exact_samples(precision: PrecisionMatrix, rng: np.random.Generator,

@@ -24,7 +24,6 @@ mode and burn-in use memory of one chunk, whatever the number of steps.
 from __future__ import annotations
 
 import math
-import time
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -32,7 +31,7 @@ import numpy as np
 
 from .lattice import Window
 from .models import Configuration, InteractionModel, site_energies
-from .oracle import PrecisionMatrix, build_precision, gaussian_exact_sample
+from .oracle import build_precision, gaussian_exact_samples
 
 CHUNK = 256
 # Fixed cost of one Metropolis round (Python and numpy call overhead) in
@@ -40,6 +39,7 @@ CHUNK = 256
 # 30-65 us plus 13-24 ns per site evaluation (product Gaussian and phi4),
 # so the overhead equals 1 250-3 000 site evaluations.
 ROUND_SITES = 1500
+BURN_TAU = 2.38  # proposal scale of the burn-in that init "burn_in" runs
 _MASK64 = (1 << 64) - 1
 
 INCREMENT_FAMILIES = ("standard_normal", "uniform")
@@ -231,52 +231,10 @@ class ChainRun:
     states: np.ndarray | None            # thinned post-step states, (T, n)
     first_coord_path: np.ndarray | None  # (steps + 1, m) leading coordinates
     final_state: Configuration
-    # This chain's share of its run_replicas call: call wall / replicas.  A
-    # stacked sweep block spans several tau, so the share is a block average.
-    wall_time: float
 
     @property
     def window(self) -> Window:
         return self.final_state.window
-
-
-def init_state(model: InteractionModel, window: Window, mode: str = "exact_gaussian",
-               rng: np.random.Generator | None = None, seed: int | None = None,
-               chain_id: int = 0, burn_steps: int | None = None,
-               burn_tau: float = 2.38, given: Configuration | None = None,
-               increment_family: str = "standard_normal",
-               precision: PrecisionMatrix | None = None) -> Configuration:
-    """Initial chain state: exact stationary draw, burn-in end state, or given.
-
-    An exact draw uses `precision` when given (it must be the model's on this
-    window), so that callers drawing several states factor Q only once.
-    """
-    if mode == "given":
-        if given is None:
-            raise ValueError("mode='given' needs a configuration")
-        if given.window is not window:
-            raise ValueError("given configuration lives on a different window")
-        return given
-    if rng is None:
-        if seed is None:
-            raise ValueError("need an rng or a seed")
-        rng = chain_rng(seed, chain_id)
-    if mode == "exact_gaussian":
-        if not model.is_quadratic:
-            raise ValueError(f"exact stationary sampling unavailable for {model.family}")
-        if precision is None:
-            precision = build_precision(model, window)
-        elif precision.window is not window:
-            raise ValueError("precision matrix lives on a different window")
-        return gaussian_exact_sample(precision, rng)
-    if mode == "burn_in":
-        steps = burn_steps if burn_steps is not None else 50 * window.n
-        spec = ProposalSpec(burn_tau, window.n, increment_family)
-        x0 = np.zeros((1, window.n))
-        x, *_ = _drive(model, window, [spec], steps, [rng], x0,
-                       keep_arrays=False, thin=0, track_first=0)
-        return Configuration(window, x[0], source="burn_in")
-    raise ValueError(f"unknown init mode {mode!r}")
 
 
 def _lookahead(accept_rate: float, rows: int, n: int, room: int) -> int:
@@ -385,12 +343,16 @@ def run_replicas(model: InteractionModel, window: Window,
                  chain_ids=None, recording: str = "summary", thin: int = 10,
                  track_first: int = 0, init: str = "exact_gaussian",
                  init_config: Configuration | None = None,
-                 burn_steps: int | None = None, burn_tau: float = 2.38
-                 ) -> list[ChainRun]:
+                 burn_steps: int | None = None) -> list[ChainRun]:
     """Run replicas with disjoint RNG streams; results in chain-id order.
 
     `spec` is one ProposalSpec for every replica or a sequence of one per
     replica; all of them have the window's n and one increment family.
+
+    Every replica starts from `init`: "given" (the values of `init_config`),
+    "exact_gaussian" (an exact draw from its own stream, quadratic models
+    only) or "burn_in" (`burn_steps`, default 50 per site, at tau = BURN_TAU
+    from zeros, all replicas in one batch).
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -408,25 +370,34 @@ def run_replicas(model: InteractionModel, window: Window,
     ids = list(chain_ids) if chain_ids is not None else list(range(n_replicas))
     if len(ids) != n_replicas:
         raise ValueError("need one chain id per replica")
-    started = time.perf_counter()
     rngs = [chain_rng(seed, cid) for cid in ids]
-    # One factorization serves every replica's exact draw; each replica still
-    # draws its own z and solves on its own.
-    precision = (build_precision(model, window)
-                 if init == "exact_gaussian" and model.is_quadratic else None)
-    inits = [init_state(model, window, init, rng=rngs[r], given=init_config,
-                        burn_steps=burn_steps, burn_tau=burn_tau,
-                        increment_family=specs[r].increment_family,
-                        precision=precision)
-             for r in range(n_replicas)]
-    del precision  # Q and its factor are not needed while the chains run
-    x0 = np.stack([cfg.values for cfg in inits])
+    if init == "given":
+        if init_config is None:
+            raise ValueError("init 'given' needs a configuration")
+        if init_config.window is not window:
+            raise ValueError("given configuration lives on a different window")
+        x0 = np.tile(init_config.values, (n_replicas, 1))
+    elif init == "exact_gaussian":
+        if not model.is_quadratic:
+            raise ValueError(f"exact stationary sampling unavailable for {model.family}")
+        # One factorization serves every replica; each replica still draws
+        # its own z and solves on its own.
+        precision = build_precision(model, window)
+        x0 = np.stack([gaussian_exact_samples(precision, rng, 1)[0] for rng in rngs])
+        del precision  # Q and its factor are not needed while the chains run
+    elif init == "burn_in":
+        burn = ProposalSpec(BURN_TAU, window.n, specs[0].increment_family)
+        x0, *_ = _drive(model, window, [burn] * n_replicas,
+                        burn_steps if burn_steps is not None else 50 * window.n,
+                        rngs, np.zeros((n_replicas, window.n)),
+                        keep_arrays=False, thin=0, track_first=0)
+    else:
+        raise ValueError(f"unknown init mode {init!r}")
     want_states = recording in ("full", "thinned") and thin > 0
     x, stream, records, states, path = _drive(
         model, window, specs, steps, rngs, x0,
         keep_arrays=recording == "full", thin=thin if want_states else 0,
         track_first=track_first)
-    wall = (time.perf_counter() - started) / n_replicas
     return [ChainRun(
         seed=seed, chain_id=ids[r], steps=steps, tau=specs[r].tau, n=window.n,
         summary=stream.summary(r),
@@ -434,8 +405,7 @@ def run_replicas(model: InteractionModel, window: Window,
                  if records is not None else None),
         states=states[r].copy() if states is not None else None,
         first_coord_path=path[r].copy() if path is not None else None,
-        final_state=Configuration(window, x[r], source=inits[r].source),
-        wall_time=wall,
+        final_state=Configuration(window, x[r]),
     ) for r in range(n_replicas)]
 
 
@@ -443,10 +413,9 @@ def run_chain(model: InteractionModel, window: Window, spec: ProposalSpec,
               steps: int, seed: int, chain_id: int = 0, recording: str = "full",
               thin: int = 10, track_first: int = 0, init: str = "exact_gaussian",
               init_config: Configuration | None = None,
-              burn_steps: int | None = None, burn_tau: float = 2.38) -> ChainRun:
+              burn_steps: int | None = None) -> ChainRun:
     """Single chain; identical to the matching replica of a batched run."""
     return run_replicas(model, window, spec, steps, seed, n_replicas=1,
                         chain_ids=[chain_id], recording=recording, thin=thin,
                         track_first=track_first, init=init,
-                        init_config=init_config, burn_steps=burn_steps,
-                        burn_tau=burn_tau)[0]
+                        init_config=init_config, burn_steps=burn_steps)[0]

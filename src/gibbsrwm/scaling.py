@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from numpy.polynomial.hermite_e import hermegauss
 from scipy.special import erfc
 
 from .estimators import (CylinderFunction, EstimateWithError, acceptance_rate,
@@ -24,8 +25,7 @@ from .estimators import (CylinderFunction, EstimateWithError, acceptance_rate,
                          estimate_s2, limiting_form, pool_replicas)
 from .lattice import Window, build_line
 from .models import InteractionModel, gaussian_product
-from .oracle import (build_precision, gaussian_exact_samples,
-                     gaussian_s2_exact, quad_expectation_1d)
+from .oracle import build_precision, gaussian_s2_exact, quad_expectation_1d
 from .sampler import ProposalSpec, chain_rng, run_chain, run_replicas
 
 REFERENCE_CHAIN_ID = 0xFFFF_FFFF  # reserved stream for the s-hat reference run
@@ -241,17 +241,33 @@ class M2Table:
 
 
 def limiting_form_quadrature(f: CylinderFunction, model: InteractionModel,
-                             tau: float, s_hat: float) -> EstimateWithError:
-    """Deterministic limiting form for single-coordinate f on product Gaussians."""
-    if f.n_coords != 1 or model.family != "gaussian_product":
-        raise ValueError("quadrature route needs a 1-coordinate cylinder function "
-                         "on a product Gaussian model")
-    var = model.param_dict["variance"]
+                             window: Window, tau: float,
+                             s_hat: float) -> EstimateWithError:
+    """Deterministic limiting form (tau^2 c(tau) / 2) E|grad f|^2 on a
+    quadratic model, for f of k <= 2 coordinates.
 
-    def grad_sq(x):
-        return f.gradient(np.asarray(x)[..., None])[..., 0] ** 2
+    Those coordinates are Gaussian, with mean and covariance read from the
+    precision matrix (k solves through its factor); Gauss-Hermite quadrature
+    integrates |grad f|^2 over them, a tensor rule when k = 2.
+    """
+    if not model.is_quadratic or f.n_coords > 2:
+        raise ValueError("quadrature route needs a quadratic model and a "
+                         "cylinder function of at most 2 coordinates")
+    k = f.n_coords
+    prec = build_precision(model, window)
+    mean = prec.mean()[:k]
+    cov = prec.solve(np.eye(window.n, k))[:k]
+    if k == 1:
+        def grad_sq(x):
+            return f.gradient(np.asarray(x)[..., None])[..., 0] ** 2
 
-    integral = quad_expectation_1d(grad_sq, 0.0, var)
+        integral = quad_expectation_1d(grad_sq, mean[0], cov[0, 0])
+    else:
+        nodes, weights = hermegauss(60)  # orders 60 and 120 agree to 1e-16
+        z = np.stack(np.meshgrid(nodes, nodes, indexing="ij"), axis=-1)
+        g = f.gradient(mean + z @ np.linalg.cholesky(cov).T)
+        integral = float((np.outer(weights, weights) * (g * g).sum(axis=-1)).sum()
+                         / (2.0 * math.pi))
     scale = 0.5 * tau * tau * c_theoretical(tau, s_hat)
     return EstimateWithError(scale * integral, 0.0, 0)
 
@@ -260,35 +276,21 @@ def mosco_m2_check(f: CylinderFunction,
                    make_model_window: Callable[[int], tuple[InteractionModel, Window]],
                    n_list, tau: float, steps: int, seed: int, replicas: int = 4,
                    init: str = "exact_gaussian", s_hat: float | None = None,
-                   limiting: str = "auto", mc_samples: int = 200_000,
                    burn_steps: int | None = None) -> M2Table:
-    """Empirical one-step form per window size against its limiting value."""
+    """Empirical one-step form per window size against its limiting value:
+    quadrature on quadratic models, else a chain on the largest window."""
     ns, model_max, window_max, s_hat = _window_sizes(make_model_window, n_list,
                                                      s_hat, seed, init)
     if f.n_coords > ns[0]:
         raise ValueError(f"{f.name} needs {f.n_coords} coordinates, smallest n is {ns[0]}")
 
-    if limiting == "auto":
-        if f.n_coords == 1 and model_max.family == "gaussian_product":
-            limiting = "quadrature"
-        elif model_max.is_quadratic:
-            limiting = "exact_mc"
-        else:
-            limiting = "chain_mc"
-    if limiting == "quadrature":
-        lim = limiting_form_quadrature(f, model_max, tau, s_hat)
-    elif limiting == "exact_mc":
-        prec = build_precision(model_max, window_max)
-        rng = chain_rng(seed, REFERENCE_CHAIN_ID - 1)
-        draws = gaussian_exact_samples(prec, rng, mc_samples)[:, : f.n_coords]
-        lim = limiting_form(f, model_max, tau, s_hat, draws)
-    elif limiting == "chain_mc":
+    if model_max.is_quadratic:
+        lim = limiting_form_quadrature(f, model_max, window_max, tau, s_hat)
+    else:
         run = run_chain(model_max, window_max, ProposalSpec(tau, window_max.n),
                         steps, seed, chain_id=REFERENCE_CHAIN_ID - 2,
                         recording="thinned", init=init, burn_steps=burn_steps)
         lim = limiting_form(f, model_max, tau, s_hat, run.states[:, : f.n_coords])
-    else:
-        raise ValueError(f"unknown limiting route {limiting!r}")
 
     def one_n(ni: int, n: int):
         model, window = make_model_window(n)

@@ -10,7 +10,7 @@ from gibbsrwm.estimators import (CYLINDER_FUNCTIONS, CylinderFunction,
                                  estimate_s2, limiting_form, pool_replicas)
 from gibbsrwm.lattice import Window, build_box, build_line
 from gibbsrwm.models import gaussian_product, gff
-from gibbsrwm.oracle import build_precision, gaussian_exact_sample, gaussian_s2_exact
+from gibbsrwm.oracle import build_precision, gaussian_exact_samples, gaussian_s2_exact
 from gibbsrwm.sampler import (N_BATCHES, ProposalSpec, StepRecords, chain_rng,
                               run_chain, summarize_records)
 from gibbsrwm.scaling import c_theoretical
@@ -155,7 +155,7 @@ class TestEstimateS2:
         w = build_box(2, 4, m.neighborhood)  # 9x9
         prec = build_precision(m, w)
         rng = chain_rng(5, 0)
-        states = np.stack([gaussian_exact_sample(prec, rng).values
+        states = np.stack([gaussian_exact_samples(prec, rng, 1)[0]
                            for _ in range(800)])
         est = estimate_s2(m, states, window=w)
         exact = gaussian_s2_exact(m, w)

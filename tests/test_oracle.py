@@ -10,7 +10,7 @@ from gibbsrwm.models import (Configuration, gaussian_product, gff, hamiltonian,
                              phi4)
 from gibbsrwm import oracle
 from gibbsrwm.oracle import (_BLOCK, PrecisionMatrix, build_precision,
-                             gaussian_exact_sample, gaussian_s2_exact,
+                             gaussian_exact_samples, gaussian_s2_exact,
                              quad_acceptance, quad_expectation_1d)
 from gibbsrwm.sampler import chain_rng
 
@@ -103,7 +103,7 @@ class TestExactSampling:
         w = build_line(4, m.neighborhood)
         prec = build_precision(m, w)
         rng = chain_rng(12, 0)
-        draws = np.stack([gaussian_exact_sample(prec, rng).values
+        draws = np.stack([gaussian_exact_samples(prec, rng, 1)[0]
                           for _ in range(20_000)])
         assert abs(draws.mean()) < 4 / np.sqrt(draws.size)
         assert abs(draws.var() - 1.0) < 5 / np.sqrt(draws.size)
@@ -116,7 +116,7 @@ class TestExactSampling:
         prec = build_precision(m, w)
         cov = prec.covariance()
         rng = chain_rng(5, 0)
-        draws = np.stack([gaussian_exact_sample(prec, rng).values
+        draws = np.stack([gaussian_exact_samples(prec, rng, 1)[0]
                           for _ in range(100_000)])
         emp = np.cov(draws.T)
         se = np.sqrt((np.outer(np.diag(cov), np.diag(cov)) + cov**2) / len(draws))
@@ -130,13 +130,11 @@ class TestExactSampling:
         m = gff(1.0, 1.0, d=2)
         w = build_box(2, 1, m.neighborhood)
         prec = build_precision(m, w)
-        a = gaussian_exact_sample(prec, chain_rng(9, 3)).values
-        b = gaussian_exact_sample(prec, chain_rng(9, 3)).values
+        a = gaussian_exact_samples(prec, chain_rng(9, 3), 1)[0]
+        b = gaussian_exact_samples(prec, chain_rng(9, 3), 1)[0]
         assert np.array_equal(a, b)
 
     def test_batched_draws_match_single_draw_statistics(self):
-        from gibbsrwm.oracle import gaussian_exact_samples
-
         m = gff(1.0, 0.5, d=1)
         w = build_box(1, 2, m.neighborhood)
         prec = build_precision(m, w)
@@ -158,9 +156,8 @@ class TestExactSampling:
             rng = chain_rng(41, cid)
             z = rng.standard_normal(prec.n)
             direct = prec.mean() + solve_triangular(prec.chol_upper(), z, lower=False)
-            got = gaussian_exact_sample(prec, chain_rng(41, cid))
-            assert got.source == "exact"
-            assert np.array_equal(got.values, direct)
+            got = gaussian_exact_samples(prec, chain_rng(41, cid), 1)[0]
+            assert np.array_equal(got, direct)
 
     def test_nonzero_mean_with_constant_boundary(self):
         m = gff(1.0, 1.0, d=1)
@@ -168,7 +165,7 @@ class TestExactSampling:
         prec = build_precision(m, w)
         mu = prec.mean()
         rng = chain_rng(4, 0)
-        draws = np.stack([gaussian_exact_sample(prec, rng).values
+        draws = np.stack([gaussian_exact_samples(prec, rng, 1)[0]
                           for _ in range(50_000)])
         assert np.all(np.abs(draws.mean(axis=0) - mu)
                       <= 4 * draws.std(axis=0, ddof=1) / np.sqrt(len(draws)))

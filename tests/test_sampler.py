@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import time
 import tracemalloc
 
 import numpy as np
@@ -11,9 +10,9 @@ from gibbsrwm.lattice import build_box, build_line
 from gibbsrwm.models import (Configuration, custom_pairwise, delta_hamiltonian,
                              gaussian_product, gff, phi4, site_energies,
                              zeros_configuration)
-from gibbsrwm.oracle import build_precision, gaussian_exact_sample
-from gibbsrwm.sampler import (ProposalSpec, chain_rng, init_state, run_chain,
-                              run_replicas, summarize_records)
+from gibbsrwm.oracle import build_precision, gaussian_exact_samples
+from gibbsrwm.sampler import (ProposalSpec, chain_rng, run_chain, run_replicas,
+                              summarize_records)
 
 
 def scalar_reference(model, window, spec, steps, rng, x):
@@ -64,8 +63,8 @@ def assert_matches_reference(model, window, spec, steps, seed, ids, thin=0,
                         track_first=track_first, **init)
     for run, cid in zip(runs, ids):
         rng = chain_rng(seed, cid)
-        x0 = (init["init_config"] if init
-              else init_state(model, window, "exact_gaussian", rng=rng))
+        x0 = (init["init_config"] if init else Configuration(
+            window, gaussian_exact_samples(build_precision(model, window), rng, 1)[0]))
         st, dh, u, acc, states = scalar_reference(model, window, spec, steps,
                                                   rng, x0)
         rec = run.records
@@ -258,47 +257,68 @@ class TestStep:
         assert np.allclose(rec.jump_sq_first_coord, jump, rtol=1e-9, atol=1e-15)
 
 
+@pytest.fixture
+def no_draws(monkeypatch):
+    """Fail the test if run_replicas factors Q, draws a start or runs a chain."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("drew before the init error")
+
+    for name in ("build_precision", "gaussian_exact_samples", "_drive"):
+        monkeypatch.setattr(sampler, name, forbidden)
+
+
 class TestInitState:
     def test_exact_gaussian_product_moments(self):
         m = gaussian_product(1.0, d=1)
         w = build_line(3, m.neighborhood)
-        draws = np.stack([
-            init_state(m, w, "exact_gaussian", seed=9, chain_id=i).values
-            for i in range(30_000)])
+        runs = run_replicas(m, w, ProposalSpec(1.0, 3), 1, seed=9,
+                            n_replicas=30_000, track_first=3)
+        draws = np.stack([run.first_coord_path[0] for run in runs])
         assert abs(draws.mean()) < 4 / math.sqrt(draws.size)
         assert abs(draws.var() - 1.0) < 5 / math.sqrt(draws.size)
 
-    def test_exact_gaussian_rejects_phi4(self):
+    def test_exact_gaussian_rejects_phi4(self, no_draws):
         m = phi4(0.5, -1.0, d=1)
         w = build_box(1, 1, m.neighborhood)
-        with pytest.raises(ValueError):
-            init_state(m, w, "exact_gaussian", seed=0)
+        with pytest.raises(ValueError, match="exact stationary sampling"):
+            run_replicas(m, w, ProposalSpec(1.0, w.n), 10, seed=0, n_replicas=2)
 
     def test_given_returns_unchanged(self):
         m = gaussian_product(1.0, d=1)
         w = build_line(3, m.neighborhood)
         x = Configuration(w, [1.0, 2.0, 3.0])
-        assert init_state(m, w, "given", given=x) is x
+        runs = run_replicas(m, w, ProposalSpec(1.0, 3), 1, seed=0, n_replicas=3,
+                            track_first=3, init="given", init_config=x)
+        assert all(np.array_equal(run.first_coord_path[0], x.values)
+                   for run in runs)
 
-    def test_given_window_mismatch(self):
+    def test_given_window_mismatch(self, no_draws):
         m = gaussian_product(1.0, d=1)
         x = Configuration(build_line(3, m.neighborhood), [1.0, 2.0, 3.0])
-        with pytest.raises(ValueError):
-            init_state(m, build_line(3, m.neighborhood), "given", given=x)
-
-    def test_precision_window_mismatch(self):
-        m = gaussian_product(1.0, d=1)
-        prec = build_precision(m, build_line(3, m.neighborhood))
         with pytest.raises(ValueError, match="different window"):
-            init_state(m, build_line(3, m.neighborhood), "exact_gaussian",
-                       seed=0, precision=prec)
+            run_replicas(m, build_line(3, m.neighborhood), ProposalSpec(1.0, 3),
+                         10, seed=0, init="given", init_config=x)
 
-    def test_burn_in_tagged(self):
+    def test_given_needs_configuration(self, no_draws):
+        m = gaussian_product(1.0, d=1)
+        w = build_line(3, m.neighborhood)
+        with pytest.raises(ValueError, match="needs a configuration"):
+            run_replicas(m, w, ProposalSpec(1.0, 3), 10, seed=0, init="given")
+
+    def test_unknown_init_mode(self, no_draws):
+        m = gaussian_product(1.0, d=1)
+        w = build_line(3, m.neighborhood)
+        with pytest.raises(ValueError, match="unknown init mode"):
+            run_replicas(m, w, ProposalSpec(1.0, 3), 10, seed=0, init="warm")
+
+    def test_burn_in_states_finite(self):
         m = phi4(0.5, -1.0, d=1)
         w = build_box(1, 2, m.neighborhood)
-        cfg = init_state(m, w, "burn_in", seed=3, burn_steps=200, burn_tau=1.0)
-        assert cfg.source == "burn_in"
-        assert np.all(np.isfinite(cfg.values))
+        runs = run_replicas(m, w, ProposalSpec(1.0, w.n), 1, seed=3,
+                            n_replicas=3, track_first=w.n, init="burn_in",
+                            burn_steps=200)
+        starts = np.stack([run.first_coord_path[0] for run in runs])
+        assert np.all(np.isfinite(starts)) and np.all(starts != 0.0)
 
 
 class TestRunChain:
@@ -326,16 +346,22 @@ class TestRunChain:
         assert np.array_equal(a.states, b.states)
 
     def test_batched_replicas_match_standalone(self):
+        # A batched burn-in equals the one-row burn-ins, in start states and
+        # in the stream positions the chains go on from.
         m = gaussian_product(1.0, d=1)
         w = build_line(10, m.neighborhood)
         spec = ProposalSpec(2.0, 10)
-        runs = run_replicas(m, w, spec, 400, seed=13, n_replicas=3,
-                            recording="full", track_first=1)
-        for cid in range(3):
-            solo = run_chain(m, w, spec, 400, seed=13, chain_id=cid, track_first=1)
-            assert np.array_equal(runs[cid].records.u, solo.records.u)
-            assert np.array_equal(runs[cid].first_coord_path, solo.first_coord_path)
-            assert np.array_equal(runs[cid].final_state.values, solo.final_state.values)
+        for init in ("exact_gaussian", "burn_in"):
+            runs = run_replicas(m, w, spec, 400, seed=13, n_replicas=3,
+                                recording="full", track_first=w.n, init=init)
+            for cid in range(3):
+                solo = run_chain(m, w, spec, 400, seed=13, chain_id=cid,
+                                 track_first=w.n, init=init)
+                assert np.array_equal(runs[cid].records.u, solo.records.u)
+                assert np.array_equal(runs[cid].first_coord_path,
+                                      solo.first_coord_path)
+                assert np.array_equal(runs[cid].final_state.values,
+                                      solo.final_state.values)
 
     def test_distinct_chain_ids_distinct_streams(self):
         m = gaussian_product(1.0, d=1)
@@ -394,8 +420,8 @@ class TestRunChain:
         runs = run_replicas(m, w, ProposalSpec(1.0, w.n), 1, seed=31,
                             n_replicas=3, chain_ids=ids, track_first=w.n)
         for run, cid in zip(runs, ids):
-            solo = gaussian_exact_sample(build_precision(m, w), chain_rng(31, cid))
-            assert np.array_equal(run.first_coord_path[0], solo.values)
+            solo = gaussian_exact_samples(build_precision(m, w), chain_rng(31, cid), 1)
+            assert np.array_equal(run.first_coord_path[0], solo[0])
 
     def test_one_precision_per_call(self, monkeypatch):
         calls = []
@@ -412,15 +438,6 @@ class TestRunChain:
         run_replicas(m, w, ProposalSpec(1.0, w.n), 5, seed=1, n_replicas=2,
                      init="burn_in", burn_steps=10)
         assert len(calls) == 1
-
-    def test_wall_time_is_per_chain_share(self):
-        m = gaussian_product(1.0, d=1)
-        w = build_line(20, m.neighborhood)
-        started = time.perf_counter()
-        runs = run_replicas(m, w, ProposalSpec(1.0, 20), 2000, seed=4, n_replicas=4)
-        elapsed = time.perf_counter() - started
-        assert len({r.wall_time for r in runs}) == 1
-        assert 0.0 < sum(r.wall_time for r in runs) <= elapsed
 
     def test_nonfinite_delta_h_rejected(self):
         # tau=1e160 overflows the quartic: every dH is inf - inf = NaN.

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,10 +9,11 @@ from hypothesis import strategies as st
 from gibbsrwm import scaling
 from gibbsrwm.estimators import (CYLINDER_FUNCTIONS, CylinderFunction,
                                  acceptance_rate, esjd_first_coord,
-                                 pool_replicas)
+                                 limiting_form, pool_replicas)
 from gibbsrwm.lattice import build_box, build_line
 from gibbsrwm.models import gaussian_product, gff
-from gibbsrwm.sampler import ProposalSpec, run_replicas
+from gibbsrwm.oracle import build_precision, gaussian_exact_samples
+from gibbsrwm.sampler import ProposalSpec, chain_rng, run_replicas
 from gibbsrwm.scaling import (c_mc_oracle, c_theoretical, efficiency,
                               limiting_form_quadrature, mosco_m2_check,
                               product_chain_family, sweep_n, sweep_tau,
@@ -185,7 +187,6 @@ class TestStackedSweep:
                 assert np.array_equal(a.summary.batch_acc, b.summary.batch_acc)
                 assert np.array_equal(a.summary.batch_jump, b.summary.batch_jump)
                 assert np.array_equal(a.final_state.values, b.final_state.values)
-                assert a.final_state.source == b.final_state.source
             row = curve.rows[ti]
             assert row.tau == tau
             assert row.acceptance == pool_replicas(
@@ -271,21 +272,45 @@ class TestMoscoM2:
 
     def test_quadrature_limiting_value(self):
         f = CYLINDER_FUNCTIONS["sin_x1"]
-        est = limiting_form_quadrature(f, gaussian_product(1.0), 2.38, 1.0)
+        model = gaussian_product(1.0)
+        est = limiting_form_quadrature(f, model, build_line(3, model.neighborhood),
+                                       2.38, 1.0)
         expected = 0.5 * 2.38**2 * c_theoretical(2.38, 1.0) * (1 + math.exp(-2)) / 2
         assert est.value == pytest.approx(expected, abs=1e-10)
 
-    def test_exact_mc_limiting_route_close_to_quadrature(self):
-        f = CYLINDER_FUNCTIONS["sin_x1"]
-        model = gff(0.0001, 1.0, d=1)  # nearly independent sites
+    @pytest.mark.parametrize("name", sorted(CYLINDER_FUNCTIONS))
+    def test_gff_quadrature_matches_exact_draws(self, name):
+        # A constant boundary gives the leading coordinates a nonzero mean.
+        f = CYLINDER_FUNCTIONS[name]
+        model = gff(1.0, 1.0, d=2)
+        window = build_box(2, 1, model.neighborhood, "constant", 0.8)
+        quad = limiting_form_quadrature(f, model, window, 2.38, 1.2)
+        draws = gaussian_exact_samples(build_precision(model, window),
+                                       chain_rng(3, 0), 40_000)
+        mc = limiting_form(f, model, 2.38, 1.2, draws)
+        assert quad.std_error == 0.0
+        assert abs(quad.value - mc.value) <= 4 * mc.std_error
+
+    def test_quadratic_models_take_the_quadrature_route(self):
+        f = CYLINDER_FUNCTIONS["gauss_bump_x1x2"]
+        model = gff(1.0, 1.0, d=2)
 
         def make(n):
-            side = n  # 1d line via boxes of odd size only
-            return model, build_line(side, model.neighborhood)
+            return model, build_box(2, (math.isqrt(n) - 1) // 2, model.neighborhood)
 
-        table = mosco_m2_check(f, make, [5, 9], tau=1.0, steps=500, seed=11,
-                               replicas=2, limiting="exact_mc", mc_samples=20_000)
-        quad = limiting_form_quadrature(f, gaussian_product(1.0), 1.0,
-                                        table.s_hat)
-        assert table.limiting.value == pytest.approx(
-            quad.value, abs=4 * table.limiting.std_error + 1e-3)
+        table = mosco_m2_check(f, make, [9, 25], tau=1.0, steps=200, seed=1,
+                               replicas=2)
+        assert table.limiting == limiting_form_quadrature(
+            f, model, make(25)[1], 1.0, table.s_hat)
+
+    def test_quadrature_memory_stays_small(self):
+        model = gff(1.0, 1.0, d=2)
+        window = build_box(2, 5, model.neighborhood)  # 11 x 11
+        tracemalloc.start()
+        try:
+            limiting_form_quadrature(CYLINDER_FUNCTIONS["gauss_bump_x1x2"], model,
+                                     window, 2.38, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20

@@ -15,7 +15,7 @@ import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
 from scipy.linalg import cho_solve, cholesky, solve_triangular
 
-from .models import InteractionModel, site_energies
+from .models import InteractionModel, quadratic_operator, site_energies
 from .lattice import Window
 
 # Elements per row block of the precision symmetry check: its temporaries
@@ -73,36 +73,14 @@ class PrecisionMatrix:
         return self.solve(np.eye(self.n))
 
 
-def _precision_diagonal(model: InteractionModel, window: Window) -> np.ndarray:
-    """Diagonal of Q: 2*self_quad_coeff plus 2*diag[s] for each slot active
-    at the site, added in slot order."""
+def build_precision(model: InteractionModel, window: Window) -> PrecisionMatrix:
+    """Dense Q and b of a quadratic model, from its quadratic operator."""
     if not model.is_quadratic:
         raise ValueError(f"{model.family} has no quadratic Hamiltonian")
-    t = window.site_tables(model.neighborhood)
-    q = np.full(window.n, 2.0 * model.self_quad_coeff)
-    for s, diag in enumerate(model.slot_coeffs(t)[0]):
-        q[t.active[s]] += 2.0 * diag
-    return q
-
-
-def build_precision(model: InteractionModel, window: Window) -> PrecisionMatrix:
-    """Assemble Q and b from the model's quadratic structure."""
-    q = _precision_diagonal(model, window)
-    t = window.site_tables(model.neighborhood)
-    cross = model.slot_coeffs(t)[1]
-    n = window.n
-    Q = np.diag(q)
-    b = np.zeros(n)
-    sites = np.arange(n)
-    for s in range(t.n_slots):
-        act = t.active[s]
-        # A pair term -cross * x_i * x_j adds -cross to both Q_ij and Q_ji.
-        ins = t.inside[s]
-        Q[sites[ins], t.idx[s][ins]] -= cross[s]
-        Q[t.idx[s][ins], sites[ins]] -= cross[s]
-        outs = act & ~ins
-        b[sites[outs]] += cross[s] * t.ext_values[t.idx[s][outs] - n]
-    return PrecisionMatrix(Q, b, window)
+    op = quadratic_operator(model, window)
+    Q = op.offdiag.toarray() if op.offdiag is not None else np.zeros((op.n, op.n))
+    np.fill_diagonal(Q, op.diag)
+    return PrecisionMatrix(Q, op.shift, window)
 
 
 def gaussian_exact_samples(precision: PrecisionMatrix, rng: np.random.Generator,
@@ -120,7 +98,9 @@ def gaussian_s2_exact(model: InteractionModel, window: Window) -> float:
     E[D_k^2 H], the constant Q_kk for quadratic H. Every slot is active at
     every interior site of a lattice window, so all of them give the same
     Q_kk; adjacency windows have no boundary."""
-    q = _precision_diagonal(model, window)
+    if not model.is_quadratic:
+        raise ValueError(f"{model.family} has no quadratic Hamiltonian")
+    q = quadratic_operator(model, window).diag
     inner = window.interior_indices()
     if not inner.size:
         raise ValueError("window has no interior vertex")

@@ -8,13 +8,23 @@ makes single-chain and batched execution produce identical chains.  Each
 row of a batch has its own proposal scale sigma = tau / sqrt(n), so one
 batch may stack the replicas of several tau values (scaling.sweep_tau does).
 
+dH is evaluated in gradient form.  With H(x) = x'Qx/2 - b'x + remainder
+(models.quadratic_operator), a move d = y - x changes H by
+
+    dH = d.g + d'Qd/2 + sum_k [self(y_k) - self(x_k)],    g = Qx - b,
+
+where the last sum is there only for non-quadratic models.  d'Qd depends on
+the proposal alone, so it is computed once per chunk for every proposal; g
+is kept per row and recomputed exactly from x whenever the row moves.
+
 Within a chunk the kernel runs in rounds.  A rejected proposal leaves the
 state unchanged, so the proposals up to the next acceptance all start from
-the current state: a round evaluates the next K of them in one
-site_energies call and commits the steps up to and including the first
-that some row accepts.  The chain, its records and its draw order are those
-of the one-step kernel, bit for bit; K (see _lookahead) only sets how much
-work each call does.
+the current state: a round evaluates the dH of the next K of them at once
+(_round_dh) and commits the steps up to and including the first that some
+row accepts.  The chain, its records and its draw order are those of the
+one-step kernel, bit for bit; K (see _lookahead) only sets how much work
+each round does.  Every product and sum in dH treats a row on its own, so a
+row's dH does not depend on the other rows, on K or on the chunk length.
 
 Each chain's ChainSummary is streamed chunk by chunk (_SummaryStream), so a
 run keeps per-step arrays only when it records them ("full"); "summary"
@@ -24,20 +34,22 @@ mode and burn-in use memory of one chunk, whatever the number of steps.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .lattice import Window
-from .models import Configuration, InteractionModel, site_energies
+from .models import Configuration, InteractionModel, quadratic_operator
 from .oracle import build_precision, gaussian_exact_samples
 
 CHUNK = 256
 # Fixed cost of one Metropolis round (Python and numpy call overhead) in
-# site evaluations; see _lookahead.  On one 2-vCPU x86 core a round cost
-# 30-65 us plus 13-24 ns per site evaluation (product Gaussian and phi4),
-# so the overhead equals 1 250-3 000 site evaluations.
+# site evaluations; see _lookahead.  On one 2-vCPU x86 core a round costs
+# 25-45 us and its dH 1.5 ns per site (7.5 ns with phi4's quartic self
+# term), an overhead of 3 000-30 000 site evaluations.  1 500 is kept: a
+# round commits at most 1/a steps on average whatever its size, and phi4
+# (n = 99) and single-site chains cost the same per step up to 25 000.
 ROUND_SITES = 1500
 BURN_TAU = 2.38  # proposal scale of the burn-in that init "burn_in" runs
 _MASK64 = (1 << 64) - 1
@@ -253,6 +265,20 @@ def _lookahead(accept_rate: float, rows: int, n: int, room: int) -> int:
     return int(k[np.argmin((ROUND_SITES + k * rows * n) / steps)])
 
 
+def _round_dh(d: np.ndarray, g: np.ndarray, q: np.ndarray,
+              remainder: Callable[[np.ndarray], np.ndarray] | None,
+              x: np.ndarray, rem_x: np.ndarray | None) -> np.ndarray:
+    """dH of the (R, k) proposals x + d of one round, in gradient form:
+    d.g + q/2 with g = Qx - b and q = d'Qd, plus the change of the
+    non-quadratic remainder.  Elementwise products summed along the last
+    axis keep each row's value independent of R and k."""
+    dh = (d * g[:, None]).sum(axis=-1)
+    dh += 0.5 * q
+    if remainder is not None:
+        dh += (remainder(x[:, None] + d) - rem_x[:, None]).sum(axis=-1)
+    return dh
+
+
 def _drive(model: InteractionModel, window: Window, specs: list[ProposalSpec],
            steps: int, rngs: list[np.random.Generator], x0: np.ndarray,
            keep_arrays: bool, thin: int, track_first: int):
@@ -267,7 +293,10 @@ def _drive(model: InteractionModel, window: Window, specs: list[ProposalSpec],
     n = window.n
     sigma = np.array([spec.sigma for spec in specs])[:, None, None]
     x = np.array(x0, dtype=float)
-    eps_x = site_energies(model, window, x)
+    op = quadratic_operator(model, window)
+    g = op.gradient(x)
+    remainder = None if model.is_quadratic else model.self_energy
+    rem_x = remainder(x) if remainder is not None else None
 
     stream = _SummaryStream(R, steps)
     records = None
@@ -277,6 +306,7 @@ def _drive(model: InteractionModel, window: Window, specs: list[ProposalSpec],
     width = min(CHUNK, steps)
     incr = np.empty((R, width, n))  # one buffer, refilled every chunk
     us = np.empty((R, width))
+    quad = np.empty((R, width))
     dh_buf = np.empty((R, width))
     acc_buf = np.empty((R, width), dtype=bool)
     n_snaps = steps // thin if thin else 0
@@ -293,7 +323,9 @@ def _drive(model: InteractionModel, window: Window, specs: list[ProposalSpec],
             rngs[r].random(out=us[r, :c])
         incr_c, us_c = incr[:, :c], us[:, :c]
         dh_c, acc_c = dh_buf[:, :c], acc_buf[:, :c]
-        incr_c *= sigma  # the proposal moves, sigma * increment
+        incr_c *= sigma  # the proposal moves d = sigma * increment
+        for r in range(R):
+            op.quad_forms(incr_c[r], quad[r, :c])
         # Before any step, assume every proposal is accepted: K = 1.
         accepted = int(stream.accept.sum())
         K = _lookahead(accepted / (R * t) if t else 1.0, R, n, c)
@@ -302,14 +334,13 @@ def _drive(model: InteractionModel, window: Window, specs: list[ProposalSpec],
             j = 0
             while j < c:
                 k = min(K, c - j)
-                y = x[:, None] + incr_c[:, j:j + k]
-                eps_y = site_energies(model, window, y)
-                dh = (eps_y - eps_x[:, None]).sum(axis=-1)
+                d = incr_c[:, j:j + k]
+                dh = _round_dh(d, g, quad[:, j:j + k], remainder, x, rem_x)
                 # A non-finite dH (inf - inf in the energies) is rejected.
                 acc = (us_c[:, j:j + k] < np.exp(-np.maximum(dh, 0.0))) & np.isfinite(dh)
                 m = k
                 if k > 1:
-                    hits = np.flatnonzero(acc.any(axis=0))
+                    hits = acc.any(axis=0).nonzero()[0]
                     m = int(hits[0]) + 1 if hits.size else k
                 start, end = t + j, t + j + m
                 dh_c[:, j:j + m] = dh[:, :m]
@@ -320,9 +351,18 @@ def _drive(model: InteractionModel, window: Window, specs: list[ProposalSpec],
                     path[:, start + 1:end] = x[:, None, :track_first]
                 if states is not None:
                     states[:, start // thin:(end - 1) // thin] = x[:, None]
-                moved = acc[:, m - 1, None]
-                x = np.where(moved, y[:, m - 1], x)
-                eps_x = np.where(moved, eps_y[:, m - 1], eps_x)
+                # g is recomputed from x, never updated, so it cannot drift.
+                moved = acc[:, m - 1].nonzero()[0]
+                if moved.size == R:
+                    x += d[:, m - 1]
+                    g = op.gradient(x)
+                    if remainder is not None:
+                        rem_x = remainder(x)
+                elif moved.size:
+                    x[moved] += d[moved, m - 1]
+                    g[moved] = op.gradient(x[moved])
+                    if remainder is not None:
+                        rem_x[moved] = remainder(x[moved])
                 if path is not None:
                     path[:, end] = x[:, :track_first]
                 if states is not None and end % thin == 0:

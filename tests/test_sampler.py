@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,11 +9,16 @@ import pytest
 from gibbsrwm import sampler
 from gibbsrwm.lattice import build_box, build_line
 from gibbsrwm.models import (Configuration, custom_pairwise, delta_hamiltonian,
-                             gaussian_product, gff, phi4, site_energies,
-                             zeros_configuration)
+                             gaussian_product, gff, phi4, zeros_configuration)
 from gibbsrwm.oracle import build_precision, gaussian_exact_samples
 from gibbsrwm.sampler import (ProposalSpec, chain_rng, run_chain, run_replicas,
                               summarize_records)
+
+
+# The kernel evaluates dH in gradient form, d.(Qx - b) + d'Qd/2 plus the
+# change of the self terms, and delta_hamiltonian as a sum of per-site energy
+# differences: the two agree to rounding, not bit for bit.
+DH_RTOL = 1e-12
 
 
 def scalar_reference(model, window, spec, steps, rng, x):
@@ -40,22 +46,25 @@ def scalar_reference(model, window, spec, steps, rng, x):
             np.array(states))
 
 
-class CountingSiteEnergies:
-    """Stands in for sampler.site_energies and counts its calls."""
+class CountingRounds:
+    """Stands in for sampler._round_dh and counts the kernel's rounds."""
 
     def __init__(self):
         self.calls = 0
+        self.round_dh = sampler._round_dh
 
-    def __call__(self, model, window, values):
+    def __call__(self, *args):
         self.calls += 1
-        return site_energies(model, window, values)
+        return self.round_dh(*args)
 
 
 def assert_matches_reference(model, window, spec, steps, seed, ids, thin=0,
                              track_first=0, init_values=None):
     """run_replicas over the chain ids equals scalar_reference for every
-    chain, bit for bit: records, final state, thinned states and paths.
-    Chains start from `init_values`, else from an exact Gaussian draw."""
+    chain: u, accept flags, final state, thinned states and paths bit for
+    bit, and dH at the same non-finite positions and within DH_RTOL of
+    delta_hamiltonian elsewhere.  Chains start from `init_values`, else
+    from an exact Gaussian draw."""
     init = {} if init_values is None else dict(
         init="given", init_config=Configuration(window, init_values))
     runs = run_replicas(model, window, spec, steps, seed, n_replicas=len(ids),
@@ -69,9 +78,15 @@ def assert_matches_reference(model, window, spec, steps, seed, ids, thin=0,
                                                   rng, x0)
         rec = run.records
         assert np.array_equal(run.final_state.values, st.values)
-        assert np.array_equal(rec.delta_h, dh, equal_nan=True)
+        finite = np.isfinite(dh)
+        assert np.array_equal(np.isfinite(rec.delta_h), finite)
+        err = np.abs(rec.delta_h[finite] - dh[finite])
+        assert np.all(err <= DH_RTOL * np.maximum(np.abs(dh[finite]), 1.0))
         assert np.array_equal(rec.u, u)
         assert np.array_equal(rec.accepted, acc)
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            p = np.exp(-np.maximum(rec.delta_h, 0.0))
+        assert np.array_equal(rec.accepted, np.isfinite(rec.delta_h) & (rec.u < p))
         assert run.summary.accept_count == acc.sum()
         if thin:
             assert np.array_equal(run.states, states[thin - 1::thin])
@@ -541,13 +556,13 @@ class TestRunChain:
 
 
 class TestLookahead:
-    """Rounds of several proposals per site_energies call, pinned bit for bit
-    to the one-step scalar reference where the lookahead is active."""
+    """Rounds of several proposals per dH evaluation, pinned to the one-step
+    scalar reference where the lookahead is active."""
 
     @pytest.fixture
     def counter(self, monkeypatch):
-        counting = CountingSiteEnergies()
-        monkeypatch.setattr(sampler, "site_energies", counting)
+        counting = CountingRounds()
+        monkeypatch.setattr(sampler, "_round_dh", counting)
         return counting
 
     def test_low_acceptance_phi4_two_chunks_and_tail(self, counter):
@@ -624,7 +639,7 @@ class TestLookahead:
                             n_replicas=8, init="given",
                             init_config=zeros_configuration(w))
         assert max(r.summary.acceptance for r in runs) < 0.2
-        assert counter.calls == steps + 1
+        assert counter.calls == steps
 
     def test_round_size_rule(self):
         # No steps yet (a = 1): one proposal per round.
@@ -636,3 +651,77 @@ class TestLookahead:
         assert sampler._lookahead(0.0, 8, 100, sampler.CHUNK) == 1
         assert sampler._lookahead(0.0, 8, 2401, sampler.CHUNK) == 1
 
+
+def exact_energy(model, window, values, self_exact):
+    """H(x) in exact rational arithmetic, straight from the pair-term
+    definition (index_of, boundary_value_at); `self_exact` maps a Fraction
+    to the self energy."""
+    x = [Fraction(v) for v in values]
+    total = Fraction(0)
+    for i, k in enumerate(window.vertices):
+        total += self_exact(x[i])
+        for v in model.neighborhood.nonzero_offsets:
+            tgt = tuple(a + b for a, b in zip(k, v))
+            if tgt in window.index_of:
+                nv = x[window.index_of[tgt]]
+            else:
+                nv = window.boundary_value_at(tgt)
+                if nv is None:
+                    continue
+                nv = Fraction(nv)
+            total += (Fraction(model.pair_diag[v]) * x[i] * x[i]
+                      - Fraction(model.pair_cross[v]) * x[i] * nv)
+    return total
+
+
+class TestGradientFormAccuracy:
+    """Kernel dH against H(y) - H(x) evaluated exactly with fractions."""
+
+    def replay(self, model, window, spec, steps, seed, init):
+        """Each step's recorded dH, its state x and its proposal y."""
+        run = run_chain(model, window, spec, steps, seed, track_first=window.n,
+                        **init)
+        rng = chain_rng(seed, 0)
+        if init["init"] == "exact_gaussian":
+            gaussian_exact_samples(build_precision(model, window), rng, 1)
+        blocks = []
+        for t in range(0, steps, sampler.CHUNK):
+            c = min(sampler.CHUNK, steps - t)
+            blocks.append(spec.draw_increments(rng, (c, window.n)))
+            rng.random(c)
+        xs = run.first_coord_path[:-1]
+        return run.records.delta_h, xs, xs + spec.sigma * np.vstack(blocks)
+
+    @pytest.mark.parametrize("case", ["gff_constant_1e3", "phi4"])
+    def test_dh_matches_exact_difference(self, case):
+        if case == "phi4":
+            a, b = 0.25, -0.5
+            m = phi4(a, b, d=1)
+            w = build_box(1, 12, m.neighborhood)
+            spec = ProposalSpec(1.4, w.n)
+            init = dict(init="given", init_config=Configuration(
+                w, 0.8 * np.random.default_rng(5).standard_normal(w.n)))
+
+            def self_exact(x):
+                return (Fraction(a) * x * x + Fraction(b)) * x * x
+        else:
+            m2 = 0.3
+            m = gff(0.7, m2, d=2)
+            # The mean field sits near the boundary constant, so every site
+            # energy is of order 1e6 while dH stays of order 1.
+            w = build_box(2, 2, m.neighborhood, "constant", 1e3)
+            spec = ProposalSpec(2.0, w.n)
+            init = dict(init="exact_gaussian")
+
+            def self_exact(x):
+                return Fraction(0.5 * m2) * x * x
+        steps = sampler.CHUNK + 44
+        dh, xs, ys = self.replay(m, w, spec, steps, seed=8, init=init)
+        exact = np.array([float(exact_energy(m, w, y, self_exact)
+                                - exact_energy(m, w, x, self_exact))
+                          for x, y in zip(xs, ys)])
+        assert np.all(np.isfinite(dh))
+        # Here delta_hamiltonian's per-site differences of energies of order
+        # 1e6 are off by up to 2.5e-10 on the GFF; the gradient form by 5e-13.
+        err = np.abs(dh - exact) / np.maximum(np.abs(exact), 1.0)
+        assert err.max() < 1e-11

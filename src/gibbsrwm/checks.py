@@ -18,7 +18,7 @@ from .estimators import acceptance_rate, batch_means_se
 from .lattice import build_box, build_line
 from .models import gaussian_product, gff
 from .oracle import build_precision, gaussian_exact_samples, quad_acceptance
-from .sampler import ProposalSpec, chain_rng, run_chain
+from .sampler import ProposalSpec, chain_rng, run_chain, run_replicas
 from .scaling import c_mc_oracle, c_theoretical
 
 
@@ -34,12 +34,14 @@ def mc_vs_quad_acceptance(seed: int, steps: int = 150_000,
     """Single-site chain acceptance against the quadrature oracle, 3 SE."""
     model = gaussian_product(1.0, d=1)
     window = build_line(1, model.neighborhood)
+    # One stacked block: chain i runs at taus[i], as a chain of its own would.
+    runs = run_replicas(model, window, [ProposalSpec(tau, 1) for tau in taus],
+                        steps, seed, n_replicas=len(taus),
+                        chain_ids=range(len(taus)), recording="summary")
     worst = 0.0
     details = []
     ok = True
-    for i, tau in enumerate(taus):
-        run = run_chain(model, window, ProposalSpec(tau, 1), steps, seed,
-                        chain_id=i, recording="summary")
+    for tau, run in zip(taus, runs):
         mc = acceptance_rate(run.summary)
         q = quad_acceptance(model, window, tau)
         z = abs(mc.value - q) / max(mc.std_error, 1e-12)

@@ -15,6 +15,8 @@ import math
 import sys
 import time
 
+import numpy as np
+
 from .checks import BATTERY, run_battery
 from .config import (ConfigError, ExperimentConfig, _check_keys, build_model,
                      build_window, load_config, parse_config)
@@ -86,11 +88,11 @@ def cmd_sample(cfg: ExperimentConfig, writer: ManifestWriter):
                     recording="full", thin=0, init=cfg.run.init,
                     burn_steps=cfg.run.burn_steps)
     rec = run.records
-    rows = [[t, rec.delta_h[t], rec.accepted[t], rec.jump_sq_first_coord[t]]
-            for t in range(len(rec))]
-    writer.register(write_csv(writer.path("trajectory.csv"),
-                              ["t", "delta_h", "accepted", "jump_sq_first_coord"],
-                              rows))
+    writer.register(write_csv(
+        writer.path("trajectory.csv"),
+        ["t", "delta_h", "accepted", "jump_sq_first_coord"],
+        columns=[np.arange(len(rec)), rec.delta_h, rec.accepted,
+                 rec.jump_sq_first_coord]))
     acc = acceptance_rate(run.summary)
     esjd = esjd_first_coord(run.summary, window.n)
     dh = delta_h_stats(rec)

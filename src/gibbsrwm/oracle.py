@@ -13,56 +13,88 @@ from functools import cached_property
 
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
-from scipy.linalg import cho_solve, cholesky, solve_triangular
+from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.linalg.lapack import dtbtrs
 
-from .models import InteractionModel, quadratic_operator, site_energies
+from .models import (InteractionModel, QuadraticOperator, quadratic_operator,
+                     site_energies)
 from .lattice import Window
-
-# Elements per row block of the precision symmetry check: its temporaries
-# stay a few MB instead of several copies of the (n, n) matrix.
-_BLOCK = 1 << 18
 
 
 @dataclass(frozen=True)
 class PrecisionMatrix:
     """Quadratic window energy H(x) = x'Qx/2 - b'x with Q positive definite.
 
-    The Cholesky factor is computed on first use and shared by every later
-    draw and solve on this object.
+    Q is kept as its upper band in LAPACK `ab` layout: band[b + i - j, j] =
+    Q_ij for i <= j <= i + b, where b is the bandwidth.  A lexicographically
+    ordered box has b = (2L+1)^(d-1) and its Cholesky factor stays inside
+    the band (Rue, JRSS-B 2001), so draws and solves cost O(n b^2) time and
+    O(n b) memory.  The factor is computed on first use and shared by every
+    later draw and solve on this object.
     """
 
-    matrix: np.ndarray  # Q, (n, n)
-    shift: np.ndarray   # b, (n,)
+    band: np.ndarray   # Q's upper band, (b + 1, n)
+    shift: np.ndarray  # b, (n,)
     window: Window
 
-    def __post_init__(self):
-        Q = self.matrix
-        if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
-            raise ValueError("precision matrix must be square")
-        n = Q.shape[0]
-        rows = max(1, _BLOCK // max(n, 1))
-        for start in range(0, n, rows):
-            block = slice(start, start + rows)
-            if not np.allclose(Q[block], Q[:, block].T, atol=1e-12):
-                raise ValueError("precision matrix must be symmetric")
+    @classmethod
+    def from_operator(cls, op: QuadraticOperator, window: Window) -> PrecisionMatrix:
+        """The band of Q = diag(op.diag) + op.offdiag, whose bandwidth is the
+        largest |i - j| over the off-diagonal pattern (0 without pairs).
+
+        Only Q's upper triangle is stored, so symmetry is checked here, once,
+        on the sparse pattern: |Q_ij - Q_ji| <= 1e-12 + 1e-5 |Q_ji|."""
+        n = op.n
+        if op.offdiag is None or op.offdiag.nnz == 0:
+            return cls(op.diag[None, :].copy(), op.shift, window)
+        lower = op.offdiag.T
+        excess = abs(op.offdiag - lower) - 1e-5 * abs(lower)
+        if excess.max() > 1e-12:
+            raise ValueError("precision matrix must be symmetric")
+        pairs = op.offdiag.tocoo()
+        pairs.sum_duplicates()
+        i, j = pairs.row, pairs.col
+        b = int(np.abs(i - j).max())
+        band = np.zeros((b + 1, n))
+        band[b] = op.diag
+        up = j > i
+        # Added onto zeros, as the sparse matrix's dense form is: -0.0 reads 0.0.
+        band[b + i[up] - j[up], j[up]] += pairs.data[up]
+        return cls(band, op.shift, window)
 
     @property
     def n(self) -> int:
-        return self.matrix.shape[0]
+        return self.band.shape[1]
+
+    @property
+    def bandwidth(self) -> int:
+        return self.band.shape[0] - 1
 
     @cached_property
-    def _upper(self) -> np.ndarray:
-        U = cholesky(self.matrix, lower=False)
+    def matrix(self) -> np.ndarray:
+        """Dense Q (read-only, built on first read): for small windows and
+        for inspection; no draw or solve uses it."""
+        b, n = self.bandwidth, self.n
+        Q = np.zeros((n, n))
+        for k in range(1, b + 1):
+            i = np.arange(n - k)
+            Q[i, i + k] = Q[i + k, i] = self.band[b - k, k:]
+        np.fill_diagonal(Q, self.band[b])
+        Q.setflags(write=False)
+        return Q
+
+    @cached_property
+    def factor(self) -> np.ndarray:
+        """Upper Cholesky factor U (U'U = Q) in the same band layout
+        (read-only, computed once); raises LinAlgError unless Q is positive
+        definite."""
+        U = cholesky_banded(self.band, lower=False)
         U.setflags(write=False)
         return U
 
-    def chol_upper(self) -> np.ndarray:
-        """Upper factor U with U'U = Q (read-only, computed once)."""
-        return self._upper
-
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Q^{-1} rhs through the shared factor."""
-        return cho_solve((self._upper, False), rhs)
+        return cho_solve_banded((self.factor, False), rhs)
 
     def mean(self) -> np.ndarray:
         if not self.shift.any():
@@ -74,21 +106,18 @@ class PrecisionMatrix:
 
 
 def build_precision(model: InteractionModel, window: Window) -> PrecisionMatrix:
-    """Dense Q and b of a quadratic model, from its quadratic operator."""
+    """Banded Q and b of a quadratic model, from its quadratic operator."""
     if not model.is_quadratic:
         raise ValueError(f"{model.family} has no quadratic Hamiltonian")
-    op = quadratic_operator(model, window)
-    Q = op.offdiag.toarray() if op.offdiag is not None else np.zeros((op.n, op.n))
-    np.fill_diagonal(Q, op.diag)
-    return PrecisionMatrix(Q, op.shift, window)
+    return PrecisionMatrix.from_operator(quadratic_operator(model, window), window)
 
 
 def gaussian_exact_samples(precision: PrecisionMatrix, rng: np.random.Generator,
                            count: int) -> np.ndarray:
     """(count, n) exact draws x = mu + U^{-1} z (U'U = Q), one factorization."""
-    U = precision.chol_upper()
     z = rng.standard_normal((precision.n, count))
-    return (precision.mean()[:, None] + solve_triangular(U, z, lower=False)).T
+    x, _ = dtbtrs(precision.factor, z)
+    return (precision.mean()[:, None] + x).T
 
 
 def gaussian_s2_exact(model: InteractionModel, window: Window) -> float:
@@ -261,7 +290,8 @@ def _quad_acceptance_quadratic(model: InteractionModel, window: Window, tau: flo
 
     n = window.n
     sigma = tau / math.sqrt(n)
-    Q = build_precision(model, window).matrix
+    op = quadratic_operator(model, window)
+    q00 = op.diag[0]
     pdf, rlim = _increment_density(increment_family)
 
     def conditional(rr_quad):
@@ -271,10 +301,12 @@ def _quad_acceptance_quadratic(model: InteractionModel, window: Window, tau: flo
     if n == 1:
         def estimate(m: int) -> float:
             r, w = _gauss_legendre_grid(0.0, rlim, m)
-            vals = conditional(Q[0, 0] * r * r) * pdf(r)
+            vals = conditional(q00 * r * r) * pdf(r)
             mass = (w * pdf(r)).sum()
             return float((w * vals).sum() / mass)
     else:
+        q11 = op.diag[1]
+        q01 = 0.0 if op.offdiag is None else op.offdiag[0, 1] + op.offdiag[1, 0]
         if increment_family == "standard_normal":
             theta_pieces = [(0.0, 2.0 * math.pi)]
             def rho_max(theta):
@@ -298,7 +330,7 @@ def _quad_acceptance_quadratic(model: InteractionModel, window: Window, tau: flo
                 th, thw = _gauss_legendre_grid(a, b, m)
                 rmax = rho_max(th)
                 c, s = np.cos(th), np.sin(th)
-                qdir = Q[0, 0] * c * c + (Q[0, 1] + Q[1, 0]) * c * s + Q[1, 1] * s * s
+                qdir = q00 * c * c + q01 * c * s + q11 * s * s
                 rho = ts[:, None] * rmax[None, :]
                 jac = (tw[:, None] * thw[None, :]) * rmax[None, :] * rho * pdf2(rho)
                 num += float((conditional(qdir[None, :] * rho * rho) * jac).sum())

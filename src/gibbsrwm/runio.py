@@ -49,12 +49,40 @@ def _atomic_write(path: str, data: str):
         raise
 
 
-def write_csv(path: str, header: list[str], rows) -> str:
+# Rows per formatting block of write_csv: a block's cell strings are freed
+# before the next block is formatted.
+CSV_BLOCK = 1 << 12
+
+
+def _column_text(column) -> list[str]:
+    """`fmt` of every entry; numpy float, bool and int columns are formatted
+    in one pass over `tolist()`, with the same text."""
+    if isinstance(column, np.ndarray):
+        if column.dtype.kind == "f":
+            return list(map(repr, column.tolist()))
+        if column.dtype.kind == "b":
+            return ["true" if v else "false" for v in column.tolist()]
+        if column.dtype.kind in "iu":
+            return list(map(str, column.tolist()))
+    return [fmt(v) for v in column]
+
+
+def write_csv(path: str, header: list[str], rows=(), *, columns=None) -> str:
+    """CSV of `rows`, or of `columns` (one sequence per header field, all of
+    one length) when given, with every value written as `fmt` writes it."""
+    if columns is None:
+        for row in rows:
+            if len(row) != len(header):
+                raise ValueError(f"row width {len(row)} != header width {len(header)}")
+        columns = list(zip(*rows)) or [()] * len(header)
+    if len(columns) != len(header):
+        raise ValueError(f"{len(columns)} columns != header width {len(header)}")
+    if len({len(c) for c in columns}) > 1:
+        raise ValueError("columns differ in length")
     lines = [",".join(header)]
-    for row in rows:
-        if len(row) != len(header):
-            raise ValueError(f"row width {len(row)} != header width {len(header)}")
-        lines.append(",".join(fmt(v) for v in row))
+    for start in range(0, len(columns[0]) if columns else 0, CSV_BLOCK):
+        texts = [_column_text(c[start:start + CSV_BLOCK]) for c in columns]
+        lines.extend(map(",".join, zip(*texts)))
     _atomic_write(path, "\n".join(lines) + "\n")
     return path
 

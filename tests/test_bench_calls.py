@@ -40,3 +40,24 @@ def test_workload_runs(workloads, name):
     if name == "phi4_sample":
         assert not detail.startswith("exit code"), detail
         assert digest is not None
+
+
+def test_traced_gff_window(workloads):
+    # The traced repetition wraps gibbsrwm's functions and reads their
+    # arguments and results (the precision's dense size among them), so an
+    # oracle or sampler change that breaks a traced run fails here.
+    tracer_module = importlib.import_module("tracer")
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        workloads.WORKLOADS["gff_window"](3, lambda: None)
+    finally:
+        tracer.uninstall()
+    dump = tracer.dump()
+    assert not [note for note in dump["absent"] if "counters" in note], dump["absent"]
+    metrics = tracer_module.layer_metrics(dump)
+    assert set(metrics) <= set(tracer_module.METRIC_UNITS)
+    assert metrics["oracle.build_precision_calls"] == 1
+    assert metrics["oracle.precision_mb"] > 0
+    assert metrics["sampler.proposals"] == TINY["GFF"]["replicas"] * TINY["GFF"]["steps"]
+    assert metrics["sampler.run_s"] > 0

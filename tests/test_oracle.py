@@ -2,17 +2,20 @@ import dataclasses
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from scipy import sparse
+from scipy.linalg import (LinAlgError, cho_solve, cho_solve_banded, cholesky,
+                          cholesky_banded, solve_triangular)
+from scipy.linalg.lapack import dtbtrs
 
+from gibbsrwm import oracle, sampler
 from gibbsrwm.lattice import (Neighborhood, Window, build_box, build_line,
                               nearest_neighbor)
-from gibbsrwm.models import (Configuration, gaussian_product, gff, hamiltonian,
-                             phi4)
-from gibbsrwm import oracle
-from gibbsrwm.oracle import (_BLOCK, PrecisionMatrix, build_precision,
+from gibbsrwm.models import (Configuration, QuadraticOperator, gaussian_product,
+                             gff, hamiltonian, phi4, quadratic_operator)
+from gibbsrwm.oracle import (PrecisionMatrix, build_precision,
                              gaussian_exact_samples, gaussian_s2_exact,
                              quad_acceptance, quad_expectation_1d)
-from gibbsrwm.sampler import chain_rng
+from gibbsrwm.sampler import ProposalSpec, chain_rng, run_replicas
 
 RNG = np.random.default_rng(77)
 
@@ -50,8 +53,8 @@ class TestBuildPrecision:
         m = gff(1.0, 1.0, d=2)
         w = build_box(2, 3, m.neighborhood)
         prec = build_precision(m, w)
-        assert np.allclose(prec.matrix, prec.matrix.T, atol=1e-12)
-        prec.chol_upper()  # raises if not positive definite
+        assert np.array_equal(prec.matrix, prec.matrix.T)
+        assert prec.factor.shape == prec.band.shape  # raises unless positive definite
 
     def test_rejects_non_quadratic(self):
         m = phi4(0.5, -1.0, d=1)
@@ -60,41 +63,172 @@ class TestBuildPrecision:
             build_precision(m, w)
 
     def test_rejects_asymmetric_matrix(self):
-        m = gaussian_product(1.0, d=1)
-        w = build_line(2, m.neighborhood)
-        with pytest.raises(ValueError):
-            PrecisionMatrix(np.array([[1.0, 0.2], [0.0, 1.0]]), np.zeros(2), w)
-
-    def test_blockwise_symmetry_check(self):
-        # Large enough that the check runs in several row blocks; the only
-        # asymmetric pair lies in the last one.
-        n = 1024
-        assert _BLOCK // n < n - 2
-        w = build_line(n, gaussian_product(1.0, d=1).neighborhood)
-        Q = np.eye(n)
-        Q[n - 1, n - 2] = 1e-9
+        # The band keeps one triangle, so an asymmetric Q is refused when
+        # the band is built from the sparse operator.
+        w = build_line(2, gaussian_product(1.0, d=1).neighborhood)
+        op = QuadraticOperator(np.ones(2), sparse.csr_matrix([[0.0, 0.2], [0.0, 0.0]]),
+                               np.zeros(2))
         with pytest.raises(ValueError, match="symmetric"):
-            PrecisionMatrix(Q, np.zeros(n), w)
-        Q[n - 1, n - 2] = 5e-13  # within atol=1e-12: accepted as before
-        PrecisionMatrix(Q, np.zeros(n), w)
+            PrecisionMatrix.from_operator(op, w)
+
+    def test_symmetry_tolerance_on_sparse_pattern(self):
+        # One asymmetric pair at the far end of a long window; the tolerance
+        # is np.allclose's (atol=1e-12), as with the dense check before.
+        n = 1024
+        w = build_line(n, gaussian_product(1.0, d=1).neighborhood)
+
+        def op(value):
+            off = sparse.csr_matrix(([value], ([n - 1], [n - 2])), shape=(n, n))
+            return QuadraticOperator(np.ones(n), off, np.zeros(n))
+
+        with pytest.raises(ValueError, match="symmetric"):
+            PrecisionMatrix.from_operator(op(1e-9), w)
+        prec = PrecisionMatrix.from_operator(op(5e-13), w)  # within atol: accepted
+        assert prec.bandwidth == 1
+        assert prec.band[0, n - 1] == 0.0  # only the upper triangle is kept
+
+
+def dense_reference(model, window):
+    """Reference dense Q (the sparse operator densified, then its diagonal
+    filled in), its dense upper Cholesky factor and b."""
+    op = quadratic_operator(model, window)
+    Q = op.offdiag.toarray() if op.offdiag is not None else np.zeros((op.n, op.n))
+    np.fill_diagonal(Q, op.diag)
+    return Q, cholesky(Q, lower=False), op.shift
+
+
+def dense_draws(model, window, rng, count):
+    """(count, n) draws mu + U^{-1} z through the dense reference factor."""
+    Q, U, shift = dense_reference(model, window)
+    z = rng.standard_normal((Q.shape[0], count))
+    return (cho_solve((U, False), shift)[:, None]
+            + solve_triangular(U, z, lower=False)).T
+
+
+RANGE2 = Neighborhood.from_offsets([(2, 0), (1, 1), (0, 1)])
+L_SHAPE = [(i, j) for i in range(8) for j in range(8) if i < 3 or j < 3][::-1]
+NN2 = nearest_neighbor(2)
+BAND_CASES = {
+    **{f"gff-d{d}-L{L}-{mode}": (gff(0.7, 0.3, d=d),
+                                 build_box(d, L, nearest_neighbor(d), mode, 1.3))
+       for d, L in ((1, 6), (2, 4), (3, 2))
+       for mode in ("zero", "constant", "free")},
+    "gff-range2": (gff(0.7, 0.3, neighborhood=RANGE2),
+                   build_box(2, 4, RANGE2, "constant", 2.5)),
+    "gff-l_shape": (gff(0.7, 0.3), Window(L_SHAPE, NN2)),
+    "product": (gaussian_product(0.3), build_line(9)),
+}
+
+
+class TestBandedOracle:
+    @pytest.mark.parametrize("case", sorted(BAND_CASES))
+    def test_band_densifies_to_dense_q(self, case):
+        model, window = BAND_CASES[case]
+        Q, _, shift = dense_reference(model, window)
+        prec = build_precision(model, window)
+        assert prec.matrix.tobytes() == Q.tobytes()  # bit for bit, signed zeros too
+        assert np.array_equal(prec.shift, shift)
+        rows, cols = np.nonzero(Q - np.diag(np.diag(Q)))
+        assert prec.bandwidth == (int(np.abs(rows - cols).max()) if rows.size else 0)
+
+    @pytest.mark.parametrize("d,L", [(1, 6), (2, 4), (3, 2)])
+    def test_box_bandwidth(self, d, L):
+        m = gff(1.0, 1.0, d=d)
+        prec = build_precision(m, build_box(d, L, m.neighborhood))
+        assert prec.band.shape == ((2 * L + 1) ** (d - 1) + 1, (2 * L + 1) ** d)
+
+    @pytest.mark.parametrize("case", sorted(BAND_CASES))
+    def test_draws_and_solves_match_dense_reference(self, case):
+        model, window = BAND_CASES[case]
+        Q, U, shift = dense_reference(model, window)
+        prec = build_precision(model, window)
+        tol = 1e-13
+        assert np.abs(prec.mean() - cho_solve((U, False), shift)).max() <= tol
+        assert np.abs(prec.covariance() - cho_solve((U, False), np.eye(prec.n))).max() <= tol
+        for k in (1, 2):
+            rhs = np.eye(prec.n, k)
+            assert np.abs(prec.solve(rhs) - cho_solve((U, False), rhs)).max() <= tol
+        for cid, count in ((0, 1), (5, 1), (2, 3)):
+            got = gaussian_exact_samples(prec, chain_rng(17, cid), count)
+            ref = dense_draws(model, window, chain_rng(17, cid), count)
+            assert got.shape == (count, prec.n)
+            assert np.abs(got - ref).max() <= tol
+
+    @pytest.mark.parametrize("variance", [1.0, 0.3, 2.5])
+    def test_zero_bandwidth_draws_are_scaled_normals(self, variance):
+        m = gaussian_product(variance, d=1)
+        prec = build_precision(m, build_line(50, m.neighborhood))
+        assert prec.bandwidth == 0
+        scale = np.sqrt(prec.band[0])
+        for cid in range(8):
+            z = chain_rng(3, cid).standard_normal(prec.n)
+            got = gaussian_exact_samples(prec, chain_rng(3, cid), 1)[0]
+            assert np.array_equal(got, prec.mean() + z / scale)
+
+    def test_not_positive_definite_raises(self):
+        w = build_line(2, gaussian_product(1.0, d=1).neighborhood)
+        prec = PrecisionMatrix(np.array([[0.0, 2.0], [1.0, 1.0]]), np.zeros(2), w)
+        assert np.array_equal(prec.matrix, [[1.0, 2.0], [2.0, 1.0]])
+        with pytest.raises(LinAlgError):
+            gaussian_exact_samples(prec, chain_rng(0, 0), 1)
+        with pytest.raises(LinAlgError):
+            prec.solve(np.ones(2))
+
+    def test_singular_free_field_raises(self):
+        # m2 = 0 with a free boundary: Q is the graph Laplacian, singular.
+        m = gff(1.0, 0.0, d=1)
+        prec = build_precision(m, build_box(1, 4, m.neighborhood, "free"))
+        with pytest.raises(LinAlgError):
+            prec.solve(np.ones(prec.n))
+
+    def test_chains_from_banded_start_match_dense_start(self, monkeypatch):
+        # A 21x21 free field, 8 replicas: starting from the dense reference's
+        # draws changes the states in their last bits only, so every uniform
+        # and accept flag is the same.
+        m = gff(1.0, 1.0, d=2)
+        w = build_box(2, 10, m.neighborhood, "constant", 0.5)
+        args = (m, w, ProposalSpec(2.38 / np.sqrt(5.0), w.n), 250, 11)
+        kw = dict(n_replicas=8, recording="full", thin=20)
+        banded = run_replicas(*args, **kw)
+        monkeypatch.setattr(sampler, "gaussian_exact_samples",
+                            lambda prec, rng, count: dense_draws(m, w, rng, count))
+        dense = run_replicas(*args, **kw)
+        for a, b in zip(banded, dense):
+            assert np.array_equal(a.records.u, b.records.u)
+            assert np.array_equal(a.records.accepted, b.records.accepted)
+            assert a.records.accepted.any() and not a.records.accepted.all()
+            assert np.abs(a.states - b.states).max() <= 1e-13
+            assert np.abs(a.final_state.values - b.final_state.values).max() <= 1e-13
 
 
 class TestSharedFactor:
     def test_factor_computed_once_and_read_only(self):
         m = gff(1.0, 1.0, d=2)
         prec = build_precision(m, build_box(2, 3, m.neighborhood))
-        U = prec.chol_upper()
-        assert prec.chol_upper() is U
+        U = prec.factor
+        assert prec.factor is U
         assert not U.flags.writeable
-        assert np.allclose(U.T @ U, prec.matrix, atol=1e-12)
+        assert U.shape == prec.band.shape
+        Ud = np.zeros((prec.n, prec.n))
+        for k in range(prec.bandwidth + 1):
+            i = np.arange(prec.n - k)
+            Ud[i, i + k] = U[prec.bandwidth - k, k:]
+        assert np.allclose(Ud.T @ Ud, prec.matrix, atol=1e-12)
+
+    def test_dense_matrix_built_once_and_read_only(self):
+        m = gff(1.0, 1.0, d=2)
+        prec = build_precision(m, build_box(2, 2, m.neighborhood))
+        Q = prec.matrix
+        assert prec.matrix is Q
+        assert not Q.flags.writeable
 
     def test_solves_bit_equal_to_fresh_factorization(self):
         m = gff(0.7, 0.3, d=2)
         prec = build_precision(m, build_box(2, 4, m.neighborhood, "constant", 1.3))
-        fresh = cho_factor(prec.matrix)
+        fresh = (cholesky_banded(prec.band, lower=False), False)
         assert prec.shift.any()
-        assert np.array_equal(prec.mean(), cho_solve(fresh, prec.shift))
-        assert np.array_equal(prec.covariance(), cho_solve(fresh, np.eye(prec.n)))
+        assert np.array_equal(prec.mean(), cho_solve_banded(fresh, prec.shift))
+        assert np.array_equal(prec.covariance(), cho_solve_banded(fresh, np.eye(prec.n)))
 
 
 class TestExactSampling:
@@ -147,15 +281,17 @@ class TestExactSampling:
     @pytest.mark.parametrize("d,L", [(1, 3), (1, 8), (2, 1), (2, 3), (2, 5),
                                      (3, 1)])
     def test_single_draw_equals_direct_formula(self, d, L):
-        # x = mu + U^{-1} z with z drawn as one (n,) vector, as the single
-        # draw was computed before it went through gaussian_exact_samples.
+        # x = mu + U^{-1} z through a fresh band factor, with z drawn as one
+        # (n,) vector, as the single draw was computed before it went
+        # through gaussian_exact_samples.
         m = gff(0.7, 0.3, d=d)
         prec = build_precision(m, build_box(d, L, m.neighborhood, "constant", 2.5))
         assert prec.shift.any()
         for cid in range(5):
             rng = chain_rng(41, cid)
             z = rng.standard_normal(prec.n)
-            direct = prec.mean() + solve_triangular(prec.chol_upper(), z, lower=False)
+            U = cholesky_banded(prec.band, lower=False)
+            direct = prec.mean() + dtbtrs(U, z[:, None])[0][:, 0]
             got = gaussian_exact_samples(prec, chain_rng(41, cid), 1)[0]
             assert np.array_equal(got, direct)
 
@@ -193,8 +329,6 @@ def brute_central_vertex(window):
     return min(v for v in interior if dist(v) == best)
 
 
-RANGE2 = Neighborhood.from_offsets([(2, 0), (1, 1), (0, 1)])
-L_SHAPE = [(i, j) for i in range(8) for j in range(8) if i < 3 or j < 3][::-1]
 # A ring of 7 with chords 3-0 and 3-5: the middle vertex 3 is the only one
 # of degree 4, so its Q_kk differs from every other vertex's.
 CHORD_RING = [((i - 1) % 7, (i + 1) % 7) for i in range(7)]
@@ -202,7 +336,6 @@ CHORD_RING[3] += (0, 5)
 CHORD_RING[0] += (3,)
 CHORD_RING[5] += (3,)
 
-NN2 = nearest_neighbor(2)
 S2_CASES = {
     **{f"gff{b},{m2}-L{L}-{mode}": (gff(b, m2), build_box(2, L, NN2, mode, 2.5))
        for b, m2 in ((1.0, 1.0), (0.7, 0.3), (1.0, 0.01))
@@ -260,7 +393,7 @@ class TestS2Exact:
         def forbidden(name):
             return lambda *args, **kwargs: calls.append(name)
 
-        for name in ("build_precision", "cholesky", "cho_solve"):
+        for name in ("build_precision", "cholesky_banded", "cho_solve_banded"):
             monkeypatch.setattr(oracle, name, forbidden(name))
         m = gff(0.7, 0.3)
         assert gaussian_s2_exact(m, build_box(2, 5, m.neighborhood)) == 3.0999999999999996

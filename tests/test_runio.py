@@ -1,8 +1,10 @@
 import os
 import stat
 
+import numpy as np
 import pytest
 
+from gibbsrwm import runio
 from gibbsrwm.runio import read_csv, write_csv, write_json
 
 
@@ -19,3 +21,26 @@ def test_outputs_honour_umask(tmp_path, umask, mode):
         assert stat.S_IMODE(os.stat(path).st_mode) == mode
     assert read_csv(csv_path) == (["x"], [["1.5"]])
     assert [p.name for p in tmp_path.iterdir() if p.name.startswith(".tmp_")] == []
+
+
+def test_columns_write_the_same_bytes_as_rows(tmp_path):
+    # Array columns are formatted by dtype in blocks; the text must be what
+    # fmt writes row by row, across a block boundary and for special floats.
+    m = runio.CSV_BLOCK + 3
+    rng = np.random.default_rng(0)
+    floats = rng.standard_normal(m) * 10.0 ** rng.integers(-300, 300, m)
+    floats[:6] = [np.nan, np.inf, -np.inf, -0.0, 0.1 + 0.2, 5e-324]
+    columns = [np.arange(m), floats, rng.random(m) < 0.5,
+               rng.standard_normal(m).astype(np.float32),
+               (np.arange(m) % 256).astype(np.uint8),
+               ["a"] * m]
+    header = ["t", "f", "b", "f32", "u8", "s"]
+    rows = [[c[t] for c in columns] for t in range(m)]
+    by_rows = write_csv(str(tmp_path / "rows.csv"), header, rows)
+    by_columns = write_csv(str(tmp_path / "cols.csv"), header, columns=columns)
+    with open(by_rows, "rb") as a, open(by_columns, "rb") as b:
+        assert a.read() == b.read()
+    with pytest.raises(ValueError):
+        write_csv(str(tmp_path / "bad.csv"), header, columns=columns[:-1])
+    with pytest.raises(ValueError):
+        write_csv(str(tmp_path / "bad.csv"), header[:2], columns=[np.zeros(2), np.zeros(3)])

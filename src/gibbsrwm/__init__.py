@@ -23,7 +23,7 @@ from .models import (Configuration, InteractionModel, custom_pairwise,
 from .oracle import (PrecisionMatrix, build_precision, gaussian_exact_samples,
                      gaussian_s2_exact, quad_acceptance, quad_expectation_1d)
 from .sampler import (ChainRun, ProposalSpec, StepRecords, chain_rng,
-                      run_chain, run_replicas)
+                      run_chain, run_replicas, uniform_rng)
 from .scaling import (M2Table, ScalingCurve, c_mc_oracle, c_theoretical,
                       mosco_m2_check, product_chain_family, sweep_n, sweep_tau,
                       tau_star)

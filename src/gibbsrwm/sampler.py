@@ -1,12 +1,19 @@
 """Random-walk Metropolis kernel with proposal scale tau / sqrt(n).
 
 Randomness comes from counter-based Philox streams keyed by (seed, chain id),
-so replicas are independent and every run is bit-reproducible.  Within a
-chain, draws are consumed in a fixed order: per chunk of steps, first the
-increment block, then the uniforms.  The chunk length is a constant, which
-makes single-chain and batched execution produce identical chains.  Each
-row of a batch has its own proposal scale sigma = tau / sqrt(n), so one
-batch may stack the replicas of several tau values (scaling.sweep_tau does).
+so replicas are independent and every run is bit-reproducible.  Each chain
+reads two disjoint streams: chain_rng gives its exact-Gaussian start and
+then its increments, step after step; uniform_rng (the same key, jumped by
+2**128 draws) gives its accept uniforms.  A Philox stream yields the same
+values whether a block is drawn in one call or in several, so a chain does
+not depend on how its steps are cut into chunks.  _drive sizes each chunk
+so that the (R, c, n) increment block stays within CHUNK_BYTES, and memory
+stays bounded as n grows.  A single chain equals its replica in a batch bit
+for bit, except that the two float sums of its summary (jump_sq_sum and
+dh_sum, added chunk by chunk) may differ in their last bits when the budget
+gives the two runs different chunk lengths.  Each row of a batch has its
+own proposal scale sigma = tau / sqrt(n), so one batch may stack the
+replicas of several tau values (scaling.sweep_tau does).
 
 dH is evaluated in gradient form.  With H(x) = x'Qx/2 - b'x + remainder
 (models.quadratic_operator), a move d = y - x changes H by
@@ -43,7 +50,10 @@ from .lattice import Window
 from .models import Configuration, InteractionModel, quadratic_operator
 from .oracle import build_precision, gaussian_exact_samples
 
-CHUNK = 256
+CHUNK = 256  # most steps per chunk
+# Byte budget of one chunk's (R, c, n) increment block: c = CHUNK_BYTES //
+# (8 R n), at least 1 and at most CHUNK.
+CHUNK_BYTES = 16 * 2**20
 # Fixed cost of one Metropolis round (Python and numpy call overhead) in
 # site evaluations; see _lookahead.  On one 2-vCPU x86 core a round costs
 # 25-45 us and its dH 1.5 ns per site (7.5 ns with phi4's quartic self
@@ -60,9 +70,16 @@ N_BATCHES = 50
 
 
 def chain_rng(seed: int, chain_id: int = 0) -> np.random.Generator:
-    """Philox stream keyed by (seed, chain id): disjoint across chains."""
+    """Philox stream keyed by (seed, chain id): disjoint across chains.  A
+    chain draws its exact-Gaussian start and its increments from it."""
     key = np.array([seed & _MASK64, chain_id & _MASK64], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def uniform_rng(seed: int, chain_id: int = 0) -> np.random.Generator:
+    """The chain's accept uniforms: chain_rng's stream jumped by 2**128 draws
+    (Salmon et al., SC'11), so the two streams never meet."""
+    return np.random.Generator(chain_rng(seed, chain_id).bit_generator.jumped())
 
 
 @dataclass(frozen=True)
@@ -154,33 +171,17 @@ def batch_means(xs) -> np.ndarray:
     return x[: nb * size].reshape(nb, size).mean(axis=1)
 
 
-def summarize_records(delta_h, accepted, jump_sq) -> ChainSummary:
-    """ChainSummary of whole record columns (the reference _SummaryStream
-    matches)."""
-    steps = len(delta_h)
-    if steps == 0:
-        raise ValueError("no step records")
-    return ChainSummary(
-        steps=steps,
-        accept_count=int(np.count_nonzero(accepted)),
-        jump_sq_sum=float(np.sum(jump_sq)),
-        dh_sum=float(np.sum(delta_h)),
-        nonfinite_dh=int(np.count_nonzero(~np.isfinite(delta_h))),
-        batch_acc=batch_means(accepted),
-        batch_jump=batch_means(jump_sq),
-    )
-
-
 class _SummaryStream:
     """Every row's ChainSummary, built chunk by chunk while _drive runs.
 
-    Counts are integers and the two sums add one chunk at a time.  Each batch
+    Counts are integers and the two sums add one chunk at a time, so only
+    the sums depend on the chunk length, in their last bits.  Each batch
     mean is taken from that batch's own contiguous slice, which gives
     batch_means bit for bit, so the buffer holds at most one batch plus one
-    chunk per row.
+    chunk of at most `chunk` steps per row.
     """
 
-    def __init__(self, rows: int, steps: int):
+    def __init__(self, rows: int, steps: int, chunk: int):
         self.steps = steps
         self.n_batches, self.size = _batch_layout(steps)
         self.accept = np.zeros(rows, dtype=np.int64)
@@ -191,7 +192,7 @@ class _SummaryStream:
         # batches not yet complete.
         self.batches = np.empty((2, rows, self.n_batches))
         self.done = 0
-        self.pending = np.empty((2, rows, self.size + CHUNK))
+        self.pending = np.empty((2, rows, self.size + chunk))
         self.fill = 0
 
     def add(self, acc: np.ndarray, dh: np.ndarray, jump: np.ndarray):
@@ -280,10 +281,12 @@ def _round_dh(d: np.ndarray, g: np.ndarray, q: np.ndarray,
 
 
 def _drive(model: InteractionModel, window: Window, specs: list[ProposalSpec],
-           steps: int, rngs: list[np.random.Generator], x0: np.ndarray,
+           steps: int, rngs: list[np.random.Generator],
+           urngs: list[np.random.Generator], x0: np.ndarray,
            keep_arrays: bool, thin: int, track_first: int):
-    """Batched Metropolis loop: row r runs specs[r] on the stream rngs[r],
-    every row on one window, in lookahead rounds (see the module docstring).
+    """Batched Metropolis loop: row r runs specs[r] with increments from
+    rngs[r] and uniforms from urngs[r], every row on one window, in
+    lookahead rounds (see the module docstring).
 
     Returns the final states, the _SummaryStream, the (dh, accepted, u,
     jump_sq) record columns when keep_arrays (else None), the thinned states
@@ -298,12 +301,12 @@ def _drive(model: InteractionModel, window: Window, specs: list[ProposalSpec],
     remainder = None if model.is_quadratic else model.self_energy
     rem_x = remainder(x) if remainder is not None else None
 
-    stream = _SummaryStream(R, steps)
+    width = min(CHUNK, steps, max(1, CHUNK_BYTES // (8 * R * n)))
+    stream = _SummaryStream(R, steps, width)
     records = None
     if keep_arrays:
         records = (np.empty((R, steps)), np.empty((R, steps), dtype=bool),
                    np.empty((R, steps)), np.empty((R, steps)))
-    width = min(CHUNK, steps)
     incr = np.empty((R, width, n))  # one buffer, refilled every chunk
     us = np.empty((R, width))
     quad = np.empty((R, width))
@@ -317,10 +320,10 @@ def _drive(model: InteractionModel, window: Window, specs: list[ProposalSpec],
 
     t = 0
     while t < steps:
-        c = min(CHUNK, steps - t)
+        c = min(width, steps - t)
         for r in range(R):
             specs[r].draw_increments(rngs[r], (c, n), out=incr[r, :c])
-            rngs[r].random(out=us[r, :c])
+            urngs[r].random(out=us[r, :c])
         incr_c, us_c = incr[:, :c], us[:, :c]
         dh_c, acc_c = dh_buf[:, :c], acc_buf[:, :c]
         incr_c *= sigma  # the proposal moves d = sigma * increment
@@ -411,6 +414,7 @@ def run_replicas(model: InteractionModel, window: Window,
     if len(ids) != n_replicas:
         raise ValueError("need one chain id per replica")
     rngs = [chain_rng(seed, cid) for cid in ids]
+    urngs = [uniform_rng(seed, cid) for cid in ids]
     if init == "given":
         if init_config is None:
             raise ValueError("init 'given' needs a configuration")
@@ -429,22 +433,22 @@ def run_replicas(model: InteractionModel, window: Window,
         burn = ProposalSpec(BURN_TAU, window.n, specs[0].increment_family)
         x0, *_ = _drive(model, window, [burn] * n_replicas,
                         burn_steps if burn_steps is not None else 50 * window.n,
-                        rngs, np.zeros((n_replicas, window.n)),
+                        rngs, urngs, np.zeros((n_replicas, window.n)),
                         keep_arrays=False, thin=0, track_first=0)
     else:
         raise ValueError(f"unknown init mode {init!r}")
     want_states = recording in ("full", "thinned") and thin > 0
     x, stream, records, states, path = _drive(
-        model, window, specs, steps, rngs, x0,
+        model, window, specs, steps, rngs, urngs, x0,
         keep_arrays=recording == "full", thin=thin if want_states else 0,
         track_first=track_first)
     return [ChainRun(
         seed=seed, chain_id=ids[r], steps=steps, tau=specs[r].tau, n=window.n,
         summary=stream.summary(r),
-        records=(StepRecords(*(column[r].copy() for column in records))
+        records=(StepRecords(*(column[r] for column in records))
                  if records is not None else None),
-        states=states[r].copy() if states is not None else None,
-        first_coord_path=path[r].copy() if path is not None else None,
+        states=states[r] if states is not None else None,
+        first_coord_path=path[r] if path is not None else None,
         final_state=Configuration(window, x[r]),
     ) for r in range(n_replicas)]
 
@@ -454,7 +458,8 @@ def run_chain(model: InteractionModel, window: Window, spec: ProposalSpec,
               thin: int = 10, track_first: int = 0, init: str = "exact_gaussian",
               init_config: Configuration | None = None,
               burn_steps: int | None = None) -> ChainRun:
-    """Single chain; identical to the matching replica of a batched run."""
+    """Single chain; its steps are those of the matching replica of a
+    batched run, bit for bit (see the module docstring)."""
     return run_replicas(model, window, spec, steps, seed, n_replicas=1,
                         chain_ids=[chain_id], recording=recording, thin=thin,
                         track_first=track_first, init=init,

@@ -29,9 +29,10 @@ from .oracle import build_precision, gaussian_s2_exact, quad_expectation_1d
 from .sampler import ProposalSpec, chain_rng, run_chain, run_replicas
 
 REFERENCE_CHAIN_ID = 0xFFFF_FFFF  # reserved stream for the s-hat reference run
-# Rows x sites of one stacked block of grid points (see _run_points).  The
-# increment buffer of a block is 2 kB per row-site (CHUNK doubles), so
-# 8192 costs 16 MB and holds a 9-point x 8-replica sweep at n = 100.
+# Rows x sites of one stacked block of grid points (see _run_points).  A
+# block's increment chunk stays within sampler.CHUNK_BYTES (16 MB); 8192
+# row-sites is the most at which it still holds CHUNK steps, and holds a
+# 9-point x 8-replica sweep at n = 100.
 STACK_SITES = 8192
 
 

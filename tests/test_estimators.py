@@ -11,9 +11,26 @@ from gibbsrwm.estimators import (CYLINDER_FUNCTIONS, CylinderFunction,
 from gibbsrwm.lattice import Window, build_box, build_line
 from gibbsrwm.models import gaussian_product, gff
 from gibbsrwm.oracle import build_precision, gaussian_exact_samples, gaussian_s2_exact
-from gibbsrwm.sampler import (N_BATCHES, ProposalSpec, StepRecords, chain_rng,
-                              run_chain, summarize_records)
+from gibbsrwm.sampler import (N_BATCHES, ChainSummary, ProposalSpec,
+                              StepRecords, batch_means, chain_rng, run_chain)
 from gibbsrwm.scaling import c_theoretical
+
+
+def summarize_records(delta_h, accepted, jump_sq) -> ChainSummary:
+    """ChainSummary of whole record columns: the reference the sampler's
+    streamed summaries must match."""
+    steps = len(delta_h)
+    if steps == 0:
+        raise ValueError("no step records")
+    return ChainSummary(
+        steps=steps,
+        accept_count=int(np.count_nonzero(accepted)),
+        jump_sq_sum=float(np.sum(jump_sq)),
+        dh_sum=float(np.sum(delta_h)),
+        nonfinite_dh=int(np.count_nonzero(~np.isfinite(delta_h))),
+        batch_acc=batch_means(accepted),
+        batch_jump=batch_means(jump_sq),
+    )
 
 
 def make_records(delta_h, accepted, u=None, jump=None):

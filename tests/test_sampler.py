@@ -12,7 +12,8 @@ from gibbsrwm.models import (Configuration, custom_pairwise, delta_hamiltonian,
                              gaussian_product, gff, phi4, zeros_configuration)
 from gibbsrwm.oracle import build_precision, gaussian_exact_samples
 from gibbsrwm.sampler import (ProposalSpec, chain_rng, run_chain, run_replicas,
-                              summarize_records)
+                              uniform_rng)
+from test_estimators import summarize_records
 
 
 # The kernel evaluates dH in gradient form, d.(Qx - b) + d'Qd/2 plus the
@@ -21,29 +22,25 @@ from gibbsrwm.sampler import (ProposalSpec, chain_rng, run_chain, run_replicas,
 DH_RTOL = 1e-12
 
 
-def scalar_reference(model, window, spec, steps, rng, x):
-    """The Metropolis chain one step at a time, from the stream `rng` left
-    after the initial draw: per chunk of c <= CHUNK steps, the (c, n)
-    increments and then c uniforms; dH from delta_hamiltonian, and a
+def scalar_reference(model, window, spec, steps, rng, urng, x):
+    """The Metropolis chain one step at a time: all (steps, n) increments
+    from `rng`, the stream left after the initial draw, and all uniforms
+    from the uniform stream `urng`; dH from delta_hamiltonian, and a
     non-finite dH rejected.  Returns the final state, the dH, u and accept
     columns, and the (steps, n) states after each step."""
-    delta_h, us, accepted, states = [], [], [], []
-    for t in range(0, steps, sampler.CHUNK):
-        c = min(sampler.CHUNK, steps - t)
-        incr = spec.draw_increments(rng, (c, window.n))
-        u = rng.random(c)
-        for j in range(c):
-            y = Configuration(window, x.values + spec.sigma * incr[j])
-            dh = delta_hamiltonian(model, x, y)
-            acc = math.isfinite(dh) and bool(u[j] < np.exp(-max(dh, 0.0)))
-            delta_h.append(dh)
-            us.append(u[j])
-            accepted.append(acc)
-            if acc:
-                x = y
-            states.append(x.values)
-    return (x, np.array(delta_h), np.array(us), np.array(accepted),
-            np.array(states))
+    incr = spec.draw_increments(rng, (steps, window.n))
+    u = urng.random(steps)
+    delta_h, accepted, states = [], [], []
+    for j in range(steps):
+        y = Configuration(window, x.values + spec.sigma * incr[j])
+        dh = delta_hamiltonian(model, x, y)
+        acc = math.isfinite(dh) and bool(u[j] < np.exp(-max(dh, 0.0)))
+        delta_h.append(dh)
+        accepted.append(acc)
+        if acc:
+            x = y
+        states.append(x.values)
+    return x, np.array(delta_h), u, np.array(accepted), np.array(states)
 
 
 class CountingRounds:
@@ -74,8 +71,8 @@ def assert_matches_reference(model, window, spec, steps, seed, ids, thin=0,
         rng = chain_rng(seed, cid)
         x0 = (init["init_config"] if init else Configuration(
             window, gaussian_exact_samples(build_precision(model, window), rng, 1)[0]))
-        st, dh, u, acc, states = scalar_reference(model, window, spec, steps,
-                                                  rng, x0)
+        st, dh, u, acc, states = scalar_reference(
+            model, window, spec, steps, rng, uniform_rng(seed, cid), x0)
         rec = run.records
         assert np.array_equal(run.final_state.values, st.values)
         finite = np.isfinite(dh)
@@ -207,9 +204,8 @@ class TestAcceptProb:
         w = build_line(1, m.neighborhood)
         for seed in range(20):
             run = given_run(m, w, 1.0, 1, [0.0], seed=seed)
-            rng = chain_rng(seed, 0)
-            y = rng.standard_normal((1, 1))[0, 0]
-            u = rng.random(1)[0]
+            y = chain_rng(seed, 0).standard_normal((1, 1))[0, 0]
+            u = uniform_rng(seed, 0).random(1)[0]
             assert run.records.delta_h[0] == pytest.approx(0.5 * y * y)
             assert run.records.accepted[0] == (u < math.exp(-0.5 * y * y))
 
@@ -513,6 +509,28 @@ class TestRunChain:
                 tracemalloc.stop()
         assert peaks[1] <= 1.5 * peaks[0], peaks
 
+    def test_summary_mode_memory_bounded_by_chunk_budget(self):
+        # Here the full CHUNK would need a 34 MB increment block; the budget
+        # cuts each chunk to CHUNK_BYTES, and the rest of a run is a few
+        # (R, n) arrays, however many steps it takes.
+        m = gff(1.0, 1.0, d=2)
+        w = build_box(2, 32, m.neighborhood)
+        R = 4
+        row_block = 8 * R * w.n
+        assert row_block * sampler.CHUNK > sampler.CHUNK_BYTES
+        width = sampler.CHUNK_BYTES // row_block
+        peaks = []
+        for steps in (2 * width, 20 * width):
+            tracemalloc.start()
+            try:
+                run_replicas(m, w, ProposalSpec(2.38, w.n), steps, seed=1,
+                             n_replicas=R, recording="summary")
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) <= sampler.CHUNK_BYTES + 16 * row_block, peaks
+        assert peaks[1] <= peaks[0] + row_block, peaks
+
     def test_per_replica_specs_match_single_spec_runs(self):
         m = gff(1.0, 1.0, d=1)
         w = build_box(1, 4, m.neighborhood)
@@ -553,6 +571,67 @@ class TestRunChain:
         with np.errstate(under="ignore"):
             p = np.where(rec.delta_h > 0, np.exp(-np.maximum(rec.delta_h, 0.0)), 1.0)
         assert np.array_equal(rec.accepted, rec.u < p)
+
+
+class TestChunkLength:
+    """Increments and uniforms come from two streams, so a chain is the same
+    for every chunk length that CHUNK_BYTES allows."""
+
+    STEPS = 2 * sampler.CHUNK + 37
+    IDS = [2, 0, 5]
+
+    def run(self, monkeypatch, case, c):
+        model_name, family, init = case
+        if model_name == "gff":
+            m = gff(1.0, 0.5, d=2)
+            w = build_box(2, 2, m.neighborhood, "constant", 0.3)
+        else:
+            m = phi4(0.25, -0.5, d=1)
+            w = build_box(1, 6, m.neighborhood)
+        kwargs = dict(init=init, burn_steps=300)
+        if init == "given":
+            kwargs["init_config"] = Configuration(w, np.linspace(-1.0, 1.0, w.n))
+        rows = len(self.IDS)
+        monkeypatch.setattr(sampler, "CHUNK_BYTES", c * 8 * rows * w.n)
+        widths = []
+
+        class Widths(sampler._SummaryStream):
+            def add(self, acc, dh, jump):
+                widths.append(acc.shape[1])
+                super().add(acc, dh, jump)
+
+        monkeypatch.setattr(sampler, "_SummaryStream", Widths)
+        specs = [ProposalSpec(tau, w.n, family) for tau in (1.0, 2.38, 4.0)]
+        runs = run_replicas(m, w, specs, self.STEPS, seed=23, n_replicas=rows,
+                            chain_ids=self.IDS, recording="full", thin=7,
+                            track_first=2, **kwargs)
+        assert max(widths) == c
+        return runs
+
+    @pytest.mark.parametrize("case", [
+        ("gff", "standard_normal", "exact_gaussian"),
+        ("gff", "uniform", "burn_in"),
+        ("phi4", "standard_normal", "burn_in"),
+        ("phi4", "uniform", "given"),
+    ], ids="-".join)
+    def test_chains_equal_for_every_chunk_length(self, monkeypatch, case):
+        ref = self.run(monkeypatch, case, sampler.CHUNK)
+        for c in (1, 5):
+            for a, b in zip(ref, self.run(monkeypatch, case, c)):
+                for x, y in zip(dataclasses.astuple(a.records),
+                                dataclasses.astuple(b.records)):
+                    assert np.array_equal(x, y)
+                assert np.array_equal(a.states, b.states)
+                assert np.array_equal(a.first_coord_path, b.first_coord_path)
+                assert np.array_equal(a.final_state.values, b.final_state.values)
+                # Only the two float sums add chunk by chunk.
+                sa, sb = a.summary, b.summary
+                assert sa.accept_count == sb.accept_count
+                assert sa.nonfinite_dh == sb.nonfinite_dh
+                assert np.array_equal(sa.batch_acc, sb.batch_acc)
+                assert np.array_equal(sa.batch_jump, sb.batch_jump)
+                assert sa.jump_sq_sum == pytest.approx(sb.jump_sq_sum, rel=1e-12)
+                assert sa.dh_sum == pytest.approx(sb.dh_sum, rel=1e-12)
 
 
 class TestLookahead:
@@ -684,13 +763,9 @@ class TestGradientFormAccuracy:
         rng = chain_rng(seed, 0)
         if init["init"] == "exact_gaussian":
             gaussian_exact_samples(build_precision(model, window), rng, 1)
-        blocks = []
-        for t in range(0, steps, sampler.CHUNK):
-            c = min(sampler.CHUNK, steps - t)
-            blocks.append(spec.draw_increments(rng, (c, window.n)))
-            rng.random(c)
+        incr = spec.draw_increments(rng, (steps, window.n))
         xs = run.first_coord_path[:-1]
-        return run.records.delta_h, xs, xs + spec.sigma * np.vstack(blocks)
+        return run.records.delta_h, xs, xs + spec.sigma * incr
 
     @pytest.mark.parametrize("case", ["gff_constant_1e3", "phi4"])
     def test_dh_matches_exact_difference(self, case):

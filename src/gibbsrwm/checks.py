@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr  # the standard normal CDF
 
 from .estimators import acceptance_rate, batch_means_se
 from .lattice import build_box, build_line
@@ -76,6 +75,8 @@ def detailed_balance(seed: int, tau: float = 1.5, steps: int = 200_000,
             if tot >= 25:
                 worst_flux = max(worst_flux,
                                  abs(counts[i, j] - counts[j, i]) / math.sqrt(tot))
+
+    from scipy.special import ndtr  # the standard normal CDF
 
     probs = np.diff(ndtr(np.concatenate([[-np.inf], edges, [np.inf]])))
     worst_occ = 0.0

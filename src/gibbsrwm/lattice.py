@@ -4,11 +4,23 @@ Vertices live on the integer lattice Z^d and are represented as plain tuples
 of ints.  A Window is a finite vertex set together with its boundary (the
 sites whose full neighborhood sticks out of the window) and a frozen
 configuration on the outside sites that the boundary interacts with.
+
+A lattice window's geometry comes from one (n, d) integer coordinate array,
+with numpy and no Python loop over sites: `_geometry` gives every site and
+every site + offset a mixed-radix key over the window's bounding box padded
+by the neighborhood's reach, and finds each target among the sorted site
+keys by binary search.  The boundary, the exterior halo and the site tables
+are all read from that one lookup; `build_box` builds its coordinates with
+`np.indices`.  Adjacency-form windows take their neighbors from the
+adjacency lists instead and have no boundary.  Only the hull and inradius
+diagnostics import scipy (`scipy.spatial`), where they are called.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,10 +33,6 @@ def _as_vertex(v) -> Vertex:
     if len(out) == 0:
         raise ValueError("vertex must have dimension >= 1")
     return out
-
-
-def _add(a: Vertex, b: Vertex) -> Vertex:
-    return tuple(x + y for x, y in zip(a, b))
 
 
 def _neg(a: Vertex) -> Vertex:
@@ -98,19 +106,72 @@ def nearest_neighbor(d: int) -> Neighborhood:
     return Neighborhood.from_offsets(offs)
 
 
+def _coordinates(rows, d: int) -> np.ndarray:
+    """(n, d) vertex coordinates: int64, or Python ints where they do not fit."""
+    try:
+        return np.asarray(rows, dtype=np.int64).reshape(len(rows), d)
+    except OverflowError:
+        return np.array(rows, dtype=object).reshape(len(rows), d)
+
+
+@dataclass(frozen=True)
+class _Geometry:
+    """Where each (slot, site) of a lattice window points, for one offset list."""
+
+    nbr: np.ndarray              # (S, n) index of site i + offset s, or -1 outside
+    halo: tuple[Vertex, ...]     # the distinct outside targets, sorted
+    halo_of: np.ndarray          # halo position of each outside slot, slot-major
+
+
+def _geometry(coords: np.ndarray, offsets) -> _Geometry:
+    """Neighbor lookup of the distinct coordinate rows `coords` at `offsets`.
+
+    Every site and every target gets one mixed-radix key over the window's
+    bounding box padded by the offsets' reach, so a target is inside iff its
+    key is a site's key, and keys sort as the vertex tuples do.  Keys are
+    int64, or Python ints when the padded box has 2**63 cells or more."""
+    n, d = coords.shape
+    if n == 0:
+        return _Geometry(np.empty((len(offsets), 0), dtype=np.intp), (),
+                         np.empty(0, dtype=np.intp))
+    reach = [max((abs(off[a]) for off in offsets), default=0) for a in range(d)]
+    lo = [int(c) for c in coords.min(axis=0)]
+    ext = [int(c) - m + 2 * r + 1 for c, m, r in zip(coords.max(axis=0), lo, reach)]
+    stride = [math.prod(ext[a + 1:]) for a in range(d)]
+    dtype = np.int64 if stride[0] * ext[0] < 2**63 else object
+    if dtype is object:
+        coords = coords.astype(object)
+    key = sum((coords[:, a] - lo[a] + reach[a]) * stride[a] for a in range(d))
+    key = key.astype(dtype, copy=False)
+    shift = np.array([sum(map(operator.mul, off, stride)) for off in offsets],
+                     dtype=dtype)
+    targets = (shift[:, None] + key[None, :]).ravel()
+    order = np.argsort(key, kind="stable")  # a merge sort: linear on a box's sorted keys
+    sorted_keys = key[order]
+    pos = np.minimum(np.searchsorted(sorted_keys, targets), n - 1)
+    inside = sorted_keys[pos] == targets
+    nbr = np.where(inside, order[pos], -1).reshape(len(offsets), n)
+    halo_keys, halo_of = np.unique(targets[~inside], return_inverse=True)
+    halo_keys = halo_keys.astype(object)
+    halo = zip(*[((halo_keys // stride[a]) % ext[a] + lo[a] - reach[a]).tolist()
+                 for a in range(d)])
+    return _Geometry(nbr, tuple(halo), halo_of)
+
+
+def _vertex_set_geometry(vertices, neighborhood: Neighborhood):
+    vs = list({_as_vertex(v) for v in vertices})
+    return vs, _geometry(_coordinates(vs, neighborhood.d), neighborhood.nonzero_offsets)
+
+
 def boundary_of(vertices, neighborhood: Neighborhood) -> frozenset[Vertex]:
     """Sites k in the window with k + offsets not fully inside the window."""
-    vs = frozenset(_as_vertex(v) for v in vertices)
-    nz = neighborhood.nonzero_offsets
-    return frozenset(k for k in vs if any(_add(k, v) not in vs for v in nz))
+    vs, geom = _vertex_set_geometry(vertices, neighborhood)
+    return frozenset(itertools.compress(vs, (geom.nbr < 0).any(axis=0)))
 
 
 def exterior_halo(vertices, neighborhood: Neighborhood) -> frozenset[Vertex]:
     """Outside sites reachable from the boundary: (offsets + bdry) minus window."""
-    vs = frozenset(_as_vertex(v) for v in vertices)
-    bdry = boundary_of(vs, neighborhood)
-    halo = {_add(k, v) for k in bdry for v in neighborhood.offsets}
-    return frozenset(halo - vs)
+    return frozenset(_vertex_set_geometry(vertices, neighborhood)[1].halo)
 
 
 class MissingBoundaryValueError(KeyError):
@@ -164,15 +225,22 @@ class Window:
                  adjacency=None):
         if boundary_mode not in BOUNDARY_MODES:
             raise ValueError(f"unknown boundary_mode {boundary_mode!r}")
-        self.vertices: tuple[Vertex, ...] = tuple(_as_vertex(v) for v in vertices)
-        if len(set(self.vertices)) != len(self.vertices):
+        coords = None
+        if (isinstance(vertices, np.ndarray) and vertices.dtype == np.int64
+                and vertices.ndim == 2 and vertices.shape[1] == neighborhood.d):
+            coords = vertices.copy()
+            self.vertices: tuple[Vertex, ...] = tuple(zip(*coords.T.tolist()))
+        else:
+            self.vertices = tuple(_as_vertex(v) for v in vertices)
+        n = len(self.vertices)
+        self.index_of: dict[Vertex, int] = dict(zip(self.vertices, range(n)))
+        if len(self.index_of) != n:
             raise ValueError("window vertices are not distinct")
-        if any(len(v) != neighborhood.d for v in self.vertices):
+        if set(map(len, self.vertices)) - {neighborhood.d}:
             raise ValueError("vertex dimension does not match neighborhood")
         self.neighborhood = neighborhood
         self.boundary_mode = boundary_mode
         self.boundary_constant = float(boundary_constant)
-        self.index_of: dict[Vertex, int] = {v: i for i, v in enumerate(self.vertices)}
         self.box = box  # (d, L) when built by build_box
         self._explicit = dict(explicit_values or {})
         self.adjacency = None
@@ -188,14 +256,21 @@ class Window:
                         raise ValueError(f"adjacency lists vertex {i} as its own neighbor")
                     if i not in self.adjacency[j]:
                         raise ValueError("adjacency relation is not symmetric")
-        if self.adjacency is not None:
-            self.boundary = frozenset()
-        else:
-            self.boundary = boundary_of(self.vertices, neighborhood)
+        self.boundary: frozenset[Vertex] = frozenset()
         self.boundary_values: dict[Vertex, float] = {}
-        if self.adjacency is None and boundary_mode in ("zero", "constant", "explicit"):
-            for v in sorted(exterior_halo(self.vertices, neighborhood)):
-                self.boundary_values[v] = self.boundary_value_at(v)
+        interior = np.arange(n, dtype=np.intp)
+        if self.adjacency is None:
+            self._coords = _coordinates(self.vertices if coords is None else coords,
+                                        neighborhood.d)
+            self._geom = _geometry(self._coords, neighborhood.nonzero_offsets)
+            on_boundary = (self._geom.nbr < 0).any(axis=0)
+            self.boundary = frozenset(itertools.compress(self.vertices, on_boundary))
+            interior = np.flatnonzero(~on_boundary)
+            if boundary_mode != "free":
+                self.boundary_values = {v: self.boundary_value_at(v)
+                                        for v in self._geom.halo}
+        interior.setflags(write=False)
+        self._interior = interior
         self._tables_cache: dict[Neighborhood, SiteTables] = {}
 
     @property
@@ -217,10 +292,8 @@ class Window:
         return float(self._explicit[vertex])
 
     def interior_indices(self) -> np.ndarray:
-        return np.array(
-            [i for i, v in enumerate(self.vertices) if v not in self.boundary],
-            dtype=np.intp,
-        )
+        """Indices of the sites off the boundary, ascending (read-only)."""
+        return self._interior
 
     def site_tables(self, neighborhood: Neighborhood | None = None) -> SiteTables:
         """Neighbor tables for the given (default: the window's) neighborhood."""
@@ -234,7 +307,6 @@ class Window:
 
     def _build_tables(self, nb: Neighborhood) -> SiteTables:
         n = self.n
-        frozen_at, frozen = [], []  # outside slots (s, i) and the value each reads
         if self.adjacency is not None:
             offs = None
             degree = max((len(a) for a in self.adjacency), default=0)
@@ -244,54 +316,32 @@ class Window:
                 for s, j in enumerate(nbrs):
                     idx[s, i] = j
                     active[s, i] = True
+            ext_values = np.empty(0)
         else:
             offs = nb.nonzero_offsets
-            idx = np.zeros((len(offs), n), dtype=np.intp)
-            active = np.ones((len(offs), n), dtype=bool)
-            for s, off in enumerate(offs):
-                for i, k in enumerate(self.vertices):
-                    tgt = _add(k, off)
-                    j = self.index_of.get(tgt)
-                    if j is not None:
-                        idx[s, i] = j
-                        continue
-                    val = self.boundary_value_at(tgt)
-                    if val is None:
-                        active[s, i] = False
-                    else:
-                        frozen_at.append((s, i))
-                        frozen.append(val)
-        ext_values, pos = np.unique(np.array(frozen, dtype=float),
-                                    return_inverse=True)
-        if frozen_at:
-            slots, sites = np.array(frozen_at).T
-            idx[slots, sites] = n + pos
+            geom = (self._geom if nb == self.neighborhood
+                    else _geometry(self._coords, offs))
+            outside = geom.nbr < 0
+            idx = np.where(outside, 0, geom.nbr)
+            if self.boundary_mode == "free":
+                active, ext_values = ~outside, np.empty(0)
+            else:
+                # Outside slots read the distinct frozen values; the values
+                # are looked up in slot-major order of first use, so a
+                # missing explicit value is named as a slot-by-slot scan
+                # would name it.
+                first = np.unique(geom.halo_of, return_index=True)[1]
+                values = np.empty(len(geom.halo))
+                for h in np.argsort(first):
+                    values[h] = self.boundary_value_at(geom.halo[h])
+                active = np.ones_like(outside)
+                ext_values, pos = np.unique(values[geom.halo_of], return_inverse=True)
+                idx[outside] = n + pos
         tables = SiteTables(offs, idx, ext_values, active, active & (idx < n),
                             active.all(axis=1))
         for arr in (idx, ext_values, active, tables.inside, tables.all_active):
             arr.setflags(write=False)
         return tables
-
-    def to_json_dict(self) -> dict:
-        obj = {
-            "offsets": [list(v) for v in self.neighborhood.offsets],
-            "boundary_mode": self.boundary_mode,
-            "boundary_constant": self.boundary_constant,
-        }
-        if self.box is not None:
-            obj["d"], obj["L"] = self.box
-        else:
-            obj["vertex_list"] = [list(v) for v in self.vertices]
-        return obj
-
-    @staticmethod
-    def from_json_dict(obj: dict) -> "Window":
-        nb = Neighborhood.from_offsets(obj["offsets"])
-        mode = obj.get("boundary_mode", "zero")
-        const = obj.get("boundary_constant", 0.0)
-        if "vertex_list" in obj:
-            return Window(obj["vertex_list"], nb, mode, const)
-        return build_box(obj["d"], obj["L"], nb, mode, const)
 
 
 def build_box(d: int, L: int, neighborhood: Neighborhood, boundary_mode="zero",
@@ -303,7 +353,8 @@ def build_box(d: int, L: int, neighborhood: Neighborhood, boundary_mode="zero",
         raise ValueError("L must be >= 0")
     if neighborhood.d != d:
         raise ValueError("neighborhood dimension does not match d")
-    vertices = sorted(itertools.product(range(-L, L + 1), repeat=d))
+    # Rows in lexicographic order: the first axis varies slowest.
+    vertices = np.indices((2 * L + 1,) * d).reshape(d, -1).T - L
     return Window(vertices, neighborhood, boundary_mode, boundary_constant,
                   box=(d, L))
 
@@ -314,7 +365,7 @@ def build_line(n: int, neighborhood: Neighborhood | None = None,
     if n < 1:
         raise ValueError("n must be >= 1")
     nb = neighborhood or self_neighborhood(1)
-    return Window([(i,) for i in range(n)], nb, boundary_mode, boundary_constant)
+    return Window(np.arange(n)[:, None], nb, boundary_mode, boundary_constant)
 
 
 # -- Window-sequence growth diagnostics ------------------------------------

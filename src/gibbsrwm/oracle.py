@@ -3,6 +3,10 @@
 Everything here validates the sampling/estimation path from the side:
 closed-form Gaussian sampling, moments and s^2 for quadratic energies, and
 deterministic quadrature for one- and two-site windows.
+
+scipy's banded LAPACK routines (`scipy.linalg`), erfc (`scipy.special`) and
+`scipy.integrate` are imported inside the functions that call them, so
+importing the package, or a run that never factors Q, does not load them.
 """
 
 from __future__ import annotations
@@ -13,8 +17,6 @@ from functools import cached_property
 
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
-from scipy.linalg import cho_solve_banded, cholesky_banded
-from scipy.linalg.lapack import dtbtrs
 
 from .models import (InteractionModel, QuadraticOperator, quadratic_operator,
                      site_energies)
@@ -88,12 +90,16 @@ class PrecisionMatrix:
         """Upper Cholesky factor U (U'U = Q) in the same band layout
         (read-only, computed once); raises LinAlgError unless Q is positive
         definite."""
+        from scipy.linalg import cholesky_banded
+
         U = cholesky_banded(self.band, lower=False)
         U.setflags(write=False)
         return U
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Q^{-1} rhs through the shared factor."""
+        from scipy.linalg import cho_solve_banded
+
         return cho_solve_banded((self.factor, False), rhs)
 
     def mean(self) -> np.ndarray:
@@ -115,6 +121,8 @@ def build_precision(model: InteractionModel, window: Window) -> PrecisionMatrix:
 def gaussian_exact_samples(precision: PrecisionMatrix, rng: np.random.Generator,
                            count: int) -> np.ndarray:
     """(count, n) exact draws x = mu + U^{-1} z (U'U = Q), one factorization."""
+    from scipy.linalg.lapack import dtbtrs
+
     z = rng.standard_normal((precision.n, count))
     x, _ = dtbtrs(precision.factor, z)
     return (precision.mean()[:, None] + x).T

@@ -87,13 +87,6 @@ def write_csv(path: str, header: list[str], rows=(), *, columns=None) -> str:
     return path
 
 
-def read_csv(path: str) -> tuple[list[str], list[list[str]]]:
-    with open(path, encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    header = lines[0].split(",")
-    return header, [ln.split(",") for ln in lines[1:]]
-
-
 def write_json(path: str, obj) -> str:
     _atomic_write(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
     return path

@@ -18,7 +18,6 @@ from typing import Callable
 
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
-from scipy.special import erfc
 
 from .estimators import (CylinderFunction, EstimateWithError, acceptance_rate,
                          dirichlet_form_empirical, esjd_first_coord,
@@ -38,6 +37,8 @@ STACK_SITES = 8192
 
 def c_theoretical(tau: float, s: float) -> float:
     """Limiting acceptance 2*Phi(-tau*s/2), via erfc for tail accuracy."""
+    from scipy.special import erfc
+
     if s <= 0:
         raise ValueError("s must be positive")
     if tau < 0:

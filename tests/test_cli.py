@@ -9,7 +9,7 @@ import pytest
 from gibbsrwm.cli import COMMANDS, check_run_keys, main
 from gibbsrwm.config import (ConfigError, config_hash, load_config,
                              parse_config)
-from gibbsrwm.runio import read_csv
+from test_runio import read_csv
 
 
 def base_config(**overrides):
@@ -305,6 +305,24 @@ class TestCliCommands:
                               text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_phi4_sample_leaves_scipy_linalg_and_special_unloaded(self, tmp_path):
+        # The banded oracle and erfc/ndtr import scipy.linalg and
+        # scipy.special where they are called; a quartic-field sample calls
+        # neither, so neither module may load (about 12 MB between them).
+        doc = base_config(output_dir=str(tmp_path / "out"), model={
+            "family": "phi4", "parameters": {"a": 0.25, "b": -0.5, "coupling": 1.0}})
+        doc["run"].update(steps=50, init="burn_in", burn_steps=20)
+        cfg = write_config(tmp_path, doc)
+        code = ("import sys, gibbsrwm.cli as cli\n"
+                f"assert cli.main(['sample', '--config', {cfg!r}]) == 0\n"
+                "print(sorted(m for m in sys.modules if m.split('.')[:2] in "
+                "(['scipy', 'linalg'], ['scipy', 'special'])))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+        assert (tmp_path / "out" / "trajectory.csv").exists()
 
     def test_console_entry_point(self, tmp_path):
         doc = base_config(output_dir=str(tmp_path / "o"))

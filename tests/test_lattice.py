@@ -1,15 +1,17 @@
 import itertools
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gibbsrwm.lattice import (MissingBoundaryValueError, Neighborhood, Window,
-                              boundary_of, boundary_ratio, build_box,
-                              build_line, exterior_halo, h2_diagnostics,
-                              loglog_slope, nearest_neighbor,
-                              self_neighborhood)
+from gibbsrwm.lattice import (BOUNDARY_MODES, MissingBoundaryValueError,
+                              Neighborhood, Window, boundary_of,
+                              boundary_ratio, build_box, build_line,
+                              exterior_halo, h2_diagnostics, loglog_slope,
+                              nearest_neighbor, self_neighborhood)
+from gibbsrwm.models import custom_pairwise
 
 
 def brute_boundary(vertices, offsets):
@@ -165,19 +167,6 @@ class TestWindow:
         with pytest.raises(ValueError):
             Window([(0,), (0,)], self_neighborhood(1))
 
-    def test_json_round_trip_box(self):
-        w = build_box(2, 2, nearest_neighbor(2), "constant", 1.5)
-        w2 = Window.from_json_dict(w.to_json_dict())
-        assert w2.vertices == w.vertices
-        assert w2.boundary == w.boundary
-        assert w2.boundary_values == w.boundary_values
-
-    def test_json_round_trip_vertex_list(self):
-        nb = Neighborhood.from_offsets([(1,)])
-        w = Window([(0,), (2,), (3,)], nb)
-        w2 = Window.from_json_dict(w.to_json_dict())
-        assert w2.vertices == w.vertices
-
 
 class TestH2Diagnostics:
     def test_1d_boundary_ratios(self):
@@ -241,3 +230,211 @@ def test_hull_count_non_box():
     pts = [(x, y) for x, y in itertools.product(range(3), range(3))
            if not (x > 0 and y > 0)]
     assert count_hull_lattice_points(pts) > len(pts)
+
+
+# -- Reference geometry: the site-by-site loops that numpy geometry replaced --
+
+
+def _add(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def loop_boundary_of(vertices, nb):
+    vs = frozenset(tuple(int(c) for c in v) for v in vertices)
+    nz = nb.nonzero_offsets
+    return frozenset(k for k in vs if any(_add(k, v) not in vs for v in nz))
+
+
+def loop_exterior_halo(vertices, nb):
+    vs = frozenset(tuple(int(c) for c in v) for v in vertices)
+    halo = {_add(k, v) for k in loop_boundary_of(vs, nb) for v in nb.offsets}
+    return frozenset(halo - vs)
+
+
+def loop_window(vertices, nb, mode, const=0.0, explicit=None):
+    """vertices, index_of, boundary, boundary_values and the interior indices
+    as the loop builder made them; raises MissingBoundaryValueError for the
+    first outside vertex without an explicit value, in sorted order."""
+    vs = tuple(tuple(int(c) for c in v) for v in vertices)
+    boundary = loop_boundary_of(vs, nb)
+    values = {}
+    if mode != "free":
+        for v in sorted(loop_exterior_halo(vs, nb)):
+            if mode != "explicit":
+                values[v] = 0.0 if mode == "zero" else float(const)
+            elif v in explicit:
+                values[v] = float(explicit[v])
+            else:
+                raise MissingBoundaryValueError(v)
+    interior = np.array([i for i, v in enumerate(vs) if v not in boundary],
+                        dtype=np.intp)
+    return vs, {v: i for i, v in enumerate(vs)}, boundary, values, interior
+
+
+def loop_tables(window, nb):
+    """(idx, ext_values, active, inside, all_active) of a lattice window, slot
+    by slot and site by site."""
+    n = window.n
+    frozen_at, frozen = [], []
+    offs = nb.nonzero_offsets
+    idx = np.zeros((len(offs), n), dtype=np.intp)
+    active = np.ones((len(offs), n), dtype=bool)
+    for s, off in enumerate(offs):
+        for i, k in enumerate(window.vertices):
+            tgt = _add(k, off)
+            j = window.index_of.get(tgt)
+            if j is not None:
+                idx[s, i] = j
+                continue
+            val = window.boundary_value_at(tgt)
+            if val is None:
+                active[s, i] = False
+            else:
+                frozen_at.append((s, i))
+                frozen.append(val)
+    ext_values, pos = np.unique(np.array(frozen, dtype=float), return_inverse=True)
+    if frozen_at:
+        slots, sites = np.array(frozen_at).T
+        idx[slots, sites] = n + pos
+    return idx, ext_values, active, active & (idx < n), active.all(axis=1)
+
+
+def assert_bit_identical(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def explicit_values_for(vertices, nbs):
+    """A frozen value for every outside site any of `nbs` reaches, with
+    repeats and both signed zeros, so the distinct-value table is exercised."""
+    halo = set()
+    for nb in nbs:
+        halo |= loop_exterior_halo(vertices, nb)
+    pool = [0.0, -0.0, 1.5, -2.25, 0.5, 1.5]
+    return {v: pool[sum(v) % len(pool)] for v in sorted(halo)}
+
+
+RANGE2 = custom_pairwise({v: 0.1 for v in [(2, 0), (-2, 0), (1, 1), (-1, -1),
+                                            (0, 1), (0, -1)]},
+                         lambda x: x * x, lambda x: 2 * x).neighborhood
+ANNULUS = [(i, j) for i in range(-3, 4) for j in range(-3, 4)
+           if max(abs(i), abs(j)) >= 2] + [(0, 0), (5, -1), (6, -1)]
+random.Random(3).shuffle(ANNULUS)
+GEOMETRY_CASES = {
+    # name: (vertices, window neighborhood, table neighborhood)
+    "box_d1": (list(itertools.product(range(-4, 5))), nearest_neighbor(1), None),
+    "box_d2": (list(itertools.product(range(-3, 4), repeat=2)), nearest_neighbor(2),
+               None),
+    "box_d3": (list(itertools.product(range(-2, 3), repeat=3)), nearest_neighbor(3),
+               None),
+    "line_range1": ([(i,) for i in range(7)], Neighborhood.from_offsets([(1,)]), None),
+    "line_self": ([(i,) for i in range(5)], self_neighborhood(1), None),
+    "annulus_shuffled": (ANNULUS, nearest_neighbor(2), None),
+    "box_range2": (list(itertools.product(range(-3, 4), repeat=2)), RANGE2, None),
+    "annulus_range2_tables": (ANNULUS, nearest_neighbor(2), RANGE2),
+    # Coordinates beyond int64 and a bounding box of more than 2**63 cells.
+    "huge_coordinates": ([(2**70, 0), (2**70 + 1, 0), (-2**70, 5)],
+                         nearest_neighbor(2), None),
+    "sparse_d4": ([(0, 0, 0, 0), (1, 0, 0, 0), (10**6, -10**6, 10**6, 10**6)],
+                  nearest_neighbor(4), None),
+}
+
+
+def build_case(name, mode):
+    """Boxes and lines through their builders (explicit values: from an
+    integer array, as the builders pass them), the rest from the list."""
+    vertices, nb, table_nb = GEOMETRY_CASES[name]
+    if mode == "explicit":
+        built = name.startswith(("box", "line"))
+        return Window(np.array(vertices) if built else vertices, nb, mode,
+                      explicit_values=explicit_values_for(vertices, (nb, table_nb or nb)))
+    if name.startswith("box"):
+        L = (round(len(vertices) ** (1 / nb.d)) - 1) // 2
+        return build_box(nb.d, L, nb, mode, 1.5)
+    if name.startswith("line"):
+        return build_line(len(vertices), nb, mode, 1.5)
+    return Window(vertices, nb, mode, 1.5)
+
+
+class TestGeometryMatchesLoops:
+    """The numpy geometry reproduces the loop builder bit for bit."""
+
+    @pytest.mark.parametrize("mode", BOUNDARY_MODES)
+    @pytest.mark.parametrize("name", sorted(GEOMETRY_CASES))
+    def test_window_and_tables(self, name, mode):
+        vertices, nb, table_nb = GEOMETRY_CASES[name]
+        w = build_case(name, mode)
+        vs, index_of, boundary, values, interior = loop_window(
+            vertices, nb, mode, 1.5, w._explicit)
+        assert w.vertices == vs
+        assert list(w.index_of.items()) == list(index_of.items())
+        assert w.boundary == boundary
+        assert list(w.boundary_values.items()) == list(values.items())
+        assert [np.signbit(x) for x in w.boundary_values.values()] == \
+            [np.signbit(x) for x in values.values()]
+        assert_bit_identical(w.interior_indices(), interior)
+        assert not w.interior_indices().flags.writeable
+        tnb = table_nb or nb
+        t = w.site_tables(tnb)
+        assert t.offsets == tnb.nonzero_offsets
+        for got, want in zip((t.idx, t.ext_values, t.active, t.inside, t.all_active),
+                             loop_tables(w, tnb)):
+            assert_bit_identical(got, want)
+            assert not got.flags.writeable
+
+    @pytest.mark.parametrize("name", ["box_d2", "annulus_shuffled", "box_range2",
+                                      "huge_coordinates", "sparse_d4"])
+    def test_boundary_of_and_exterior_halo(self, name):
+        vertices, nb, _ = GEOMETRY_CASES[name]
+        assert boundary_of(vertices, nb) == loop_boundary_of(vertices, nb)
+        assert exterior_halo(vertices, nb) == loop_exterior_halo(vertices, nb)
+
+    def test_box_and_line_vertices_are_the_sorted_products(self):
+        assert build_box(3, 2, nearest_neighbor(3)).vertices == tuple(
+            sorted(itertools.product(range(-2, 3), repeat=3)))
+        assert build_line(4).vertices == ((0,), (1,), (2,), (3,))
+
+    @pytest.mark.parametrize("name", ["box_d2", "annulus_shuffled", "box_range2"])
+    def test_missing_explicit_value_names_the_same_vertex(self, name):
+        vertices, nb, _ = GEOMETRY_CASES[name]
+        full = explicit_values_for(vertices, (nb,))
+        for dropped in (sorted(full)[::3], sorted(full)[-1:]):
+            explicit = {v: x for v, x in full.items() if v not in dropped}
+            with pytest.raises(MissingBoundaryValueError) as want:
+                loop_window(vertices, nb, "explicit", explicit=explicit)
+            with pytest.raises(MissingBoundaryValueError) as got:
+                Window(vertices, nb, "explicit", explicit_values=explicit)
+            assert got.value.vertex == want.value.vertex
+            assert str(got.value) == str(want.value)
+
+    def test_missing_value_for_wider_tables_names_the_same_vertex(self):
+        # The window's own halo is complete; the range-2 tables reach further.
+        vertices, nb, _ = GEOMETRY_CASES["annulus_shuffled"]
+        w = Window(vertices, nb, "explicit",
+                   explicit_values=explicit_values_for(vertices, (nb,)))
+        with pytest.raises(MissingBoundaryValueError) as want:
+            loop_tables(w, RANGE2)
+        with pytest.raises(MissingBoundaryValueError) as got:
+            w.site_tables(RANGE2)
+        assert got.value.vertex == want.value.vertex
+
+
+@given(st.sets(st.tuples(st.integers(-4, 4), st.integers(-4, 4)), min_size=1,
+               max_size=30),
+       st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)), max_size=4),
+       st.sampled_from(BOUNDARY_MODES))
+@settings(max_examples=60, deadline=None)
+def test_random_windows_match_loops(vertices, offsets, mode):
+    vertices = sorted(vertices, key=lambda v: (v[1] * 7 + v[0]) % 11)
+    nb = Neighborhood.from_offsets(offsets or [(0, 0)])
+    explicit = explicit_values_for(vertices, (nb,))
+    w = Window(vertices, nb, mode, -0.0, explicit_values=explicit)
+    vs, index_of, boundary, values, interior = loop_window(vertices, nb, mode,
+                                                           -0.0, explicit)
+    assert w.vertices == vs and w.boundary == boundary
+    assert list(w.boundary_values.items()) == list(values.items())
+    assert_bit_identical(w.interior_indices(), interior)
+    t = w.site_tables()
+    for got, want in zip((t.idx, t.ext_values, t.active, t.inside, t.all_active),
+                         loop_tables(w, nb)):
+        assert_bit_identical(got, want)

@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy import sparse
 from scipy.linalg import (LinAlgError, cho_solve, cho_solve_banded, cholesky,
                           cholesky_banded, solve_triangular)
@@ -393,8 +394,11 @@ class TestS2Exact:
         def forbidden(name):
             return lambda *args, **kwargs: calls.append(name)
 
-        for name in ("build_precision", "cholesky_banded", "cho_solve_banded"):
-            monkeypatch.setattr(oracle, name, forbidden(name))
+        # The oracle imports the banded LAPACK routines where it calls them,
+        # so they are forbidden at their source, scipy.linalg.
+        monkeypatch.setattr(oracle, "build_precision", forbidden("build_precision"))
+        for name in ("cholesky_banded", "cho_solve_banded"):
+            monkeypatch.setattr(scipy.linalg, name, forbidden(name))
         m = gff(0.7, 0.3)
         assert gaussian_s2_exact(m, build_box(2, 5, m.neighborhood)) == 3.0999999999999996
         assert calls == []

@@ -5,7 +5,15 @@ import numpy as np
 import pytest
 
 from gibbsrwm import runio
-from gibbsrwm.runio import read_csv, write_csv, write_json
+from gibbsrwm.runio import write_csv, write_json
+
+
+def read_csv(path: str) -> tuple[list[str], list[list[str]]]:
+    """Header and rows of a CSV written by runio, as text fields."""
+    with open(path, encoding="utf-8") as fh:
+        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+    header = lines[0].split(",")
+    return header, [ln.split(",") for ln in lines[1:]]
 
 
 @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600),

@@ -46,15 +46,25 @@ def _number(obj, key, where, lo=None, hi=None, integer=False):
     v = obj[key]
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError(f"{where}.{key}: expected a number")
-    if integer and int(v) != v:
-        raise ConfigError(f"{where}.{key}: expected an integer")
     if not math.isfinite(v):
         raise ConfigError(f"{where}.{key}: must be finite")
+    if integer and int(v) != v:
+        raise ConfigError(f"{where}.{key}: expected an integer")
     if lo is not None and v < lo:
         raise ConfigError(f"{where}.{key}: must be >= {lo}")
     if hi is not None and v > hi:
         raise ConfigError(f"{where}.{key}: must be <= {hi}")
     return int(v) if integer else float(v)
+
+
+def _coordinate_rows(rows, d: int, where: str) -> list[list[int]]:
+    """A nonempty list of points of d coordinates each, every coordinate an
+    integer by the _number(..., integer=True) rule (no bools, no fractions)."""
+    if not (isinstance(rows, list) and rows and all(
+            isinstance(row, list) and len(row) == d for row in rows)):
+        raise ConfigError(f"{where}: expected a nonempty list of {d}-coordinate lists")
+    return [[_number(row, a, f"{where}[{k}]", integer=True) for a in range(d)]
+            for k, row in enumerate(rows)]
 
 
 @dataclass(frozen=True)
@@ -122,7 +132,6 @@ def parse_config(doc: dict) -> ExperimentConfig:
                           "or a list of offsets")
     if family == "gaussian_product" and nb != "default":
         raise ConfigError("model.neighborhood: the product model is on-site only")
-    model = ModelSpec(family, dict(parameters), nb if isinstance(nb, str) else list(nb))
 
     g = doc["graph"]
     _check_keys(g, {"d", "L", "vertex_list", "boundary_mode", "boundary_constant"},
@@ -132,6 +141,11 @@ def parse_config(doc: dict) -> ExperimentConfig:
     vl = g.get("vertex_list")
     if vl is not None and L is not None:
         raise ConfigError("graph: give either L or vertex_list, not both")
+    if vl is not None:
+        vl = _coordinate_rows(vl, d, "graph.vertex_list")
+    if isinstance(nb, list):
+        nb = _coordinate_rows(nb, d, "model.neighborhood")
+    model = ModelSpec(family, dict(parameters), nb)
     mode = g.get("boundary_mode", "zero")
     if mode not in ("zero", "constant", "free"):
         raise ConfigError(f"graph.boundary_mode: unknown mode {mode!r}")
@@ -218,10 +232,7 @@ def build_neighborhood(cfg: ExperimentConfig) -> Neighborhood:
     nb = cfg.model.neighborhood
     d = cfg.graph.d
     if isinstance(nb, list):
-        got = Neighborhood.from_offsets(nb)
-        if got.d != d:
-            raise ConfigError("model.neighborhood: offset dimension != graph.d")
-        return got
+        return Neighborhood.from_offsets(nb)
     if nb == "nearest_neighbor":
         return nearest_neighbor(d)
     # family defaults: on-site for the product model, nearest-neighbor else

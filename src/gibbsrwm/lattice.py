@@ -29,9 +29,10 @@ Vertex = tuple[int, ...]
 
 
 def _as_vertex(v) -> Vertex:
-    out = tuple(int(c) for c in v)
-    if len(out) == 0:
-        raise ValueError("vertex must have dimension >= 1")
+    cs = tuple(v)
+    out = tuple(map(int, cs))
+    if not out or out != cs:
+        raise ValueError(f"a vertex needs one or more integer coordinates, got {cs}")
     return out
 
 
@@ -197,7 +198,6 @@ class SiteTables:
     ext_values: np.ndarray  # (m,) float
     active: np.ndarray      # (S, n) bool
     inside: np.ndarray      # (S, n) bool, active and idx < n
-    all_active: np.ndarray  # (S,) bool, slot active at every site
 
     @property
     def n_slots(self) -> int:
@@ -337,9 +337,8 @@ class Window:
                 active = np.ones_like(outside)
                 ext_values, pos = np.unique(values[geom.halo_of], return_inverse=True)
                 idx[outside] = n + pos
-        tables = SiteTables(offs, idx, ext_values, active, active & (idx < n),
-                            active.all(axis=1))
-        for arr in (idx, ext_values, active, tables.inside, tables.all_active):
+        tables = SiteTables(offs, idx, ext_values, active, active & (idx < n))
+        for arr in (idx, ext_values, active, tables.inside):
             arr.setflags(write=False)
         return tables
 
@@ -396,18 +395,14 @@ def count_hull_lattice_points(vertices) -> int:
     """Number of integer points inside the convex hull of the vertex set."""
     pts = np.array([_as_vertex(v) for v in vertices], dtype=float)
     n, d = pts.shape
-    if n == 1:
-        return 1
-    if d == 1:
-        lo, hi = int(pts.min()), int(pts.max())
-        return hi - lo + 1
+    if n == 1 or d == 1:
+        return int(pts.max() - pts.min()) + 1
     from scipy.spatial import ConvexHull
 
     hull = ConvexHull(pts)
     lo = pts.min(axis=0).astype(int)
     hi = pts.max(axis=0).astype(int)
-    grids = [np.arange(a, b + 1) for a, b in zip(lo, hi)]
-    cand = np.array(list(itertools.product(*grids)), dtype=float)
+    cand = (np.indices(hi - lo + 1).reshape(d, -1).T + lo).astype(float)
     # A @ x + b <= 0 within tolerance means inside or on the hull.
     A = hull.equations[:, :-1]
     b = hull.equations[:, -1]
@@ -423,14 +418,15 @@ def discrete_inradius(vertices) -> float:
     """
     from scipy.spatial import cKDTree
 
-    vs = {_as_vertex(v) for v in vertices}
-    pts = np.array(sorted(vs))
+    pts = np.array(sorted({_as_vertex(v) for v in vertices}))
     lo = pts.min(axis=0) - 1
-    hi = pts.max(axis=0) + 1
-    grids = [np.arange(a, b + 1) for a, b in zip(lo, hi)]
-    outside = np.array([p for p in itertools.product(*grids) if p not in vs])
-    tree = cKDTree(outside)
-    dist, _ = tree.query(pts)
+    shape = tuple(pts.max(axis=0) + 2 - lo)
+    # Every cell of the padded bounding box, in lexicographic order, minus
+    # the window's own cells.
+    grid = np.indices(shape).reshape(len(shape), -1)
+    outside = np.ones(grid.shape[1], dtype=bool)
+    outside[np.ravel_multi_index(tuple((pts - lo).T), shape)] = False
+    dist = cKDTree(grid[:, outside].T + lo).query(pts)[0]
     return float(dist.max() - 1.0)
 
 

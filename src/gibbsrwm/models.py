@@ -2,13 +2,15 @@
 
 Sign convention used everywhere: the window energy is H = sum_k eps_k(x) with
 per-site energies eps_k, and the target density is proportional to exp(-H).
-Each eps_k is a self term in x_k plus quadratic pair terms coupling x_k to
-its neighbors:
+Each eps_k, the model's definition, is a self term in x_k plus quadratic
+pair terms coupling x_k to its neighbors:
 
     eps_k(x) = self(x_k) + sum_{v != 0} [ diag_v * x_k^2 - cross_v * x_k * x_{k+v} ]
 
 Neighbors outside the window read the frozen boundary configuration; under
-free boundary conditions those pair terms are dropped.
+free boundary conditions those pair terms are dropped.  H, its gradient and
+the Metropolis dH (`gradient_dh`) are evaluated only from the one operator
+of `quadratic_operator`, as H(x) = x'Qx/2 - b'x + sum_k self(x_k).
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Callable
 import numpy as np
 from scipy import sparse
 
-from .lattice import (Neighborhood, SiteTables, Vertex, Window,
+from .lattice import (Neighborhood, SiteTables, Vertex, Window, _as_vertex,
                       nearest_neighbor, self_neighborhood)
 
 
@@ -102,28 +104,6 @@ def _check_model_window(model: InteractionModel, window: Window):
         raise ValueError(f"{model.family} does not support free boundary conditions")
 
 
-def _extended(x: np.ndarray, t: SiteTables) -> np.ndarray:
-    """``[x, ext_values]`` along the last axis, the vector ``t.idx`` indexes."""
-    if not t.ext_values.size:
-        return x
-    frozen = np.broadcast_to(t.ext_values, x.shape[:-1] + t.ext_values.shape)
-    return np.concatenate([x, frozen], axis=-1)
-
-
-def site_energies(model: InteractionModel, window: Window, values: np.ndarray) -> np.ndarray:
-    """Per-site energies eps_k; `values` may carry leading batch axes."""
-    _check_model_window(model, window)
-    x = np.asarray(values, dtype=float)
-    t = window.site_tables(model.neighborhood)
-    diag, cross = model.slot_coeffs(t)
-    eps = model.self_energy(x)
-    xe = _extended(x, t)
-    for s in range(t.n_slots):
-        term = diag[s] * x * x - cross[s] * x * xe[..., t.idx[s]]
-        eps = eps + (term if t.all_active[s] else np.where(t.active[s], term, 0.0))
-    return eps
-
-
 # Elements per block of QuadraticOperator.quad_forms: 256 KB of doubles, so a
 # block and its transposed copies stay in cache (a 2401-site window ran 5x
 # faster than in one (256, n) block).
@@ -132,18 +112,19 @@ QUAD_BLOCK = 1 << 15
 
 @dataclass(frozen=True)
 class QuadraticOperator:
-    """Quadratic part of a window energy, H(x) = x'Qx/2 - b'x + remainder,
-    with Q = diag(diag) + offdiag.
+    """A window energy H(x) = x'Qx/2 - b'x + sum_k remainder(x_k), with
+    Q = diag(diag) + offdiag.
 
     Q holds the pair terms, plus the self term when the model is quadratic;
-    the remainder is the sum of the self energies otherwise, and nothing
-    for quadratic models.  Every product below treats the rows of a batch
-    one by one: a row's bits do not depend on the rows beside it.
+    the remainder is the self energy otherwise, and None for quadratic
+    models.  Every product below treats the rows of a batch one by one: a
+    row's bits do not depend on the rows beside it.
     """
 
     diag: np.ndarray                   # (n,)
     offdiag: sparse.csr_matrix | None  # (n, n) zero diagonal; None without pairs
     shift: np.ndarray                  # b, (n,)
+    remainder: Callable[[np.ndarray], np.ndarray] | None = None  # elementwise
 
     @property
     def n(self) -> int:
@@ -158,6 +139,14 @@ class QuadraticOperator:
             out += (self.offdiag @ rows.T).T.reshape(x.shape)
         out -= self.shift
         return out
+
+    def energy(self, x: np.ndarray) -> np.ndarray:
+        """H along the last axis of `x`: x.(Qx - 2b)/2 plus the sum of the
+        remainder."""
+        h = 0.5 * (x * (self.gradient(x) - self.shift)).sum(axis=-1)
+        if self.remainder is not None:
+            h = h + self.remainder(x).sum(axis=-1)
+        return h
 
     def quad_forms(self, d: np.ndarray, out: np.ndarray):
         """d_j'Qd_j for each row d_j of the (c, n) block `d`, into `out`.
@@ -196,7 +185,7 @@ def quadratic_operator(model: InteractionModel, window: Window) -> QuadraticOper
     q = np.empty((t.n_slots + 1, n))
     q[0] = start
     q[1:] = np.where(t.active, 2.0 * diag[:, None], 0.0)
-    frozen = _extended(np.zeros(n), t)[t.idx]
+    frozen = np.concatenate([np.zeros(n), t.ext_values])[t.idx]
     b = np.zeros((t.n_slots + 1, n))
     b[1:] = np.where(t.active & ~t.inside, cross[:, None] * frozen, 0.0)
     offdiag = None
@@ -206,21 +195,42 @@ def quadratic_operator(model: InteractionModel, window: Window) -> QuadraticOper
         vals = np.tile(-cross[slot], 2)
         offdiag = sparse.csr_matrix(
             (vals, (np.concatenate([i, j]), np.concatenate([j, i]))), shape=(n, n))
-    return QuadraticOperator(q.sum(axis=0), offdiag, b.sum(axis=0))
+    return QuadraticOperator(q.sum(axis=0), offdiag, b.sum(axis=0),
+                             None if model.is_quadratic else model.self_energy)
+
+
+def gradient_dh(d: np.ndarray, g: np.ndarray, q: np.ndarray,
+                remainder: Callable[[np.ndarray], np.ndarray] | None,
+                x: np.ndarray, rem_x: np.ndarray | None) -> np.ndarray:
+    """dH of the (R, k) moves x + d from the (R, n) states x, in gradient
+    form: d.g + q/2 with g = Qx - b and q = d'Qd, plus the change of the
+    operator's remainder (rem_x is its value at x).  Elementwise products
+    summed along the last axis keep each row's value independent of R and
+    k."""
+    dh = (d * g[:, None]).sum(axis=-1)
+    dh += 0.5 * q
+    if remainder is not None:
+        dh += (remainder(x[:, None] + d) - rem_x[:, None]).sum(axis=-1)
+    return dh
 
 
 def hamiltonian(model: InteractionModel, config: Configuration) -> float:
-    """Window energy H(x) = sum of per-site energies; density is exp(-H)/Z."""
-    return float(site_energies(model, config.window, config.values).sum())
+    """Window energy H(x); the density is exp(-H)/Z."""
+    return float(quadratic_operator(model, config.window).energy(config.values))
 
 
 def delta_hamiltonian(model: InteractionModel, x: Configuration, y: Configuration) -> float:
-    """H(y) - H(x) accumulated as per-site differences (no cancellation of big sums)."""
+    """H(y) - H(x) in the Metropolis kernel's gradient form (gradient_dh),
+    with no cancellation between two large energies."""
     if y.window is not x.window:
         raise ValueError("configurations live on different windows")
-    ex = site_energies(model, x.window, x.values)
-    ey = site_energies(model, y.window, y.values)
-    return float((ey - ex).sum())
+    op = quadratic_operator(model, x.window)
+    xs, d = x.values[None], (y.values - x.values)[None]
+    q = np.empty(1)
+    op.quad_forms(d, q)
+    rem_x = op.remainder(xs) if op.remainder is not None else None
+    return float(gradient_dh(d[:, None], op.gradient(xs), q[:, None], op.remainder,
+                             xs, rem_x)[0, 0])
 
 
 def log_density_ratio(model: InteractionModel, x: Configuration, y: Configuration) -> float:
@@ -246,7 +256,7 @@ def grad_hamiltonian(model: InteractionModel, config: Configuration, k,
     translation-invariant potential; boundary sites need allow_boundary=True
     and return the window-energy gradient instead.
     """
-    vertex = tuple(int(c) for c in k)
+    vertex = _as_vertex(k)
     w = config.window
     if vertex not in w.index_of:
         raise KeyError(f"vertex {vertex} not in window")
@@ -331,7 +341,7 @@ def custom_pairwise(couplings: dict, self_potential: Callable, d_self_potential:
     J must be symmetric (J(v) == J(-v)); the neighborhood is derived from the
     coupling support.  u and its derivative must be numpy-vectorized.
     """
-    J = {tuple(int(c) for c in v): float(cv) for v, cv in couplings.items()}
+    J = {_as_vertex(v): float(cv) for v, cv in couplings.items()}
     nb = Neighborhood.from_offsets(list(J))
     for v in nb.nonzero_offsets:
         J.setdefault(v, 0.0)

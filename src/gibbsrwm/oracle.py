@@ -18,8 +18,7 @@ from functools import cached_property
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
 
-from .models import (InteractionModel, QuadraticOperator, quadratic_operator,
-                     site_energies)
+from .models import InteractionModel, QuadraticOperator, quadratic_operator
 from .lattice import Window
 
 
@@ -169,28 +168,21 @@ def quad_expectation_1d(g, mu: float = 0.0, var: float = 1.0,
     raise ValueError(f"unknown rule {rule!r}")
 
 
-def _state_bounds(model: InteractionModel, window: Window) -> tuple[np.ndarray, np.ndarray]:
-    """Per-site integration bounds covering essentially all of exp(-H), for
-    non-quadratic models: scan outward along each axis until the density is
-    negligible."""
-    n = window.n
-    lo = np.zeros(n)
-    hi = np.zeros(n)
-    base = site_energies(model, window, np.zeros(n)).sum()
+def _state_bounds(energy, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-site integration bounds -r, r covering essentially all of
+    exp(-H), for non-quadratic models with window energy `energy` on n
+    sites: r grows by 1.2 from 1 until moving site i to +r and to -r both
+    cost more than 35."""
+    base = energy(np.zeros(n))
+    hi = np.ones(n)
     for i in range(n):
-        r = 1.0
+        x = np.zeros((2, n))
         while True:
-            x = np.zeros(n)
-            x[i] = r
-            up = site_energies(model, window, x).sum() - base
-            x[i] = -r
-            down = site_energies(model, window, x).sum() - base
-            if min(up, down) > 35.0 or r > 1e6:
+            x[:, i] = hi[i], -hi[i]
+            if (energy(x) - base).min() > 35.0 or hi[i] > 1e6:
                 break
-            r *= 1.2
-        hi[i] = r
-        lo[i] = -r
-    return lo, hi
+            hi[i] *= 1.2
+    return -hi, hi
 
 
 def _gauss_legendre_grid(lo: float, hi: float, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -213,19 +205,19 @@ def _increment_density(family: str):
     raise ValueError(f"unknown increment family {family!r}")
 
 
-def _accept_integral_rows(model: InteractionModel, window: Window, sigma: float,
-                          X: np.ndarray, r_rest: np.ndarray | None, pdf, rlim: float,
+def _accept_integral_rows(energy, sigma: float, X: np.ndarray,
+                          r_rest: np.ndarray | None, pdf, rlim: float,
                           gl_order: int = 48, scan_points: int = 257) -> np.ndarray:
-    """Per context row, integral over the first increment coordinate r1 of
-    min(1, exp(-dH(x, x + sigma*r))) * pdf(r1).
+    """Per context row of the (rows, n) states X, integral over the first
+    increment coordinate r1 of min(1, exp(-dH(x, x + sigma*r))) * pdf(r1),
+    with dH the change of the window energy `energy`.
 
     dH is smooth in r1, so the integrand is piecewise smooth with kinks at
     the roots of dH: the roots are bracketed on a scan grid, polished by
     bisection, and each smooth piece gets its own Gauss-Legendre rule.
     """
-    n = window.n
-    rows = X.shape[0]
-    eps_x = site_energies(model, window, X).sum(axis=-1)
+    rows, n = X.shape
+    eps_x = energy(X)
     out = np.empty(rows)
     nodes01, w01 = np.polynomial.legendre.leggauss(gl_order)
     chunk = max(1, int(4e6) // (scan_points * max(n, 1)))
@@ -242,7 +234,7 @@ def _accept_integral_rows(model: InteractionModel, window: Window, sigma: float,
             if n == 2:
                 r[..., 1] = rc[:, None]
             y = Xc[:, None, :] + sigma * r
-            return site_energies(model, window, y).sum(axis=-1) - eps_c[:, None]
+            return energy(y) - eps_c[:, None]
 
         rs = np.linspace(-rlim, rlim, scan_points)
         sign = dh_c(np.broadcast_to(rs, (m, scan_points)).copy()) > 0
@@ -378,7 +370,8 @@ def quad_acceptance(model: InteractionModel, window: Window, tau: float,
         return _quad_acceptance_quadratic(model, window, tau, increment_family, tol)
     sigma = tau / math.sqrt(n)
     pdf, rlim = _increment_density(increment_family)
-    lo, hi = _state_bounds(model, window)
+    energy = quadratic_operator(model, window).energy
+    lo, hi = _state_bounds(energy, n)
     # Total mass of the (possibly truncated) increment density on [-rlim, rlim].
     rg, rw = _gauss_legendre_grid(-rlim, rlim, 256)
     pdf_mass = float((rw * pdf(rg)).sum())
@@ -396,9 +389,9 @@ def quad_acceptance(model: InteractionModel, window: Window, tau: float,
             r_rest = xg[2].ravel()
             WX = (axes[0][1][:, None, None] * axes[1][1][None, :, None]
                   * (r2w * pdf(r2g))[None, None, :]).ravel()
-        eps_x = site_energies(model, window, X).sum(axis=-1)
+        eps_x = energy(X)
         dens = np.exp(-(eps_x - eps_x.min()))
-        inner = _accept_integral_rows(model, window, sigma, X, r_rest, pdf, rlim)
+        inner = _accept_integral_rows(energy, sigma, X, r_rest, pdf, rlim)
         num = float((WX * dens) @ inner)
         den = float((WX * dens).sum()) * pdf_mass
         return num / den

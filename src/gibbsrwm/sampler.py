@@ -27,7 +27,7 @@ is kept per row and recomputed exactly from x whenever the row moves.
 Within a chunk the kernel runs in rounds.  A rejected proposal leaves the
 state unchanged, so the proposals up to the next acceptance all start from
 the current state: a round evaluates the dH of the next K of them at once
-(_round_dh) and commits the steps up to and including the first that some
+(gradient_dh) and commits the steps up to and including the first that some
 row accepts.  The chain, its records and its draw order are those of the
 one-step kernel, bit for bit; K (see _lookahead) only sets how much work
 each round does.  Every product and sum in dH treats a row on its own, so a
@@ -41,13 +41,14 @@ mode and burn-in use memory of one chunk, whatever the number of steps.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .lattice import Window
-from .models import Configuration, InteractionModel, quadratic_operator
+from .models import (Configuration, InteractionModel, gradient_dh,
+                     quadratic_operator)
 from .oracle import build_precision, gaussian_exact_samples
 
 CHUNK = 256  # most steps per chunk
@@ -266,20 +267,6 @@ def _lookahead(accept_rate: float, rows: int, n: int, room: int) -> int:
     return int(k[np.argmin((ROUND_SITES + k * rows * n) / steps)])
 
 
-def _round_dh(d: np.ndarray, g: np.ndarray, q: np.ndarray,
-              remainder: Callable[[np.ndarray], np.ndarray] | None,
-              x: np.ndarray, rem_x: np.ndarray | None) -> np.ndarray:
-    """dH of the (R, k) proposals x + d of one round, in gradient form:
-    d.g + q/2 with g = Qx - b and q = d'Qd, plus the change of the
-    non-quadratic remainder.  Elementwise products summed along the last
-    axis keep each row's value independent of R and k."""
-    dh = (d * g[:, None]).sum(axis=-1)
-    dh += 0.5 * q
-    if remainder is not None:
-        dh += (remainder(x[:, None] + d) - rem_x[:, None]).sum(axis=-1)
-    return dh
-
-
 def _drive(model: InteractionModel, window: Window, specs: list[ProposalSpec],
            steps: int, rngs: list[np.random.Generator],
            urngs: list[np.random.Generator], x0: np.ndarray,
@@ -298,7 +285,7 @@ def _drive(model: InteractionModel, window: Window, specs: list[ProposalSpec],
     x = np.array(x0, dtype=float)
     op = quadratic_operator(model, window)
     g = op.gradient(x)
-    remainder = None if model.is_quadratic else model.self_energy
+    remainder = op.remainder
     rem_x = remainder(x) if remainder is not None else None
 
     width = min(CHUNK, steps, max(1, CHUNK_BYTES // (8 * R * n)))
@@ -338,7 +325,7 @@ def _drive(model: InteractionModel, window: Window, specs: list[ProposalSpec],
             while j < c:
                 k = min(K, c - j)
                 d = incr_c[:, j:j + k]
-                dh = _round_dh(d, g, quad[:, j:j + k], remainder, x, rem_x)
+                dh = gradient_dh(d, g, quad[:, j:j + k], remainder, x, rem_x)
                 # A non-finite dH (inf - inf in the energies) is rejected.
                 acc = (us_c[:, j:j + k] < np.exp(-np.maximum(dh, 0.0))) & np.isfinite(dh)
                 m = k

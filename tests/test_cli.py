@@ -268,6 +268,43 @@ class TestCliCommands:
         out = json.loads((tmp_path / "o" / "s2.json").read_text())
         assert out["s2_hat"] > 0
 
+    @pytest.mark.parametrize("where,value", [
+        ("vertex_list", [[0], [1.7], [3.2]]),
+        ("vertex_list", [[True], [2]]),
+        ("vertex_list", [[0, 1], [2, 3]]),
+        ("vertex_list", []),
+        ("neighborhood", [[1.6], [-1.6]]),
+        ("neighborhood", [[False]]),
+        ("neighborhood", [[1, 0]]),
+    ], ids=["fractional", "bool", "wrong_d", "empty", "nb_fractional",
+            "nb_bool", "nb_wrong_d"])
+    def test_bad_coordinates_are_config_errors(self, tmp_path, capsys, where,
+                                                value):
+        # int() would truncate 1.7 to 1 and read true as 1: every coordinate
+        # must be an integer (not a bool) and every point have d of them.
+        doc = {
+            "model": {"family": "gff", "parameters": {"beta": 1.0, "m2": 1.0}},
+            "graph": {"d": 1, "L": 3},
+            "run": {"steps": 40, "tau": 1.0, "thin": 5},
+            "seed": 3, "output_dir": str(tmp_path / "o"),
+        }
+        if where == "vertex_list":
+            doc["graph"] = {"d": 1, "vertex_list": value}
+        else:
+            doc["model"]["neighborhood"] = value
+        assert self.run_cli("estimate-s", write_config(tmp_path, doc)) == 2
+        section = "graph" if where == "vertex_list" else "model"
+        assert f"{section}.{where}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_huge_and_integral_float_coordinates_accepted(self):
+        doc = base_config()
+        doc["model"] = {"family": "gff", "neighborhood": [[1.0], [-2]]}
+        doc["graph"] = {"d": 1, "vertex_list": [[2**70], [-2**70], [3.0]]}
+        cfg = parse_config(doc)
+        assert cfg.graph.vertex_list == [[2**70], [-2**70], [3]]
+        assert cfg.model.neighborhood == [[1], [-2]]
+
     def test_runtime_error_exit_code(self, tmp_path):
         # cylinder needs 2 coordinates but the smallest window has 1
         doc = base_config(output_dir=str(tmp_path / "o"))

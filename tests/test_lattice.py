@@ -167,6 +167,22 @@ class TestWindow:
         with pytest.raises(ValueError):
             Window([(0,), (0,)], self_neighborhood(1))
 
+    @pytest.mark.parametrize("vertices", [[(0,), (1.7,), (3.2,)],
+                                          [(0,), (np.float64(0.5),)]])
+    def test_fractional_coordinates_rejected(self, vertices):
+        # int() would truncate them to other lattice points.
+        with pytest.raises(ValueError, match="integer coordinates"):
+            Window(vertices, self_neighborhood(1))
+
+    def test_fractional_offsets_rejected(self):
+        with pytest.raises(ValueError, match="integer coordinates"):
+            Neighborhood.from_offsets([(1.6,), (-1.6,)])
+
+    def test_integral_and_huge_coordinates_accepted(self):
+        w = Window([(0.0,), (2**70,), (-2**70,), (np.int64(3),)],
+                   self_neighborhood(1))
+        assert w.vertices == ((0,), (2**70,), (-2**70,), (3,))
+
 
 class TestH2Diagnostics:
     def test_1d_boundary_ratios(self):
@@ -272,8 +288,8 @@ def loop_window(vertices, nb, mode, const=0.0, explicit=None):
 
 
 def loop_tables(window, nb):
-    """(idx, ext_values, active, inside, all_active) of a lattice window, slot
-    by slot and site by site."""
+    """(idx, ext_values, active, inside) of a lattice window, slot by slot
+    and site by site."""
     n = window.n
     frozen_at, frozen = [], []
     offs = nb.nonzero_offsets
@@ -296,7 +312,7 @@ def loop_tables(window, nb):
     if frozen_at:
         slots, sites = np.array(frozen_at).T
         idx[slots, sites] = n + pos
-    return idx, ext_values, active, active & (idx < n), active.all(axis=1)
+    return idx, ext_values, active, active & (idx < n)
 
 
 def assert_bit_identical(got, want):
@@ -377,7 +393,7 @@ class TestGeometryMatchesLoops:
         tnb = table_nb or nb
         t = w.site_tables(tnb)
         assert t.offsets == tnb.nonzero_offsets
-        for got, want in zip((t.idx, t.ext_values, t.active, t.inside, t.all_active),
+        for got, want in zip((t.idx, t.ext_values, t.active, t.inside),
                              loop_tables(w, tnb)):
             assert_bit_identical(got, want)
             assert not got.flags.writeable
@@ -435,6 +451,86 @@ def test_random_windows_match_loops(vertices, offsets, mode):
     assert list(w.boundary_values.items()) == list(values.items())
     assert_bit_identical(w.interior_indices(), interior)
     t = w.site_tables()
-    for got, want in zip((t.idx, t.ext_values, t.active, t.inside, t.all_active),
+    for got, want in zip((t.idx, t.ext_values, t.active, t.inside),
                          loop_tables(w, nb)):
         assert_bit_identical(got, want)
+
+
+# -- Reference diagnostics: the bounding-box loops that np.indices replaced --
+
+
+def loop_count_hull_lattice_points(vertices):
+    """count_hull_lattice_points as the itertools loop over the bounding box
+    computed it."""
+    from scipy.spatial import ConvexHull
+
+    pts = np.array([tuple(int(c) for c in v) for v in vertices], dtype=float)
+    if pts.shape[1] == 1:
+        return int(pts.max() - pts.min()) + 1
+    hull = ConvexHull(pts)
+    lo = pts.min(axis=0).astype(int)
+    hi = pts.max(axis=0).astype(int)
+    grids = [np.arange(a, b + 1) for a, b in zip(lo, hi)]
+    cand = np.array(list(itertools.product(*grids)), dtype=float)
+    A, b = hull.equations[:, :-1], hull.equations[:, -1]
+    return int(np.all(cand @ A.T + b <= 1e-9, axis=1).sum())
+
+
+def loop_inradius_points(vertices):
+    """The (window sites, outside points) that discrete_inradius queries and
+    hands to cKDTree, from the itertools loop over the padded bounding box
+    that it replaced."""
+    vs = {tuple(int(c) for c in v) for v in vertices}
+    pts = np.array(sorted(vs))
+    grids = [np.arange(a, b + 1) for a, b in zip(pts.min(axis=0) - 1,
+                                                 pts.max(axis=0) + 1)]
+    return pts, np.array([p for p in itertools.product(*grids) if p not in vs])
+
+
+def diagnostic_cases():
+    rng = random.Random(11)
+    scattered = {(rng.randrange(-6, 7), rng.randrange(-4, 9)) for _ in range(25)}
+    return {
+        "box_d1": [(i,) for i in range(-3, 4)],
+        "gaps_d1": [(0,), (3,), (-2,), (7,)],
+        "box_d2": list(itertools.product(range(-4, 5), repeat=2)),
+        "box_d3": list(itertools.product(range(-2, 3), repeat=3)),
+        "l_shape": [(x, y) for x, y in itertools.product(range(5), range(4))
+                    if not (x > 1 and y > 1)],
+        "annulus": ANNULUS,
+        "scattered": sorted(scattered, reverse=True),
+        "tetrahedron": [(0, 0, 0), (4, 0, 0), (0, 3, 0), (0, 0, 5), (1, 1, 1)],
+    }
+
+
+class TestDiagnosticsMatchLoops:
+    """The np.indices grids of the growth diagnostics reproduce the
+    itertools loops they replaced, point for point and in the same order."""
+
+    @pytest.mark.parametrize("name", sorted(diagnostic_cases()))
+    def test_hull_count(self, name):
+        from gibbsrwm.lattice import count_hull_lattice_points
+
+        vertices = diagnostic_cases()[name]
+        assert count_hull_lattice_points(vertices) == \
+            loop_count_hull_lattice_points(vertices)
+
+    @pytest.mark.parametrize("name", sorted(diagnostic_cases()))
+    def test_inradius_tree_points(self, name, monkeypatch):
+        import scipy.spatial
+        from gibbsrwm.lattice import discrete_inradius
+
+        vertices = diagnostic_cases()[name]
+        pts, outside = loop_inradius_points(vertices)
+        tree = scipy.spatial.cKDTree
+        want = float(tree(outside).query(pts)[0].max() - 1.0)
+        fed = []
+
+        def recording_tree(data):
+            fed.append(np.array(data))
+            return tree(data)
+
+        monkeypatch.setattr(scipy.spatial, "cKDTree", recording_tree)
+        assert discrete_inradius(vertices) == want
+        assert len(fed) == 1
+        assert_bit_identical(fed[0], outside)

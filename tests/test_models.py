@@ -8,7 +8,7 @@ from gibbsrwm.lattice import (Neighborhood, Window, build_box, build_line,
 from gibbsrwm.models import (Configuration, custom_pairwise, delta_hamiltonian,
                              gaussian_product, gff, grad_hamiltonian,
                              hamiltonian, hamiltonian_gradient,
-                             log_density_ratio, phi4, site_energies,
+                             log_density_ratio, phi4, quadratic_operator,
                              zeros_configuration)
 
 RNG = np.random.default_rng(20240811)
@@ -46,8 +46,9 @@ def models_to_probe():
 
 
 def slot_loop_site_energies(model, window, values):
-    """Per-slot gather-then-select loop straight from the window definition
-    (index_of, boundary_value_at, adjacency), the reference for site_energies."""
+    """Per-site energies eps_k by a per-slot gather-then-select loop straight
+    from the window definition (index_of, boundary_value_at, adjacency): the
+    test-side reference for the operator's H."""
     x = np.asarray(values, dtype=float)
     n = window.n
     if window.adjacency is None:
@@ -101,14 +102,18 @@ class TestSiteEnergiesGather:
                                        phi4(0.25, -0.5, d=2)],
                              ids=["gff_0.7_0.3", "gff_1_1", "phi4"])
     def test_bit_equal_to_slot_loop(self, name, model):
+        # The operator's H, read through the SiteTables gather, against the
+        # slot loop's site energies summed; the two sum in different orders,
+        # so they agree to rounding, not bit for bit.
         w = gather_windows()[name]
+        op = quadratic_operator(model, w)
         for shape in [(w.n,), (3, w.n), (2, 4, w.n)]:
             x = RNG.standard_normal(shape)
             x.flat[0] = -0.0
-            got = site_energies(model, w, x)
-            want = slot_loop_site_energies(model, w, x)
-            assert got.shape == want.shape
-            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            got = op.energy(x)
+            want = slot_loop_site_energies(model, w, x).sum(axis=-1)
+            assert np.shape(got) == want.shape
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
     def test_frozen_values_deduplicated(self):
         t = build_box(2, 3, nearest_neighbor(2), "constant", -1.7).site_tables()
@@ -281,22 +286,15 @@ class TestGradient:
         with pytest.raises(KeyError):
             grad_hamiltonian(m, zeros_configuration(w), (9,))
 
+    def test_fractional_vertex_rejected(self):
+        # int() would read (0.5,) as the window site (0,).
+        m = gaussian_product(1.0, d=1)
+        w = build_line(2, m.neighborhood)
+        with pytest.raises(ValueError, match="integer coordinates"):
+            grad_hamiltonian(m, zeros_configuration(w), (0.5,))
+
 
 class TestTranslationInvariance:
-    def test_site_energies_shift(self):
-        # eps at k on x equals eps at k+l on the shifted configuration
-        m = gff(1.0, 1.0, d=1)
-        w = build_box(1, 4, m.neighborhood)
-        vals = RNG.standard_normal(w.n)
-        eps = site_energies(m, w, vals)
-        shifted = np.roll(vals, 1)
-        eps_shifted = site_energies(m, w, shifted)
-        # interior sites k=-2..2 map to k+1
-        for k in range(-2, 3):
-            i = w.index_of[(k,)]
-            j = w.index_of[(k + 1,)]
-            assert eps_shifted[j] == pytest.approx(eps[i], abs=1e-12)
-
     def test_gradient_shift(self):
         m = gff(0.9, 1.1, d=1)
         w = build_box(1, 4, m.neighborhood)
@@ -362,6 +360,11 @@ class TestModelZoo:
     def test_custom_pairwise_symmetry_enforced(self):
         with pytest.raises(ValueError):
             custom_pairwise({(1,): 1.0, (-1,): 0.5},
+                            lambda x: x * x, lambda x: 2 * x)
+
+    def test_custom_pairwise_fractional_offset_rejected(self):
+        with pytest.raises(ValueError, match="integer coordinates"):
+            custom_pairwise({(1.5,): 0.3, (-1.5,): 0.3},
                             lambda x: x * x, lambda x: 2 * x)
 
     def test_custom_pairwise_matches_definition(self):

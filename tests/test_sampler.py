@@ -14,26 +14,35 @@ from gibbsrwm.oracle import build_precision, gaussian_exact_samples
 from gibbsrwm.sampler import (ProposalSpec, chain_rng, run_chain, run_replicas,
                               uniform_rng)
 from test_estimators import summarize_records
+from test_models import slot_loop_site_energies
 
 
 # The kernel evaluates dH in gradient form, d.(Qx - b) + d'Qd/2 plus the
-# change of the self terms, and delta_hamiltonian as a sum of per-site energy
-# differences: the two agree to rounding, not bit for bit.
+# change of the self terms, and the scalar reference as a sum of per-site
+# differences of the test-side slot-loop energies: the two agree to
+# rounding, not bit for bit.
 DH_RTOL = 1e-12
+
+
+def reference_dh(model, window, x, y):
+    """H(y) - H(x) as the sum of the per-site differences of the slot-loop
+    energies of test_models, independent of the library's operator."""
+    return float((slot_loop_site_energies(model, window, y)
+                  - slot_loop_site_energies(model, window, x)).sum())
 
 
 def scalar_reference(model, window, spec, steps, rng, urng, x):
     """The Metropolis chain one step at a time: all (steps, n) increments
     from `rng`, the stream left after the initial draw, and all uniforms
-    from the uniform stream `urng`; dH from delta_hamiltonian, and a
-    non-finite dH rejected.  Returns the final state, the dH, u and accept
-    columns, and the (steps, n) states after each step."""
+    from the uniform stream `urng`; dH from reference_dh, and a non-finite
+    dH rejected.  Returns the final state, the dH, u and accept columns, and
+    the (steps, n) states after each step."""
     incr = spec.draw_increments(rng, (steps, window.n))
     u = urng.random(steps)
     delta_h, accepted, states = [], [], []
     for j in range(steps):
         y = Configuration(window, x.values + spec.sigma * incr[j])
-        dh = delta_hamiltonian(model, x, y)
+        dh = reference_dh(model, window, x.values, y.values)
         acc = math.isfinite(dh) and bool(u[j] < np.exp(-max(dh, 0.0)))
         delta_h.append(dh)
         accepted.append(acc)
@@ -44,11 +53,11 @@ def scalar_reference(model, window, spec, steps, rng, urng, x):
 
 
 class CountingRounds:
-    """Stands in for sampler._round_dh and counts the kernel's rounds."""
+    """Stands in for the kernel's gradient_dh and counts its rounds."""
 
     def __init__(self):
         self.calls = 0
-        self.round_dh = sampler._round_dh
+        self.round_dh = sampler.gradient_dh
 
     def __call__(self, *args):
         self.calls += 1
@@ -60,7 +69,7 @@ def assert_matches_reference(model, window, spec, steps, seed, ids, thin=0,
     """run_replicas over the chain ids equals scalar_reference for every
     chain: u, accept flags, final state, thinned states and paths bit for
     bit, and dH at the same non-finite positions and within DH_RTOL of
-    delta_hamiltonian elsewhere.  Chains start from `init_values`, else
+    reference_dh elsewhere.  Chains start from `init_values`, else
     from an exact Gaussian draw."""
     init = {} if init_values is None else dict(
         init="given", init_config=Configuration(window, init_values))
@@ -641,7 +650,7 @@ class TestLookahead:
     @pytest.fixture
     def counter(self, monkeypatch):
         counting = CountingRounds()
-        monkeypatch.setattr(sampler, "_round_dh", counting)
+        monkeypatch.setattr(sampler, "gradient_dh", counting)
         return counting
 
     def test_low_acceptance_phi4_two_chunks_and_tail(self, counter):
@@ -796,7 +805,11 @@ class TestGradientFormAccuracy:
                                 - exact_energy(m, w, x, self_exact))
                           for x, y in zip(xs, ys)])
         assert np.all(np.isfinite(dh))
-        # Here delta_hamiltonian's per-site differences of energies of order
-        # 1e6 are off by up to 2.5e-10 on the GFF; the gradient form by 5e-13.
-        err = np.abs(dh - exact) / np.maximum(np.abs(exact), 1.0)
-        assert err.max() < 1e-11
+        # Per-site differences of energies of order 1e6, as reference_dh
+        # takes them, are off by up to 1.6e-10 here on the GFF; the gradient
+        # form, which the kernel and delta_hamiltonian share, by 5e-13.
+        scale = np.maximum(np.abs(exact), 1.0)
+        assert (np.abs(dh - exact) / scale).max() < 1e-11
+        lib = np.array([delta_hamiltonian(m, Configuration(w, x), Configuration(w, y))
+                        for x, y in zip(xs, ys)])
+        assert (np.abs(lib - exact) / scale).max() < 1e-11

@@ -201,17 +201,25 @@ def quadratic_operator(model: InteractionModel, window: Window) -> QuadraticOper
 
 def gradient_dh(d: np.ndarray, g: np.ndarray, q: np.ndarray,
                 remainder: Callable[[np.ndarray], np.ndarray] | None,
-                x: np.ndarray, rem_x: np.ndarray | None) -> np.ndarray:
+                x: np.ndarray, rem_x: np.ndarray | None):
     """dH of the (R, k) moves x + d from the (R, n) states x, in gradient
     form: d.g + q/2 with g = Qx - b and q = d'Qd, plus the change of the
     operator's remainder (rem_x is its value at x).  Elementwise products
     summed along the last axis keep each row's value independent of R and
-    k."""
-    dh = (d * g[:, None]).sum(axis=-1)
+    k.
+
+    Returns (dH, remainder(x + d)), or (dH, None) without a remainder: a
+    caller that accepts a move takes its remainder from there instead of
+    evaluating it again.
+    """
+    terms = d * g[:, None]
+    dh = terms.sum(axis=-1)
     dh += 0.5 * q
-    if remainder is not None:
-        dh += (remainder(x[:, None] + d) - rem_x[:, None]).sum(axis=-1)
-    return dh
+    if remainder is None:
+        return dh, None
+    rem_y = remainder(x[:, None] + d)
+    dh += np.subtract(rem_y, rem_x[:, None], out=terms).sum(axis=-1)
+    return dh, rem_y
 
 
 def hamiltonian(model: InteractionModel, config: Configuration) -> float:
@@ -229,8 +237,9 @@ def delta_hamiltonian(model: InteractionModel, x: Configuration, y: Configuratio
     q = np.empty(1)
     op.quad_forms(d, q)
     rem_x = op.remainder(xs) if op.remainder is not None else None
-    return float(gradient_dh(d[:, None], op.gradient(xs), q[:, None], op.remainder,
-                             xs, rem_x)[0, 0])
+    dh, _ = gradient_dh(d[:, None], op.gradient(xs), q[:, None], op.remainder,
+                        xs, rem_x)
+    return float(dh[0, 0])
 
 
 def log_density_ratio(model: InteractionModel, x: Configuration, y: Configuration) -> float:

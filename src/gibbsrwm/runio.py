@@ -3,6 +3,12 @@
 Floats are serialized with the shortest round-trip decimal representation
 and a fixed column order, so a rerun with the same config and seed yields
 byte-identical files.
+
+Every file is written to a temporary file beside its target and moved into
+place only once complete, so a failed write leaves the target as it was.
+CSV files are streamed: each block of CSV_BLOCK rows is formatted and
+written before the next, so writing a file takes memory of one block,
+whatever its length.
 """
 
 from __future__ import annotations
@@ -10,7 +16,9 @@ from __future__ import annotations
 import datetime
 import json
 import os
+import re
 import tempfile
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +38,10 @@ def fmt(value) -> str:
     return str(value)
 
 
-def _atomic_write(path: str, data: str):
+def _atomic_write(path: str, data: str | Iterable[str]):
+    """Write `data`, a string or text pieces written one after another, to a
+    temporary file and move it to `path`; on any error the temporary file is
+    removed and `path` is left as it was."""
     dirname = os.path.dirname(os.path.abspath(path))
     os.makedirs(dirname, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=dirname, prefix=".tmp_", text=True)
@@ -41,7 +52,7 @@ def _atomic_write(path: str, data: str):
     try:
         os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(data)
+            fh.writelines([data] if isinstance(data, str) else data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -49,9 +60,12 @@ def _atomic_write(path: str, data: str):
         raise
 
 
-# Rows per formatting block of write_csv: a block's cell strings are freed
-# before the next block is formatted.
+# Rows per block of write_csv: a block is formatted, written and freed
+# before the next one is formatted.
 CSV_BLOCK = 1 << 12
+
+# Text that would end a CSV cell or row early.
+_CSV_SPECIAL = re.compile(r'[,"\n\r]')
 
 
 def _column_text(column) -> list[str]:
@@ -67,10 +81,34 @@ def _column_text(column) -> list[str]:
     return [fmt(v) for v in column]
 
 
+def _csv_blocks(header: list[str], columns):
+    """The CSV text, one piece for the header and one per block of rows.
+    Only cells outside numeric arrays can hold special characters, so only
+    those are checked."""
+    yield ",".join(header) + "\n"
+    numeric = [isinstance(c, np.ndarray) and c.dtype.kind in "fbiu" for c in columns]
+    for start in range(0, len(columns[0]) if columns else 0, CSV_BLOCK):
+        texts = []
+        for name, column, is_numeric in zip(header, columns, numeric):
+            text = _column_text(column[start:start + CSV_BLOCK])
+            if not is_numeric and _CSV_SPECIAL.search("".join(text)):
+                row = next(i for i, t in enumerate(text) if _CSV_SPECIAL.search(t))
+                raise ValueError(f"column {name!r}, row {start + row}: cell "
+                                 f"{text[row]!r} holds a comma, quote or line break")
+            texts.append(text)
+        yield "\n".join(map(",".join, zip(*texts))) + "\n"
+
+
 def write_csv(path: str, header: list[str], rows=(), *, columns=None) -> str:
     """CSV of `rows`, or of `columns` (one sequence per header field, all of
-    one length) when given, with every value written as `fmt` writes it."""
+    one length) when given, with every value written as `fmt` writes it.
+
+    The file is streamed block by block (see the module docstring).  A cell
+    whose text holds a comma, a double quote or a line break raises
+    ValueError, and the target file is left as it was.
+    """
     if columns is None:
+        rows = list(rows)
         for row in rows:
             if len(row) != len(header):
                 raise ValueError(f"row width {len(row)} != header width {len(header)}")
@@ -79,11 +117,7 @@ def write_csv(path: str, header: list[str], rows=(), *, columns=None) -> str:
         raise ValueError(f"{len(columns)} columns != header width {len(header)}")
     if len({len(c) for c in columns}) > 1:
         raise ValueError("columns differ in length")
-    lines = [",".join(header)]
-    for start in range(0, len(columns[0]) if columns else 0, CSV_BLOCK):
-        texts = [_column_text(c[start:start + CSV_BLOCK]) for c in columns]
-        lines.extend(map(",".join, zip(*texts)))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    _atomic_write(path, _csv_blocks(header, columns))
     return path
 
 

@@ -325,7 +325,7 @@ def _drive(model: InteractionModel, window: Window, specs: list[ProposalSpec],
             while j < c:
                 k = min(K, c - j)
                 d = incr_c[:, j:j + k]
-                dh = gradient_dh(d, g, quad[:, j:j + k], remainder, x, rem_x)
+                dh, rem_y = gradient_dh(d, g, quad[:, j:j + k], remainder, x, rem_x)
                 # A non-finite dH (inf - inf in the energies) is rejected.
                 acc = (us_c[:, j:j + k] < np.exp(-np.maximum(dh, 0.0))) & np.isfinite(dh)
                 m = k
@@ -342,17 +342,14 @@ def _drive(model: InteractionModel, window: Window, specs: list[ProposalSpec],
                 if states is not None:
                     states[:, start // thin:(end - 1) // thin] = x[:, None]
                 # g is recomputed from x, never updated, so it cannot drift.
+                # A move's remainder is the one its dH was evaluated at.
                 moved = acc[:, m - 1].nonzero()[0]
-                if moved.size == R:
-                    x += d[:, m - 1]
-                    g = op.gradient(x)
-                    if remainder is not None:
-                        rem_x = remainder(x)
-                elif moved.size:
-                    x[moved] += d[moved, m - 1]
-                    g[moved] = op.gradient(x[moved])
-                    if remainder is not None:
-                        rem_x[moved] = remainder(x[moved])
+                if moved.size:
+                    rows = slice(None) if moved.size == R else moved
+                    x[rows] += d[rows, m - 1]
+                    if rem_y is not None:
+                        rem_x[rows] = rem_y[rows, m - 1]
+                    g[rows] = op.gradient(x[rows])
                 if path is not None:
                     path[:, end] = x[:, :track_first]
                 if states is not None and end % thin == 0:

@@ -50,9 +50,13 @@ def c_mc_oracle(tau: float, s: float, m: int, seed: int) -> EstimateWithError:
     """Monte Carlo of E[1 ^ exp(-tau*s*Z - tau^2 s^2 / 2)] over m draws."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    z = chain_rng(seed).standard_normal(m)
-    expo = -tau * s * z - 0.5 * (tau * s) ** 2
-    vals = np.minimum(1.0, np.exp(np.minimum(expo, 50.0)))
+    # Every step below works in place on the one (m,) buffer of draws.
+    vals = chain_rng(seed).standard_normal(m)
+    vals *= -tau * s
+    vals -= 0.5 * (tau * s) ** 2
+    np.minimum(vals, 50.0, out=vals)
+    np.exp(vals, out=vals)
+    np.minimum(vals, 1.0, out=vals)
     return EstimateWithError(float(vals.mean()),
                              float(vals.std(ddof=1) / math.sqrt(m)) if m > 1 else 0.0,
                              m)

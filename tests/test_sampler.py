@@ -53,15 +53,24 @@ def scalar_reference(model, window, spec, steps, rng, urng, x):
 
 
 class CountingRounds:
-    """Stands in for the kernel's gradient_dh and counts its rounds."""
+    """Stands in for the kernel's gradient_dh and counts its rounds; the
+    models from counting_model also count their self-energy evaluations."""
 
     def __init__(self):
         self.calls = 0
+        self.remainder_calls = 0
         self.round_dh = sampler.gradient_dh
 
     def __call__(self, *args):
         self.calls += 1
         return self.round_dh(*args)
+
+    def counting_model(self, model):
+        def self_energy(x):
+            self.remainder_calls += 1
+            return model.self_energy(x)
+
+        return dataclasses.replace(model, self_energy=self_energy)
 
 
 def assert_matches_reference(model, window, spec, steps, seed, ids, thin=0,
@@ -662,6 +671,22 @@ class TestLookahead:
                                           seed=5, ids=[0], init_values=x0)
         assert 0 < run.summary.acceptance < 0.3
         assert counter.calls < steps
+
+    def test_one_remainder_evaluation_per_round(self, counter):
+        # The start state's remainder, then one per round: an accepted
+        # move adopts the remainder its dH was evaluated at.
+        m = counter.counting_model(phi4(0.25, -0.5, d=1))
+        w = build_box(1, 10, m.neighborhood)
+        spec, steps, ids = ProposalSpec(1.5, w.n), 2 * sampler.CHUNK + 37, [0, 1, 2]
+        x0 = 0.5 * np.random.default_rng(3).standard_normal(w.n)
+        runs = assert_matches_reference(m, w, spec, steps, seed=5, ids=ids,
+                                        init_values=x0)
+        assert 0.2 < runs[0].summary.acceptance < 1
+        counter.calls = counter.remainder_calls = 0
+        run_replicas(m, w, spec, steps, seed=5, n_replicas=len(ids), chain_ids=ids,
+                     recording="summary", init="given", init_config=Configuration(w, x0))
+        assert counter.calls > 0
+        assert counter.remainder_calls == counter.calls + 1
 
     def test_batched_rows_match_standalone_and_reference(self, counter):
         m = gff(1.0, 1.0, d=1)

@@ -221,8 +221,7 @@ class Window:
     """
 
     def __init__(self, vertices, neighborhood: Neighborhood, boundary_mode="zero",
-                 boundary_constant=0.0, explicit_values=None, box=None,
-                 adjacency=None):
+                 boundary_constant=0.0, explicit_values=None, adjacency=None):
         if boundary_mode not in BOUNDARY_MODES:
             raise ValueError(f"unknown boundary_mode {boundary_mode!r}")
         coords = None
@@ -241,7 +240,6 @@ class Window:
         self.neighborhood = neighborhood
         self.boundary_mode = boundary_mode
         self.boundary_constant = float(boundary_constant)
-        self.box = box  # (d, L) when built by build_box
         self._explicit = dict(explicit_values or {})
         self.adjacency = None
         if adjacency is not None:
@@ -354,8 +352,7 @@ def build_box(d: int, L: int, neighborhood: Neighborhood, boundary_mode="zero",
         raise ValueError("neighborhood dimension does not match d")
     # Rows in lexicographic order: the first axis varies slowest.
     vertices = np.indices((2 * L + 1,) * d).reshape(d, -1).T - L
-    return Window(vertices, neighborhood, boundary_mode, boundary_constant,
-                  box=(d, L))
+    return Window(vertices, neighborhood, boundary_mode, boundary_constant)
 
 
 def build_line(n: int, neighborhood: Neighborhood | None = None,

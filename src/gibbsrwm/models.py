@@ -55,10 +55,6 @@ class InteractionModel:
     def is_quadratic(self) -> bool:
         return self.self_quad_coeff is not None
 
-    @property
-    def param_dict(self) -> dict[str, float]:
-        return dict(self.params)
-
     def slot_coeffs(self, tables: SiteTables) -> tuple[np.ndarray, np.ndarray]:
         """Per-slot (diag, cross) coefficient vectors matching the tables."""
         if tables.offsets is not None:

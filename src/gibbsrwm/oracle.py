@@ -2,18 +2,19 @@
 
 Everything here validates the sampling/estimation path from the side:
 closed-form Gaussian sampling, moments and s^2 for quadratic energies, and
-deterministic quadrature for one- and two-site windows.
+the exact expected acceptance: on any window for Gaussian increments on a
+quadratic energy (from Q's band), and on one-site windows otherwise.
 
-scipy's banded LAPACK routines (`scipy.linalg`), erfc (`scipy.special`) and
-`scipy.integrate` are imported inside the functions that call them, so
-importing the package, or a run that never factors Q, does not load them.
+scipy's banded LAPACK routines (`scipy.linalg`) and `scipy.integrate` are
+imported inside the functions that call them, so importing the package, or
+a run that never factors Q, does not load them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
@@ -168,21 +169,16 @@ def quad_expectation_1d(g, mu: float = 0.0, var: float = 1.0,
     raise ValueError(f"unknown rule {rule!r}")
 
 
-def _state_bounds(energy, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-site integration bounds -r, r covering essentially all of
-    exp(-H), for non-quadratic models with window energy `energy` on n
-    sites: r grows by 1.2 from 1 until moving site i to +r and to -r both
-    cost more than 35."""
-    base = energy(np.zeros(n))
-    hi = np.ones(n)
-    for i in range(n):
-        x = np.zeros((2, n))
-        while True:
-            x[:, i] = hi[i], -hi[i]
-            if (energy(x) - base).min() > 35.0 or hi[i] > 1e6:
-                break
-            hi[i] *= 1.2
-    return -hi, hi
+def _state_bound(energy) -> float:
+    """Integration bound r for the state of a one-site window with energy
+    `energy`, covering essentially all of exp(-H): r grows by 1.2 from 1
+    until moving the site to +r and to -r both cost more than 35."""
+    base = energy(np.zeros(1))
+    r = 1.0
+    while True:
+        if (energy(np.array([[r], [-r]])) - base).min() > 35.0 or r > 1e6:
+            return r
+        r *= 1.2
 
 
 def _gauss_legendre_grid(lo: float, hi: float, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -205,36 +201,29 @@ def _increment_density(family: str):
     raise ValueError(f"unknown increment family {family!r}")
 
 
-def _accept_integral_rows(energy, sigma: float, X: np.ndarray,
-                          r_rest: np.ndarray | None, pdf, rlim: float,
+def _accept_integral_rows(energy, sigma: float, X: np.ndarray, pdf, rlim: float,
                           gl_order: int = 48, scan_points: int = 257) -> np.ndarray:
-    """Per context row of the (rows, n) states X, integral over the first
-    increment coordinate r1 of min(1, exp(-dH(x, x + sigma*r))) * pdf(r1),
-    with dH the change of the window energy `energy`.
+    """Per row of the (rows, 1) one-site states X, integral over the
+    increment r of min(1, exp(-dH(x, x + sigma*r))) * pdf(r), with dH the
+    change of the window energy `energy`.
 
-    dH is smooth in r1, so the integrand is piecewise smooth with kinks at
+    dH is smooth in r, so the integrand is piecewise smooth with kinks at
     the roots of dH: the roots are bracketed on a scan grid, polished by
     bisection, and each smooth piece gets its own Gauss-Legendre rule.
     """
-    rows, n = X.shape
+    rows = X.shape[0]
     eps_x = energy(X)
     out = np.empty(rows)
     nodes01, w01 = np.polynomial.legendre.leggauss(gl_order)
-    chunk = max(1, int(4e6) // (scan_points * max(n, 1)))
+    chunk = max(1, int(4e6) // scan_points)
     for start in range(0, rows, chunk):
         sl = slice(start, min(start + chunk, rows))
         Xc = X[sl]
-        rc = r_rest[sl] if r_rest is not None else None
         eps_c = eps_x[sl]
         m = Xc.shape[0]
 
-        def dh_c(r1):
-            r = np.empty(r1.shape + (n,))
-            r[..., 0] = r1
-            if n == 2:
-                r[..., 1] = rc[:, None]
-            y = Xc[:, None, :] + sigma * r
-            return energy(y) - eps_c[:, None]
+        def dh_c(r):
+            return energy(Xc[:, None, :] + sigma * r[..., None]) - eps_c[:, None]
 
         rs = np.linspace(-rlim, rlim, scan_points)
         sign = dh_c(np.broadcast_to(rs, (m, scan_points)).copy()) > 0
@@ -276,131 +265,91 @@ class QuadratureConvergenceError(RuntimeError):
     pass
 
 
-def _quad_acceptance_quadratic(model: InteractionModel, window: Window, tau: float,
-                               increment_family: str, tol: float) -> float:
-    """Expected acceptance for quadratic energies, with the state integrated
-    out exactly.
+def _craig_acceptance(model: InteractionModel, window: Window, tau: float) -> float:
+    """Expected acceptance of Gaussian increments on a quadratic energy.
 
-    Given the increment r, dH is Gaussian over the stationary state with
-    mean sigma^2 r'Qr / 2 and variance sigma^2 r'Qr, so the conditional
-    acceptance is 2*Phi(-sigma*sqrt(r'Qr)/2).  Only a smooth integral over
-    r remains.
+    Given the increment xi, dH over the stationary state is Gaussian with
+    mean sigma^2 q / 2 and variance sigma^2 q, q = xi'Q xi, so the
+    acceptance is E erfc(sigma sqrt(q) / (2 sqrt 2)).  Craig's form
+    erfc(x) = (2/pi) int_0^{pi/2} exp(-x^2 / sin^2 t) dt (Craig, MILCOM 1991)
+    and the Gaussian Laplace transform of q turn it into
+
+        (2/pi) int_0^{pi/2} det(I + c(t) Q)^{-1/2} dt,  c = sigma^2 / (4 sin^2 t),
+
+    with each determinant from one banded Cholesky factor of I + cQ, so
+    det^{-1/2} = 1 / prod diag U.
+    A small sigma puts a boundary layer of width ~ sigma sqrt(lambda) / 2
+    at t = 0, so the rule runs in s with t = (pi/2) e^{-s}: Gauss-Legendre
+    nodes on s in [0, 20].  The integrand is at most 1, so the cut at
+    s = 20 drops at most e^{-20}.  As n grows the integrand tends to
+    exp(-x^2 / sin^2 t), which falls double-exponentially in s: 64 nodes
+    miss erfc(x) there by up to 5e-8, 96 by at most 1.4e-10.
     """
-    from scipy.special import erfc as _erfc
+    from scipy.linalg import cholesky_banded
 
-    n = window.n
-    sigma = tau / math.sqrt(n)
-    op = quadratic_operator(model, window)
-    q00 = op.diag[0]
-    pdf, rlim = _increment_density(increment_family)
+    band = build_precision(model, window).band
+    sigma2 = tau * tau / window.n
+    total = 0.0
+    for t, wt in zip(*_craig_rule()):
+        ab = (sigma2 / (4.0 * math.sin(t) ** 2)) * band
+        ab[-1] += 1.0
+        U = cholesky_banded(ab, overwrite_ab=True, lower=False)
+        total += wt * math.exp(-np.log(U[-1]).sum())
+    return float(total)
 
-    def conditional(rr_quad):
-        # 2*Phi(-z/2) = erfc(z / (2*sqrt(2))) with z = sigma*sqrt(r'Qr)
-        return _erfc(sigma * np.sqrt(rr_quad) / (2.0 * math.sqrt(2.0)))
 
-    if n == 1:
-        def estimate(m: int) -> float:
-            r, w = _gauss_legendre_grid(0.0, rlim, m)
-            vals = conditional(q00 * r * r) * pdf(r)
-            mass = (w * pdf(r)).sum()
-            return float((w * vals).sum() / mass)
-    else:
-        q11 = op.diag[1]
-        q01 = 0.0 if op.offdiag is None else op.offdiag[0, 1] + op.offdiag[1, 0]
-        if increment_family == "standard_normal":
-            theta_pieces = [(0.0, 2.0 * math.pi)]
-            def rho_max(theta):
-                return np.full_like(theta, rlim)
-            def pdf2(rho):
-                return np.exp(-0.5 * rho * rho) / (2.0 * math.pi)
-        else:
-            # Square support: split at the corner directions.
-            theta_pieces = [(k * math.pi / 4.0, (k + 1) * math.pi / 4.0)
-                            for k in range(8)]
-            def rho_max(theta):
-                return rlim / np.maximum(np.abs(np.cos(theta)), np.abs(np.sin(theta)))
-            def pdf2(rho):
-                return np.full_like(rho, 1.0 / (2.0 * rlim) ** 2)
-
-        def estimate(m: int) -> float:
-            ts, tw = _gauss_legendre_grid(0.0, 1.0, m)
-            num = 0.0
-            mass = 0.0
-            for a, b in theta_pieces:
-                th, thw = _gauss_legendre_grid(a, b, m)
-                rmax = rho_max(th)
-                c, s = np.cos(th), np.sin(th)
-                qdir = q00 * c * c + q01 * c * s + q11 * s * s
-                rho = ts[:, None] * rmax[None, :]
-                jac = (tw[:, None] * thw[None, :]) * rmax[None, :] * rho * pdf2(rho)
-                num += float((conditional(qdir[None, :] * rho * rho) * jac).sum())
-                mass += float(jac.sum())
-            return num / mass
-
-    m = 32
-    prev = estimate(m)
-    while m < 2048:
-        m *= 2
-        cur = estimate(m)
-        if abs(cur - prev) < tol:
-            return cur
-        prev = cur
-    raise QuadratureConvergenceError(
-        f"radial quadrature not stable within {tol:g}")
+@cache
+def _craig_rule() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes t = (pi/2) e^{-s} and weights (2/pi) w t of the 96-node
+    Gauss-Legendre rule in s on [0, 20], built once (leggauss(96) costs
+    milliseconds)."""
+    s, w = _gauss_legendre_grid(0.0, 20.0, 96)
+    theta = 0.5 * math.pi * np.exp(-s)
+    return theta, 2.0 / math.pi * w * theta
 
 
 def quad_acceptance(model: InteractionModel, window: Window, tau: float,
                     increment_family: str = "standard_normal",
                     tol: float = 1e-5) -> float:
-    """Exact expected acceptance E[1 ^ exp(-dH)] for one- or two-site windows.
+    """Exact expected stationary acceptance E[1 ^ exp(-dH)] at sigma = tau/sqrt(n).
 
-    Quadratic energies integrate the state out analytically and reduce to a
-    smooth integral over the increment.  Other models use an outer tensor
-    Gauss-Legendre rule, refined by doubling until stable within tol, with
-    the innermost increment integral split exactly at the acceptance kink.
+    Gaussian increments on a quadratic model integrate state and increment
+    out through Craig's form of erfc on Q's band, on any window (a fixed
+    rule; `tol` is not used).  Any other model or increment family needs a
+    one-site window: a Gauss-Legendre rule over the state, doubled until
+    stable within tol, with the increment integral split exactly at the
+    acceptance kinks.
     """
-    n = window.n
-    if n > 2:
-        raise ValueError("quadrature oracle supports windows of size 1 or 2 only")
+    pdf, rlim = _increment_density(increment_family)
     if tau < 0:
         raise ValueError("tau must be >= 0")
     if tau == 0.0:
         return 1.0
-    if model.is_quadratic:
-        return _quad_acceptance_quadratic(model, window, tau, increment_family, tol)
-    sigma = tau / math.sqrt(n)
-    pdf, rlim = _increment_density(increment_family)
+    if model.is_quadratic and increment_family == "standard_normal":
+        return _craig_acceptance(model, window, tau)
+    if window.n != 1:
+        raise ValueError("quadrature acceptance for non-quadratic models or "
+                         "non-Gaussian increments supports one-site windows only")
     energy = quadratic_operator(model, window).energy
-    lo, hi = _state_bounds(energy, n)
+    r = _state_bound(energy)
     # Total mass of the (possibly truncated) increment density on [-rlim, rlim].
     rg, rw = _gauss_legendre_grid(-rlim, rlim, 256)
     pdf_mass = float((rw * pdf(rg)).sum())
 
     def estimate(m: int) -> float:
-        axes = [_gauss_legendre_grid(lo[i], hi[i], m) for i in range(n)]
-        if n == 1:
-            X = axes[0][0][:, None]
-            WX = axes[0][1]
-            r_rest = None
-        else:
-            r2g, r2w = _gauss_legendre_grid(-rlim, rlim, m)
-            xg = np.meshgrid(axes[0][0], axes[1][0], r2g, indexing="ij")
-            X = np.stack([xg[0].ravel(), xg[1].ravel()], axis=-1)
-            r_rest = xg[2].ravel()
-            WX = (axes[0][1][:, None, None] * axes[1][1][None, :, None]
-                  * (r2w * pdf(r2g))[None, None, :]).ravel()
+        x, wx = _gauss_legendre_grid(-r, r, m)
+        X = x[:, None]
         eps_x = energy(X)
         dens = np.exp(-(eps_x - eps_x.min()))
-        inner = _accept_integral_rows(energy, sigma, X, r_rest, pdf, rlim)
-        num = float((WX * dens) @ inner)
-        den = float((WX * dens).sum()) * pdf_mass
+        inner = _accept_integral_rows(energy, tau, X, pdf, rlim)  # sigma = tau at n = 1
+        num = float((wx * dens) @ inner)
+        den = float((wx * dens).sum()) * pdf_mass
         return num / den
 
-    m = 32 if n == 1 else 16
-    cap = 1024 if n == 1 else 128
+    m = 32
     prev = estimate(m)
     diff = math.inf
-    while m < cap:
+    while m < 1024:
         m *= 2
         cur = estimate(m)
         diff = abs(cur - prev)
@@ -408,5 +357,4 @@ def quad_acceptance(model: InteractionModel, window: Window, tau: float,
             return cur
         prev = cur
     raise QuadratureConvergenceError(
-        f"grid refinement stalled at change {diff:.2e} > {tol:g}; "
-        "non-quadratic two-site windows need a looser tol")
+        f"state grid refinement stalled at change {diff:.2e} > {tol:g}")

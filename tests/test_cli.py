@@ -1,4 +1,5 @@
 import json
+import os
 import pathlib
 import re
 import subprocess
@@ -10,6 +11,16 @@ from gibbsrwm.cli import COMMANDS, check_run_keys, main
 from gibbsrwm.config import (ConfigError, config_hash, load_config,
                              parse_config)
 from test_runio import read_csv
+
+SRC = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+
+
+def src_env():
+    """The environment with the checkout's src first on PYTHONPATH, so a
+    child interpreter imports this gibbsrwm whether or not it is installed."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return env
 
 
 def base_config(**overrides):
@@ -339,7 +350,7 @@ class TestCliCommands:
                 "if m.split('.')[:2] in (['scipy', 'stats'], "
                 "['scipy', 'optimize'])))")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                              text=True)
+                              text=True, env=src_env())
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
@@ -356,7 +367,7 @@ class TestCliCommands:
                 "print(sorted(m for m in sys.modules if m.split('.')[:2] in "
                 "(['scipy', 'linalg'], ['scipy', 'special'])))")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                              text=True)
+                              text=True, env=src_env())
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
         assert (tmp_path / "out" / "trajectory.csv").exists()
@@ -366,7 +377,8 @@ class TestCliCommands:
         doc["run"]["steps"] = 50
         cfg = write_config(tmp_path, doc)
         proc = subprocess.run([sys.executable, "-m", "gibbsrwm.cli", "sample",
-                               "--config", cfg], capture_output=True, text=True)
+                               "--config", cfg], capture_output=True, text=True,
+                              env=src_env())
         assert proc.returncode == 0, proc.stderr
 
 

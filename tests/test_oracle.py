@@ -438,6 +438,34 @@ class TestS2Exact:
             gaussian_s2_exact(m, w)
 
 
+# Windows of one and two sites, with the values the former radial (one site)
+# and polar (two sites) quadratures gave for them at tol=1e-10.  The small
+# taus put a boundary layer at theta = 0 that a plain rule in theta misses.
+_PRODUCT, _GFF1 = gaussian_product(1.0, d=1), gff(1.0, 1.0, d=1)
+QUAD_REFERENCE = {
+    "product1": (_PRODUCT, build_line(1, _PRODUCT.neighborhood), [
+        (1e-06, 0.999999681690114), (0.0001, 0.9999681690114084),
+        (0.001, 0.9996816901403424), (0.5, 0.8440417392452608),
+        (1.7, 0.5515051491878052), (5.0, 0.24223788318168368),
+        (100.0, 0.012730698201951262)]),
+    "product2": (_PRODUCT, build_line(2, _PRODUCT.neighborhood), [
+        (1e-06, 0.9999996464466097), (0.0001, 0.9999646446609629),
+        (0.001, 0.9996464466315038), (0.5, 0.8259223440443022),
+        (1.7, 0.4848484848484847), (5.0, 0.12961172022151043),
+        (100.0, 0.00039976015988808496)]),
+    "gff1": (_GFF1, build_box(1, 0, _GFF1.neighborhood), [
+        (1e-06, 0.9999994486711048), (0.0001, 0.9999448671105958),
+        (0.001, 0.9994486712424105), (0.5, 0.7398530617069928),
+        (1.3, 0.46236090597425755), (5.0, 0.144487910475828),
+        (100.0, 0.007350725251690132)]),
+    "gff2": (_GFF1, build_line(2, _GFF1.neighborhood), [
+        (1e-06, 0.9999993919966382), (0.0001, 0.9999391996639461),
+        (0.001, 0.9993919967555122), (0.5, 0.7096269020110016),
+        (1.7, 0.285222494321317), (5.0, 0.05195924839229039),
+        (100.0, 0.0001413895448265941)]),
+}
+
+
 class TestQuadAcceptance:
     def test_tau_zero_is_one(self):
         m = gaussian_product(1.0, d=1)
@@ -451,15 +479,83 @@ class TestQuadAcceptance:
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
     def test_rejects_large_windows(self):
+        # Only Gaussian increments on a quadratic model reach past one site.
+        p = phi4(0.25, -0.5, d=1)
+        with pytest.raises(ValueError, match="one-site windows only"):
+            quad_acceptance(p, build_line(2, p.neighborhood), 1.0)
         m = gaussian_product(1.0, d=1)
-        w = build_line(3, m.neighborhood)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="one-site windows only"):
+            quad_acceptance(m, build_line(2, m.neighborhood), 1.0,
+                            increment_family="uniform")
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    @pytest.mark.parametrize("model", [gaussian_product(1.0, d=1),
+                                       phi4(0.25, -0.5, d=1)],
+                             ids=["product", "phi4"])
+    def test_input_errors_on_every_window_size(self, model, n):
+        w = build_line(n, model.neighborhood)
+        with pytest.raises(ValueError, match="unknown increment family"):
+            quad_acceptance(model, w, 1.0, increment_family="laplace")
+        with pytest.raises(ValueError, match="tau must be >= 0"):
+            quad_acceptance(model, w, -0.5)
+
+    @pytest.mark.parametrize("case", sorted(QUAD_REFERENCE))
+    def test_matches_former_quadratures(self, case):
+        m, w, values = QUAD_REFERENCE[case]
+        for tau, ref in values:
+            assert abs(quad_acceptance(m, w, tau) - ref) <= 1e-10, tau
+
+    @pytest.mark.parametrize("tau", [0.1, 2.38])
+    def test_product_n100_against_chi_square(self, tau):
+        # q = xi'xi is chi^2_100, and alpha = E erfc(sigma sqrt(q) / (2 sqrt 2)).
+        from scipy.integrate import quad
+        from scipy.special import erfc
+        from scipy.stats import chi2
+
+        sigma = tau / 10.0
+        ref, _ = quad(lambda q: erfc(sigma * np.sqrt(q) / (2.0 * np.sqrt(2.0)))
+                      * chi2.pdf(q, 100), 0.0, 400.0, points=[100.0],
+                      epsabs=1e-15, epsrel=1e-13, limit=200)
+        m = gaussian_product(1.0, d=1)
+        w = build_line(100, m.neighborhood)
+        assert abs(quad_acceptance(m, w, tau) - ref) <= 1e-9
+
+    def test_gff_box_against_dst_eigenvalues(self):
+        # The zero-boundary 7x7 box has Q = L_D + m2 I, whose eigenvalues
+        # are sums over the axes of 2 - 2cos(pi k / 8), k = 1..7, plus m2
+        # (DST-I); Craig's integral of prod (1 + c lam)^{-1/2} by adaptive
+        # quadrature is the reference.
+        from scipy.integrate import quad
+
+        m = gff(1.0, 1.0, d=2)
+        w = build_box(2, 3, m.neighborhood)
+        axis = 2.0 - 2.0 * np.cos(np.pi * np.arange(1, 8) / 8.0)
+        lam = (axis[:, None] + axis[None, :]).ravel() + 1.0
+        assert np.allclose(np.sort(lam), np.linalg.eigvalsh(build_precision(m, w).matrix),
+                           rtol=0, atol=1e-12)
+        tau = 2.38 / np.sqrt(5.0)
+        sigma2 = tau * tau / 49
+
+        def f(t):
+            return np.exp(-0.5 * np.log1p(sigma2 * lam / (4.0 * np.sin(t) ** 2)).sum())
+
+        ref = 2.0 / np.pi * quad(f, 0.0, np.pi / 2, epsabs=1e-15, epsrel=1e-13,
+                                 limit=200)[0]
+        assert abs(quad_acceptance(m, w, tau) - ref) <= 1e-9
+
+    def test_indefinite_precision_raises(self, monkeypatch):
+        m = gaussian_product(1.0, d=1)
+        w = build_line(2, m.neighborhood)
+        prec = PrecisionMatrix(np.array([[0.0, 2.0], [1.0, 1.0]]), np.zeros(2), w)
+        monkeypatch.setattr(oracle, "build_precision", lambda model, window: prec)
+        with pytest.raises(LinAlgError):
             quad_acceptance(m, w, 1.0)
 
     def test_refinement_stability(self):
-        # tightening the stopping tolerance moves the value by < 1e-5
-        m = gaussian_product(1.0, d=1)
-        w = build_line(1, m.neighborhood)
+        # tightening the stopping tolerance of the state grid moves the
+        # value by < 1e-5
+        m = phi4(0.5, -1.0, d=1)
+        w = build_box(1, 0, m.neighborhood)
         a = quad_acceptance(m, w, 1.7, tol=1e-5)
         b = quad_acceptance(m, w, 1.7, tol=1e-8)
         assert abs(a - b) < 1e-5

@@ -181,6 +181,47 @@ def _state_bound(energy) -> float:
         r *= 1.2
 
 
+def _state_kinks(energy, sigma: float, rlim: float, r: float,
+                 scan_points: int = 257) -> np.ndarray:
+    """Sorted states x in (-r, r) of a one-site window where the increment
+    integral of the acceptance has a kink in x, with dH(x, x + sigma*rho)
+    the increment's energy change:
+
+    - where a root of dH in rho sits at an edge rho = +-rlim of the
+      increment support, so a kink of the acceptance enters or leaves the
+      integral: the roots of H(x +- sigma*rlim) - H(x);
+    - where dH's nonzero root meets its root rho = 0, at a critical point
+      of H: the roots of H(x + h) - H(x - h) for a small h.
+
+    The roots are bracketed on a scan grid and polished by bisection; for a
+    quadratic energy with minimum mu they are mu and mu -+ sigma*rlim/2.
+    """
+    xs = np.linspace(-r, r, scan_points)
+    h = 1e-6 * r
+    kinks = []
+    for a, b in ((sigma * rlim, 0.0), (-sigma * rlim, 0.0), (h, -h)):
+        def positive(x):
+            return energy((x + a)[:, None]) - energy((x + b)[:, None]) > 0
+
+        sign = positive(xs)
+        idx = np.nonzero(sign[1:] != sign[:-1])[0]
+        kinks.append(_bisect(positive, xs[idx], xs[idx + 1], sign[idx]))
+    return np.unique(np.concatenate(kinks))
+
+
+def _bisect(positive, lo: np.ndarray, hi: np.ndarray,
+            lo_pos: np.ndarray) -> np.ndarray:
+    """Midpoints of the brackets [lo, hi] after 54 halvings, each keeping
+    the half where `positive` (elementwise sign test) changes; lo_pos is
+    its value at lo."""
+    for _ in range(54):
+        mid = 0.5 * (lo + hi)
+        same = positive(mid) == lo_pos
+        lo = np.where(same, mid, lo)
+        hi = np.where(same, hi, mid)
+    return 0.5 * (lo + hi)
+
+
 def _gauss_legendre_grid(lo: float, hi: float, m: int) -> tuple[np.ndarray, np.ndarray]:
     nodes, weights = np.polynomial.legendre.leggauss(m)
     half = 0.5 * (hi - lo)
@@ -232,21 +273,16 @@ def _accept_integral_rows(energy, sigma: float, X: np.ndarray, pdf, rlim: float,
         counts = np.bincount(ridx, minlength=m)
         maxk = int(counts.max()) if ridx.size else 0
         # Degenerate padded slots collapse to the right endpoint.
-        lo = np.full((m, maxk), rlim)
-        hi = np.full((m, maxk), rlim)
-        lo_pos = np.zeros((m, maxk), dtype=bool)
+        roots = np.full((m, maxk), rlim)
         if maxk:
+            hi = roots.copy()
+            lo_pos = np.zeros((m, maxk), dtype=bool)
             slot = np.arange(ridx.size) - np.repeat(np.cumsum(counts) - counts, counts)
-            lo[ridx, slot] = rs[cidx]
+            roots[ridx, slot] = rs[cidx]
             hi[ridx, slot] = rs[cidx + 1]
             lo_pos[ridx, slot] = sign[ridx, cidx]
-            for _ in range(54):
-                mid = 0.5 * (lo + hi)
-                mid_pos = dh_c(mid) > 0
-                same = mid_pos == lo_pos
-                lo = np.where(same, mid, lo)
-                hi = np.where(same, hi, mid)
-        cuts = np.concatenate([np.full((m, 1), -rlim), 0.5 * (lo + hi),
+            roots = _bisect(lambda r: dh_c(r) > 0, roots, hi, lo_pos)
+        cuts = np.concatenate([np.full((m, 1), -rlim), roots,
                                np.full((m, 1), rlim)], axis=1)
         total = np.zeros(m)
         for p in range(cuts.shape[1] - 1):
@@ -316,8 +352,9 @@ def quad_acceptance(model: InteractionModel, window: Window, tau: float,
     Gaussian increments on a quadratic model integrate state and increment
     out through Craig's form of erfc on Q's band, on any window (a fixed
     rule; `tol` is not used).  Any other model or increment family needs a
-    one-site window: a Gauss-Legendre rule over the state, doubled until
-    stable within tol, with the increment integral split exactly at the
+    one-site window: a Gauss-Legendre rule over the state, split at the
+    kinks of the increment integral (_state_kinks) and doubled until stable
+    within tol, with the increment integral split exactly at the
     acceptance kinks.
     """
     pdf, rlim = _increment_density(increment_family)
@@ -332,16 +369,20 @@ def quad_acceptance(model: InteractionModel, window: Window, tau: float,
                          "non-Gaussian increments supports one-site windows only")
     energy = quadratic_operator(model, window).energy
     r = _state_bound(energy)
+    # sigma = tau at n = 1.
+    cuts = np.concatenate([[-r], _state_kinks(energy, tau, rlim, r), [r]])
     # Total mass of the (possibly truncated) increment density on [-rlim, rlim].
     rg, rw = _gauss_legendre_grid(-rlim, rlim, 256)
     pdf_mass = float((rw * pdf(rg)).sum())
 
     def estimate(m: int) -> float:
-        x, wx = _gauss_legendre_grid(-r, r, m)
+        # m nodes on each smooth piece of the state range.
+        x, wx = np.concatenate([_gauss_legendre_grid(a, b, m)
+                                for a, b in zip(cuts[:-1], cuts[1:])], axis=1)
         X = x[:, None]
         eps_x = energy(X)
         dens = np.exp(-(eps_x - eps_x.min()))
-        inner = _accept_integral_rows(energy, tau, X, pdf, rlim)  # sigma = tau at n = 1
+        inner = _accept_integral_rows(energy, tau, X, pdf, rlim)
         num = float((wx * dens) @ inner)
         den = float((wx * dens).sum()) * pdf_mass
         return num / den

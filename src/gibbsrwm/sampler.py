@@ -13,7 +13,14 @@ for bit, except that the two float sums of its summary (jump_sq_sum and
 dh_sum, added chunk by chunk) may differ in their last bits when the budget
 gives the two runs different chunk lengths.  Each row of a batch has its
 own proposal scale sigma = tau / sqrt(n), so one batch may stack the
-replicas of several tau values (scaling.sweep_tau does).
+replicas of several tau values (scaling._run_points does).
+
+Rows of one batch that share a chain id share its streams, and each stream
+is drawn once: one start, one burn-in, and per chunk one block of
+increments and uniforms, which the other rows of that id copy before each
+row is scaled by its own sigma.  Such rows are common random numbers
+across their proposal scales, and each still equals the solo chain of its
+id.
 
 dH is evaluated in gradient form.  With H(x) = x'Qx/2 - b'x + remainder
 (models.quadratic_operator), a move d = y - x changes H by
@@ -269,18 +276,21 @@ def _lookahead(accept_rate: float, rows: int, n: int, room: int) -> int:
 
 def _drive(model: InteractionModel, window: Window, specs: list[ProposalSpec],
            steps: int, rngs: list[np.random.Generator],
-           urngs: list[np.random.Generator], x0: np.ndarray,
-           keep_arrays: bool, thin: int, track_first: int):
+           urngs: list[np.random.Generator], streams: Sequence[int],
+           x0: np.ndarray, keep_arrays: bool, thin: int, track_first: int):
     """Batched Metropolis loop: row r runs specs[r] with increments from
-    rngs[r] and uniforms from urngs[r], every row on one window, in
-    lookahead rounds (see the module docstring).
+    rngs[streams[r]] and uniforms from urngs[streams[r]], every row on one
+    window, in lookahead rounds (see the module docstring).  The first row
+    of each stream draws its chunk; later rows of that stream copy it.
 
     Returns the final states, the _SummaryStream, the (dh, accepted, u,
     jump_sq) record columns when keep_arrays (else None), the thinned states
     and the leading-coordinate paths.
     """
-    R = len(rngs)
+    R = len(specs)
     n = window.n
+    first = {}
+    lead = [first.setdefault(s, r) for r, s in enumerate(streams)]
     sigma = np.array([spec.sigma for spec in specs])[:, None, None]
     x = np.array(x0, dtype=float)
     op = quadratic_operator(model, window)
@@ -309,8 +319,12 @@ def _drive(model: InteractionModel, window: Window, specs: list[ProposalSpec],
     while t < steps:
         c = min(width, steps - t)
         for r in range(R):
-            specs[r].draw_increments(rngs[r], (c, n), out=incr[r, :c])
-            urngs[r].random(out=us[r, :c])
+            if lead[r] == r:
+                specs[r].draw_increments(rngs[streams[r]], (c, n), out=incr[r, :c])
+                urngs[streams[r]].random(out=us[r, :c])
+            else:
+                incr[r, :c] = incr[lead[r], :c]
+                us[r, :c] = us[lead[r], :c]
         incr_c, us_c = incr[:, :c], us[:, :c]
         dh_c, acc_c = dh_buf[:, :c], acc_buf[:, :c]
         incr_c *= sigma  # the proposal moves d = sigma * increment
@@ -371,15 +385,19 @@ def run_replicas(model: InteractionModel, window: Window,
                  track_first: int = 0, init: str = "exact_gaussian",
                  init_config: Configuration | None = None,
                  burn_steps: int | None = None) -> list[ChainRun]:
-    """Run replicas with disjoint RNG streams; results in chain-id order.
+    """Run replicas, each on the streams of its chain id; results in the
+    order of `chain_ids` (default 0, 1, ..., one distinct id per replica).
 
     `spec` is one ProposalSpec for every replica or a sequence of one per
     replica; all of them have the window's n and one increment family.
+    Replicas with equal chain ids share that id's streams, drawn once (see
+    the module docstring): give them different specs, or they run the same
+    chain.
 
     Every replica starts from `init`: "given" (the values of `init_config`),
-    "exact_gaussian" (an exact draw from its own stream, quadratic models
+    "exact_gaussian" (an exact draw from its id's stream, quadratic models
     only) or "burn_in" (`burn_steps`, default 50 per site, at tau = BURN_TAU
-    from zeros, all replicas in one batch).
+    from zeros, one row per distinct id, all of them in one batch).
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -397,8 +415,11 @@ def run_replicas(model: InteractionModel, window: Window,
     ids = list(chain_ids) if chain_ids is not None else list(range(n_replicas))
     if len(ids) != n_replicas:
         raise ValueError("need one chain id per replica")
-    rngs = [chain_rng(seed, cid) for cid in ids]
-    urngs = [uniform_rng(seed, cid) for cid in ids]
+    # One pair of streams per distinct id; row r reads pair streams[r].
+    keys = {}
+    streams = [keys.setdefault(cid, len(keys)) for cid in ids]
+    rngs = [chain_rng(seed, cid) for cid in keys]
+    urngs = [uniform_rng(seed, cid) for cid in keys]
     if init == "given":
         if init_config is None:
             raise ValueError("init 'given' needs a configuration")
@@ -408,22 +429,25 @@ def run_replicas(model: InteractionModel, window: Window,
     elif init == "exact_gaussian":
         if not model.is_quadratic:
             raise ValueError(f"exact stationary sampling unavailable for {model.family}")
-        # One factorization serves every replica; each replica still draws
-        # its own z and solves on its own.
+        # One factorization serves every id; each id still draws its own z
+        # and solves on its own.
         precision = build_precision(model, window)
-        x0 = np.stack([gaussian_exact_samples(precision, rng, 1)[0] for rng in rngs])
+        x0 = np.stack([gaussian_exact_samples(precision, rng, 1)[0]
+                       for rng in rngs])[streams]
         del precision  # Q and its factor are not needed while the chains run
     elif init == "burn_in":
         burn = ProposalSpec(BURN_TAU, window.n, specs[0].increment_family)
-        x0, *_ = _drive(model, window, [burn] * n_replicas,
+        x0, *_ = _drive(model, window, [burn] * len(keys),
                         burn_steps if burn_steps is not None else 50 * window.n,
-                        rngs, urngs, np.zeros((n_replicas, window.n)),
+                        rngs, urngs, range(len(keys)),
+                        np.zeros((len(keys), window.n)),
                         keep_arrays=False, thin=0, track_first=0)
+        x0 = x0[streams]
     else:
         raise ValueError(f"unknown init mode {init!r}")
     want_states = recording in ("full", "thinned") and thin > 0
     x, stream, records, states, path = _drive(
-        model, window, specs, steps, rngs, urngs, x0,
+        model, window, specs, steps, rngs, urngs, streams, x0,
         keep_arrays=recording == "full", thin=thin if want_states else 0,
         track_first=track_first)
     return [ChainRun(

@@ -132,16 +132,17 @@ def _resolve_s_hat(model: InteractionModel, window: Window, s_hat: float | None,
 def _run_points(model: InteractionModel, window: Window, specs: list[ProposalSpec],
                 first: int, replicas: int, steps: int, seed: int, init: str,
                 burn_steps: int | None, track_first: int = 0):
-    """Summary-recorded replicas of the grid points first, first + 1, ...
-    (one spec each), one list of runs per point.  Point i runs on the chain
-    ids i * replicas + r, so every grid point draws from its own streams.
+    """Summary-recorded replicas of the grid points of `specs` (one spec
+    each), one list of runs per point.  Replica r of every point runs on
+    the chain id first * replicas + r, so the points use common random
+    numbers: each point's rows read the same streams, drawn once per block.
     Consecutive points share one run_replicas call while their rows x sites
     fit in STACK_SITES; a run is bit for bit the same in any block."""
     per_block = max(1, STACK_SITES // (replicas * window.n))
     runs = []
     for b in range(0, len(specs), per_block):
         block = specs[b:b + per_block]
-        ids = [(first + b) * replicas + i for i in range(len(block) * replicas)]
+        ids = [first * replicas + r for _ in block for r in range(replicas)]
         runs += run_replicas(model, window,
                              [spec for spec in block for _ in range(replicas)],
                              steps, seed, len(ids), chain_ids=ids,
@@ -155,7 +156,10 @@ def sweep_tau(model: InteractionModel, window: Window, tau_grid, steps: int,
               increment_family: str = "standard_normal",
               init: str = "exact_gaussian", s_hat: float | None = None,
               burn_steps: int | None = None) -> ScalingCurve:
-    """Acceptance and ESJD across a tau grid, joined with the theory curve."""
+    """Acceptance and ESJD across a tau grid, joined with the theory curve.
+    Replica r runs on chain id r at every tau, so the rows share their
+    random numbers: each row's estimate and SE are those of independent
+    replicas, but rows at different tau are correlated."""
     taus = _check_grid(tau_grid)
     s_hat = _resolve_s_hat(model, window, s_hat, seed, init)
     specs = [ProposalSpec(tau, window.n, increment_family) for tau in taus]

@@ -566,7 +566,7 @@ class TestQuadAcceptance:
         w = build_line(1, m.neighborhood)
         for tau in (0.5, 1.0, 2.38):
             assert quad_acceptance(m, w, tau) == pytest.approx(
-                quad_acceptance(generic, w, tau), abs=2e-5)
+                quad_acceptance(generic, w, tau), abs=1e-12)
 
     def test_two_site_value_against_mc(self):
         m = gaussian_product(1.0, d=1)
@@ -605,6 +605,42 @@ class TestQuadAcceptance:
         dh = x * r + 0.5 * r * r
         acc = np.minimum(1.0, np.exp(np.minimum(-dh, 50.0)))
         assert abs(v - acc.mean()) <= 3.5 * acc.std() / np.sqrt(M)
+
+    def test_uniform_tight_tol_against_mpmath(self):
+        # For a fixed increment r, dH ~ N(sigma^2 r^2 / 2, sigma^2 r^2) under
+        # the unit Gaussian, so alpha = (1/sqrt 3) int_0^sqrt3 erfc(sigma r /
+        # (2 sqrt 2)) dr.
+        import mpmath
+
+        m = gaussian_product(1.0, d=1)
+        w = build_line(1, m.neighborhood)
+        tau = 1.7
+        with mpmath.workdps(30):
+            root3 = mpmath.sqrt(3)
+            ref = float(mpmath.quad(lambda r: mpmath.erfc(tau * r / (2 * mpmath.sqrt(2))),
+                                    [0, root3]) / root3)
+        v = quad_acceptance(m, w, tau, increment_family="uniform", tol=1e-8)
+        assert abs(v - ref) <= 1e-8
+        default = quad_acceptance(m, w, tau, increment_family="uniform")
+        assert abs(default - ref) <= 1e-12
+
+    @pytest.mark.parametrize("family", ["uniform", "standard_normal"])
+    def test_state_kinks_of_a_quadratic_energy(self, family):
+        # A quadratic one-site energy with minimum mu has its kinks at mu
+        # and mu -+ sigma * rlim / 2.
+        m = gff(1.0, 1.0, d=1)
+        w = build_box(1, 0, m.neighborhood, "constant", 0.4)
+        mu = build_precision(m, w).mean()[0]
+        assert mu != 0.0
+        energy = quadratic_operator(m, w).energy
+        rlim = oracle._increment_density(family)[1]
+        sigma, r = 0.3, 5.0
+        kinks = oracle._state_kinks(energy, sigma, rlim, r)
+        assert np.allclose(kinks, [mu - sigma * rlim / 2, mu, mu + sigma * rlim / 2],
+                           rtol=0, atol=1e-12)
+        # Kinks beyond the state range are dropped.
+        assert np.allclose(oracle._state_kinks(energy, 10.0, rlim, r), [mu],
+                           rtol=0, atol=1e-12)
 
     def test_phi4_generic_path_against_mc(self):
         # single site, zero boundary: eps = 0.5 x^4 (the b and coupling terms

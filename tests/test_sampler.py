@@ -652,6 +652,91 @@ class TestChunkLength:
                 assert sa.dh_sum == pytest.approx(sb.dh_sum, rel=1e-12)
 
 
+class TestSharedStreams:
+    """Rows with equal chain ids read one pair of streams, drawn once; each
+    row still equals the solo chain of its id at its own tau."""
+
+    IDS = [0, 1, 0, 1, 0]
+    TAUS = [0.5, 1.0, 2.38, 4.0, 6.0]
+    STEPS = sampler.CHUNK + 30
+
+    @staticmethod
+    def model_window(model_name):
+        if model_name == "gff":
+            m = gff(1.0, 0.5, d=1)
+            return m, build_box(1, 3, m.neighborhood, "constant", 0.3)
+        m = phi4(0.25, -0.5, d=1)
+        return m, build_box(1, 3, m.neighborhood)
+
+    @pytest.mark.parametrize("recording", sampler.RECORDING_MODES)
+    @pytest.mark.parametrize("family", sampler.INCREMENT_FAMILIES)
+    @pytest.mark.parametrize("model_name,init", [
+        ("gff", "given"), ("gff", "exact_gaussian"), ("gff", "burn_in"),
+        ("phi4", "burn_in"),
+    ], ids="-".join)
+    def test_repeated_ids_equal_solo_chains(self, model_name, init, family,
+                                            recording):
+        m, w = self.model_window(model_name)
+        kwargs = dict(recording=recording, thin=7, track_first=2, init=init,
+                      burn_steps=300)
+        if init == "given":
+            kwargs["init_config"] = Configuration(w, np.linspace(-1.0, 1.0, w.n))
+        runs = run_replicas(m, w, [ProposalSpec(t, w.n, family) for t in self.TAUS],
+                            self.STEPS, seed=17, n_replicas=len(self.IDS),
+                            chain_ids=self.IDS, **kwargs)
+        for run, tau, cid in zip(runs, self.TAUS, self.IDS):
+            solo = run_chain(m, w, ProposalSpec(tau, w.n, family), self.STEPS,
+                             seed=17, chain_id=cid, **kwargs)
+            assert (run.chain_id, run.tau) == (cid, tau)
+            if recording == "full":
+                for a, b in zip(dataclasses.astuple(run.records),
+                                dataclasses.astuple(solo.records)):
+                    assert np.array_equal(a, b)
+            else:
+                assert run.records is None and solo.records is None
+            if recording == "summary":
+                assert run.states is None and solo.states is None
+            else:
+                assert np.array_equal(run.states, solo.states)
+            assert np.array_equal(run.first_coord_path, solo.first_coord_path)
+            assert np.array_equal(run.final_state.values, solo.final_state.values)
+            for a, b in zip(dataclasses.astuple(run.summary),
+                            dataclasses.astuple(solo.summary)):
+                assert np.array_equal(a, b)
+        # Same streams, different tau: the shared rows are different chains.
+        assert runs[0].summary.accept_count != runs[4].summary.accept_count
+
+    @pytest.mark.parametrize("init,burn_chunks", [("given", 0),
+                                                  ("exact_gaussian", 0),
+                                                  ("burn_in", 2)])
+    def test_one_draw_per_distinct_id_per_chunk(self, monkeypatch, init,
+                                                burn_chunks):
+        draws, starts = [], []
+        draw_increments = ProposalSpec.draw_increments
+        exact_samples = sampler.gaussian_exact_samples
+
+        def counting_draw(spec, rng, shape, out=None):
+            draws.append(shape)
+            return draw_increments(spec, rng, shape, out=out)
+
+        def counting_start(precision, rng, count):
+            starts.append(count)
+            return exact_samples(precision, rng, count)
+
+        monkeypatch.setattr(ProposalSpec, "draw_increments", counting_draw)
+        monkeypatch.setattr(sampler, "gaussian_exact_samples", counting_start)
+        m, w = self.model_window("gff")
+        given = Configuration(w, np.zeros(w.n)) if init == "given" else None
+        steps = 2 * sampler.CHUNK + 5  # three chunks
+        run_replicas(m, w, [ProposalSpec(t, w.n) for t in self.TAUS], steps,
+                     seed=3, n_replicas=len(self.IDS), chain_ids=self.IDS,
+                     init=init, init_config=given, burn_steps=sampler.CHUNK + 1)
+        distinct = len(set(self.IDS))
+        assert len(draws) == distinct * (3 + burn_chunks)
+        assert draws[-distinct:] == [(5, w.n)] * distinct
+        assert len(starts) == (distinct if init == "exact_gaussian" else 0)
+
+
 class TestLookahead:
     """Rounds of several proposals per dH evaluation, pinned to the one-step
     scalar reference where the lookahead is active."""

@@ -153,7 +153,8 @@ class TestSweepTau:
 
 class TestStackedSweep:
     """sweep_tau stacks the grid points of a block into one run_replicas
-    call; every chain and every curve column equals per-point runs."""
+    call, replica r on chain id r at every tau; every chain and every curve
+    column equals per-point runs."""
 
     @pytest.mark.parametrize("family", ["standard_normal", "uniform"])
     @pytest.mark.parametrize("init,burn_steps", [("exact_gaussian", None),
@@ -172,9 +173,8 @@ class TestStackedSweep:
         assert [len(runs) for runs in captured_runs] == [4, 4, 2]
         stacked = [run for runs in captured_runs for run in runs]
         for ti, tau in enumerate(grid):
-            ids = [ti * replicas + r for r in range(replicas)]
             solo = run_replicas(m, w, ProposalSpec(tau, w.n, family), steps,
-                                seed, replicas, chain_ids=ids,
+                                seed, replicas, chain_ids=range(replicas),
                                 recording="summary", init=init,
                                 burn_steps=burn_steps)
             for a, b in zip(stacked[ti * replicas:(ti + 1) * replicas], solo):
@@ -201,7 +201,7 @@ class TestStackedSweep:
         grid = [round(1.38 + 0.25 * k, 2) for k in range(9)]
         sweep_tau(m, w, grid, steps=2, replicas=8, seed=1, s_hat=1.0)
         assert [len(runs) for runs in captured_runs] == [72]
-        assert [r.chain_id for r in captured_runs[0]] == list(range(72))
+        assert [r.chain_id for r in captured_runs[0]] == list(range(8)) * 9
         assert [r.tau for r in captured_runs[0]] == [t for t in grid
                                                       for _ in range(8)]
 

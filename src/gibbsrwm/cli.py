@@ -60,7 +60,8 @@ SINGLE_CHAIN = ("sample", "estimate-s", "clt-check")
 
 def check_run_keys(command: str, cfg: ExperimentConfig):
     """Reject the run keys `command` does not read, a missing one it needs,
-    and `burn_steps` unless `init` is "burn_in"."""
+    `burn_steps` unless `init` is "burn_in", fewer than two thinned states,
+    and a battery entry that names no check."""
     required, optional = RUN_KEYS[command]
     run = cfg.raw["run"]
     _check_keys(run, required | optional, required, f"run (for {command})")
@@ -70,6 +71,13 @@ def check_run_keys(command: str, cfg: ExperimentConfig):
     if "burn_steps" in run and cfg.run.init != "burn_in":
         raise ConfigError(f"run (for {command}): 'burn_steps' is read only "
                           "with init 'burn_in'")
+    if "thin" in optional and cfg.run.steps < 2 * cfg.run.thin:
+        raise ConfigError(f"run (for {command}): steps ({cfg.run.steps}) must be at "
+                          f"least 2 * thin ({cfg.run.thin}), for two thinned states")
+    for name in cfg.run.battery or ():
+        if not isinstance(name, str) or name not in BATTERY:
+            raise ConfigError(f"run.battery: unknown check {name!r}; checks: "
+                              f"{', '.join(BATTERY)}")
 
 
 def _make_family(cfg: ExperimentConfig, model):
@@ -174,7 +182,7 @@ def cmd_clt_check(cfg: ExperimentConfig, writer: ManifestWriter):
     if model.is_quadratic:
         s2 = gaussian_s2_exact(model, window)
     else:
-        s2 = estimate_s2(model, run).value if run.states is not None else float("nan")
+        s2 = estimate_s2(model, run).value
     tau = cfg.run.tau
     # KS on thinned proposals: the spacing keeps the samples near-independent.
     thinned = run.records.delta_h[:: cfg.run.thin]

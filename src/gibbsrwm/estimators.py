@@ -94,7 +94,9 @@ def estimate_s2(model: InteractionModel, trajectory, window=None) -> EstimateWit
     """Spatial-and-temporal average of the squared energy gradient.
 
     Only interior sites enter: on the boundary the window gradient differs
-    from the translation-invariant one, which would bias the estimate.
+    from the translation-invariant one, which would bias the estimate.  The
+    window is built with the model's neighborhood, so its interior is the
+    set of sites whose whole interaction range lies inside.
     Accepts a ChainRun carrying thinned states, or a raw (T, n) state array
     plus its window.
     """
@@ -179,9 +181,10 @@ def dirichlet_form_empirical(f: CylinderFunction, run: ChainRun) -> EstimateWith
                              d2.size)
 
 
-def limiting_form(f: CylinderFunction, model: InteractionModel, tau: float,
-                  s_hat: float, samples: np.ndarray) -> EstimateWithError:
-    """(tau^2 c(tau) / 2) * mean |grad f|^2 over stationary samples."""
+def limiting_form(f: CylinderFunction, tau: float, s_hat: float,
+                  samples: np.ndarray) -> EstimateWithError:
+    """(tau^2 c(tau) / 2) * mean |grad f|^2 over stationary samples, with a
+    batch-means error bar (the samples may be a chain's states)."""
     from .scaling import c_theoretical
 
     x = np.asarray(samples, dtype=float)
@@ -192,6 +195,5 @@ def limiting_form(f: CylinderFunction, model: InteractionModel, tau: float,
     g = f.gradient(x[:, : f.n_coords])
     g2 = (g * g).sum(axis=-1)
     scale = 0.5 * tau * tau * c_theoretical(tau, s_hat)
-    T = g2.size
-    se = scale * float(g2.std(ddof=1) / math.sqrt(T)) if T > 1 else 0.0
-    return EstimateWithError(float(scale * g2.mean()), se, T)
+    return EstimateWithError(float(scale * g2.mean()), scale * batch_means_se(g2),
+                             g2.size)

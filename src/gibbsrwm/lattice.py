@@ -5,15 +5,21 @@ of ints.  A Window is a finite vertex set together with its boundary (the
 sites whose full neighborhood sticks out of the window) and a frozen
 configuration on the outside sites that the boundary interacts with.
 
+A window has one neighborhood, and a model runs only on a window built with
+the model's own (adjacency-form windows aside): the neighborhood decides both
+the boundary, whose complement is the interior the estimators average over,
+and the site tables the energy is assembled from.
+
 A lattice window's geometry comes from one (n, d) integer coordinate array,
 with numpy and no Python loop over sites: `_geometry` gives every site and
 every site + offset a mixed-radix key over the window's bounding box padded
 by the neighborhood's reach, and finds each target among the sorted site
 keys by binary search.  The boundary, the exterior halo and the site tables
-are all read from that one lookup; `build_box` builds its coordinates with
-`np.indices`.  Adjacency-form windows take their neighbors from the
-adjacency lists instead and have no boundary.  Only the hull and inradius
-diagnostics import scipy (`scipy.spatial`), where they are called.
+are all read from that one lookup, once, when the window is built;
+`build_box` builds its coordinates with `np.indices`.  Adjacency-form
+windows take their neighbors from the adjacency lists instead and have no
+boundary.  Only the hull and inradius diagnostics import scipy
+(`scipy.spatial`), where they are called.
 """
 
 from __future__ import annotations
@@ -183,29 +189,20 @@ class MissingBoundaryValueError(KeyError):
 
 @dataclass(frozen=True)
 class SiteTables:
-    """Per-slot neighbor bookkeeping for vectorized Hamiltonian evaluation.
+    """Per-slot neighbor bookkeeping of a window, in the form
+    `models.quadratic_operator` reads.
 
-    With ``xe = [x, ext_values]``, slot s of site i reads ``xe[idx[s, i]]``:
-    a window site when ``inside[s, i]`` (``idx < n``), else one of the
-    distinct frozen values that outside slots read.  Inactive slots
-    (free-boundary drops, adjacency padding) contribute nothing and are
-    never inside.  For lattice windows slot s corresponds to the s-th
-    nonzero offset of the neighborhood.
+    Slot s of site i reads window site ``nbr[s, i]`` when that is >= 0, and
+    the frozen value ``frozen[s, i]`` otherwise.  Inactive slots (free
+    boundary drops, adjacency padding) contribute nothing; ``frozen`` is 0
+    everywhere but at active outside slots.  For lattice windows slot s
+    corresponds to the s-th nonzero offset of the window's neighborhood.
     """
 
     offsets: tuple[Vertex, ...] | None  # None for adjacency-form windows
-    idx: np.ndarray         # (S, n) int into [x, ext_values]
-    ext_values: np.ndarray  # (m,) float
-    active: np.ndarray      # (S, n) bool
-    inside: np.ndarray      # (S, n) bool, active and idx < n
-
-    @property
-    def n_slots(self) -> int:
-        return self.idx.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.idx.shape[1]
+    nbr: np.ndarray     # (S, n) window index, or -1 outside the window
+    frozen: np.ndarray  # (S, n) float
+    active: np.ndarray  # (S, n) bool
 
 
 BOUNDARY_MODES = ("zero", "constant", "free", "explicit")
@@ -227,7 +224,7 @@ class Window:
         coords = None
         if (isinstance(vertices, np.ndarray) and vertices.dtype == np.int64
                 and vertices.ndim == 2 and vertices.shape[1] == neighborhood.d):
-            coords = vertices.copy()
+            coords = vertices
             self.vertices: tuple[Vertex, ...] = tuple(zip(*coords.T.tolist()))
         else:
             self.vertices = tuple(_as_vertex(v) for v in vertices)
@@ -258,18 +255,30 @@ class Window:
         self.boundary_values: dict[Vertex, float] = {}
         interior = np.arange(n, dtype=np.intp)
         if self.adjacency is None:
-            self._coords = _coordinates(self.vertices if coords is None else coords,
-                                        neighborhood.d)
-            self._geom = _geometry(self._coords, neighborhood.nonzero_offsets)
-            on_boundary = (self._geom.nbr < 0).any(axis=0)
+            offsets = neighborhood.nonzero_offsets
+            geom = _geometry(_coordinates(self.vertices if coords is None else coords,
+                                          neighborhood.d), offsets)
+            nbr = geom.nbr
+            on_boundary = (nbr < 0).any(axis=0)
             self.boundary = frozenset(itertools.compress(self.vertices, on_boundary))
             interior = np.flatnonzero(~on_boundary)
-            if boundary_mode != "free":
-                self.boundary_values = {v: self.boundary_value_at(v)
-                                        for v in self._geom.halo}
-        interior.setflags(write=False)
+        else:
+            offsets = None
+            degree = max((len(a) for a in self.adjacency), default=0)
+            nbr = np.full((degree, n), -1, dtype=np.intp)
+            for i, nbrs in enumerate(self.adjacency):
+                nbr[:len(nbrs), i] = nbrs
+        frozen = np.zeros(nbr.shape)
+        active = nbr >= 0
+        if self.adjacency is None and boundary_mode != "free":
+            # Outside slots read the frozen configuration: every slot is active.
+            self.boundary_values = {v: self.boundary_value_at(v) for v in geom.halo}
+            frozen[~active] = np.array(list(self.boundary_values.values()))[geom.halo_of]
+            active = np.ones_like(active)
+        for arr in (interior, nbr, frozen, active):
+            arr.setflags(write=False)
         self._interior = interior
-        self._tables_cache: dict[Neighborhood, SiteTables] = {}
+        self._tables = SiteTables(offsets, nbr, frozen, active)
 
     @property
     def n(self) -> int:
@@ -293,52 +302,9 @@ class Window:
         """Indices of the sites off the boundary, ascending (read-only)."""
         return self._interior
 
-    def site_tables(self, neighborhood: Neighborhood | None = None) -> SiteTables:
-        """Neighbor tables for the given (default: the window's) neighborhood."""
-        nb = neighborhood or self.neighborhood
-        cached = self._tables_cache.get(nb)
-        if cached is not None:
-            return cached
-        tables = self._build_tables(nb)
-        self._tables_cache[nb] = tables
-        return tables
-
-    def _build_tables(self, nb: Neighborhood) -> SiteTables:
-        n = self.n
-        if self.adjacency is not None:
-            offs = None
-            degree = max((len(a) for a in self.adjacency), default=0)
-            idx = np.zeros((degree, n), dtype=np.intp)
-            active = np.zeros((degree, n), dtype=bool)
-            for i, nbrs in enumerate(self.adjacency):
-                for s, j in enumerate(nbrs):
-                    idx[s, i] = j
-                    active[s, i] = True
-            ext_values = np.empty(0)
-        else:
-            offs = nb.nonzero_offsets
-            geom = (self._geom if nb == self.neighborhood
-                    else _geometry(self._coords, offs))
-            outside = geom.nbr < 0
-            idx = np.where(outside, 0, geom.nbr)
-            if self.boundary_mode == "free":
-                active, ext_values = ~outside, np.empty(0)
-            else:
-                # Outside slots read the distinct frozen values; the values
-                # are looked up in slot-major order of first use, so a
-                # missing explicit value is named as a slot-by-slot scan
-                # would name it.
-                first = np.unique(geom.halo_of, return_index=True)[1]
-                values = np.empty(len(geom.halo))
-                for h in np.argsort(first):
-                    values[h] = self.boundary_value_at(geom.halo[h])
-                active = np.ones_like(outside)
-                ext_values, pos = np.unique(values[geom.halo_of], return_inverse=True)
-                idx[outside] = n + pos
-        tables = SiteTables(offs, idx, ext_values, active, active & (idx < n))
-        for arr in (idx, ext_values, active, tables.inside):
-            arr.setflags(write=False)
-        return tables
+    def site_tables(self) -> SiteTables:
+        """Neighbor tables of the window's neighborhood, built with the window."""
+        return self._tables
 
 
 def build_box(d: int, L: int, neighborhood: Neighborhood, boundary_mode="zero",

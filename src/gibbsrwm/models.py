@@ -8,7 +8,9 @@ pair terms coupling x_k to its neighbors:
     eps_k(x) = self(x_k) + sum_{v != 0} [ diag_v * x_k^2 - cross_v * x_k * x_{k+v} ]
 
 Neighbors outside the window read the frozen boundary configuration; under
-free boundary conditions those pair terms are dropped.  H, its gradient and
+free boundary conditions those pair terms are dropped.  A lattice window
+must be built with the model's neighborhood, which fixes both its boundary
+and the site tables the operator is assembled from.  H, its gradient and
 the Metropolis dH (`gradient_dh`) are evaluated only from the one operator
 of `quadratic_operator`, as H(x) = x'Qx/2 - b'x + sum_k self(x_k).
 """
@@ -68,7 +70,7 @@ class InteractionModel:
             raise ValueError("adjacency-form windows need offset-independent couplings")
         d = diags.pop() if diags else 0.0
         c = crosses.pop() if crosses else 0.0
-        S = tables.n_slots
+        S = len(tables.nbr)
         return np.full(S, d), np.full(S, c)
 
 
@@ -94,8 +96,9 @@ def zeros_configuration(window: Window) -> Configuration:
 
 
 def _check_model_window(model: InteractionModel, window: Window):
-    if window.adjacency is None and window.neighborhood.d != model.neighborhood.d:
-        raise ValueError("model and window dimensions differ")
+    if window.adjacency is None and window.neighborhood != model.neighborhood:
+        raise ValueError(f"{model.family} needs a window built with its own "
+                         "neighborhood: build the window with model.neighborhood")
     if window.boundary_mode == "free" and not model.supports_free_boundary:
         raise ValueError(f"{model.family} does not support free boundary conditions")
 
@@ -173,21 +176,17 @@ def quadratic_operator(model: InteractionModel, window: Window) -> QuadraticOper
     end of the pair, so each off-diagonal entry sums two equal values.
     """
     _check_model_window(model, window)
-    t = window.site_tables(model.neighborhood)
+    t = window.site_tables()
     diag, cross = model.slot_coeffs(t)
     n = window.n
     start = 2.0 * model.self_quad_coeff if model.is_quadratic else 0.0
     # Row 0 holds the starting value; numpy reduces axis 0 row after row.
-    q = np.empty((t.n_slots + 1, n))
-    q[0] = start
-    q[1:] = np.where(t.active, 2.0 * diag[:, None], 0.0)
-    frozen = np.concatenate([np.zeros(n), t.ext_values])[t.idx]
-    b = np.zeros((t.n_slots + 1, n))
-    b[1:] = np.where(t.active & ~t.inside, cross[:, None] * frozen, 0.0)
+    q = np.vstack([np.full(n, start), np.where(t.active, 2.0 * diag[:, None], 0.0)])
+    b = np.vstack([np.zeros(n), cross[:, None] * t.frozen])
     offdiag = None
-    if t.inside.any():
-        slot, i = np.nonzero(t.inside)
-        j = t.idx[slot, i]
+    slot, i = np.nonzero(t.nbr >= 0)
+    if i.size:
+        j = t.nbr[slot, i]
         vals = np.tile(-cross[slot], 2)
         offdiag = sparse.csr_matrix(
             (vals, (np.concatenate([i, j]), np.concatenate([j, i]))), shape=(n, n))

@@ -37,10 +37,9 @@ class PrecisionMatrix:
 
     band: np.ndarray   # Q's upper band, (b + 1, n)
     shift: np.ndarray  # b, (n,)
-    window: Window
 
     @classmethod
-    def from_operator(cls, op: QuadraticOperator, window: Window) -> PrecisionMatrix:
+    def from_operator(cls, op: QuadraticOperator) -> PrecisionMatrix:
         """The band of Q = diag(op.diag) + op.offdiag, whose bandwidth is the
         largest |i - j| over the off-diagonal pattern (0 without pairs).
 
@@ -48,7 +47,7 @@ class PrecisionMatrix:
         on the sparse pattern: |Q_ij - Q_ji| <= 1e-12 + 1e-5 |Q_ji|."""
         n = op.n
         if op.offdiag is None or op.offdiag.nnz == 0:
-            return cls(op.diag[None, :].copy(), op.shift, window)
+            return cls(op.diag[None, :].copy(), op.shift)
         lower = op.offdiag.T
         excess = abs(op.offdiag - lower) - 1e-5 * abs(lower)
         if excess.max() > 1e-12:
@@ -62,7 +61,7 @@ class PrecisionMatrix:
         up = j > i
         # Added onto zeros, as the sparse matrix's dense form is: -0.0 reads 0.0.
         band[b + i[up] - j[up], j[up]] += pairs.data[up]
-        return cls(band, op.shift, window)
+        return cls(band, op.shift)
 
     @property
     def n(self) -> int:
@@ -115,7 +114,7 @@ def build_precision(model: InteractionModel, window: Window) -> PrecisionMatrix:
     """Banded Q and b of a quadratic model, from its quadratic operator."""
     if not model.is_quadratic:
         raise ValueError(f"{model.family} has no quadratic Hamiltonian")
-    return PrecisionMatrix.from_operator(quadratic_operator(model, window), window)
+    return PrecisionMatrix.from_operator(quadratic_operator(model, window))
 
 
 def gaussian_exact_samples(precision: PrecisionMatrix, rng: np.random.Generator,
@@ -132,9 +131,10 @@ def gaussian_s2_exact(model: InteractionModel, window: Window) -> float:
     """Exact stationary s^2 = E[(D_k H)^2] at the middle interior site k.
 
     By Stein's identity (integration by parts against exp(-H)) it equals
-    E[D_k^2 H], the constant Q_kk for quadratic H. Every slot is active at
-    every interior site of a lattice window, so all of them give the same
-    Q_kk; adjacency windows have no boundary."""
+    E[D_k^2 H], the constant Q_kk for quadratic H.  The window is built with
+    the model's neighborhood, so every slot is active at every interior site
+    and all of them give the same Q_kk; adjacency windows have no
+    boundary."""
     if not model.is_quadratic:
         raise ValueError(f"{model.family} has no quadratic Hamiltonian")
     q = quadratic_operator(model, window).diag

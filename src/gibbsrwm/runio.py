@@ -160,7 +160,7 @@ class ManifestWriter:
         self.files.append(os.path.basename(path))
         return path
 
-    def write(self, extra: dict | None = None) -> str:
+    def write(self) -> str:
         manifest = {
             "config": self.raw_config,
             "config_hash": config_hash(self.raw_config),
@@ -172,6 +172,4 @@ class ManifestWriter:
         }
         if self.wall_time is not None:
             manifest["wall_time_s"] = self.wall_time
-        if extra:
-            manifest.update(extra)
         return write_json(self.path("manifest.json"), manifest)

@@ -300,7 +300,7 @@ def mosco_m2_check(f: CylinderFunction,
         run = run_chain(model_max, window_max, ProposalSpec(tau, window_max.n),
                         steps, seed, chain_id=REFERENCE_CHAIN_ID - 2,
                         recording="thinned", init=init, burn_steps=burn_steps)
-        lim = limiting_form(f, model_max, tau, s_hat, run.states[:, : f.n_coords])
+        lim = limiting_form(f, tau, s_hat, run.states[:, : f.n_coords])
 
     def one_n(ni: int, n: int):
         model, window = make_model_window(n)

@@ -58,6 +58,8 @@ def test_traced_gff_window(workloads):
     metrics = tracer_module.layer_metrics(dump)
     assert set(metrics) <= set(tracer_module.METRIC_UNITS)
     assert metrics["oracle.build_precision_calls"] == 1
+    # A renamed Window.site_tables, or one made a property, would read 0 here.
+    assert metrics["lattice.site_tables_calls"] >= 1
     assert metrics["oracle.precision_mb"] > 0
     assert metrics["sampler.proposals"] == TINY["GFF"]["replicas"] * TINY["GFF"]["steps"]
     assert metrics["sampler.run_s"] > 0

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import pathlib
 import re
@@ -7,6 +8,7 @@ import sys
 
 import pytest
 
+from gibbsrwm.checks import BATTERY
 from gibbsrwm.cli import COMMANDS, check_run_keys, main
 from gibbsrwm.config import (ConfigError, config_hash, load_config,
                              parse_config)
@@ -466,6 +468,45 @@ class TestRunKeys:
         doc["run"]["init"] = "burn_in"
         assert main([command, "--config", write_config(tmp_path, doc)]) == 0
         assert (tmp_path / "o" / READ_KEYS[command][1]).exists()
+
+    @pytest.mark.parametrize("command", ["estimate-s", "clt-check"])
+    @pytest.mark.parametrize("steps,thin", [(5, None), (10, None), (19, 10), (9, 5)])
+    def test_fewer_than_two_thinned_states_rejected(self, tmp_path, capsys, command,
+                                                    steps, thin):
+        # estimate-s once exited 3 or reported one state with SE 0, and
+        # clt-check wrote NaN into clt.json.
+        run = {"steps": steps, "tau": 1.0, **({} if thin is None else {"thin": thin})}
+        doc = base_config(output_dir=str(tmp_path / "o"), run=run)
+        assert main([command, "--config", write_config(tmp_path, doc)]) == 2
+        err = capsys.readouterr().err
+        assert command in err and "2 * thin" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command,output", [("estimate-s", "s2.json"),
+                                                ("clt-check", "clt.json")])
+    def test_two_thinned_states_accepted(self, tmp_path, command, output):
+        doc = base_config(output_dir=str(tmp_path / "o"),
+                          run={"steps": 20, "tau": 1.0, "thin": 10})
+        doc["model"] = {"family": "phi4",
+                        "parameters": {"a": 0.25, "b": -0.5, "coupling": 1.0}}
+        doc["run"].update(init="burn_in", burn_steps=10)
+        assert main([command, "--config", write_config(tmp_path, doc)]) == 0
+        out = json.loads((tmp_path / "o" / output).read_text())
+        assert all(math.isfinite(v) for v in out.values())
+        if command == "estimate-s":
+            assert out["n_states"] == 2
+
+    @pytest.mark.parametrize("bad", ["nope", 3, ["determinism"]])
+    def test_unknown_battery_entry_rejected(self, tmp_path, capsys, bad):
+        # Once exit 3: a ValueError for an unknown name, a TypeError for a
+        # number.
+        doc = base_config(output_dir=str(tmp_path / "o"),
+                          run={"steps": 100, "battery": ["determinism", bad]})
+        assert main(["oracle-check", "--config", write_config(tmp_path, doc)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: run.battery") and repr(bad) in err
+        assert all(name in err for name in BATTERY)
+        assert not (tmp_path / "o").exists()
 
     def test_readme_example_config_is_valid(self):
         readme = (pathlib.Path(__file__).resolve().parent.parent

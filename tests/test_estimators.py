@@ -279,20 +279,19 @@ class TestDirichletFormEmpirical:
 class TestLimitingForm:
     def test_constant_zero(self):
         samples = np.zeros((50, 1))
-        est = limiting_form(constant_cylinder(), gaussian_product(1.0), 1.0, 1.0,
-                            samples)
+        est = limiting_form(constant_cylinder(), 1.0, 1.0, samples)
         assert est.value == 0.0
 
     def test_tau_zero(self):
         f = CYLINDER_FUNCTIONS["sin_x1"]
-        est = limiting_form(f, gaussian_product(1.0), 0.0, 1.0,
+        est = limiting_form(f, 0.0, 1.0,
                             np.random.default_rng(0).standard_normal((100, 1)))
         assert est.value == 0.0
 
     def test_gaussian_cos2_identity(self):
         f = CYLINDER_FUNCTIONS["sin_x1"]
         samples = chain_rng(8, 0).standard_normal((200_000, 1))
-        est = limiting_form(f, gaussian_product(1.0), 2.38, 1.0, samples)
+        est = limiting_form(f, 2.38, 1.0, samples)
         scale = 0.5 * 2.38**2 * c_theoretical(2.38, 1.0)
         exact = scale * (1 + math.exp(-2)) / 2
         assert abs(est.value - exact) <= 3.5 * est.std_error

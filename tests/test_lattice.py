@@ -160,8 +160,9 @@ class TestWindow:
         w = Window([(0,), (1,), (2,)], self_neighborhood(1),
                    adjacency=[(1,), (0, 2), (1,)])
         t = w.site_tables()
-        assert t.n_slots == 2
+        assert t.nbr.tolist() == [[1, 0, 1], [-1, 2, -1]]
         assert t.active.sum() == 4  # four directed edges
+        assert not t.frozen.any()
 
     def test_duplicate_vertices_rejected(self):
         with pytest.raises(ValueError):
@@ -287,32 +288,26 @@ def loop_window(vertices, nb, mode, const=0.0, explicit=None):
     return vs, {v: i for i, v in enumerate(vs)}, boundary, values, interior
 
 
-def loop_tables(window, nb):
-    """(idx, ext_values, active, inside) of a lattice window, slot by slot
-    and site by site."""
-    n = window.n
-    frozen_at, frozen = [], []
-    offs = nb.nonzero_offsets
-    idx = np.zeros((len(offs), n), dtype=np.intp)
-    active = np.ones((len(offs), n), dtype=bool)
+def loop_tables(window):
+    """(nbr, frozen, active) of a lattice window, slot by slot and site by
+    site."""
+    offs = window.neighborhood.nonzero_offsets
+    nbr = np.full((len(offs), window.n), -1, dtype=np.intp)
+    frozen = np.zeros((len(offs), window.n))
+    active = np.ones((len(offs), window.n), dtype=bool)
     for s, off in enumerate(offs):
         for i, k in enumerate(window.vertices):
             tgt = _add(k, off)
             j = window.index_of.get(tgt)
             if j is not None:
-                idx[s, i] = j
+                nbr[s, i] = j
                 continue
             val = window.boundary_value_at(tgt)
             if val is None:
                 active[s, i] = False
             else:
-                frozen_at.append((s, i))
-                frozen.append(val)
-    ext_values, pos = np.unique(np.array(frozen, dtype=float), return_inverse=True)
-    if frozen_at:
-        slots, sites = np.array(frozen_at).T
-        idx[slots, sites] = n + pos
-    return idx, ext_values, active, active & (idx < n)
+                frozen[s, i] = val
+    return nbr, frozen, active
 
 
 def assert_bit_identical(got, want):
@@ -320,14 +315,11 @@ def assert_bit_identical(got, want):
     assert got.tobytes() == want.tobytes()
 
 
-def explicit_values_for(vertices, nbs):
-    """A frozen value for every outside site any of `nbs` reaches, with
-    repeats and both signed zeros, so the distinct-value table is exercised."""
-    halo = set()
-    for nb in nbs:
-        halo |= loop_exterior_halo(vertices, nb)
+def explicit_values_for(vertices, nb):
+    """A frozen value for every outside site `nb` reaches, with repeats and
+    both signed zeros."""
     pool = [0.0, -0.0, 1.5, -2.25, 0.5, 1.5]
-    return {v: pool[sum(v) % len(pool)] for v in sorted(halo)}
+    return {v: pool[sum(v) % len(pool)] for v in sorted(loop_exterior_halo(vertices, nb))}
 
 
 RANGE2 = custom_pairwise({v: 0.1 for v in [(2, 0), (-2, 0), (1, 1), (-1, -1),
@@ -337,33 +329,30 @@ ANNULUS = [(i, j) for i in range(-3, 4) for j in range(-3, 4)
            if max(abs(i), abs(j)) >= 2] + [(0, 0), (5, -1), (6, -1)]
 random.Random(3).shuffle(ANNULUS)
 GEOMETRY_CASES = {
-    # name: (vertices, window neighborhood, table neighborhood)
-    "box_d1": (list(itertools.product(range(-4, 5))), nearest_neighbor(1), None),
-    "box_d2": (list(itertools.product(range(-3, 4), repeat=2)), nearest_neighbor(2),
-               None),
-    "box_d3": (list(itertools.product(range(-2, 3), repeat=3)), nearest_neighbor(3),
-               None),
-    "line_range1": ([(i,) for i in range(7)], Neighborhood.from_offsets([(1,)]), None),
-    "line_self": ([(i,) for i in range(5)], self_neighborhood(1), None),
-    "annulus_shuffled": (ANNULUS, nearest_neighbor(2), None),
-    "box_range2": (list(itertools.product(range(-3, 4), repeat=2)), RANGE2, None),
-    "annulus_range2_tables": (ANNULUS, nearest_neighbor(2), RANGE2),
+    # name: (vertices, neighborhood)
+    "box_d1": (list(itertools.product(range(-4, 5))), nearest_neighbor(1)),
+    "box_d2": (list(itertools.product(range(-3, 4), repeat=2)), nearest_neighbor(2)),
+    "box_d3": (list(itertools.product(range(-2, 3), repeat=3)), nearest_neighbor(3)),
+    "line_range1": ([(i,) for i in range(7)], Neighborhood.from_offsets([(1,)])),
+    "line_self": ([(i,) for i in range(5)], self_neighborhood(1)),
+    "annulus_shuffled": (ANNULUS, nearest_neighbor(2)),
+    "box_range2": (list(itertools.product(range(-3, 4), repeat=2)), RANGE2),
     # Coordinates beyond int64 and a bounding box of more than 2**63 cells.
     "huge_coordinates": ([(2**70, 0), (2**70 + 1, 0), (-2**70, 5)],
-                         nearest_neighbor(2), None),
+                         nearest_neighbor(2)),
     "sparse_d4": ([(0, 0, 0, 0), (1, 0, 0, 0), (10**6, -10**6, 10**6, 10**6)],
-                  nearest_neighbor(4), None),
+                  nearest_neighbor(4)),
 }
 
 
 def build_case(name, mode):
     """Boxes and lines through their builders (explicit values: from an
     integer array, as the builders pass them), the rest from the list."""
-    vertices, nb, table_nb = GEOMETRY_CASES[name]
+    vertices, nb = GEOMETRY_CASES[name]
     if mode == "explicit":
         built = name.startswith(("box", "line"))
         return Window(np.array(vertices) if built else vertices, nb, mode,
-                      explicit_values=explicit_values_for(vertices, (nb, table_nb or nb)))
+                      explicit_values=explicit_values_for(vertices, nb))
     if name.startswith("box"):
         L = (round(len(vertices) ** (1 / nb.d)) - 1) // 2
         return build_box(nb.d, L, nb, mode, 1.5)
@@ -378,7 +367,7 @@ class TestGeometryMatchesLoops:
     @pytest.mark.parametrize("mode", BOUNDARY_MODES)
     @pytest.mark.parametrize("name", sorted(GEOMETRY_CASES))
     def test_window_and_tables(self, name, mode):
-        vertices, nb, table_nb = GEOMETRY_CASES[name]
+        vertices, nb = GEOMETRY_CASES[name]
         w = build_case(name, mode)
         vs, index_of, boundary, values, interior = loop_window(
             vertices, nb, mode, 1.5, w._explicit)
@@ -390,18 +379,16 @@ class TestGeometryMatchesLoops:
             [np.signbit(x) for x in values.values()]
         assert_bit_identical(w.interior_indices(), interior)
         assert not w.interior_indices().flags.writeable
-        tnb = table_nb or nb
-        t = w.site_tables(tnb)
-        assert t.offsets == tnb.nonzero_offsets
-        for got, want in zip((t.idx, t.ext_values, t.active, t.inside),
-                             loop_tables(w, tnb)):
+        t = w.site_tables()
+        assert t.offsets == nb.nonzero_offsets
+        for got, want in zip((t.nbr, t.frozen, t.active), loop_tables(w)):
             assert_bit_identical(got, want)
             assert not got.flags.writeable
 
     @pytest.mark.parametrize("name", ["box_d2", "annulus_shuffled", "box_range2",
                                       "huge_coordinates", "sparse_d4"])
     def test_boundary_of_and_exterior_halo(self, name):
-        vertices, nb, _ = GEOMETRY_CASES[name]
+        vertices, nb = GEOMETRY_CASES[name]
         assert boundary_of(vertices, nb) == loop_boundary_of(vertices, nb)
         assert exterior_halo(vertices, nb) == loop_exterior_halo(vertices, nb)
 
@@ -412,8 +399,8 @@ class TestGeometryMatchesLoops:
 
     @pytest.mark.parametrize("name", ["box_d2", "annulus_shuffled", "box_range2"])
     def test_missing_explicit_value_names_the_same_vertex(self, name):
-        vertices, nb, _ = GEOMETRY_CASES[name]
-        full = explicit_values_for(vertices, (nb,))
+        vertices, nb = GEOMETRY_CASES[name]
+        full = explicit_values_for(vertices, nb)
         for dropped in (sorted(full)[::3], sorted(full)[-1:]):
             explicit = {v: x for v, x in full.items() if v not in dropped}
             with pytest.raises(MissingBoundaryValueError) as want:
@@ -422,17 +409,6 @@ class TestGeometryMatchesLoops:
                 Window(vertices, nb, "explicit", explicit_values=explicit)
             assert got.value.vertex == want.value.vertex
             assert str(got.value) == str(want.value)
-
-    def test_missing_value_for_wider_tables_names_the_same_vertex(self):
-        # The window's own halo is complete; the range-2 tables reach further.
-        vertices, nb, _ = GEOMETRY_CASES["annulus_shuffled"]
-        w = Window(vertices, nb, "explicit",
-                   explicit_values=explicit_values_for(vertices, (nb,)))
-        with pytest.raises(MissingBoundaryValueError) as want:
-            loop_tables(w, RANGE2)
-        with pytest.raises(MissingBoundaryValueError) as got:
-            w.site_tables(RANGE2)
-        assert got.value.vertex == want.value.vertex
 
 
 @given(st.sets(st.tuples(st.integers(-4, 4), st.integers(-4, 4)), min_size=1,
@@ -443,7 +419,7 @@ class TestGeometryMatchesLoops:
 def test_random_windows_match_loops(vertices, offsets, mode):
     vertices = sorted(vertices, key=lambda v: (v[1] * 7 + v[0]) % 11)
     nb = Neighborhood.from_offsets(offsets or [(0, 0)])
-    explicit = explicit_values_for(vertices, (nb,))
+    explicit = explicit_values_for(vertices, nb)
     w = Window(vertices, nb, mode, -0.0, explicit_values=explicit)
     vs, index_of, boundary, values, interior = loop_window(vertices, nb, mode,
                                                            -0.0, explicit)
@@ -451,8 +427,7 @@ def test_random_windows_match_loops(vertices, offsets, mode):
     assert list(w.boundary_values.items()) == list(values.items())
     assert_bit_identical(w.interior_indices(), interior)
     t = w.site_tables()
-    for got, want in zip((t.idx, t.ext_values, t.active, t.inside),
-                         loop_tables(w, nb)):
+    for got, want in zip((t.nbr, t.frozen, t.active), loop_tables(w)):
         assert_bit_identical(got, want)
 
 

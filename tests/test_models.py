@@ -3,13 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gibbsrwm.lattice import (Neighborhood, Window, build_box, build_line,
-                              exterior_halo, nearest_neighbor)
+from gibbsrwm.lattice import (Window, build_box, build_line, exterior_halo,
+                              nearest_neighbor)
 from gibbsrwm.models import (Configuration, custom_pairwise, delta_hamiltonian,
                              gaussian_product, gff, grad_hamiltonian,
                              hamiltonian, hamiltonian_gradient,
                              log_density_ratio, phi4, quadratic_operator,
                              zeros_configuration)
+from gibbsrwm.oracle import build_precision
+from gibbsrwm.sampler import ProposalSpec, run_replicas
 
 RNG = np.random.default_rng(20240811)
 
@@ -102,7 +104,7 @@ class TestSiteEnergiesGather:
                                        phi4(0.25, -0.5, d=2)],
                              ids=["gff_0.7_0.3", "gff_1_1", "phi4"])
     def test_bit_equal_to_slot_loop(self, name, model):
-        # The operator's H, read through the SiteTables gather, against the
+        # The operator's H, assembled from the window's SiteTables, against the
         # slot loop's site energies summed; the two sum in different orders,
         # so they agree to rounding, not bit for bit.
         w = gather_windows()[name]
@@ -114,13 +116,6 @@ class TestSiteEnergiesGather:
             want = slot_loop_site_energies(model, w, x).sum(axis=-1)
             assert np.shape(got) == want.shape
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
-
-    def test_frozen_values_deduplicated(self):
-        t = build_box(2, 3, nearest_neighbor(2), "constant", -1.7).site_tables()
-        assert t.ext_values.tolist() == [-1.7]
-        out = t.active & ~t.inside
-        assert out.any() and np.all(t.idx[out] == t.n)
-        assert np.all(t.idx[t.inside] < t.n)
 
 
 class TestHamiltonian:
@@ -162,19 +157,18 @@ class TestHamiltonian:
             naive_hamiltonian(m, cfg), rel=1e-12)
         assert hamiltonian(m, cfg) < 3.0
 
-    def test_missing_boundary_value_names_vertex(self):
-        # explicit values cover the window's own halo, but a wider-reaching
-        # model needs sites past it
-        from gibbsrwm.lattice import MissingBoundaryValueError, Neighborhood, Window
-
-        wide = custom_pairwise({(2,): 0.3, (-2,): 0.3},
-                               lambda x: 0.5 * x * x, lambda x: x)
-        narrow = Neighborhood.from_offsets([(1,)])
-        w = Window([(0,), (1,)], narrow, boundary_mode="explicit",
-                   explicit_values={(-2,): 0.0, (-1,): 0.0, (2,): 0.0})
-        cfg = Configuration(w, [0.5, -0.5])
-        with pytest.raises(MissingBoundaryValueError, match=r"\(3,\)"):
-            hamiltonian(wide, cfg)
+    def test_window_needs_the_models_neighborhood(self):
+        # The window's neighborhood decides its boundary and interior, so it
+        # must be the one the energy reaches over, in both directions.
+        cases = [(gff(1.0, 0.1, d=1), build_line(9, boundary_mode="free")),
+                 (gaussian_product(1.0, d=2), build_box(2, 2, nearest_neighbor(2)))]
+        for model, w in cases:
+            for call in (lambda: quadratic_operator(model, w),
+                         lambda: hamiltonian(model, zeros_configuration(w)),
+                         lambda: build_precision(model, w),
+                         lambda: run_replicas(model, w, ProposalSpec(1.0, w.n), 10, 0)):
+                with pytest.raises(ValueError, match="model.neighborhood"):
+                    call()
 
     def test_constant_boundary(self):
         m = gff(2.0, 0.0, d=1)

@@ -66,25 +66,23 @@ class TestBuildPrecision:
     def test_rejects_asymmetric_matrix(self):
         # The band keeps one triangle, so an asymmetric Q is refused when
         # the band is built from the sparse operator.
-        w = build_line(2, gaussian_product(1.0, d=1).neighborhood)
         op = QuadraticOperator(np.ones(2), sparse.csr_matrix([[0.0, 0.2], [0.0, 0.0]]),
                                np.zeros(2))
         with pytest.raises(ValueError, match="symmetric"):
-            PrecisionMatrix.from_operator(op, w)
+            PrecisionMatrix.from_operator(op)
 
     def test_symmetry_tolerance_on_sparse_pattern(self):
         # One asymmetric pair at the far end of a long window; the tolerance
         # is np.allclose's (atol=1e-12), as with the dense check before.
         n = 1024
-        w = build_line(n, gaussian_product(1.0, d=1).neighborhood)
 
         def op(value):
             off = sparse.csr_matrix(([value], ([n - 1], [n - 2])), shape=(n, n))
             return QuadraticOperator(np.ones(n), off, np.zeros(n))
 
         with pytest.raises(ValueError, match="symmetric"):
-            PrecisionMatrix.from_operator(op(1e-9), w)
-        prec = PrecisionMatrix.from_operator(op(5e-13), w)  # within atol: accepted
+            PrecisionMatrix.from_operator(op(1e-9))
+        prec = PrecisionMatrix.from_operator(op(5e-13))  # within atol: accepted
         assert prec.bandwidth == 1
         assert prec.band[0, n - 1] == 0.0  # only the upper triangle is kept
 
@@ -167,8 +165,7 @@ class TestBandedOracle:
             assert np.array_equal(got, prec.mean() + z / scale)
 
     def test_not_positive_definite_raises(self):
-        w = build_line(2, gaussian_product(1.0, d=1).neighborhood)
-        prec = PrecisionMatrix(np.array([[0.0, 2.0], [1.0, 1.0]]), np.zeros(2), w)
+        prec = PrecisionMatrix(np.array([[0.0, 2.0], [1.0, 1.0]]), np.zeros(2))
         assert np.array_equal(prec.matrix, [[1.0, 2.0], [2.0, 1.0]])
         with pytest.raises(LinAlgError):
             gaussian_exact_samples(prec, chain_rng(0, 0), 1)
@@ -546,7 +543,7 @@ class TestQuadAcceptance:
     def test_indefinite_precision_raises(self, monkeypatch):
         m = gaussian_product(1.0, d=1)
         w = build_line(2, m.neighborhood)
-        prec = PrecisionMatrix(np.array([[0.0, 2.0], [1.0, 1.0]]), np.zeros(2), w)
+        prec = PrecisionMatrix(np.array([[0.0, 2.0], [1.0, 1.0]]), np.zeros(2))
         monkeypatch.setattr(oracle, "build_precision", lambda model, window: prec)
         with pytest.raises(LinAlgError):
             quad_acceptance(m, w, 1.0)

@@ -287,7 +287,7 @@ class TestMoscoM2:
         quad = limiting_form_quadrature(f, model, window, 2.38, 1.2)
         draws = gaussian_exact_samples(build_precision(model, window),
                                        chain_rng(3, 0), 40_000)
-        mc = limiting_form(f, model, 2.38, 1.2, draws)
+        mc = limiting_form(f, 2.38, 1.2, draws)
         assert quad.std_error == 0.0
         assert abs(quad.value - mc.value) <= 4 * mc.std_error
 

@@ -18,8 +18,9 @@ import time
 import numpy as np
 
 from .checks import BATTERY, run_battery
-from .config import (ConfigError, ExperimentConfig, _check_keys, build_model,
-                     build_window, load_config, parse_config)
+from .config import (QUADRATIC_FAMILIES, ConfigError, ExperimentConfig,
+                     _check_keys, build_model, build_window, load_config,
+                     parse_config)
 from .estimators import (CYLINDER_FUNCTIONS, acceptance_rate, delta_h_stats,
                          esjd_first_coord, estimate_s2)
 from .oracle import gaussian_s2_exact
@@ -60,8 +61,9 @@ SINGLE_CHAIN = ("sample", "estimate-s", "clt-check")
 
 def check_run_keys(command: str, cfg: ExperimentConfig):
     """Reject the run keys `command` does not read, a missing one it needs,
-    `burn_steps` unless `init` is "burn_in", fewer than two thinned states,
-    and a battery entry that names no check."""
+    `burn_steps` unless `init` is "burn_in", the exact Gaussian start of a
+    non-quadratic model, fewer than two thinned states, and a battery entry
+    that names no check."""
     required, optional = RUN_KEYS[command]
     run = cfg.raw["run"]
     _check_keys(run, required | optional, required, f"run (for {command})")
@@ -71,6 +73,12 @@ def check_run_keys(command: str, cfg: ExperimentConfig):
     if "burn_steps" in run and cfg.run.init != "burn_in":
         raise ConfigError(f"run (for {command}): 'burn_steps' is read only "
                           "with init 'burn_in'")
+    if ("init" in optional and cfg.run.init == "exact_gaussian"
+            and cfg.model.family not in QUADRATIC_FAMILIES):
+        raise ConfigError(f"run.init (for {command}): 'exact_gaussian', the "
+                          f"default, needs a quadratic model, not "
+                          f"{cfg.model.family}; set init 'burn_in' (and "
+                          "optionally burn_steps)")
     if "thin" in optional and cfg.run.steps < 2 * cfg.run.thin:
         raise ConfigError(f"run (for {command}): steps ({cfg.run.steps}) must be at "
                           f"least 2 * thin ({cfg.run.thin}), for two thinned states")

@@ -23,6 +23,7 @@ class ConfigError(ValueError):
 
 
 MODEL_FAMILIES = ("gaussian_product", "gff", "phi4")
+QUADRATIC_FAMILIES = ("gaussian_product", "gff")  # those init exact_gaussian serves
 INIT_MODES = ("exact_gaussian", "burn_in")
 _FAMILY_PARAMS = {
     "gaussian_product": {"variance"},
@@ -43,18 +44,34 @@ def _check_keys(obj: dict, allowed: set[str], required: set[str], where: str):
 
 
 def _number(obj, key, where, lo=None, hi=None, integer=False):
+    """obj[key] as a float (an int if `integer`), named where.key, or
+    where[key] when obj is a list."""
     v = obj[key]
+    name = f"{where}[{key}]" if isinstance(obj, list) else f"{where}.{key}"
     if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{where}.{key}: expected a number")
+        raise ConfigError(f"{name}: expected a number")
     if not math.isfinite(v):
-        raise ConfigError(f"{where}.{key}: must be finite")
+        raise ConfigError(f"{name}: must be finite")
     if integer and int(v) != v:
-        raise ConfigError(f"{where}.{key}: expected an integer")
+        raise ConfigError(f"{name}: expected an integer")
     if lo is not None and v < lo:
-        raise ConfigError(f"{where}.{key}: must be >= {lo}")
+        raise ConfigError(f"{name}: must be >= {lo}")
     if hi is not None and v > hi:
-        raise ConfigError(f"{where}.{key}: must be <= {hi}")
+        raise ConfigError(f"{name}: must be <= {hi}")
     return int(v) if integer else float(v)
+
+
+def _increasing(obj, key, where, **rule):
+    """obj[key] as a nonempty, strictly increasing list of numbers, each by
+    the _number `rule` and named by its index (run.tau_grid[1])."""
+    v = obj[key]
+    name = f"{where}.{key}"
+    if not isinstance(v, list) or not v:
+        raise ConfigError(f"{name}: expected a nonempty list")
+    xs = [_number(v, i, name, **rule) for i in range(len(v))]
+    if any(a >= b for a, b in zip(xs, xs[1:])):
+        raise ConfigError(f"{name}: must be strictly increasing")
+    return xs
 
 
 def _coordinate_rows(rows, d: int, where: str) -> list[list[int]]:
@@ -158,48 +175,34 @@ def parse_config(doc: dict) -> ExperimentConfig:
                     "init", "burn_steps", "increment_family", "cylinder",
                     "battery", "corrupt_determinism"},
                 {"steps"}, "run")
-    steps = _number(r, "steps", "run", lo=1, integer=True)
-    tau = _number(r, "tau", "run", lo=0) if "tau" in r else None
-    grid = None
+    # Keys left out keep RunSpec's defaults.
+    given = {"steps": _number(r, "steps", "run", lo=1, integer=True)}
+    if "tau" in r:
+        given["tau"] = _number(r, "tau", "run", lo=0)
     if "tau_grid" in r:
-        if not isinstance(r["tau_grid"], list) or not r["tau_grid"]:
-            raise ConfigError("run.tau_grid: expected a nonempty list")
-        grid = [_number({"t": t}, "t", "run.tau_grid", lo=0) for t in r["tau_grid"]]
-        if grid != sorted(grid) or len(set(grid)) != len(grid):
-            raise ConfigError("run.tau_grid: must be strictly increasing")
-    n_list = None
+        given["tau_grid"] = _increasing(r, "tau_grid", "run", lo=0)
     if "n_list" in r:
-        if not isinstance(r["n_list"], list) or not r["n_list"]:
-            raise ConfigError("run.n_list: expected a nonempty list")
-        n_list = [_number({"n": n}, "n", "run.n_list", lo=1, integer=True)
-                  for n in r["n_list"]]
-        if n_list != sorted(set(n_list)):
-            raise ConfigError("run.n_list: must be strictly increasing")
-    replicas = _number(r, "replicas", "run", lo=1, integer=True) if "replicas" in r else 8
-    thin = _number(r, "thin", "run", lo=1, integer=True) if "thin" in r else 10
-    init = r.get("init", "exact_gaussian")
-    if init not in INIT_MODES:
-        raise ConfigError(f"run.init: unknown mode {init!r}")
-    burn = (_number(r, "burn_steps", "run", lo=1, integer=True)
-            if "burn_steps" in r else None)
-    fam = r.get("increment_family", "standard_normal")
-    if fam not in INCREMENT_FAMILIES:
-        raise ConfigError(f"run.increment_family: unknown family {fam!r}")
-    cyl = r.get("cylinder")
-    if cyl is not None and cyl not in CYLINDER_FUNCTIONS:
-        raise ConfigError(f"run.cylinder: unknown function {cyl!r}; built-ins: "
-                          f"{', '.join(sorted(CYLINDER_FUNCTIONS))}")
-    battery = r.get("battery")
-    if battery is not None:
-        if not isinstance(battery, list):
-            raise ConfigError("run.battery: expected a list of check names")
-        if not battery:
-            raise ConfigError("run.battery: empty battery")
-    corrupt = r.get("corrupt_determinism", False)
-    if not isinstance(corrupt, bool):
-        raise ConfigError("run.corrupt_determinism: expected a boolean")
-    run = RunSpec(steps, tau, grid, n_list, replicas, thin, init, burn, fam,
-                  cyl, battery, corrupt)
+        given["n_list"] = _increasing(r, "n_list", "run", lo=1, integer=True)
+    for key in ("replicas", "thin", "burn_steps"):
+        if key in r:
+            given[key] = _number(r, key, "run", lo=1, integer=True)
+    for key, choices in (("init", INIT_MODES),
+                         ("increment_family", INCREMENT_FAMILIES),
+                         ("cylinder", tuple(sorted(CYLINDER_FUNCTIONS)))):
+        if key in r:
+            if r[key] not in choices:
+                raise ConfigError(f"run.{key}: unknown value {r[key]!r}; "
+                                  f"one of {', '.join(choices)}")
+            given[key] = r[key]
+    if "battery" in r:
+        if not isinstance(r["battery"], list) or not r["battery"]:
+            raise ConfigError("run.battery: expected a nonempty list of check names")
+        given["battery"] = r["battery"]
+    if "corrupt_determinism" in r:
+        if not isinstance(r["corrupt_determinism"], bool):
+            raise ConfigError("run.corrupt_determinism: expected a boolean")
+        given["corrupt_determinism"] = r["corrupt_determinism"]
+    run = RunSpec(**given)
 
     seed = _number(doc, "seed", "config", lo=0, integer=True)
     out = doc.get("output_dir", "out")

@@ -323,11 +323,14 @@ def build_box(d: int, L: int, neighborhood: Neighborhood, boundary_mode="zero",
 
 def build_line(n: int, neighborhood: Neighborhood | None = None,
                boundary_mode="zero", boundary_constant=0.0) -> Window:
-    """1D window of exactly n sites 0..n-1 (any n, unlike centered boxes)."""
+    """Line window of exactly n sites (any n, unlike centered boxes): site k
+    at (k, 0, ..., 0) in the neighborhood's dimension."""
     if n < 1:
         raise ValueError("n must be >= 1")
     nb = neighborhood or self_neighborhood(1)
-    return Window(np.arange(n)[:, None], nb, boundary_mode, boundary_constant)
+    coords = np.zeros((n, nb.d), dtype=np.int64)
+    coords[:, 0] = np.arange(n)
+    return Window(coords, nb, boundary_mode, boundary_constant)
 
 
 # -- Window-sequence growth diagnostics ------------------------------------

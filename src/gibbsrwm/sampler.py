@@ -13,7 +13,7 @@ for bit, except that the two float sums of its summary (jump_sq_sum and
 dh_sum, added chunk by chunk) may differ in their last bits when the budget
 gives the two runs different chunk lengths.  Each row of a batch has its
 own proposal scale sigma = tau / sqrt(n), so one batch may stack the
-replicas of several tau values (scaling._run_points does).
+replicas of several tau values, as scaling.sweep_tau does with its grid.
 
 Rows of one batch that share a chain id share its streams, and each stream
 is drawn once: one start, one burn-in, and per chunk one block of
@@ -41,8 +41,9 @@ each round does.  Every product and sum in dH treats a row on its own, so a
 row's dH does not depend on the other rows, on K or on the chunk length.
 
 Each chain's ChainSummary is streamed chunk by chunk (_SummaryStream), so a
-run keeps per-step arrays only when it records them ("full"); "summary"
-mode and burn-in use memory of one chunk, whatever the number of steps.
+run keeps arrays of all its steps only when it records them ("full").  In
+"summary" mode and burn-in, a row holds one chunk plus the accept flags and
+jumps of at most one batch (steps // N_BATCHES steps), not of every step.
 """
 
 from __future__ import annotations
@@ -283,6 +284,8 @@ def _drive(model: InteractionModel, window: Window, specs: list[ProposalSpec],
     window, in lookahead rounds (see the module docstring).  The first row
     of each stream draws its chunk; later rows of that stream copy it.
 
+    The rows' state is x0 itself (fresh from run_replicas), moved in place.
+
     Returns the final states, the _SummaryStream, the (dh, accepted, u,
     jump_sq) record columns when keep_arrays (else None), the thinned states
     and the leading-coordinate paths.
@@ -292,7 +295,7 @@ def _drive(model: InteractionModel, window: Window, specs: list[ProposalSpec],
     first = {}
     lead = [first.setdefault(s, r) for r, s in enumerate(streams)]
     sigma = np.array([spec.sigma for spec in specs])[:, None, None]
-    x = np.array(x0, dtype=float)
+    x = np.asarray(x0, dtype=float)
     op = quadratic_operator(model, window)
     g = op.gradient(x)
     remainder = op.remainder

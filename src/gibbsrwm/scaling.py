@@ -28,11 +28,6 @@ from .oracle import build_precision, gaussian_s2_exact, quad_expectation_1d
 from .sampler import ProposalSpec, chain_rng, run_chain, run_replicas
 
 REFERENCE_CHAIN_ID = 0xFFFF_FFFF  # reserved stream for the s-hat reference run
-# Rows x sites of one stacked block of grid points (see _run_points).  A
-# block's increment chunk stays within sampler.CHUNK_BYTES (16 MB); 8192
-# row-sites is the most at which it still holds CHUNK steps, and holds a
-# 9-point x 8-replica sweep at n = 100.
-STACK_SITES = 8192
 
 
 def c_theoretical(tau: float, s: float) -> float:
@@ -129,45 +124,28 @@ def _resolve_s_hat(model: InteractionModel, window: Window, s_hat: float | None,
     return math.sqrt(estimate_s2(model, run).value)
 
 
-def _run_points(model: InteractionModel, window: Window, specs: list[ProposalSpec],
-                first: int, replicas: int, steps: int, seed: int, init: str,
-                burn_steps: int | None, track_first: int = 0):
-    """Summary-recorded replicas of the grid points of `specs` (one spec
-    each), one list of runs per point.  Replica r of every point runs on
-    the chain id first * replicas + r, so the points use common random
-    numbers: each point's rows read the same streams, drawn once per block.
-    Consecutive points share one run_replicas call while their rows x sites
-    fit in STACK_SITES; a run is bit for bit the same in any block."""
-    per_block = max(1, STACK_SITES // (replicas * window.n))
-    runs = []
-    for b in range(0, len(specs), per_block):
-        block = specs[b:b + per_block]
-        ids = [first * replicas + r for _ in block for r in range(replicas)]
-        runs += run_replicas(model, window,
-                             [spec for spec in block for _ in range(replicas)],
-                             steps, seed, len(ids), chain_ids=ids,
-                             recording="summary", track_first=track_first,
-                             init=init, burn_steps=burn_steps)
-    return [runs[i * replicas:(i + 1) * replicas] for i in range(len(specs))]
-
-
 def sweep_tau(model: InteractionModel, window: Window, tau_grid, steps: int,
               replicas: int, seed: int,
               increment_family: str = "standard_normal",
               init: str = "exact_gaussian", s_hat: float | None = None,
               burn_steps: int | None = None) -> ScalingCurve:
     """Acceptance and ESJD across a tau grid, joined with the theory curve.
-    Replica r runs on chain id r at every tau, so the rows share their
-    random numbers: each row's estimate and SE are those of independent
-    replicas, but rows at different tau are correlated."""
+    The grid is one run_replicas call, replica r on chain id r at every tau:
+    the rows share their random numbers, drawn once per replica, so each
+    row's estimate and SE are those of independent replicas, but rows at
+    different tau are correlated."""
     taus = _check_grid(tau_grid)
     s_hat = _resolve_s_hat(model, window, s_hat, seed, init)
-    specs = [ProposalSpec(tau, window.n, increment_family) for tau in taus]
+    specs = [ProposalSpec(tau, window.n, increment_family)
+             for tau in taus for _ in range(replicas)]
+    runs = run_replicas(model, window, specs, steps, seed, len(specs),
+                        chain_ids=list(range(replicas)) * len(taus), init=init,
+                        burn_steps=burn_steps)
     rows = []
-    for tau, runs in zip(taus, _run_points(model, window, specs, 0, replicas,
-                                           steps, seed, init, burn_steps)):
-        acc = pool_replicas(acceptance_rate(r.summary) for r in runs)
-        esjd = pool_replicas(esjd_first_coord(r.summary, window.n) for r in runs)
+    for i, tau in enumerate(taus):
+        point = runs[i * replicas:(i + 1) * replicas]
+        acc = pool_replicas(acceptance_rate(r.summary) for r in point)
+        esjd = pool_replicas(esjd_first_coord(r.summary, window.n) for r in point)
         rows.append(ScalingCurveRow(tau, acc, esjd, c_theoretical(tau, s_hat),
                                     efficiency(tau, s_hat)))
     return ScalingCurve(tuple(rows), s_hat)
@@ -210,14 +188,16 @@ def sweep_n(make_model_window: Callable[[int], tuple[InteractionModel, Window]],
             n_list, tau: float, steps: int, seed: int, replicas: int = 4,
             init: str = "exact_gaussian", s_hat: float | None = None,
             burn_steps: int | None = None) -> list[SweepNRow]:
-    """Acceptance against window size at fixed tau, with the limiting value."""
+    """Acceptance against window size at fixed tau, with the limiting value;
+    window i is one run_replicas call, replica r on chain id i*replicas + r."""
     ns, _, _, s_hat = _window_sizes(make_model_window, n_list, s_hat, seed, init)
     c_lim = c_theoretical(tau, s_hat)
 
     def one_n(ni: int, n: int):
         model, window = make_model_window(n)
-        (runs,) = _run_points(model, window, [ProposalSpec(tau, window.n)], ni,
-                              replicas, steps, seed, init, burn_steps)
+        ids = range(ni * replicas, (ni + 1) * replicas)
+        runs = run_replicas(model, window, ProposalSpec(tau, window.n), steps,
+                            seed, replicas, ids, init=init, burn_steps=burn_steps)
         acc = pool_replicas(acceptance_rate(r.summary) for r in runs)
         return SweepNRow(n, acc, c_lim, abs(acc.value - c_lim))
 
@@ -288,7 +268,8 @@ def mosco_m2_check(f: CylinderFunction,
                    init: str = "exact_gaussian", s_hat: float | None = None,
                    burn_steps: int | None = None) -> M2Table:
     """Empirical one-step form per window size against its limiting value:
-    quadrature on quadratic models, else a chain on the largest window."""
+    quadrature on quadratic models, else a chain on the largest window.
+    Window i is one run_replicas call, replica r on chain id i*replicas + r."""
     ns, model_max, window_max, s_hat = _window_sizes(make_model_window, n_list,
                                                      s_hat, seed, init)
     if f.n_coords > ns[0]:
@@ -304,9 +285,10 @@ def mosco_m2_check(f: CylinderFunction,
 
     def one_n(ni: int, n: int):
         model, window = make_model_window(n)
-        (runs,) = _run_points(model, window, [ProposalSpec(tau, window.n)], ni,
-                              replicas, steps, seed, init, burn_steps,
-                              track_first=f.n_coords)
+        ids = range(ni * replicas, (ni + 1) * replicas)
+        runs = run_replicas(model, window, ProposalSpec(tau, window.n), steps,
+                            seed, replicas, ids, track_first=f.n_coords,
+                            init=init, burn_steps=burn_steps)
         emp = pool_replicas(dirichlet_form_empirical(f, r) for r in runs)
         return M2Row(n, emp, lim, abs(emp.value - lim.value))
 

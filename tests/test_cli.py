@@ -9,8 +9,9 @@ import sys
 import pytest
 
 from gibbsrwm.checks import BATTERY
-from gibbsrwm.cli import COMMANDS, check_run_keys, main
-from gibbsrwm.config import (ConfigError, config_hash, load_config,
+from gibbsrwm.cli import COMMANDS, RUN_KEYS, check_run_keys, main
+from gibbsrwm.config import (MODEL_FAMILIES, QUADRATIC_FAMILIES, ConfigError,
+                             RunSpec, build_model, config_hash, load_config,
                              parse_config)
 from test_runio import read_csv
 
@@ -95,6 +96,35 @@ class TestConfigValidation:
         doc["model"]["family"] = "ising"
         with pytest.raises(ConfigError, match="family"):
             parse_config(doc)
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("tau_grid", [1.0, "x"], r"run\.tau_grid\[1\]: expected a number"),
+        ("tau_grid", [1.0, -2.0], r"run\.tau_grid\[1\]: must be >= 0"),
+        ("tau_grid", [2.0, 1.0], r"run\.tau_grid: must be strictly increasing"),
+        ("tau_grid", 1.0, r"run\.tau_grid: expected a nonempty list"),
+        ("n_list", [4, 9.5], r"run\.n_list\[1\]: expected an integer"),
+        ("n_list", [0, 4], r"run\.n_list\[0\]: must be >= 1"),
+        ("n_list", [4, 4], r"run\.n_list: must be strictly increasing"),
+        ("n_list", [], r"run\.n_list: expected a nonempty list"),
+    ])
+    def test_list_keys_name_the_bad_entry(self, key, value, message):
+        # An entry was once named by a key that does not exist
+        # (run.tau_grid.t, run.n_list.n).
+        doc = base_config()
+        doc["run"][key] = value
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            parse_config(doc)
+
+    @pytest.mark.parametrize("key", ["init", "increment_family", "cylinder"])
+    def test_choice_keys_reject_any_other_value(self, key):
+        # A list cylinder once escaped parse_config as a TypeError (unhashable).
+        doc = base_config()
+        doc["run"][key] = ["sin_x1"]
+        with pytest.raises(ConfigError, match=rf"^run\.{key}: unknown value"):
+            parse_config(doc)
+
+    def test_omitted_run_keys_take_runspec_defaults(self):
+        assert parse_config(base_config()).run == RunSpec(steps=800, tau=2.38)
 
     def test_phi4_requires_positive_a(self):
         doc = base_config()
@@ -197,6 +227,26 @@ class TestCliCommands:
         assert [int(r[0]) for r in rows] == [4, 9]
         doc2 = base_config(output_dir=str(tmp_path / "p"))
         assert self.run_cli("sweep-n", write_config(tmp_path, doc2, "c2.json")) == 2
+
+    @pytest.mark.parametrize("command,run,output", [
+        ("sweep-n", {"steps": 300, "tau": 1.0, "n_list": [3, 10], "replicas": 2},
+         "acceptance_vs_n.csv"),
+        ("dirichlet-check", {"steps": 300, "tau": 2.38, "n_list": [3, 10],
+                             "replicas": 2, "cylinder": "sin_x1"},
+         "m2_table.csv"),
+    ])
+    def test_product_family_any_n_in_any_dimension(self, tmp_path, command, run,
+                                                   output):
+        # Once exit 3 at d >= 2 ("vertex dimension does not match
+        # neighborhood"): the line window was 1-D.  The product model has
+        # no couplings, so the table does not depend on d.
+        tables = []
+        for d in (1, 2, 3):
+            doc = base_config(output_dir=str(tmp_path / f"d{d}"), run=dict(run),
+                              graph={"d": d})
+            assert self.run_cli(command, write_config(tmp_path, doc, f"{d}.json")) == 0
+            tables.append((tmp_path / f"d{d}" / output).read_bytes())
+        assert tables[0] == tables[1] == tables[2]
 
     def test_estimate_s_gff(self, tmp_path):
         doc = {
@@ -495,6 +545,31 @@ class TestRunKeys:
         assert all(math.isfinite(v) for v in out.values())
         if command == "estimate-s":
             assert out["n_states"] == 2
+
+    @pytest.mark.parametrize("command", [c for c in sorted(READ_KEYS)
+                                         if "init" in RUN_KEYS[c][1]])
+    @pytest.mark.parametrize("init", [None, "exact_gaussian"])
+    def test_exact_start_needs_a_quadratic_model(self, tmp_path, capsys, command,
+                                                 init):
+        # A phi4 run under the default init once exited 3 ("exact stationary
+        # sampling unavailable for phi4").
+        run = {k: v for k, v in READ_KEYS[command][0].items()
+               if k not in ("init", "burn_steps")}
+        if init is not None:
+            run["init"] = init
+        doc = base_config(output_dir=str(tmp_path / "o"), run=run, model={
+            "family": "phi4", "parameters": {"a": 0.25, "b": -0.5}})
+        assert main([command, "--config", write_config(tmp_path, doc)]) == 2
+        err = capsys.readouterr().err
+        assert "run.init" in err and "'burn_in'" in err and "phi4" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("family", MODEL_FAMILIES)
+    def test_quadratic_families_are_the_quadratic_models(self, family):
+        params = {"a": 0.25} if family == "phi4" else {}
+        cfg = parse_config(base_config(model={"family": family,
+                                              "parameters": params}))
+        assert build_model(cfg).is_quadratic == (family in QUADRATIC_FAMILIES)
 
     @pytest.mark.parametrize("bad", ["nope", 3, ["determinism"]])
     def test_unknown_battery_entry_rejected(self, tmp_path, capsys, bad):

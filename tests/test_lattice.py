@@ -240,6 +240,16 @@ def test_build_line_any_size():
     assert w2.boundary == {(0,), (4,)}
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_build_line_in_the_neighborhoods_dimension(d):
+    # Site k sits at (k, 0, ..., 0): an on-site model of any d gets a line.
+    w = build_line(4, self_neighborhood(d))
+    assert w.vertices == tuple((k,) + (0,) * (d - 1) for k in range(4))
+    assert w.boundary == frozenset()
+    w2 = build_line(4, nearest_neighbor(d))
+    assert w2.boundary == set(w2.vertices)
+
+
 def test_hull_count_non_box():
     # L-shaped region: hull adds the missing inner triangle points
     from gibbsrwm.lattice import count_hull_lattice_points

@@ -152,26 +152,24 @@ class TestSweepTau:
 
 
 class TestStackedSweep:
-    """sweep_tau stacks the grid points of a block into one run_replicas
-    call, replica r on chain id r at every tau; every chain and every curve
-    column equals per-point runs."""
+    """sweep_tau runs its whole grid as one run_replicas call, replica r on
+    chain id r at every tau; every chain and every curve column equals
+    per-point runs."""
 
     @pytest.mark.parametrize("family", ["standard_normal", "uniform"])
     @pytest.mark.parametrize("init,burn_steps", [("exact_gaussian", None),
                                                  ("burn_in", 150)])
-    def test_blocks_equal_per_point_runs(self, monkeypatch, captured_runs,
-                                         family, init, burn_steps):
+    def test_blocks_equal_per_point_runs(self, captured_runs, family, init,
+                                         burn_steps):
         m = gff(0.7, 0.3, d=1)
         w = build_box(1, 5, m.neighborhood, "constant", 0.4)
         grid = [0.5, 1.5, 2.38, 3.0, 6.0]
         replicas, steps, seed = 2, 300, 41
-        # Two grid points per block: three blocks, the last one partial.
-        monkeypatch.setattr(scaling, "STACK_SITES", 2 * replicas * w.n + 1)
         curve = sweep_tau(m, w, grid, steps, replicas, seed,
                           increment_family=family, init=init,
                           burn_steps=burn_steps)
-        assert [len(runs) for runs in captured_runs] == [4, 4, 2]
-        stacked = [run for runs in captured_runs for run in runs]
+        assert [len(runs) for runs in captured_runs] == [10]
+        (stacked,) = captured_runs
         for ti, tau in enumerate(grid):
             solo = run_replicas(m, w, ProposalSpec(tau, w.n, family), steps,
                                 seed, replicas, chain_ids=range(replicas),
@@ -204,6 +202,31 @@ class TestStackedSweep:
         assert [r.chain_id for r in captured_runs[0]] == list(range(8)) * 9
         assert [r.tau for r in captured_runs[0]] == [t for t in grid
                                                       for _ in range(8)]
+
+    def test_grid_above_the_old_block_size_is_one_call(self, captured_runs,
+                                                       monkeypatch):
+        # 11 tau x 8 replicas x 100 sites = 8 800 rows x sites, more than one
+        # 8 192-site block: still one call, each chain id's increments drawn
+        # once per chunk and shared by its 11 rows.
+        m = gaussian_product(1.0, d=1)
+        w = build_line(100, m.neighborhood)
+        grid = [round(1.38 + 0.25 * k, 2) for k in range(11)]
+        draws = []
+        draw = ProposalSpec.draw_increments
+
+        def count(self, rng, shape, out=None):
+            draws.append(shape)
+            return draw(self, rng, shape, out)
+
+        monkeypatch.setattr(ProposalSpec, "draw_increments", count)
+        steps = 3
+        sweep_tau(m, w, grid, steps=steps, replicas=8, seed=1, s_hat=1.0)
+        assert [len(runs) for runs in captured_runs] == [88]
+        assert [r.chain_id for r in captured_runs[0]] == list(range(8)) * 11
+        assert [r.tau for r in captured_runs[0]] == [t for t in grid
+                                                      for _ in range(8)]
+        # 8 chain ids x one chunk of all the steps (88 rows fit one chunk).
+        assert draws == [(steps, w.n)] * 8
 
     def test_n_sweep_runs_one_point_per_window(self, captured_runs):
         sweep_n(product_chain_family(1.0), [2, 3], tau=1.0, steps=50, seed=5,

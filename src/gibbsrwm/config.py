@@ -25,10 +25,11 @@ class ConfigError(ValueError):
 MODEL_FAMILIES = ("gaussian_product", "gff", "phi4")
 QUADRATIC_FAMILIES = ("gaussian_product", "gff")  # those init exact_gaussian serves
 INIT_MODES = ("exact_gaussian", "burn_in")
+# Each family's parameters, with the values build_model gives omitted ones.
 _FAMILY_PARAMS = {
-    "gaussian_product": {"variance"},
-    "gff": {"beta", "m2"},
-    "phi4": {"a", "b", "coupling"},
+    "gaussian_product": {"variance": 1.0},
+    "gff": {"beta": 1.0, "m2": 1.0},
+    "phi4": {"a": 1.0, "b": 0.0, "coupling": 1.0},
 }
 
 
@@ -136,12 +137,19 @@ def parse_config(doc: dict) -> ExperimentConfig:
     if family not in MODEL_FAMILIES:
         raise ConfigError(f"model.family: unknown family {family!r}")
     parameters = m.get("parameters", {})
-    _check_keys(parameters, _FAMILY_PARAMS[family], set(), "model.parameters")
+    _check_keys(parameters, set(_FAMILY_PARAMS[family]), set(), "model.parameters")
     for key in parameters:
         _number(parameters, key, "model.parameters")
-    if family == "gaussian_product" and parameters.get("variance", 1.0) <= 0:
+    p = {**_FAMILY_PARAMS[family], **parameters}
+    if family == "gaussian_product" and p["variance"] <= 0:
         raise ConfigError("model.parameters.variance: must be > 0")
-    if family == "phi4" and parameters.get("a", 0.0) <= 0:
+    if family == "gff":
+        for key in ("beta", "m2"):
+            if p[key] < 0:
+                raise ConfigError(f"model.parameters.{key}: must be >= 0")
+        if p["beta"] == p["m2"] == 0:
+            raise ConfigError("model.parameters: beta and m2 must not both be 0")
+    if family == "phi4" and p["a"] <= 0:
         raise ConfigError("model.parameters.a: must be > 0 (normalizable density)")
     nb = m.get("neighborhood", "default")
     if not (nb == "default" or nb == "nearest_neighbor" or isinstance(nb, list)):
@@ -249,14 +257,13 @@ def build_neighborhood(cfg: ExperimentConfig) -> Neighborhood:
 def build_model(cfg: ExperimentConfig) -> InteractionModel:
     nb = build_neighborhood(cfg)
     fam = cfg.model.family
-    p = cfg.model.params
+    p = {**_FAMILY_PARAMS.get(fam, {}), **cfg.model.params}
     if fam == "gaussian_product":
-        return gaussian_product(p.get("variance", 1.0), d=cfg.graph.d)
+        return gaussian_product(p["variance"], d=cfg.graph.d)
     if fam == "gff":
-        return gff(p.get("beta", 1.0), p.get("m2", 1.0), neighborhood=nb)
+        return gff(p["beta"], p["m2"], neighborhood=nb)
     if fam == "phi4":
-        return phi4(p.get("a", 1.0), p.get("b", 0.0), p.get("coupling", 1.0),
-                    neighborhood=nb)
+        return phi4(p["a"], p["b"], p["coupling"], neighborhood=nb)
     raise ConfigError(f"unhandled family {fam}")
 
 

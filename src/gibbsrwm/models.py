@@ -198,8 +198,9 @@ def gradient_dh(d: np.ndarray, g: np.ndarray, q: np.ndarray,
                 remainder: Callable[[np.ndarray], np.ndarray] | None,
                 x: np.ndarray, rem_x: np.ndarray | None):
     """dH of the (R, k) moves x + d from the (R, n) states x, in gradient
-    form: d.g + q/2 with g = Qx - b and q = d'Qd, plus the change of the
-    operator's remainder (rem_x is its value at x).  Elementwise products
+    form: d.g + q/2 with g = Qx - b and q = d'Qd (the sampler passes
+    sigma**2 z'Qz for d = sigma * z), plus the change of the operator's
+    remainder (rem_x is its value at x).  Elementwise products
     summed along the last axis keep each row's value independent of R and
     k.
 

@@ -7,29 +7,34 @@ then its increments, step after step; uniform_rng (the same key, jumped by
 2**128 draws) gives its accept uniforms.  A Philox stream yields the same
 values whether a block is drawn in one call or in several, so a chain does
 not depend on how its steps are cut into chunks.  _drive sizes each chunk
-so that the (R, c, n) increment block stays within CHUNK_BYTES, and memory
-stays bounded as n grows.  A single chain equals its replica in a batch bit
-for bit, except that the two float sums of its summary (jump_sq_sum and
-dh_sum, added chunk by chunk) may differ in their last bits when the budget
-gives the two runs different chunk lengths.  Each row of a batch has its
-own proposal scale sigma = tau / sqrt(n), so one batch may stack the
-replicas of several tau values, as scaling.sweep_tau does with its grid.
+for R rows so that R blocks of (c, n) increments would stay within
+CHUNK_BYTES, and memory stays bounded as n grows.  A single chain equals its
+replica in a batch bit for bit, except that the two float sums of its
+summary (jump_sq_sum and dh_sum, added chunk by chunk) may differ in their
+last bits when the budget gives the two runs different chunk lengths.
+Each row of a batch has its own proposal scale sigma = tau / sqrt(n), so
+one batch may stack the replicas of several tau values, as
+scaling.sweep_tau does with its grid.
 
 Rows of one batch that share a chain id share its streams, and each stream
-is drawn once: one start, one burn-in, and per chunk one block of
-increments and uniforms, which the other rows of that id copy before each
-row is scaled by its own sigma.  Such rows are common random numbers
-across their proposal scales, and each still equals the solo chain of its
-id.
+is drawn once: one start, one burn-in, and per chunk one (c, n) block of
+unit increments z, one of uniforms and one of z'Qz, held once per stream,
+not once per row.  Row r moves by d = sigma_r * z: when every row owns its
+stream the block is scaled in place once per chunk, and otherwise each
+round scales the increments it reads for each row, so a tau grid holds S
+blocks for its S distinct ids.  Such rows are common random numbers across
+their proposal scales, and each still equals the solo chain of its id.
 
 dH is evaluated in gradient form.  With H(x) = x'Qx/2 - b'x + remainder
-(models.quadratic_operator), a move d = y - x changes H by
+(models.quadratic_operator), a move to y = x + d, d = sigma * z, changes H
+by
 
-    dH = d.g + d'Qd/2 + sum_k [self(y_k) - self(x_k)],    g = Qx - b,
+    dH = d.g + sigma**2 z'Qz/2 + sum_k [self(y_k) - self(x_k)],  g = Qx - b,
 
-where the last sum is there only for non-quadratic models.  d'Qd depends on
-the proposal alone, so it is computed once per chunk for every proposal; g
-is kept per row and recomputed exactly from x whenever the row moves.
+where the last sum is there only for non-quadratic models.  z'Qz depends on
+the stream's draw alone, so it is computed once per chunk per stream, and
+every row of that stream scales it by its own sigma**2; g is kept per row
+and recomputed exactly from x whenever the row moves.
 
 Within a chunk the kernel runs in rounds.  A rejected proposal leaves the
 state unchanged, so the proposals up to the next acceptance all start from
@@ -60,8 +65,9 @@ from .models import (Configuration, InteractionModel, gradient_dh,
 from .oracle import build_precision, gaussian_exact_samples
 
 CHUNK = 256  # most steps per chunk
-# Byte budget of one chunk's (R, c, n) increment block: c = CHUNK_BYTES //
-# (8 R n), at least 1 and at most CHUNK.
+# Byte budget of one chunk's increments for R rows: c = CHUNK_BYTES //
+# (8 R n), at least 1 and at most CHUNK.  Rows that share a stream share its
+# (c, n) block, so the block held is (S, c, n) for S <= R distinct streams.
 CHUNK_BYTES = 16 * 2**20
 # Fixed cost of one Metropolis round (Python and numpy call overhead) in
 # site evaluations; see _lookahead.  On one 2-vCPU x86 core a round costs
@@ -281,8 +287,12 @@ def _drive(model: InteractionModel, window: Window, specs: list[ProposalSpec],
            x0: np.ndarray, keep_arrays: bool, thin: int, track_first: int):
     """Batched Metropolis loop: row r runs specs[r] with increments from
     rngs[streams[r]] and uniforms from urngs[streams[r]], every row on one
-    window, in lookahead rounds (see the module docstring).  The first row
-    of each stream draws its chunk; later rows of that stream copy it.
+    window, in lookahead rounds (see the module docstring).  Each chunk
+    holds one block of unit increments z, of uniforms and of z'Qz per
+    stream; row r's moves are d = sigma_r * z and their quadratic terms
+    sigma_r**2 * z'Qz.  When row r reads stream r for every r, the block is
+    scaled in place once per chunk; otherwise each round scales the
+    increments it reads for each row.
 
     The rows' state is x0 itself (fresh from run_replicas), moved in place.
 
@@ -290,11 +300,13 @@ def _drive(model: InteractionModel, window: Window, specs: list[ProposalSpec],
     jump_sq) record columns when keep_arrays (else None), the thinned states
     and the leading-coordinate paths.
     """
-    R = len(specs)
+    R, S = len(specs), len(rngs)
     n = window.n
-    first = {}
-    lead = [first.setdefault(s, r) for r, s in enumerate(streams)]
-    sigma = np.array([spec.sigma for spec in specs])[:, None, None]
+    rows_of = np.asarray(streams)
+    own = np.array_equal(rows_of, np.arange(S))  # row r reads stream r
+    sigma = np.array([spec.sigma for spec in specs])
+    scale = sigma[:, None, None]
+    sigma_sq = (sigma * sigma)[:, None]
     x = np.asarray(x0, dtype=float)
     op = quadratic_operator(model, window)
     g = op.gradient(x)
@@ -307,9 +319,9 @@ def _drive(model: InteractionModel, window: Window, specs: list[ProposalSpec],
     if keep_arrays:
         records = (np.empty((R, steps)), np.empty((R, steps), dtype=bool),
                    np.empty((R, steps)), np.empty((R, steps)))
-    incr = np.empty((R, width, n))  # one buffer, refilled every chunk
-    us = np.empty((R, width))
-    quad = np.empty((R, width))
+    z = np.empty((S, width, n))  # one buffer per stream, refilled every chunk
+    us = np.empty((S, width))
+    qz = np.empty((S, width))
     dh_buf = np.empty((R, width))
     acc_buf = np.empty((R, width), dtype=bool)
     n_snaps = steps // thin if thin else 0
@@ -321,18 +333,15 @@ def _drive(model: InteractionModel, window: Window, specs: list[ProposalSpec],
     t = 0
     while t < steps:
         c = min(width, steps - t)
-        for r in range(R):
-            if lead[r] == r:
-                specs[r].draw_increments(rngs[streams[r]], (c, n), out=incr[r, :c])
-                urngs[streams[r]].random(out=us[r, :c])
-            else:
-                incr[r, :c] = incr[lead[r], :c]
-                us[r, :c] = us[lead[r], :c]
-        incr_c, us_c = incr[:, :c], us[:, :c]
+        for s in range(S):
+            specs[0].draw_increments(rngs[s], (c, n), out=z[s, :c])
+            urngs[s].random(out=us[s, :c])
+            op.quad_forms(z[s, :c], qz[s, :c])
+        z_c, us_c = z[:, :c], us[rows_of, :c]
+        quad_c = sigma_sq * qz[rows_of, :c]
         dh_c, acc_c = dh_buf[:, :c], acc_buf[:, :c]
-        incr_c *= sigma  # the proposal moves d = sigma * increment
-        for r in range(R):
-            op.quad_forms(incr_c[r], quad[r, :c])
+        if own:
+            z_c *= scale  # the proposal moves d = sigma * z, in place
         # Before any step, assume every proposal is accepted: K = 1.
         accepted = int(stream.accept.sum())
         K = _lookahead(accepted / (R * t) if t else 1.0, R, n, c)
@@ -341,8 +350,12 @@ def _drive(model: InteractionModel, window: Window, specs: list[ProposalSpec],
             j = 0
             while j < c:
                 k = min(K, c - j)
-                d = incr_c[:, j:j + k]
-                dh, rem_y = gradient_dh(d, g, quad[:, j:j + k], remainder, x, rem_x)
+                if own:
+                    d = z_c[:, j:j + k]
+                else:
+                    d = z_c[rows_of, j:j + k]
+                    d *= scale
+                dh, rem_y = gradient_dh(d, g, quad_c[:, j:j + k], remainder, x, rem_x)
                 # A non-finite dH (inf - inf in the energies) is rejected.
                 acc = (us_c[:, j:j + k] < np.exp(-np.maximum(dh, 0.0))) & np.isfinite(dh)
                 m = k
@@ -372,7 +385,8 @@ def _drive(model: InteractionModel, window: Window, specs: list[ProposalSpec],
                 if states is not None and end % thin == 0:
                     states[:, end // thin - 1] = x
                 j += m
-        jump_c = np.where(acc_c, incr_c[:, :, 0] ** 2, 0.0)
+        d_first = z_c[:, :, 0] if own else z_c[rows_of, :, 0] * sigma[:, None]
+        jump_c = np.where(acc_c, d_first ** 2, 0.0)
         stream.add(acc_c, dh_c, jump_c)
         if records is not None:
             for column, chunk in zip(records, (dh_c, acc_c, us_c, jump_c)):
@@ -404,6 +418,8 @@ def run_replicas(model: InteractionModel, window: Window,
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
+    if burn_steps is not None and burn_steps < 0:
+        raise ValueError("burn_steps must be >= 0")
     if recording not in RECORDING_MODES:
         raise ValueError(f"unknown recording mode {recording!r}")
     specs = [spec] * n_replicas if isinstance(spec, ProposalSpec) else list(spec)

@@ -132,6 +132,38 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="must be > 0"):
             parse_config(doc)
 
+    @pytest.mark.parametrize("params,message", [
+        ({"beta": 0.0, "m2": 0.0}, r"model\.parameters: beta and m2 must not both be 0"),
+        ({"beta": -1.0}, r"model\.parameters\.beta: must be >= 0"),
+        ({"m2": -0.5}, r"model\.parameters\.m2: must be >= 0"),
+    ])
+    def test_gff_rejects_what_the_model_rejects(self, tmp_path, capsys, params,
+                                                message):
+        # These once passed validation, and sample exited 3 with the
+        # model's ValueError.
+        doc = base_config(output_dir=str(tmp_path / "o"),
+                          model={"family": "gff", "parameters": params})
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            parse_config(doc)
+        assert main(["sample", "--config", write_config(tmp_path, doc)]) == 2
+        assert re.match(f"config error: {message}", capsys.readouterr().err)
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("params", [{"beta": 0.0}, {"m2": 0.0}])
+    def test_gff_one_zero_parameter_is_valid(self, params):
+        model = build_model(parse_config(base_config(
+            model={"family": "gff", "parameters": params})))
+        assert dict(model.params) == {"beta": 1.0, "m2": 1.0, **params}
+
+    def test_phi4_omitted_a_takes_the_model_default(self, tmp_path):
+        # An omitted a once failed the a > 0 check.
+        doc = base_config(output_dir=str(tmp_path / "o"),
+                          model={"family": "phi4", "parameters": {"b": -0.5}},
+                          run={"steps": 200, "tau": 1.0, "init": "burn_in",
+                               "burn_steps": 10})
+        assert dict(build_model(parse_config(doc)).params)["a"] == 1.0
+        assert main(["sample", "--config", write_config(tmp_path, doc)]) == 0
+
     def test_hash_changes_with_content(self):
         a = base_config()
         b = base_config(seed=322)

@@ -441,6 +441,17 @@ class TestRunChain:
         with pytest.raises(ValueError):
             run_chain(m, w, ProposalSpec(1.0, 5), 10, seed=0, track_first=9)
 
+    def test_negative_burn_steps_rejected(self):
+        m = gaussian_product(1.0, d=1)
+        w = build_line(5, m.neighborhood)
+        with pytest.raises(ValueError, match="burn_steps must be >= 0"):
+            run_replicas(m, w, ProposalSpec(1.0, 5), 10, seed=0, n_replicas=2,
+                         init="burn_in", burn_steps=-3)
+        # Zero burn-in steps start every replica from zeros.
+        (run,) = run_replicas(m, w, ProposalSpec(1.0, 5), 1, seed=0,
+                              init="burn_in", burn_steps=0, track_first=5)
+        assert np.array_equal(run.first_coord_path[0], np.zeros(5))
+
     @pytest.mark.parametrize("mode,const", [("zero", 0.0), ("constant", 1.3)])
     def test_exact_init_matches_per_replica_draw(self, mode, const):
         m = gff(0.7, 0.3, d=2)
@@ -469,13 +480,13 @@ class TestRunChain:
         assert len(calls) == 1
 
     def test_nonfinite_delta_h_rejected(self):
-        # tau=1e160 overflows the quartic: every dH is inf - inf = NaN.
+        # tau=1e160 overflows sigma**2 and the quartic at y: every dH is +inf.
         m = phi4(1.0, -1.0, d=1)
         w = build_line(20, m.neighborhood)
         with np.errstate(over="ignore", invalid="ignore"):
             run = run_chain(m, w, ProposalSpec(1e160, w.n), 50, seed=0,
                             init="given", init_config=zeros_configuration(w))
-        assert np.isnan(run.records.delta_h).all()
+        assert np.isposinf(run.records.delta_h).all()
         assert not run.records.accepted.any()
         assert np.array_equal(run.final_state.values, np.zeros(w.n))
         assert run.summary.nonfinite_dh == 50
@@ -485,6 +496,21 @@ class TestRunChain:
                                  init="given", init_config=zeros_configuration(w),
                                  recording="summary")
         assert streamed.summary.nonfinite_dh == 50
+
+    def test_nan_delta_h_rejected(self):
+        # The quartic already overflows at the start, so every dH holds
+        # inf - inf = NaN in its self terms.
+        m = phi4(1.0, -1.0, d=1)
+        w = build_line(20, m.neighborhood)
+        x0 = Configuration(w, np.full(w.n, 1e100))
+        with np.errstate(over="ignore", invalid="ignore"):
+            run = run_chain(m, w, ProposalSpec(2.38, w.n), 50, seed=0,
+                            init="given", init_config=x0)
+        assert np.isnan(run.records.delta_h).all()
+        assert not run.records.accepted.any()
+        assert np.array_equal(run.final_state.values, x0.values)
+        assert run.summary.nonfinite_dh == 50
+        assert run.summary.acceptance == 0.0
 
     @pytest.mark.parametrize("steps", [1, 49, 99, 100, 255, 256, 257, 10_000])
     def test_streamed_summary_matches_records(self, steps):
@@ -548,6 +574,28 @@ class TestRunChain:
                 tracemalloc.stop()
         assert max(peaks) <= sampler.CHUNK_BYTES + 16 * row_block, peaks
         assert peaks[1] <= peaks[0] + row_block, peaks
+
+    def test_tau_grid_memory_grows_by_less_than_one_row_block(self):
+        # Rows that share a chain id share its (c, n) block of unit
+        # increments: nine tau values on two ids hold two blocks, not 18.
+        m = gff(1.0, 1.0, d=2)
+        w = build_box(2, 10, m.neighborhood)
+        ids = [0, 1]
+        row_block = 8 * sampler.CHUNK * w.n
+        assert 18 * row_block <= sampler.CHUNK_BYTES  # a full CHUNK either way
+        init = dict(init="given", init_config=zeros_configuration(w))
+        peaks = []
+        for taus in ([2.38], np.linspace(0.5, 4.5, 9)):
+            specs = [ProposalSpec(t, w.n) for t in taus for _ in ids]
+            tracemalloc.start()
+            try:
+                run_replicas(m, w, specs, 2 * sampler.CHUNK, seed=1,
+                             n_replicas=len(specs), chain_ids=ids * len(taus),
+                             recording="summary", **init)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < row_block, peaks
 
     def test_per_replica_specs_match_single_spec_runs(self):
         m = gff(1.0, 1.0, d=1)
@@ -923,3 +971,23 @@ class TestGradientFormAccuracy:
         lib = np.array([delta_hamiltonian(m, Configuration(w, x), Configuration(w, y))
                         for x, y in zip(xs, ys)])
         assert (np.abs(lib - exact) / scale).max() < 1e-11
+
+    def test_shared_stream_rows_match_the_unfactored_dh(self):
+        # Rows that share a stream take their quadratic term as
+        # sigma**2 * z'Qz, delta_hamiltonian as d'Qd of the move y - x.  On
+        # the constant-boundary GFF, whose site energies are of order 1e6,
+        # they agree to 3e-13 relative, mostly the rounding of y - x.
+        m = gff(0.7, 0.3, d=2)
+        w = build_box(2, 2, m.neighborhood, "constant", 1e3)
+        x0 = Configuration(w, 1e3 + np.random.default_rng(4).standard_normal(w.n))
+        taus = np.linspace(0.5, 4.5, 9)
+        ids = [3, 8]
+        specs = [ProposalSpec(t, w.n) for t in taus for _ in ids]
+        runs = run_replicas(m, w, specs, 5, seed=2, n_replicas=len(specs),
+                            chain_ids=ids * len(taus), recording="full",
+                            init="given", init_config=x0)
+        for run, spec in zip(runs, specs):
+            z0 = spec.draw_increments(chain_rng(2, run.chain_id), (1, w.n))[0]
+            y = Configuration(w, x0.values + spec.sigma * z0)
+            want = delta_hamiltonian(m, x0, y)
+            assert abs(run.records.delta_h[0] - want) <= 1e-12 * max(1.0, abs(want))

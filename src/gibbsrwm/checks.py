@@ -76,9 +76,9 @@ def detailed_balance(seed: int, tau: float = 1.5, steps: int = 200_000,
                 worst_flux = max(worst_flux,
                                  abs(counts[i, j] - counts[j, i]) / math.sqrt(tot))
 
-    from scipy.special import ndtr  # the standard normal CDF
-
-    probs = np.diff(ndtr(np.concatenate([[-np.inf], edges, [np.inf]])))
+    # The standard normal CDF at the cell edges, Phi(x) = erfc(-x/sqrt 2)/2.
+    cdf = [0.5 * math.erfc(-x / math.sqrt(2.0)) for x in edges]
+    probs = np.diff(np.concatenate([[0.0], cdf, [1.0]]))
     worst_occ = 0.0
     for c in range(n_cells + 2):
         ind = (cells == c).astype(float)

@@ -13,18 +13,22 @@ must be built with the model's neighborhood, which fixes both its boundary
 and the site tables the operator is assembled from.  H, its gradient and
 the Metropolis dH (`gradient_dh`) are evaluated only from the one operator
 of `quadratic_operator`, as H(x) = x'Qx/2 - b'x + sum_k self(x_k).
+Q's off-diagonal part is a `scipy.sparse` CSR matrix, imported only when the
+window has pair couplings.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
-from scipy import sparse
 
 from .lattice import (Neighborhood, SiteTables, Vertex, Window, _as_vertex,
                       nearest_neighbor, self_neighborhood)
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 
 @dataclass(frozen=True)
@@ -186,6 +190,8 @@ def quadratic_operator(model: InteractionModel, window: Window) -> QuadraticOper
     offdiag = None
     slot, i = np.nonzero(t.nbr >= 0)
     if i.size:
+        from scipy import sparse
+
         j = t.nbr[slot, i]
         vals = np.tile(-cross[slot], 2)
         offdiag = sparse.csr_matrix(

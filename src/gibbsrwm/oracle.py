@@ -7,7 +7,9 @@ quadratic energy (from Q's band), and on one-site windows otherwise.
 
 scipy's banded LAPACK routines (`scipy.linalg`) and `scipy.integrate` are
 imported inside the functions that call them, so importing the package, or
-a run that never factors Q, does not load them.
+a run that never factors Q, does not load them.  A diagonal Q (bandwidth 0,
+a window without pair couplings) is factored (`_cholesky_band`), solved and
+drawn from in numpy, so it never loads `scipy.linalg`.
 """
 
 from __future__ import annotations
@@ -89,14 +91,17 @@ class PrecisionMatrix:
         """Upper Cholesky factor U (U'U = Q) in the same band layout
         (read-only, computed once); raises LinAlgError unless Q is positive
         definite."""
-        from scipy.linalg import cholesky_banded
-
-        U = cholesky_banded(self.band, lower=False)
+        U = _cholesky_band(self.band)
         U.setflags(write=False)
         return U
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Q^{-1} rhs through the shared factor."""
+        """Q^{-1} rhs through the shared factor, for rhs of shape (n,) or
+        (n, k).  At bandwidth 0 it is rhs / u / u with u = diag U, the
+        operations of LAPACK's dpbtrs there."""
+        if self.bandwidth == 0:
+            u = self.factor[0]
+            return (rhs.T / u / u).T
         from scipy.linalg import cho_solve_banded
 
         return cho_solve_banded((self.factor, False), rhs)
@@ -110,6 +115,24 @@ class PrecisionMatrix:
         return self.solve(np.eye(self.n))
 
 
+def _cholesky_band(ab: np.ndarray, overwrite_ab: bool = False) -> np.ndarray:
+    """Upper Cholesky factor of the band `ab`, in the same layout, with the
+    errors of scipy's cholesky_banded: ValueError for a non-finite entry,
+    LinAlgError unless Q is positive definite.  At bandwidth 0 it is
+    sqrt(diag) in numpy, bit for bit what LAPACK's dpbtrf computes there."""
+    if ab.shape[0] > 1:
+        from scipy.linalg import cholesky_banded
+
+        return cholesky_banded(ab, overwrite_ab=overwrite_ab, lower=False)
+    if not np.isfinite(ab).all():
+        raise ValueError("array must not contain infs or NaNs")
+    bad = np.flatnonzero(ab[0] <= 0)
+    if bad.size:
+        raise np.linalg.LinAlgError(
+            f"{bad[0] + 1}-th leading minor not positive definite")
+    return np.sqrt(ab)
+
+
 def build_precision(model: InteractionModel, window: Window) -> PrecisionMatrix:
     """Banded Q and b of a quadratic model, from its quadratic operator."""
     if not model.is_quadratic:
@@ -119,11 +142,15 @@ def build_precision(model: InteractionModel, window: Window) -> PrecisionMatrix:
 
 def gaussian_exact_samples(precision: PrecisionMatrix, rng: np.random.Generator,
                            count: int) -> np.ndarray:
-    """(count, n) exact draws x = mu + U^{-1} z (U'U = Q), one factorization."""
-    from scipy.linalg.lapack import dtbtrs
-
+    """(count, n) exact draws x = mu + U^{-1} z (U'U = Q), one factorization;
+    at bandwidth 0, U^{-1} z is z / diag U, as LAPACK's dtbtrs computes it."""
     z = rng.standard_normal((precision.n, count))
-    x, _ = dtbtrs(precision.factor, z)
+    if precision.bandwidth == 0:
+        x = z / precision.factor[0][:, None]
+    else:
+        from scipy.linalg.lapack import dtbtrs
+
+        x, _ = dtbtrs(precision.factor, z)
     return (precision.mean()[:, None] + x).T
 
 
@@ -321,15 +348,13 @@ def _craig_acceptance(model: InteractionModel, window: Window, tau: float) -> fl
     exp(-x^2 / sin^2 t), which falls double-exponentially in s: 64 nodes
     miss erfc(x) there by up to 5e-8, 96 by at most 1.4e-10.
     """
-    from scipy.linalg import cholesky_banded
-
     band = build_precision(model, window).band
     sigma2 = tau * tau / window.n
     total = 0.0
     for t, wt in zip(*_craig_rule()):
         ab = (sigma2 / (4.0 * math.sin(t) ** 2)) * band
         ab[-1] += 1.0
-        U = cholesky_banded(ab, overwrite_ab=True, lower=False)
+        U = _cholesky_band(ab, overwrite_ab=True)
         total += wt * math.exp(-np.log(U[-1]).sum())
     return float(total)
 

@@ -415,9 +415,18 @@ def run_replicas(model: InteractionModel, window: Window,
     "exact_gaussian" (an exact draw from its id's stream, quadratic models
     only) or "burn_in" (`burn_steps`, default 50 per site, at tau = BURN_TAU
     from zeros, one row per distinct id, all of them in one batch).
+
+    "full" and "thinned" recording keep every `thin`-th state; "full" with
+    thin = 0 keeps the records without states, and "thinned" needs thin >= 1.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
+    if n_replicas < 1:
+        raise ValueError("n_replicas must be >= 1")
+    if thin < 0:
+        raise ValueError("thin must be >= 0")
+    if recording == "thinned" and thin < 1:
+        raise ValueError("recording 'thinned' needs thin >= 1")
     if burn_steps is not None and burn_steps < 0:
         raise ValueError("burn_steps must be >= 0")
     if recording not in RECORDING_MODES:
@@ -464,10 +473,10 @@ def run_replicas(model: InteractionModel, window: Window,
         x0 = x0[streams]
     else:
         raise ValueError(f"unknown init mode {init!r}")
-    want_states = recording in ("full", "thinned") and thin > 0
     x, stream, records, states, path = _drive(
         model, window, specs, steps, rngs, urngs, streams, x0,
-        keep_arrays=recording == "full", thin=thin if want_states else 0,
+        keep_arrays=recording == "full",
+        thin=0 if recording == "summary" else thin,
         track_first=track_first)
     return [ChainRun(
         seed=seed, chain_id=ids[r], steps=steps, tau=specs[r].tau, n=window.n,

@@ -32,13 +32,11 @@ REFERENCE_CHAIN_ID = 0xFFFF_FFFF  # reserved stream for the s-hat reference run
 
 def c_theoretical(tau: float, s: float) -> float:
     """Limiting acceptance 2*Phi(-tau*s/2), via erfc for tail accuracy."""
-    from scipy.special import erfc
-
     if s <= 0:
         raise ValueError("s must be positive")
     if tau < 0:
         raise ValueError("tau must be >= 0")
-    return float(erfc(tau * s / (2.0 * math.sqrt(2.0))))
+    return math.erfc(tau * s / (2.0 * math.sqrt(2.0)))
 
 
 def c_mc_oracle(tau: float, s: float, m: int, seed: int) -> EstimateWithError:

@@ -456,6 +456,42 @@ class TestCliCommands:
         assert proc.stdout.strip() == "[]"
         assert (tmp_path / "out" / "trajectory.csv").exists()
 
+    def test_product_commands_load_no_scipy(self, tmp_path):
+        # A window without pair couplings builds no sparse operator, factors
+        # its diagonal Q in numpy and takes erfc from math, so the README's
+        # product-family commands import no scipy module; a free field still
+        # loads scipy.sparse for its operator and runs.
+        runs = {
+            "sample": {"tau": 2.38},
+            "sweep-tau": {"tau_grid": [1.38, 2.38, 3.38]},
+            "sweep-n": {"tau": 2.38, "n_list": [10, 40, 99]},
+            "estimate-s": {"tau": 2.38},
+            "dirichlet-check": {"tau": 2.38, "n_list": [10, 40, 99],
+                                "cylinder": "sin_x1"},
+        }
+        calls = []
+        for command, run in runs.items():
+            doc = base_config(graph={"d": 1, "L": 49}, seed=12345,
+                              output_dir=str(tmp_path / command),
+                              run={"steps": 400, **run})
+            calls.append([command, "--config",
+                          write_config(tmp_path, doc, f"{command}.json")])
+        gff_doc = base_config(output_dir=str(tmp_path / "gff"), model={
+            "family": "gff", "parameters": {"beta": 1.0, "m2": 1.0}})
+        gff_call = ["sample", "--config", write_config(tmp_path, gff_doc, "gff.json")]
+        code = ("import sys, gibbsrwm.cli as cli\n"
+                f"assert [cli.main(c) for c in {calls!r}] == [0] * {len(calls)}\n"
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+                f"assert cli.main({gff_call!r}) == 0\n"
+                "print('scipy.sparse' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=src_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["[]", "True"]
+        for command in runs:
+            assert (tmp_path / command / "manifest.json").exists()
+        assert (tmp_path / "gff" / "trajectory.csv").exists()
+
     def test_console_entry_point(self, tmp_path):
         doc = base_config(output_dir=str(tmp_path / "o"))
         doc["run"]["steps"] = 50

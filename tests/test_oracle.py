@@ -229,6 +229,60 @@ class TestSharedFactor:
         assert np.array_equal(prec.covariance(), cho_solve_banded(fresh, np.eye(prec.n)))
 
 
+DIAG_RNG = np.random.default_rng(20)
+DIAGONAL_CASES = {
+    "product": build_precision(gaussian_product(0.3), build_line(40)),
+    # Uneven diagonal and a nonzero b, so the mean is a real solve.
+    "uneven": PrecisionMatrix(np.exp(DIAG_RNG.normal(0.0, 2.0, (1, 60))),
+                              DIAG_RNG.normal(0.0, 3.0, 60)),
+}
+
+
+class TestDiagonalPrecision:
+    """Bandwidth 0 runs in numpy, bit for bit what LAPACK computes there."""
+
+    @pytest.mark.parametrize("case", sorted(DIAGONAL_CASES))
+    def test_factor_solves_and_draws_equal_lapack(self, case):
+        prec = DIAGONAL_CASES[case]
+        assert prec.bandwidth == 0
+        U = cholesky_banded(prec.band, lower=False)
+        assert np.array_equal(prec.factor, U)
+        rhs = np.random.default_rng(21).normal(0.0, 5.0, (prec.n, 3))
+        assert np.array_equal(prec.solve(rhs[:, 0]),
+                              cho_solve_banded((U, False), rhs[:, 0]))
+        assert np.array_equal(prec.solve(rhs), cho_solve_banded((U, False), rhs))
+        assert np.array_equal(prec.mean(), cho_solve_banded((U, False), prec.shift))
+        assert np.array_equal(prec.covariance(),
+                              cho_solve_banded((U, False), np.eye(prec.n)))
+        for cid, count in ((0, 1), (3, 4)):
+            z = chain_rng(5, cid).standard_normal((prec.n, count))
+            x, info = dtbtrs(U, z)
+            assert info == 0
+            got = gaussian_exact_samples(prec, chain_rng(5, cid), count)
+            assert np.array_equal(got, (prec.mean()[:, None] + x).T)
+
+    @pytest.mark.parametrize("variance", [0.3, 1.0, 2.5])
+    @pytest.mark.parametrize("tau", [0.1, 1.0, 2.38, 6.0])
+    def test_quad_acceptance_equals_lapack(self, monkeypatch, variance, tau):
+        m = gaussian_product(variance, d=1)
+        w = build_line(30, m.neighborhood)
+        got = quad_acceptance(m, w, tau)
+        monkeypatch.setattr(oracle, "_cholesky_band",
+                            lambda ab, overwrite_ab=False: cholesky_banded(
+                                ab, overwrite_ab=overwrite_ab, lower=False))
+        assert got == quad_acceptance(m, w, tau)
+
+    @pytest.mark.parametrize("bad", [0.0, -0.0, -2.0, np.nan, np.inf, -np.inf])
+    def test_errors_match_cholesky_banded(self, bad):
+        band = np.array([[1.0, 4.0, bad, 2.0]])
+        with pytest.raises(Exception) as ref:
+            cholesky_banded(band, lower=False)
+        with pytest.raises(Exception) as got:
+            PrecisionMatrix(band, np.zeros(4)).factor
+        assert type(got.value) is type(ref.value)
+        assert str(got.value) == str(ref.value)
+
+
 class TestExactSampling:
     def test_identity_precision_gives_iid_normals(self):
         m = gaussian_product(1.0, d=1)

@@ -452,6 +452,31 @@ class TestRunChain:
                               init="burn_in", burn_steps=0, track_first=5)
         assert np.array_equal(run.first_coord_path[0], np.zeros(5))
 
+    @pytest.mark.parametrize("init", ["given", "exact_gaussian", "burn_in"])
+    def test_zero_replicas_rejected(self, init):
+        m = gaussian_product(1.0, d=1)
+        w = build_line(5, m.neighborhood)
+        with pytest.raises(ValueError, match="n_replicas must be >= 1"):
+            run_replicas(m, w, ProposalSpec(1.0, 5), 10, seed=0, n_replicas=0,
+                         init=init, init_config=zeros_configuration(w))
+
+    @pytest.mark.parametrize("recording", sampler.RECORDING_MODES)
+    def test_thin_validation(self, recording):
+        m = gaussian_product(1.0, d=1)
+        w = build_line(5, m.neighborhood)
+        args = (m, w, ProposalSpec(1.0, 5), 20)
+        with pytest.raises(ValueError, match="thin must be >= 0"):
+            run_chain(*args, seed=0, recording=recording, thin=-2)
+        if recording == "thinned":
+            with pytest.raises(ValueError, match="needs thin >= 1"):
+                run_chain(*args, seed=0, recording=recording, thin=0)
+        else:
+            # "full" with thin 0 keeps the records without snapshots, as
+            # the CLI's `sample` asks for; "summary" keeps neither.
+            run = run_chain(*args, seed=0, recording=recording, thin=0)
+            assert run.states is None
+            assert (run.records is not None) == (recording == "full")
+
     @pytest.mark.parametrize("mode,const", [("zero", 0.0), ("constant", 1.3)])
     def test_exact_init_matches_per_replica_draw(self, mode, const):
         m = gff(0.7, 0.3, d=2)

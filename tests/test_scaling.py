@@ -51,6 +51,18 @@ class TestCTheoretical:
         for tau in (0.0, 0.5, 2.0, 10.0):
             assert 0.0 < c_theoretical(tau, 1.0) <= 1.0
 
+    def test_within_4_ulp_of_mpmath(self):
+        # The error of erfc itself, at the argument c_theoretical forms.
+        import mpmath
+
+        worst = 0.0
+        with mpmath.workdps(40):
+            for ts in np.linspace(0.0, 12.0, 601):
+                ref = mpmath.erfc(mpmath.mpf(ts / (2.0 * math.sqrt(2.0))))
+                ulp = math.ulp(float(ref))
+                worst = max(worst, float(abs(c_theoretical(ts, 1.0) - ref)) / ulp)
+        assert worst <= 4.0
+
     def test_validation(self):
         with pytest.raises(ValueError):
             c_theoretical(1.0, 0.0)

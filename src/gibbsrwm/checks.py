@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import acceptance_rate, batch_means_se
+from .estimators import acceptance_rate, batch_means_se, pool_replicas
 from .lattice import build_box, build_line
 from .models import gaussian_product, gff
 from .oracle import build_precision, gaussian_exact_samples, quad_acceptance
@@ -30,7 +30,8 @@ class CheckResult:
 
 def mc_vs_quad_acceptance(seed: int, steps: int = 150_000,
                           taus=(0.5, 1.0, 2.0, 4.0)) -> CheckResult:
-    """Single-site chain acceptance against the quadrature oracle, 3 SE."""
+    """Single-site chain acceptance against the exact acceptance
+    (`quad_acceptance`), 3 SE."""
     model = gaussian_product(1.0, d=1)
     window = build_line(1, model.neighborhood)
     # One stacked block: chain i runs at taus[i], as a chain of its own would.
@@ -49,6 +50,30 @@ def mc_vs_quad_acceptance(seed: int, steps: int = 150_000,
         details.append(f"tau={tau}: mc={mc.value:.4f} quad={q:.4f} z={z:.2f}")
     return CheckResult("mc_vs_quad_acceptance", ok,
                        "; ".join(details) + f"; worst z={worst:.2f} (limit 3)")
+
+
+def mc_vs_quad_acceptance_uniform(seed: int) -> CheckResult:
+    """Uniform-increment chains on the 100-site product against the exact
+    acceptance at tau = 1 and 2.38, 3 SE of four pooled replicas."""
+    model = gaussian_product(1.0, d=1)
+    window = build_line(100, model.neighborhood)
+    taus, replicas, steps = (1.0, 2.38), 4, 40_000
+    # Replica r runs on chain id r at both taus, so its increments are drawn once.
+    runs = run_replicas(model, window, [ProposalSpec(tau, 100, "uniform")
+                                        for tau in taus for _ in range(replicas)],
+                        steps, seed, n_replicas=len(taus) * replicas,
+                        chain_ids=list(range(replicas)) * len(taus), recording="summary")
+    worst = 0.0
+    details = []
+    for i, tau in enumerate(taus):
+        mc = pool_replicas(acceptance_rate(run.summary)
+                           for run in runs[i * replicas:(i + 1) * replicas])
+        q = quad_acceptance(model, window, tau, increment_family="uniform")
+        z = (mc.value - q) / max(mc.std_error, 1e-12)
+        worst = max(worst, abs(z))
+        details.append(f"tau={tau}: mc={mc.value:.4f} quad={q:.4f} z={z:+.2f}")
+    return CheckResult("mc_vs_quad_acceptance_uniform", worst <= 3.0,
+                       "; ".join(details) + f"; worst |z|={worst:.2f} (limit 3)")
 
 
 def detailed_balance(seed: int, tau: float = 1.5, steps: int = 200_000,
@@ -151,6 +176,7 @@ def increment_moments(seed: int, draws: int = 200_000) -> CheckResult:
 
 BATTERY = {
     "mc_vs_quad_acceptance": mc_vs_quad_acceptance,
+    "mc_vs_quad_acceptance_uniform": mc_vs_quad_acceptance_uniform,
     "detailed_balance": detailed_balance,
     "c_identity": c_identity,
     "determinism": determinism,

@@ -74,6 +74,15 @@ def delta_h_stats(records: StepRecords) -> DeltaHStats:
     )
 
 
+def ks_normal(sample) -> float:
+    """Kolmogorov-Smirnov distance of `sample` from N(0, 1): the larger
+    one-sided gap between its empirical CDF and Phi(x) = erfc(-x/sqrt 2)/2."""
+    cdf = np.array([0.5 * math.erfc(-v / math.sqrt(2.0))
+                    for v in np.sort(sample).tolist()])
+    m = len(cdf)
+    return float(max((np.arange(1, m + 1) / m - cdf).max(), (cdf - np.arange(m) / m).max()))
+
+
 def pool_replicas(estimates) -> EstimateWithError:
     """Combine equal-length replica estimates; error bar is the larger of the
     between-replica scatter and the propagated within-replica errors."""

@@ -43,7 +43,6 @@ class InteractionModel:
     pair_diag: dict[Vertex, float] = field(default_factory=dict)
     pair_cross: dict[Vertex, float] = field(default_factory=dict)
     self_quad_coeff: float | None = None  # self(x) == coeff * x^2 when quadratic
-    grad2_bound: float | None = None
     supports_free_boundary: bool = True
 
     def __post_init__(self):
@@ -293,7 +292,6 @@ def gaussian_product(variance: float = 1.0, d: int = 1) -> InteractionModel:
         self_energy=lambda x: inv2v * x * x,
         d_self_energy=lambda x: (2.0 * inv2v) * x,
         self_quad_coeff=inv2v,
-        grad2_bound=1.0 / variance,
     )
 
 
@@ -308,7 +306,6 @@ def gff(beta: float = 1.0, m2: float = 1.0, d: int = 2,
     if beta < 0 or m2 < 0 or (beta == 0 and m2 == 0):
         raise ValueError("need beta >= 0, m2 >= 0, not both zero")
     nb = neighborhood or nearest_neighbor(d)
-    q = len(nb.nonzero_offsets)
     return InteractionModel(
         family="gff",
         params=(("beta", float(beta)), ("m2", float(m2))),
@@ -318,7 +315,6 @@ def gff(beta: float = 1.0, m2: float = 1.0, d: int = 2,
         pair_diag={v: 0.5 * beta for v in nb.nonzero_offsets},
         pair_cross={v: 0.5 * beta for v in nb.nonzero_offsets},
         self_quad_coeff=0.5 * m2,
-        grad2_bound=beta * q + m2,
     )
 
 
@@ -326,8 +322,7 @@ def phi4(a: float, b: float, coupling: float = 1.0, d: int = 1,
          neighborhood: Neighborhood | None = None) -> InteractionModel:
     """Quartic per-site potential a*x^4 + b*x^2 with quadratic neighbor coupling.
 
-    Out-of-assumptions stress model: the second derivative of the quartic is
-    unbounded, so no curvature bound is advertised.
+    Out-of-assumptions stress model: the quartic's curvature is unbounded.
     """
     if a <= 0:
         raise ValueError("a must be positive for a normalizable density")
@@ -340,12 +335,10 @@ def phi4(a: float, b: float, coupling: float = 1.0, d: int = 1,
         d_self_energy=lambda x: (4.0 * a * x * x + 2.0 * b) * x,
         pair_diag={v: 0.5 * coupling for v in nb.nonzero_offsets},
         pair_cross={v: 0.5 * coupling for v in nb.nonzero_offsets},
-        grad2_bound=None,
     )
 
 
 def custom_pairwise(couplings: dict, self_potential: Callable, d_self_potential: Callable,
-                    grad2_bound: float | None = None,
                     supports_free_boundary: bool = True) -> InteractionModel:
     """User-supplied pairwise model: eps_k = u(x_k) - sum_v J(v) x_k x_{k+v} / 2.
 
@@ -368,6 +361,5 @@ def custom_pairwise(couplings: dict, self_potential: Callable, d_self_potential:
         d_self_energy=d_self_potential,
         pair_diag={v: 0.0 for v in nb.nonzero_offsets},
         pair_cross={v: 0.5 * J[v] for v in nb.nonzero_offsets},
-        grad2_bound=grad2_bound,
         supports_free_boundary=supports_free_boundary,
     )

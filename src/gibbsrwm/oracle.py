@@ -2,14 +2,16 @@
 
 Everything here validates the sampling/estimation path from the side:
 closed-form Gaussian sampling, moments and s^2 for quadratic energies, and
-the exact expected acceptance: on any window for Gaussian increments on a
-quadratic energy (from Q's band), and on one-site windows otherwise.
+the exact expected acceptance of a quadratic energy by one rule (Craig's
+form of erfc) for both increment families: Gaussian increments on any
+window, from Q's band; uniform increments on a diagonal Q, where the
+expectation factorises over the sites.
 
-scipy's banded LAPACK routines (`scipy.linalg`) and `scipy.integrate` are
-imported inside the functions that call them, so importing the package, or
-a run that never factors Q, does not load them.  A diagonal Q (bandwidth 0,
-a window without pair couplings) is factored (`_cholesky_band`), solved and
-drawn from in numpy, so it never loads `scipy.linalg`.
+scipy's banded LAPACK routines (`scipy.linalg`) are imported inside the
+functions that call them, so importing the package, or a run that never
+factors Q, does not load them.  A diagonal Q (bandwidth 0, a window without
+pair couplings) is factored (`_cholesky_band`), solved and drawn from in
+numpy, so it never loads `scipy.linalg`.
 """
 
 from __future__ import annotations
@@ -175,188 +177,14 @@ def gaussian_s2_exact(model: InteractionModel, window: Window) -> float:
 
 
 def quad_expectation_1d(g, mu: float = 0.0, var: float = 1.0,
-                        rule: str = "gauss_hermite", order: int = 200) -> float:
-    """E[g(X)] for X ~ N(mu, var), to ~1e-8 or better for smooth bounded g."""
+                        order: int = 200) -> float:
+    """E[g(X)] for X ~ N(mu, var) by Gauss-Hermite, to ~1e-8 or better for
+    smooth bounded g."""
     if var <= 0:
         raise ValueError("var must be positive")
-    if rule == "gauss_hermite":
-        nodes, weights = hermegauss(order)
-        vals = np.asarray(g(mu + math.sqrt(var) * nodes), dtype=float)
-        return float((weights * vals).sum() / math.sqrt(2.0 * math.pi))
-    if rule == "adaptive":
-        from scipy.integrate import quad
-
-        sd = math.sqrt(var)
-
-        def integrand(x):
-            return g(x) * math.exp(-0.5 * ((x - mu) / sd) ** 2) / (sd * math.sqrt(2 * math.pi))
-
-        val, _ = quad(integrand, mu - 12 * sd, mu + 12 * sd, epsabs=1e-12, limit=200)
-        return float(val)
-    raise ValueError(f"unknown rule {rule!r}")
-
-
-def _state_bound(energy) -> float:
-    """Integration bound r for the state of a one-site window with energy
-    `energy`, covering essentially all of exp(-H): r grows by 1.2 from 1
-    until moving the site to +r and to -r both cost more than 35."""
-    base = energy(np.zeros(1))
-    r = 1.0
-    while True:
-        if (energy(np.array([[r], [-r]])) - base).min() > 35.0 or r > 1e6:
-            return r
-        r *= 1.2
-
-
-def _state_kinks(energy, sigma: float, rlim: float, r: float,
-                 scan_points: int = 257) -> np.ndarray:
-    """Sorted states x in (-r, r) of a one-site window where the increment
-    integral of the acceptance has a kink in x, with dH(x, x + sigma*rho)
-    the increment's energy change:
-
-    - where a root of dH in rho sits at an edge rho = +-rlim of the
-      increment support, so a kink of the acceptance enters or leaves the
-      integral: the roots of H(x +- sigma*rlim) - H(x);
-    - where dH's nonzero root meets its root rho = 0, at a critical point
-      of H: the roots of H(x + h) - H(x - h) for a small h.
-
-    The roots are bracketed on a scan grid and polished by bisection; for a
-    quadratic energy with minimum mu they are mu and mu -+ sigma*rlim/2.
-    """
-    xs = np.linspace(-r, r, scan_points)
-    h = 1e-6 * r
-    kinks = []
-    for a, b in ((sigma * rlim, 0.0), (-sigma * rlim, 0.0), (h, -h)):
-        def positive(x):
-            return energy((x + a)[:, None]) - energy((x + b)[:, None]) > 0
-
-        sign = positive(xs)
-        idx = np.nonzero(sign[1:] != sign[:-1])[0]
-        kinks.append(_bisect(positive, xs[idx], xs[idx + 1], sign[idx]))
-    return np.unique(np.concatenate(kinks))
-
-
-def _bisect(positive, lo: np.ndarray, hi: np.ndarray,
-            lo_pos: np.ndarray) -> np.ndarray:
-    """Midpoints of the brackets [lo, hi] after 54 halvings, each keeping
-    the half where `positive` (elementwise sign test) changes; lo_pos is
-    its value at lo."""
-    for _ in range(54):
-        mid = 0.5 * (lo + hi)
-        same = positive(mid) == lo_pos
-        lo = np.where(same, mid, lo)
-        hi = np.where(same, hi, mid)
-    return 0.5 * (lo + hi)
-
-
-def _gauss_legendre_grid(lo: float, hi: float, m: int) -> tuple[np.ndarray, np.ndarray]:
-    nodes, weights = np.polynomial.legendre.leggauss(m)
-    half = 0.5 * (hi - lo)
-    return lo + half * (nodes + 1.0), half * weights
-
-
-def _increment_density(family: str):
-    if family == "standard_normal":
-        lim = 9.0
-        def pdf(r):
-            return np.exp(-0.5 * r * r) / math.sqrt(2.0 * math.pi)
-        return pdf, lim
-    if family == "uniform":
-        lim = math.sqrt(3.0)
-        def pdf(r):
-            return np.where(np.abs(r) <= lim, 0.5 / lim, 0.0)
-        return pdf, lim
-    raise ValueError(f"unknown increment family {family!r}")
-
-
-def _accept_integral_rows(energy, sigma: float, X: np.ndarray, pdf, rlim: float,
-                          gl_order: int = 48, scan_points: int = 257) -> np.ndarray:
-    """Per row of the (rows, 1) one-site states X, integral over the
-    increment r of min(1, exp(-dH(x, x + sigma*r))) * pdf(r), with dH the
-    change of the window energy `energy`.
-
-    dH is smooth in r, so the integrand is piecewise smooth with kinks at
-    the roots of dH: the roots are bracketed on a scan grid, polished by
-    bisection, and each smooth piece gets its own Gauss-Legendre rule.
-    """
-    rows = X.shape[0]
-    eps_x = energy(X)
-    out = np.empty(rows)
-    nodes01, w01 = np.polynomial.legendre.leggauss(gl_order)
-    chunk = max(1, int(4e6) // scan_points)
-    for start in range(0, rows, chunk):
-        sl = slice(start, min(start + chunk, rows))
-        Xc = X[sl]
-        eps_c = eps_x[sl]
-        m = Xc.shape[0]
-
-        def dh_c(r):
-            return energy(Xc[:, None, :] + sigma * r[..., None]) - eps_c[:, None]
-
-        rs = np.linspace(-rlim, rlim, scan_points)
-        sign = dh_c(np.broadcast_to(rs, (m, scan_points)).copy()) > 0
-        flips = sign[:, 1:] != sign[:, :-1]
-        ridx, cidx = np.nonzero(flips)
-        counts = np.bincount(ridx, minlength=m)
-        maxk = int(counts.max()) if ridx.size else 0
-        # Degenerate padded slots collapse to the right endpoint.
-        roots = np.full((m, maxk), rlim)
-        if maxk:
-            hi = roots.copy()
-            lo_pos = np.zeros((m, maxk), dtype=bool)
-            slot = np.arange(ridx.size) - np.repeat(np.cumsum(counts) - counts, counts)
-            roots[ridx, slot] = rs[cidx]
-            hi[ridx, slot] = rs[cidx + 1]
-            lo_pos[ridx, slot] = sign[ridx, cidx]
-            roots = _bisect(lambda r: dh_c(r) > 0, roots, hi, lo_pos)
-        cuts = np.concatenate([np.full((m, 1), -rlim), roots,
-                               np.full((m, 1), rlim)], axis=1)
-        total = np.zeros(m)
-        for p in range(cuts.shape[1] - 1):
-            a, b = cuts[:, p], cuts[:, p + 1]
-            half = 0.5 * (b - a)
-            pts = a[:, None] + half[:, None] * (nodes01 + 1.0)
-            dh = dh_c(pts)
-            with np.errstate(under="ignore"):
-                acc = np.where(dh <= 0, 1.0, np.exp(-np.minimum(dh, 700.0)))
-            total += half * ((acc * pdf(pts)) @ w01)
-        out[sl] = total
-    return out
-
-
-class QuadratureConvergenceError(RuntimeError):
-    pass
-
-
-def _craig_acceptance(model: InteractionModel, window: Window, tau: float) -> float:
-    """Expected acceptance of Gaussian increments on a quadratic energy.
-
-    Given the increment xi, dH over the stationary state is Gaussian with
-    mean sigma^2 q / 2 and variance sigma^2 q, q = xi'Q xi, so the
-    acceptance is E erfc(sigma sqrt(q) / (2 sqrt 2)).  Craig's form
-    erfc(x) = (2/pi) int_0^{pi/2} exp(-x^2 / sin^2 t) dt (Craig, MILCOM 1991)
-    and the Gaussian Laplace transform of q turn it into
-
-        (2/pi) int_0^{pi/2} det(I + c(t) Q)^{-1/2} dt,  c = sigma^2 / (4 sin^2 t),
-
-    with each determinant from one banded Cholesky factor of I + cQ, so
-    det^{-1/2} = 1 / prod diag U.
-    A small sigma puts a boundary layer of width ~ sigma sqrt(lambda) / 2
-    at t = 0, so the rule runs in s with t = (pi/2) e^{-s}: Gauss-Legendre
-    nodes on s in [0, 20].  The integrand is at most 1, so the cut at
-    s = 20 drops at most e^{-20}.  As n grows the integrand tends to
-    exp(-x^2 / sin^2 t), which falls double-exponentially in s: 64 nodes
-    miss erfc(x) there by up to 5e-8, 96 by at most 1.4e-10.
-    """
-    band = build_precision(model, window).band
-    sigma2 = tau * tau / window.n
-    total = 0.0
-    for t, wt in zip(*_craig_rule()):
-        ab = (sigma2 / (4.0 * math.sin(t) ** 2)) * band
-        ab[-1] += 1.0
-        U = _cholesky_band(ab, overwrite_ab=True)
-        total += wt * math.exp(-np.log(U[-1]).sum())
-    return float(total)
+    nodes, weights = hermegauss(order)
+    vals = np.asarray(g(mu + math.sqrt(var) * nodes), dtype=float)
+    return float((weights * vals).sum() / math.sqrt(2.0 * math.pi))
 
 
 @cache
@@ -364,63 +192,81 @@ def _craig_rule() -> tuple[np.ndarray, np.ndarray]:
     """Nodes t = (pi/2) e^{-s} and weights (2/pi) w t of the 96-node
     Gauss-Legendre rule in s on [0, 20], built once (leggauss(96) costs
     milliseconds)."""
-    s, w = _gauss_legendre_grid(0.0, 20.0, 96)
-    theta = 0.5 * math.pi * np.exp(-s)
-    return theta, 2.0 / math.pi * w * theta
+    x, w = np.polynomial.legendre.leggauss(96)
+    theta = 0.5 * math.pi * np.exp(-10.0 * (x + 1.0))
+    return theta, 2.0 / math.pi * (10.0 * w) * theta
+
+
+def _craig_acceptance(sigma2: float, laplace) -> float:
+    """(2/pi) int_0^{pi/2} laplace(c(t)) dt, c = sigma^2 / (4 sin^2 t), on
+    _craig_rule's nodes.
+
+    Given the increment xi, dH over the stationary state is Gaussian with
+    mean sigma^2 q / 2 and variance sigma^2 q, q = xi'Q xi, whatever the
+    law of xi, so the acceptance is E erfc(sigma sqrt(q) / (2 sqrt 2)).
+    Craig's form erfc(x) = (2/pi) int_0^{pi/2} exp(-x^2 / sin^2 t) dt
+    (Craig, MILCOM 1991) turns it into this integral, with laplace(c) =
+    E exp(-c q / 2) the Laplace transform of q.
+    A small sigma puts a boundary layer of width ~ sigma sqrt(lambda) / 2
+    at t = 0, so the rule runs in s with t = (pi/2) e^{-s}: Gauss-Legendre
+    nodes on s in [0, 20].  The integrand is at most 1, so the cut at
+    s = 20 drops at most e^{-20}.  As n grows the integrand tends to
+    exp(-x^2 / sin^2 t), which falls double-exponentially in s: 64 nodes
+    miss erfc(x) there by up to 5e-8, 96 by at most 1.4e-10.
+    """
+    total = 0.0
+    for t, wt in zip(*_craig_rule()):
+        total += wt * laplace(sigma2 / (4.0 * math.sin(t) ** 2))
+    return float(total)
+
+
+def _gaussian_laplace(band: np.ndarray):
+    """c -> E exp(-c q / 2) = det(I + cQ)^{-1/2} for Gaussian xi, from one
+    banded Cholesky factor U of I + cQ: det^{-1/2} = 1 / prod diag U."""
+    def laplace(c: float) -> float:
+        ab = c * band
+        ab[-1] += 1.0
+        return math.exp(-np.log(_cholesky_band(ab, overwrite_ab=True)[-1]).sum())
+    return laplace
+
+
+def _uniform_laplace(u: np.ndarray):
+    """c -> E exp(-c q / 2) for xi uniform on [-sqrt 3, sqrt 3]^n and a
+    diagonal Q, from u = diag U = sqrt(Q_ii): a product over the sites of
+    E exp(-c u^2 U^2 / 2) = (sqrt(pi) / 2) erf(y) / y, y = u sqrt(3c / 2)
+    (1 at y = 0), one erf per distinct u_i, so the cost does not grow with n."""
+    values, counts = np.unique(u, return_counts=True)
+
+    def laplace(c: float) -> float:
+        y = (math.sqrt(1.5 * c) * values).tolist()
+        site = [0.5 * math.sqrt(math.pi) * math.erf(t) / t if t else 1.0 for t in y]
+        return math.exp(float(counts @ np.log(site)))
+    return laplace
 
 
 def quad_acceptance(model: InteractionModel, window: Window, tau: float,
-                    increment_family: str = "standard_normal",
-                    tol: float = 1e-5) -> float:
+                    increment_family: str = "standard_normal") -> float:
     """Exact expected stationary acceptance E[1 ^ exp(-dH)] at sigma = tau/sqrt(n).
 
-    Gaussian increments on a quadratic model integrate state and increment
-    out through Craig's form of erfc on Q's band, on any window (a fixed
-    rule; `tol` is not used).  Any other model or increment family needs a
-    one-site window: a Gauss-Legendre rule over the state, split at the
-    kinks of the increment integral (_state_kinks) and doubled until stable
-    within tol, with the increment integral split exactly at the
-    acceptance kinks.
+    One rule for both increment families (_craig_acceptance); only the
+    Laplace transform of q = xi'Q xi differs: Gaussian increments take it
+    from Q's band on any window, uniform increments from diag U when Q is
+    diagonal (the product family, every one-site window).  Anything else,
+    a non-quadratic model included, is a ValueError.  tau = 0 gives 1.
     """
-    pdf, rlim = _increment_density(increment_family)
+    if increment_family not in ("standard_normal", "uniform"):
+        raise ValueError(f"unknown increment family {increment_family!r}")
     if tau < 0:
         raise ValueError("tau must be >= 0")
-    if tau == 0.0:
+    sigma2 = tau * tau / window.n
+    if sigma2 == 0.0:  # tau = 0, or tau * tau underflowed
         return 1.0
-    if model.is_quadratic and increment_family == "standard_normal":
-        return _craig_acceptance(model, window, tau)
-    if window.n != 1:
-        raise ValueError("quadrature acceptance for non-quadratic models or "
-                         "non-Gaussian increments supports one-site windows only")
-    energy = quadratic_operator(model, window).energy
-    r = _state_bound(energy)
-    # sigma = tau at n = 1.
-    cuts = np.concatenate([[-r], _state_kinks(energy, tau, rlim, r), [r]])
-    # Total mass of the (possibly truncated) increment density on [-rlim, rlim].
-    rg, rw = _gauss_legendre_grid(-rlim, rlim, 256)
-    pdf_mass = float((rw * pdf(rg)).sum())
-
-    def estimate(m: int) -> float:
-        # m nodes on each smooth piece of the state range.
-        x, wx = np.concatenate([_gauss_legendre_grid(a, b, m)
-                                for a, b in zip(cuts[:-1], cuts[1:])], axis=1)
-        X = x[:, None]
-        eps_x = energy(X)
-        dens = np.exp(-(eps_x - eps_x.min()))
-        inner = _accept_integral_rows(energy, tau, X, pdf, rlim)
-        num = float((wx * dens) @ inner)
-        den = float((wx * dens).sum()) * pdf_mass
-        return num / den
-
-    m = 32
-    prev = estimate(m)
-    diff = math.inf
-    while m < 1024:
-        m *= 2
-        cur = estimate(m)
-        diff = abs(cur - prev)
-        if diff < tol:
-            return cur
-        prev = cur
-    raise QuadratureConvergenceError(
-        f"state grid refinement stalled at change {diff:.2e} > {tol:g}")
+    precision = build_precision(model, window) if model.is_quadratic else None
+    if precision is None or (increment_family == "uniform" and precision.bandwidth):
+        raise ValueError("exact acceptance needs a quadratic model, with Gaussian "
+                         "increments on any window or uniform increments on a "
+                         "window without pair couplings (diagonal Q)")
+    if increment_family == "standard_normal":
+        return _craig_acceptance(sigma2, _gaussian_laplace(precision.band))
+    # diag U, read from the factor: LinAlgError unless Q is positive definite.
+    return _craig_acceptance(sigma2, _uniform_laplace(precision.factor[0]))

@@ -60,15 +60,25 @@ def efficiency(tau: float, s: float) -> float:
 
 
 def tau_star(s: float) -> float:
-    """Golden-section maximizer of tau^2 c(tau) on [0, 20/s]."""
-    from scipy.optimize import minimize_scalar
-
+    """Golden-section maximizer of tau^2 c(tau) on the bracket (1e-8, 2.38/s,
+    20/s) to a relative width of 1e-10, in the steps of scipy's golden
+    `minimize_scalar`, so the same tau* to the last bit."""
     if s <= 0:
         raise ValueError("s must be positive")
-    res = minimize_scalar(lambda t: -efficiency(t, s),
-                          bracket=(1e-8, 2.38 / s, 20.0 / s),
-                          method="golden", options={"xtol": 1e-10})
-    return float(res.x)
+    g = 0.61803399
+    lo, x1, hi = 1e-8, 2.38 / s, 20.0 / s
+    x2 = x1 + (1.0 - g) * (hi - x1)
+    f1, f2 = efficiency(x1, s), efficiency(x2, s)
+    while abs(hi - lo) > 1e-10 * (abs(x1) + abs(x2)):
+        if f2 > f1:
+            lo, x1, f1 = x1, x2, f2
+            x2 = g * x1 + (1.0 - g) * hi
+            f2 = efficiency(x2, s)
+        else:
+            hi, x2, f2 = x2, x1, f1
+            x1 = g * x2 + (1.0 - g) * lo
+            f1 = efficiency(x1, s)
+    return x1 if f1 > f2 else x2
 
 
 # -- tau sweep ---------------------------------------------------------------

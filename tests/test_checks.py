@@ -1,7 +1,7 @@
 import pytest
 
 from gibbsrwm.checks import (BATTERY, determinism, increment_moments,
-                             run_battery)
+                             mc_vs_quad_acceptance_uniform, run_battery)
 
 
 def test_fast_battery_passes():
@@ -43,6 +43,13 @@ def test_detailed_balance_small_run():
 
 
 def test_registry_names_are_callable():
-    assert set(BATTERY) == {"mc_vs_quad_acceptance", "detailed_balance",
+    assert set(BATTERY) == {"mc_vs_quad_acceptance",
+                            "mc_vs_quad_acceptance_uniform", "detailed_balance",
                             "c_identity", "determinism",
                             "exact_sampler_moments", "increment_moments"}
+
+
+def test_uniform_acceptance_check():
+    result = mc_vs_quad_acceptance_uniform(11)
+    assert result.passed, result.detail
+    assert result.detail.count("quad=") == 2

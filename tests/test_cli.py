@@ -428,8 +428,8 @@ class TestCliCommands:
         assert main(["sample", "--config", "/nonexistent/cfg.json"]) == 2
 
     def test_import_leaves_scipy_stats_and_optimize_unloaded(self):
-        # Only clt-check needs scipy.stats and only tau_star scipy.optimize;
-        # every other command skips their import cost.
+        # No command needs scipy.stats or scipy.optimize: clt-check's KS
+        # statistic and tau_star are computed in numpy and the stdlib.
         code = ("import sys, gibbsrwm.cli; print(sorted(m for m in sys.modules "
                 "if m.split('.')[:2] in (['scipy', 'stats'], "
                 "['scipy', 'optimize'])))")
@@ -458,9 +458,10 @@ class TestCliCommands:
 
     def test_product_commands_load_no_scipy(self, tmp_path):
         # A window without pair couplings builds no sparse operator, factors
-        # its diagonal Q in numpy and takes erfc from math, so the README's
-        # product-family commands import no scipy module; a free field still
-        # loads scipy.sparse for its operator and runs.
+        # its diagonal Q in numpy and takes erfc from math, and clt-check's KS
+        # statistic is numpy's, so the README's product-family commands
+        # import no scipy module; a free field still loads scipy.sparse for
+        # its operator and runs.
         runs = {
             "sample": {"tau": 2.38},
             "sweep-tau": {"tau_grid": [1.38, 2.38, 3.38]},
@@ -468,6 +469,7 @@ class TestCliCommands:
             "estimate-s": {"tau": 2.38},
             "dirichlet-check": {"tau": 2.38, "n_list": [10, 40, 99],
                                 "cylinder": "sin_x1"},
+            "clt-check": {"tau": 2.38, "thin": 5},
         }
         calls = []
         for command, run in runs.items():

@@ -7,7 +7,8 @@ from gibbsrwm.estimators import (CYLINDER_FUNCTIONS, CylinderFunction,
                                  EstimateWithError, acceptance_rate,
                                  batch_means_se, delta_h_stats,
                                  dirichlet_form_empirical, esjd_first_coord,
-                                 estimate_s2, limiting_form, pool_replicas)
+                                 estimate_s2, ks_normal, limiting_form,
+                                 pool_replicas)
 from gibbsrwm.lattice import Window, build_box, build_line
 from gibbsrwm.models import gaussian_product, gff
 from gibbsrwm.oracle import build_precision, gaussian_exact_samples, gaussian_s2_exact
@@ -137,6 +138,23 @@ class TestDeltaHStats:
         stats = delta_h_stats(run.records)
         assert 2 * stats.mean.value == pytest.approx(
             stats.variance.value, abs=6 * stats.variance.std_error)
+
+
+class TestKsNormal:
+    def test_matches_scipy_kstest(self):
+        from scipy.stats import kstest
+
+        rng = np.random.default_rng(31)
+        for m in (1, 2, 50, 777, 20_000):
+            x = rng.normal(rng.normal(0.0, 0.05), rng.uniform(0.8, 1.2), m)
+            ref = kstest(x, "norm").statistic
+            assert abs(ks_normal(x) - ref) <= 1e-14 * ref
+
+    def test_order_free_and_exact_on_a_point(self):
+        x = np.array([0.3, -1.2, 2.0, 0.0])
+        assert ks_normal(x) == ks_normal(x[::-1])
+        # One point at 0: the empirical CDF jumps from 0 to 1 where Phi = 1/2.
+        assert ks_normal([0.0]) == 0.5
 
 
 class TestEsjd:

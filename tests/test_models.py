@@ -1,7 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from gibbsrwm.lattice import (Window, build_box, build_line, exterior_halo,
                               nearest_neighbor)
@@ -300,40 +298,6 @@ class TestTranslationInvariance:
                 g[w.index_of[(k,)]], abs=1e-12)
 
 
-class TestCurvatureBound:
-    @pytest.mark.parametrize("name,model,window", [m for m in models_to_probe()
-                                                   if m[0] != "phi4"])
-    def test_second_differences_bounded(self, name, model, window):
-        # numeric second differences of per-site energies stay within the bound
-        assert model.grad2_bound is not None
-        h = 1e-4
-        k = next(v for v in window.vertices if v not in window.boundary)
-        ki = window.index_of[k]
-        probe_idx = [window.index_of[tuple(a + b for a, b in zip(k, v))]
-                     for v in model.neighborhood.offsets]
-        for _ in range(50):
-            vals = RNG.standard_normal(window.n)
-
-            def eps_k(z):
-                return naive_site_energy(model, window, z, k)
-
-            for j in probe_idx:
-                up = vals.copy(); up[j] += h
-                dn = vals.copy(); dn[j] -= h
-                if j == ki:
-                    d2 = (eps_k(up) - 2 * eps_k(vals) + eps_k(dn)) / h**2
-                else:
-                    upk = vals.copy(); upk[[ki, j]] += h
-                    mixed = vals.copy(); mixed[ki] += h; mixed[j] -= h
-                    mixed2 = vals.copy(); mixed2[ki] -= h; mixed2[j] += h
-                    dnk = vals.copy(); dnk[[ki, j]] -= h
-                    d2 = (eps_k(upk) - eps_k(mixed) - eps_k(mixed2) + eps_k(dnk)) / (4 * h**2)
-                assert abs(d2) <= model.grad2_bound * (1 + 1e-6) + 1e-5
-
-    def test_phi4_advertises_no_bound(self):
-        assert phi4(0.5, -1.0, d=1).grad2_bound is None
-
-
 class TestModelZoo:
     def test_phi4_requires_positive_quartic(self):
         with pytest.raises(ValueError):
@@ -371,10 +335,6 @@ class TestModelZoo:
                     - 0.4 * (1 * 2) - 0.4 * (2 * 1 + 2 * 3) - 0.4 * (3 * 2))
         assert hamiltonian(m, cfg) == pytest.approx(expected)
 
-    @given(st.floats(0.1, 4.0))
-    @settings(max_examples=20)
-    def test_gaussian_grad2_bound_tracks_variance(self, variance):
-        assert gaussian_product(variance).grad2_bound == pytest.approx(1 / variance)
 
 
 class TestConfiguration:

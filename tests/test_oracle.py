@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 import scipy.linalg
@@ -17,6 +15,7 @@ from gibbsrwm.oracle import (PrecisionMatrix, build_precision,
                              gaussian_exact_samples, gaussian_s2_exact,
                              quad_acceptance, quad_expectation_1d)
 from gibbsrwm.sampler import ProposalSpec, chain_rng, run_replicas
+from gibbsrwm.scaling import c_theoretical
 
 RNG = np.random.default_rng(77)
 
@@ -517,6 +516,18 @@ QUAD_REFERENCE = {
 }
 
 
+def uniform_one_site_mpmath(tau):
+    """Exact acceptance of uniform increments on the one-site unit Gaussian:
+    for a fixed increment r, dH ~ N(tau^2 r^2 / 2, tau^2 r^2), so alpha =
+    (1/sqrt 3) int_0^sqrt3 erfc(tau r / (2 sqrt 2)) dr."""
+    import mpmath
+
+    with mpmath.workdps(30):
+        root3 = mpmath.sqrt(3)
+        return float(mpmath.quad(lambda r: mpmath.erfc(tau * r / (2 * mpmath.sqrt(2))),
+                                 [0, root3]) / root3)
+
+
 class TestQuadAcceptance:
     def test_tau_zero_is_one(self):
         m = gaussian_product(1.0, d=1)
@@ -529,15 +540,23 @@ class TestQuadAcceptance:
         vals = [quad_acceptance(m, w, t) for t in (0.5, 1.0, 2.0, 4.0, 8.0)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
-    def test_rejects_large_windows(self):
-        # Only Gaussian increments on a quadratic model reach past one site.
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("family", ["standard_normal", "uniform"])
+    def test_phi4_raises_named_error(self, family, n):
+        # No exact acceptance for a non-quadratic model, one site included.
         p = phi4(0.25, -0.5, d=1)
-        with pytest.raises(ValueError, match="one-site windows only"):
-            quad_acceptance(p, build_line(2, p.neighborhood), 1.0)
-        m = gaussian_product(1.0, d=1)
-        with pytest.raises(ValueError, match="one-site windows only"):
-            quad_acceptance(m, build_line(2, m.neighborhood), 1.0,
-                            increment_family="uniform")
+        with pytest.raises(ValueError, match="needs a quadratic model"):
+            quad_acceptance(p, build_line(n, p.neighborhood), 1.0,
+                            increment_family=family)
+
+    def test_uniform_on_pair_couplings_raises_named_error(self):
+        # Uniform increments need a diagonal Q; a free field has pairs.
+        m = gff(1.0, 1.0, d=1)
+        w = build_line(3, m.neighborhood)
+        assert build_precision(m, w).bandwidth == 1
+        with pytest.raises(ValueError, match="without pair couplings"):
+            quad_acceptance(m, w, 1.0, increment_family="uniform")
+        assert 0.0 < quad_acceptance(m, w, 1.0) < 1.0
 
     @pytest.mark.parametrize("n", [1, 2, 5])
     @pytest.mark.parametrize("model", [gaussian_product(1.0, d=1),
@@ -602,22 +621,13 @@ class TestQuadAcceptance:
         with pytest.raises(LinAlgError):
             quad_acceptance(m, w, 1.0)
 
-    def test_refinement_stability(self):
-        # tightening the stopping tolerance of the state grid moves the
-        # value by < 1e-5
-        m = phi4(0.5, -1.0, d=1)
-        w = build_box(1, 0, m.neighborhood)
-        a = quad_acceptance(m, w, 1.7, tol=1e-5)
-        b = quad_acceptance(m, w, 1.7, tol=1e-8)
-        assert abs(a - b) < 1e-5
-
-    def test_quadratic_and_generic_paths_agree(self):
+    def test_uniform_on_a_nonpositive_diagonal_raises(self, monkeypatch):
         m = gaussian_product(1.0, d=1)
-        generic = dataclasses.replace(m, self_quad_coeff=None)
-        w = build_line(1, m.neighborhood)
-        for tau in (0.5, 1.0, 2.38):
-            assert quad_acceptance(m, w, tau) == pytest.approx(
-                quad_acceptance(generic, w, tau), abs=1e-12)
+        w = build_line(2, m.neighborhood)
+        prec = PrecisionMatrix(np.array([[1.0, -1.0]]), np.zeros(2))
+        monkeypatch.setattr(oracle, "build_precision", lambda model, window: prec)
+        with pytest.raises(LinAlgError):
+            quad_acceptance(m, w, 1.0, increment_family="uniform")
 
     def test_two_site_value_against_mc(self):
         m = gaussian_product(1.0, d=1)
@@ -657,70 +667,67 @@ class TestQuadAcceptance:
         acc = np.minimum(1.0, np.exp(np.minimum(-dh, 50.0)))
         assert abs(v - acc.mean()) <= 3.5 * acc.std() / np.sqrt(M)
 
-    def test_uniform_tight_tol_against_mpmath(self):
-        # For a fixed increment r, dH ~ N(sigma^2 r^2 / 2, sigma^2 r^2) under
-        # the unit Gaussian, so alpha = (1/sqrt 3) int_0^sqrt3 erfc(sigma r /
-        # (2 sqrt 2)) dr.
-        import mpmath
-
+    @pytest.mark.parametrize("tau, bound", [(1.7, 1e-12), (1e-4, 1e-11),
+                                            (0.1, 1e-11), (100.0, 1e-11)])
+    def test_uniform_against_mpmath(self, tau, bound):
         m = gaussian_product(1.0, d=1)
         w = build_line(1, m.neighborhood)
-        tau = 1.7
-        with mpmath.workdps(30):
-            root3 = mpmath.sqrt(3)
-            ref = float(mpmath.quad(lambda r: mpmath.erfc(tau * r / (2 * mpmath.sqrt(2))),
-                                    [0, root3]) / root3)
-        v = quad_acceptance(m, w, tau, increment_family="uniform", tol=1e-8)
-        assert abs(v - ref) <= 1e-8
-        default = quad_acceptance(m, w, tau, increment_family="uniform")
-        assert abs(default - ref) <= 1e-12
+        v = quad_acceptance(m, w, tau, increment_family="uniform")
+        assert abs(v - uniform_one_site_mpmath(tau)) <= bound
 
-    @pytest.mark.parametrize("family", ["uniform", "standard_normal"])
-    def test_state_kinks_of_a_quadratic_energy(self, family):
-        # A quadratic one-site energy with minimum mu has its kinks at mu
-        # and mu -+ sigma * rlim / 2.
-        m = gff(1.0, 1.0, d=1)
-        w = build_box(1, 0, m.neighborhood, "constant", 0.4)
-        mu = build_precision(m, w).mean()[0]
-        assert mu != 0.0
-        energy = quadratic_operator(m, w).energy
-        rlim = oracle._increment_density(family)[1]
-        sigma, r = 0.3, 5.0
-        kinks = oracle._state_kinks(energy, sigma, rlim, r)
-        assert np.allclose(kinks, [mu - sigma * rlim / 2, mu, mu + sigma * rlim / 2],
-                           rtol=0, atol=1e-12)
-        # Kinks beyond the state range are dropped.
-        assert np.allclose(oracle._state_kinks(energy, 10.0, rlim, r), [mu],
-                           rtol=0, atol=1e-12)
+    @pytest.mark.parametrize("tau", [1e-160, 1e-170])
+    @pytest.mark.parametrize("family", ["standard_normal", "uniform"])
+    def test_tiny_tau_is_one(self, family, tau):
+        # sigma^2 is subnormal at 1e-160 and underflows to 0 at 1e-170.
+        m = gaussian_product(1.0, d=1)
+        w = build_line(1, m.neighborhood)
+        v = quad_acceptance(m, w, tau, increment_family=family)
+        assert abs(v - 1.0) <= 1e-8
 
-    def test_phi4_generic_path_against_mc(self):
-        # single site, zero boundary: eps = 0.5 x^4 (the b and coupling terms
-        # cancel at this parameter choice), so the target is exp(-x^4/2)
-        m = phi4(0.5, -1.0, d=1)
-        w = build_box(1, 0, m.neighborhood)
-        v = quad_acceptance(m, w, 1.5)
-        rng = np.random.default_rng(5)
-        M = 4_000_000
-        u = rng.uniform(-3.5, 3.5, M)
-        keep = rng.random(M) < np.exp(-0.5 * u**4)
-        xs = u[keep]
-        r = rng.standard_normal(xs.size)
-        y = xs + 1.5 * r
-        dh = 0.5 * (y**4 - xs**4)
+    def test_uniform_n10_against_mc(self):
+        # Ten sites of variance 0.5 (Q = 2I), uniform increments.
+        m = gaussian_product(0.5, d=1)
+        w = build_line(10, m.neighborhood)
+        v = quad_acceptance(m, w, 1.5, increment_family="uniform")
+        rng = np.random.default_rng(6)
+        M = 1_000_000
+        s = 1.5 / np.sqrt(10.0)
+        x = rng.standard_normal((M, 10)) / np.sqrt(2.0)
+        r = rng.uniform(-np.sqrt(3), np.sqrt(3), (M, 10))
+        dh = 2.0 * (s * x * r + 0.5 * s * s * r * r).sum(axis=1)
         acc = np.minimum(1.0, np.exp(np.minimum(-dh, 50.0)))
-        assert abs(v - acc.mean()) <= 3.5 * acc.std() / np.sqrt(xs.size)
+        assert abs(v - acc.mean()) <= 3.5 * acc.std() / np.sqrt(M)
+
+    def test_uniform_gap_to_the_limit_is_two_fifths_of_gaussian(self):
+        # n (alpha_n - c) is proportional to the variance of the squared
+        # increment: Var(U^2) / Var(Z^2) = 0.8 / 2 for the two unit laws.
+        m = gaussian_product(1.0, d=1)
+        w = build_line(10_000, m.neighborhood)
+        c = c_theoretical(2.38, 1.0)
+        uniform = quad_acceptance(m, w, 2.38, increment_family="uniform")
+        gauss = quad_acceptance(m, w, 2.38)
+        assert abs((uniform - c) / (gauss - c) - 0.4) <= 1e-3
+
+    @pytest.mark.parametrize("n", [1, 7, 100])
+    def test_shared_rule_on_a_diagonal_closed_form(self, n):
+        # Gaussian increments on Q = I: E exp(-c q / 2) = (1 + c)^(-n/2) in
+        # closed form, against one banded factor per node.
+        m = gaussian_product(1.0, d=1)
+        w = build_line(n, m.neighborhood)
+        for tau in (0.1, 2.38, 6.0):
+            closed = oracle._craig_acceptance(tau * tau / n,
+                                              lambda c: (1.0 + c) ** (-0.5 * n))
+            assert abs(closed - quad_acceptance(m, w, tau)) <= 1e-14
 
 
 class TestQuadExpectation1D:
     def test_normalization(self):
         assert quad_expectation_1d(lambda x: np.ones_like(x)) == pytest.approx(1.0)
 
-    def test_cos_squared_both_rules(self):
-        target = (1 + np.exp(-2)) / 2
+    def test_cos_squared_closed_form(self):
+        # E cos^2 Z = (1 + E cos 2Z) / 2 = (1 + e^-2) / 2.
         gh = quad_expectation_1d(lambda x: np.cos(x) ** 2)
-        ad = quad_expectation_1d(lambda x: np.cos(x) ** 2, rule="adaptive")
-        assert gh == pytest.approx(target, abs=1e-8)
-        assert abs(gh - ad) < 1e-8
+        assert abs(gh - (1 + np.exp(-2)) / 2) <= 1e-14
 
     def test_odd_function_vanishes(self):
         assert abs(quad_expectation_1d(lambda x: x**3)) < 1e-10
@@ -732,5 +739,3 @@ class TestQuadExpectation1D:
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
             quad_expectation_1d(lambda x: x, var=0.0)
-        with pytest.raises(ValueError):
-            quad_expectation_1d(lambda x: x, rule="simpson")

@@ -114,6 +114,15 @@ class TestTauStar:
         for s in (0.5, 1.0, 2.0):
             assert c_theoretical(tau_star(s), s) == pytest.approx(0.234, abs=1e-3)
 
+    def test_equals_scipy_golden_search(self):
+        from scipy.optimize import minimize_scalar
+
+        for s in (1e-3, 0.37, 1.0, 2.5, 40.0):
+            ref = minimize_scalar(lambda t: -efficiency(t, s),
+                                  bracket=(1e-8, 2.38 / s, 20.0 / s),
+                                  method="golden", options={"xtol": 1e-10})
+            assert tau_star(s) == ref.x
+
     def test_is_a_maximum(self):
         t = tau_star(1.0)
         assert efficiency(t, 1.0) > efficiency(t - 0.01, 1.0)

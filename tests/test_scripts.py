@@ -1,11 +1,15 @@
 """Smoke runs of the experiment scripts at tiny sizes."""
 
 import importlib.util
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
-SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
 
 # Tiny arguments per script, and the CSV files it writes under results/.
 RUNS = {
@@ -28,3 +32,22 @@ def test_script_runs(tmp_path, monkeypatch, capsys, name):
     script.main(argv)
     assert capsys.readouterr().out
     assert sorted(p.name for p in tmp_path.rglob("*.csv")) == outputs
+
+
+def test_sweep_script_loads_no_scipy(tmp_path):
+    # The product family and tau_star need neither scipy.optimize nor any
+    # other scipy module.
+    argv = ["x"] + RUNS["optimal_scaling_sweep"][0]
+    code = ("import runpy, sys\n"
+            f"sys.argv = {argv!r}\n"
+            f"runpy.run_path({str(SCRIPTS / 'optimal_scaling_sweep.py')!r}, "
+            "run_name='__main__')\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert "closed-form optimum: tau* = " in proc.stdout
+    assert proc.stdout.splitlines()[-1] == "[]"

@@ -9,8 +9,10 @@ import argparse
 import os
 
 from gibbsrwm.estimators import CYLINDER_FUNCTIONS
+from gibbsrwm.lattice import build_line
+from gibbsrwm.models import gaussian_product
 from gibbsrwm.runio import write_csv
-from gibbsrwm.scaling import mosco_m2_check, product_chain_family
+from gibbsrwm.scaling import mosco_m2_check
 
 
 def main(argv=None):
@@ -26,8 +28,9 @@ def main(argv=None):
     args = ap.parse_args(argv)
 
     f = CYLINDER_FUNCTIONS[args.cylinder]
-    table = mosco_m2_check(f, product_chain_family(1.0), args.n_list,
-                           args.tau, args.steps, args.seed,
+    model = gaussian_product(1.0)
+    windows = [build_line(n, model.neighborhood) for n in args.n_list]
+    table = mosco_m2_check(f, model, windows, args.tau, args.steps, args.seed,
                            replicas=args.replicas)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, f"m2_{args.cylinder}.csv")

@@ -25,5 +25,4 @@ from .oracle import (PrecisionMatrix, build_precision, gaussian_exact_samples,
 from .sampler import (ChainRun, ProposalSpec, StepRecords, chain_rng,
                       run_chain, run_replicas, uniform_rng)
 from .scaling import (M2Table, ScalingCurve, c_mc_oracle, c_theoretical,
-                      mosco_m2_check, product_chain_family, sweep_n, sweep_tau,
-                      tau_star)
+                      mosco_m2_check, sweep_n, sweep_tau, tau_star)

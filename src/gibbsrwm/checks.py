@@ -28,10 +28,10 @@ class CheckResult:
     detail: str
 
 
-def mc_vs_quad_acceptance(seed: int, steps: int = 150_000,
-                          taus=(0.5, 1.0, 2.0, 4.0)) -> CheckResult:
+def mc_vs_quad_acceptance(seed: int, steps: int = 150_000) -> CheckResult:
     """Single-site chain acceptance against the exact acceptance
-    (`quad_acceptance`), 3 SE."""
+    (`quad_acceptance`) at tau = 0.5, 1, 2 and 4, 3 SE."""
+    taus = (0.5, 1.0, 2.0, 4.0)
     model = gaussian_product(1.0, d=1)
     window = build_line(1, model.neighborhood)
     # One stacked block: chain i runs at taus[i], as a chain of its own would.
@@ -76,19 +76,21 @@ def mc_vs_quad_acceptance_uniform(seed: int) -> CheckResult:
                        "; ".join(details) + f"; worst |z|={worst:.2f} (limit 3)")
 
 
-def detailed_balance(seed: int, tau: float = 1.5, steps: int = 200_000,
-                     n_cells: int = 8, span: float = 2.4) -> CheckResult:
-    """Discretized flux balance pi(x)P(x,y) == pi(y)P(y,x) on a 1-site chain.
+def detailed_balance(seed: int, steps: int = 200_000) -> CheckResult:
+    """Discretized flux balance pi(x)P(x,y) == pi(y)P(y,x) on a 1-site chain
+    at tau = 1.5.
 
-    Transition counts between state cells must balance within Poisson error,
-    and cell occupancies must match quadrature probabilities of the target.
+    Transition counts between 8 state cells on [-2.4, 2.4] and the two tails
+    must balance within Poisson error, and cell occupancies must match
+    quadrature probabilities of the target.
     """
+    n_cells = 8
     model = gaussian_product(1.0, d=1)
     window = build_line(1, model.neighborhood)
-    run = run_chain(model, window, ProposalSpec(tau, 1), steps, seed,
+    run = run_chain(model, window, ProposalSpec(1.5, 1), steps, seed,
                     recording="summary", track_first=1)
     xs = run.first_coord_path[:, 0]
-    edges = np.linspace(-span, span, n_cells + 1)
+    edges = np.linspace(-2.4, 2.4, n_cells + 1)
     cells = np.digitize(xs, edges)  # 0 and n_cells+1 are the tails
     counts = np.zeros((n_cells + 2, n_cells + 2))
     np.add.at(counts, (cells[:-1], cells[1:]), 1.0)
@@ -116,13 +118,13 @@ def detailed_balance(seed: int, tau: float = 1.5, steps: int = 200_000,
                        "(limit 4.5)")
 
 
-def c_identity(seed: int, m: int = 400_000,
-               tau_s=(0.5, 1.0, 2.38, 4.0)) -> CheckResult:
-    """Monte Carlo c(tau) against the closed form, 4 SE at each tau*s."""
+def c_identity(seed: int) -> CheckResult:
+    """Monte Carlo c(tau) from 400 000 draws against the closed form, 4 SE
+    at each tau*s in (0.5, 1, 2.38, 4)."""
     ok = True
     details = []
-    for i, ts in enumerate(tau_s):
-        mc = c_mc_oracle(ts, 1.0, m, seed + i)
+    for i, ts in enumerate((0.5, 1.0, 2.38, 4.0)):
+        mc = c_mc_oracle(ts, 1.0, 400_000, seed + i)
         th = c_theoretical(ts, 1.0)
         z = abs(mc.value - th) / max(mc.std_error, 1e-12)
         ok &= z <= 4.0
@@ -130,13 +132,13 @@ def c_identity(seed: int, m: int = 400_000,
     return CheckResult("c_identity", ok, "; ".join(details) + " (limit 4)")
 
 
-def determinism(seed: int, steps: int = 3000, corrupt: bool = False) -> CheckResult:
-    """Bit-identical rerun of a small chain; `corrupt` is the negative control."""
+def determinism(seed: int, corrupt: bool = False) -> CheckResult:
+    """Bit-identical rerun of a 3000-step chain; `corrupt` is the negative control."""
     model = gaussian_product(1.0, d=1)
     window = build_line(32, model.neighborhood)
     spec = ProposalSpec(1.7, 32)
-    a = run_chain(model, window, spec, steps, seed, recording="full")
-    b = run_chain(model, window, spec, steps, seed + (1 if corrupt else 0),
+    a = run_chain(model, window, spec, 3000, seed, recording="full")
+    b = run_chain(model, window, spec, 3000, seed + (1 if corrupt else 0),
                   recording="full")
     same = (np.array_equal(a.records.delta_h, b.records.delta_h)
             and np.array_equal(a.records.u, b.records.u)
@@ -145,8 +147,9 @@ def determinism(seed: int, steps: int = 3000, corrupt: bool = False) -> CheckRes
                        "bit-identical rerun" if same else "reruns differ")
 
 
-def exact_sampler_moments(seed: int, draws: int = 30_000) -> CheckResult:
-    """Covariance of exact Gaussian draws against the inverse precision."""
+def exact_sampler_moments(seed: int) -> CheckResult:
+    """Covariance of 30 000 exact Gaussian draws against the inverse precision."""
+    draws = 30_000
     model = gff(1.0, 1.0, d=2)
     window = build_box(2, 1, model.neighborhood)
     prec = build_precision(model, window)
@@ -160,8 +163,9 @@ def exact_sampler_moments(seed: int, draws: int = 30_000) -> CheckResult:
                        f"worst covariance z={z:.2f} (limit 4.5)")
 
 
-def increment_moments(seed: int, draws: int = 200_000) -> CheckResult:
-    """Mean and variance of both increment families within CLT bounds."""
+def increment_moments(seed: int) -> CheckResult:
+    """Mean and variance of 200 000 draws of each increment family, CLT bounds."""
+    draws = 200_000
     ok = True
     details = []
     for i, fam in enumerate(("standard_normal", "uniform")):

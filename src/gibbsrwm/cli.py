@@ -18,9 +18,8 @@ import time
 import numpy as np
 
 from .checks import BATTERY, run_battery
-from .config import (QUADRATIC_FAMILIES, ConfigError, ExperimentConfig,
-                     _check_keys, build_model, build_window, load_config,
-                     parse_config)
+from .config import (ConfigError, ExperimentConfig, _check_keys, build_model,
+                     build_window, load_config, parse_config)
 from .estimators import (CYLINDER_FUNCTIONS, acceptance_rate, delta_h_stats,
                          esjd_first_coord, estimate_s2, ks_normal)
 from .oracle import gaussian_s2_exact
@@ -74,7 +73,7 @@ def check_run_keys(command: str, cfg: ExperimentConfig):
         raise ConfigError(f"run (for {command}): 'burn_steps' is read only "
                           "with init 'burn_in'")
     if ("init" in optional and cfg.run.init == "exact_gaussian"
-            and cfg.model.family not in QUADRATIC_FAMILIES):
+            and not build_model(cfg).is_quadratic):
         raise ConfigError(f"run.init (for {command}): 'exact_gaussian', the "
                           f"default, needs a quadratic model, not "
                           f"{cfg.model.family}; set init 'burn_in' (and "
@@ -88,21 +87,26 @@ def check_run_keys(command: str, cfg: ExperimentConfig):
                               f"{', '.join(BATTERY)}")
 
 
-def _make_family(cfg: ExperimentConfig, model):
-    def make(n: int):
-        return model, build_window(cfg, model, n_override=n)
-
-    return make
-
-
-def cmd_sample(cfg: ExperimentConfig, writer: ManifestWriter):
+def _one_chain(cfg: ExperimentConfig, recording: str, thin: int):
+    """The model, the window and the one chain run on them at run.tau."""
     model = build_model(cfg)
     window = build_window(cfg, model)
     spec = ProposalSpec(cfg.run.tau, window.n, cfg.run.increment_family)
+    return model, window, run_chain(model, window, spec, cfg.run.steps, cfg.seed,
+                                    recording=recording, thin=thin,
+                                    init=cfg.run.init,
+                                    burn_steps=cfg.run.burn_steps)
+
+
+def _n_windows(cfg: ExperimentConfig, model):
+    """The model's window for every entry of run.n_list, all built before
+    any chain runs, so a bad entry is a config error first."""
+    return [build_window(cfg, model, n_override=n) for n in cfg.run.n_list]
+
+
+def cmd_sample(cfg: ExperimentConfig, writer: ManifestWriter):
     # Per-step records only: sample writes no states, so none are kept.
-    run = run_chain(model, window, spec, cfg.run.steps, cfg.seed,
-                    recording="full", thin=0, init=cfg.run.init,
-                    burn_steps=cfg.run.burn_steps)
+    _, window, run = _one_chain(cfg, "full", thin=0)
     rec = run.records
     writer.register(write_csv(
         writer.path("trajectory.csv"),
@@ -139,9 +143,9 @@ def cmd_sweep_tau(cfg: ExperimentConfig, writer: ManifestWriter):
 
 def cmd_sweep_n(cfg: ExperimentConfig, writer: ManifestWriter):
     model = build_model(cfg)
-    rows = sweep_n(_make_family(cfg, model), cfg.run.n_list, cfg.run.tau,
-                   cfg.run.steps, cfg.seed, replicas=cfg.run.replicas,
-                   init=cfg.run.init, burn_steps=cfg.run.burn_steps)
+    rows = sweep_n(model, _n_windows(cfg, model), cfg.run.tau, cfg.run.steps,
+                   cfg.seed, replicas=cfg.run.replicas, init=cfg.run.init,
+                   burn_steps=cfg.run.burn_steps)
     writer.register(write_csv(
         writer.path("acceptance_vs_n.csv"),
         ["n", "acc", "acc_se", "c_theory", "gap"],
@@ -150,12 +154,7 @@ def cmd_sweep_n(cfg: ExperimentConfig, writer: ManifestWriter):
 
 
 def cmd_estimate_s(cfg: ExperimentConfig, writer: ManifestWriter):
-    model = build_model(cfg)
-    window = build_window(cfg, model)
-    spec = ProposalSpec(cfg.run.tau, window.n, cfg.run.increment_family)
-    run = run_chain(model, window, spec, cfg.run.steps, cfg.seed,
-                    recording="thinned", thin=cfg.run.thin, init=cfg.run.init,
-                    burn_steps=cfg.run.burn_steps)
+    model, window, run = _one_chain(cfg, "thinned", cfg.run.thin)
     s2 = estimate_s2(model, run)
     out = {"s2_hat": s2.value, "s2_se": s2.std_error, "n_states": s2.n_samples}
     if model.is_quadratic:
@@ -168,22 +167,16 @@ def cmd_estimate_s(cfg: ExperimentConfig, writer: ManifestWriter):
 def cmd_dirichlet_check(cfg: ExperimentConfig, writer: ManifestWriter):
     model = build_model(cfg)
     f = CYLINDER_FUNCTIONS[cfg.run.cylinder]
-    table = mosco_m2_check(f, _make_family(cfg, model), cfg.run.n_list,
-                           cfg.run.tau, cfg.run.steps, cfg.seed,
-                           replicas=cfg.run.replicas, init=cfg.run.init,
-                           burn_steps=cfg.run.burn_steps)
+    table = mosco_m2_check(f, model, _n_windows(cfg, model), cfg.run.tau,
+                           cfg.run.steps, cfg.seed, replicas=cfg.run.replicas,
+                           init=cfg.run.init, burn_steps=cfg.run.burn_steps)
     writer.register(write_csv(writer.path("m2_table.csv"), *table.csv_table()))
     writer.register(write_json(writer.path("m2_info.json"),
                                {"cylinder": f.name, "s_hat": table.s_hat}))
 
 
 def cmd_clt_check(cfg: ExperimentConfig, writer: ManifestWriter):
-    model = build_model(cfg)
-    window = build_window(cfg, model)
-    spec = ProposalSpec(cfg.run.tau, window.n, cfg.run.increment_family)
-    run = run_chain(model, window, spec, cfg.run.steps, cfg.seed,
-                    recording="full", thin=cfg.run.thin, init=cfg.run.init,
-                    burn_steps=cfg.run.burn_steps)
+    model, window, run = _one_chain(cfg, "full", cfg.run.thin)
     dh = delta_h_stats(run.records)
     if model.is_quadratic:
         s2 = gaussian_s2_exact(model, window)

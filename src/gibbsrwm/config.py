@@ -23,7 +23,6 @@ class ConfigError(ValueError):
 
 
 MODEL_FAMILIES = ("gaussian_product", "gff", "phi4")
-QUADRATIC_FAMILIES = ("gaussian_product", "gff")  # those init exact_gaussian serves
 INIT_MODES = ("exact_gaussian", "burn_in")
 # Each family's parameters, with the values build_model gives omitted ones.
 _FAMILY_PARAMS = {
@@ -270,9 +269,6 @@ def build_model(cfg: ExperimentConfig) -> InteractionModel:
 def build_window(cfg: ExperimentConfig, model: InteractionModel,
                  n_override: int | None = None) -> Window:
     g = cfg.graph
-    if cfg.graph.boundary_mode == "free" and not model.supports_free_boundary:
-        raise ConfigError(f"graph.boundary_mode: {model.family} does not support "
-                          "free boundaries")
     if n_override is not None:
         if cfg.model.family == "gaussian_product":
             return build_line(n_override, model.neighborhood, g.boundary_mode,

@@ -43,7 +43,6 @@ class InteractionModel:
     pair_diag: dict[Vertex, float] = field(default_factory=dict)
     pair_cross: dict[Vertex, float] = field(default_factory=dict)
     self_quad_coeff: float | None = None  # self(x) == coeff * x^2 when quadratic
-    supports_free_boundary: bool = True
 
     def __post_init__(self):
         nz = set(self.neighborhood.nonzero_offsets)
@@ -102,8 +101,6 @@ def _check_model_window(model: InteractionModel, window: Window):
     if window.adjacency is None and window.neighborhood != model.neighborhood:
         raise ValueError(f"{model.family} needs a window built with its own "
                          "neighborhood: build the window with model.neighborhood")
-    if window.boundary_mode == "free" and not model.supports_free_boundary:
-        raise ValueError(f"{model.family} does not support free boundary conditions")
 
 
 # Elements per block of QuadraticOperator.quad_forms: 256 KB of doubles, so a
@@ -338,12 +335,13 @@ def phi4(a: float, b: float, coupling: float = 1.0, d: int = 1,
     )
 
 
-def custom_pairwise(couplings: dict, self_potential: Callable, d_self_potential: Callable,
-                    supports_free_boundary: bool = True) -> InteractionModel:
+def custom_pairwise(couplings: dict, self_potential: Callable,
+                    d_self_potential: Callable) -> InteractionModel:
     """User-supplied pairwise model: eps_k = u(x_k) - sum_v J(v) x_k x_{k+v} / 2.
 
     J must be symmetric (J(v) == J(-v)); the neighborhood is derived from the
-    coupling support.  u and its derivative must be numpy-vectorized.
+    coupling support.  u and its derivative must be numpy-vectorized.  Every
+    boundary mode applies, free included.
     """
     J = {_as_vertex(v): float(cv) for v, cv in couplings.items()}
     nb = Neighborhood.from_offsets(list(J))
@@ -361,5 +359,4 @@ def custom_pairwise(couplings: dict, self_potential: Callable, d_self_potential:
         d_self_energy=d_self_potential,
         pair_diag={v: 0.0 for v in nb.nonzero_offsets},
         pair_cross={v: 0.5 * J[v] for v in nb.nonzero_offsets},
-        supports_free_boundary=supports_free_boundary,
     )

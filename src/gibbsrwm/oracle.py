@@ -176,13 +176,12 @@ def gaussian_s2_exact(model: InteractionModel, window: Window) -> float:
 # -- Quadrature --------------------------------------------------------------
 
 
-def quad_expectation_1d(g, mu: float = 0.0, var: float = 1.0,
-                        order: int = 200) -> float:
-    """E[g(X)] for X ~ N(mu, var) by Gauss-Hermite, to ~1e-8 or better for
-    smooth bounded g."""
+def quad_expectation_1d(g, mu: float = 0.0, var: float = 1.0) -> float:
+    """E[g(X)] for X ~ N(mu, var) by the 200-node Gauss-Hermite rule, to
+    ~1e-8 or better for smooth bounded g."""
     if var <= 0:
         raise ValueError("var must be positive")
-    nodes, weights = hermegauss(order)
+    nodes, weights = hermegauss(200)
     vals = np.asarray(g(mu + math.sqrt(var) * nodes), dtype=float)
     return float((weights * vals).sum() / math.sqrt(2.0 * math.pi))
 

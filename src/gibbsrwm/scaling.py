@@ -8,13 +8,18 @@ square root.  Here s is the root itself, so s = 1 for the unit product
 Gaussian and both conventions coincide.)  Efficiency is tau^2 c(tau); its
 maximizer sits at tau ~ 2.381 / s with acceptance ~ 0.234, independent of
 the model.
+
+A tau sweep runs one window at many tau.  An n-sweep (`sweep_n`,
+`mosco_m2_check`) runs one model on a sequence of windows V_n of strictly
+increasing size, the sequence along which the paper's Dirichlet forms on
+L^2(pi_n) converge, at one tau.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Sequence
 
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
@@ -22,8 +27,8 @@ from numpy.polynomial.hermite_e import hermegauss
 from .estimators import (CylinderFunction, EstimateWithError, acceptance_rate,
                          dirichlet_form_empirical, esjd_first_coord,
                          estimate_s2, limiting_form, pool_replicas)
-from .lattice import Window, build_line
-from .models import InteractionModel, gaussian_product
+from .lattice import Window
+from .models import InteractionModel
 from .oracle import build_precision, gaussian_s2_exact, quad_expectation_1d
 from .sampler import ProposalSpec, chain_rng, run_chain, run_replicas
 
@@ -118,12 +123,9 @@ def _check_grid(grid):
     return taus
 
 
-def _resolve_s_hat(model: InteractionModel, window: Window, s_hat: float | None,
-                   seed: int, init: str) -> float:
-    """s-hat as given, else exact on quadratic models, else from one reference
-    chain at tau = 2.38 (20 000 steps, every 10th state)."""
-    if s_hat is not None:
-        return s_hat
+def _s_hat(model: InteractionModel, window: Window, seed: int, init: str) -> float:
+    """s-hat, exact on quadratic models, else from one reference chain at
+    tau = 2.38 (20 000 steps, every 10th state)."""
     if model.is_quadratic:
         return math.sqrt(gaussian_s2_exact(model, window))
     run = run_chain(model, window, ProposalSpec(2.38, window.n), 20_000, seed,
@@ -143,7 +145,8 @@ def sweep_tau(model: InteractionModel, window: Window, tau_grid, steps: int,
     row's estimate and SE are those of independent replicas, but rows at
     different tau are correlated."""
     taus = _check_grid(tau_grid)
-    s_hat = _resolve_s_hat(model, window, s_hat, seed, init)
+    if s_hat is None:
+        s_hat = _s_hat(model, window, seed, init)
     specs = [ProposalSpec(tau, window.n, increment_family)
              for tau in taus for _ in range(replicas)]
     runs = run_replicas(model, window, specs, steps, seed, len(specs),
@@ -170,46 +173,39 @@ class SweepNRow:
     gap: float
 
 
-def product_chain_family(variance: float = 1.0) -> Callable[[int], tuple[InteractionModel, Window]]:
-    """n -> (product-Gaussian model, line window of exactly n sites)."""
-    model = gaussian_product(variance, d=1)
-
-    def make(n: int):
-        return model, build_line(n, model.neighborhood)
-
-    return make
+def _largest(windows: Sequence[Window]) -> Window:
+    """The last of a non-empty window sequence whose sizes strictly increase."""
+    ns = [w.n for w in windows]
+    if not ns or any(a >= b for a, b in zip(ns, ns[1:])):
+        raise ValueError("window sizes must be non-empty and strictly increasing")
+    return windows[-1]
 
 
-def _window_sizes(make_model_window: Callable[[int], tuple[InteractionModel, Window]],
-                  n_list, s_hat: float | None, seed: int, init: str):
-    """Strictly increasing window sizes, the largest window's model and
-    window, and s-hat: exact on quadratic models, else a reference chain."""
-    ns = [int(n) for n in n_list]
-    if not ns or ns != sorted(set(ns)):
-        raise ValueError("n_list must be non-empty and strictly increasing")
-    model_max, window_max = make_model_window(ns[-1])
-    s_hat = _resolve_s_hat(model_max, window_max, s_hat, seed, init)
-    return ns, model_max, window_max, s_hat
+def _window_runs(model: InteractionModel, windows: Sequence[Window], tau: float,
+                 steps: int, seed: int, replicas: int, init: str,
+                 burn_steps: int | None, track_first: int = 0):
+    """Each window with its run_replicas result, replica r of window i on
+    chain id i*replicas + r."""
+    for i, window in enumerate(windows):
+        yield window, run_replicas(
+            model, window, ProposalSpec(tau, window.n), steps, seed, replicas,
+            range(i * replicas, (i + 1) * replicas), track_first=track_first,
+            init=init, burn_steps=burn_steps)
 
 
-def sweep_n(make_model_window: Callable[[int], tuple[InteractionModel, Window]],
-            n_list, tau: float, steps: int, seed: int, replicas: int = 4,
-            init: str = "exact_gaussian", s_hat: float | None = None,
+def sweep_n(model: InteractionModel, windows: Sequence[Window], tau: float,
+            steps: int, seed: int, replicas: int = 4, init: str = "exact_gaussian",
             burn_steps: int | None = None) -> list[SweepNRow]:
-    """Acceptance against window size at fixed tau, with the limiting value;
-    window i is one run_replicas call, replica r on chain id i*replicas + r."""
-    ns, _, _, s_hat = _window_sizes(make_model_window, n_list, s_hat, seed, init)
-    c_lim = c_theoretical(tau, s_hat)
-
-    def one_n(ni: int, n: int):
-        model, window = make_model_window(n)
-        ids = range(ni * replicas, (ni + 1) * replicas)
-        runs = run_replicas(model, window, ProposalSpec(tau, window.n), steps,
-                            seed, replicas, ids, init=init, burn_steps=burn_steps)
+    """Acceptance on each window V_n of a sequence at fixed tau, with the
+    limiting value from s-hat on the largest window."""
+    largest = _largest(windows)
+    c_lim = c_theoretical(tau, _s_hat(model, largest, seed, init))
+    rows = []
+    for window, runs in _window_runs(model, windows, tau, steps, seed, replicas,
+                                     init, burn_steps):
         acc = pool_replicas(acceptance_rate(r.summary) for r in runs)
-        return SweepNRow(n, acc, c_lim, abs(acc.value - c_lim))
-
-    return [one_n(ni, n) for ni, n in enumerate(ns)]
+        rows.append(SweepNRow(window.n, acc, c_lim, abs(acc.value - c_lim)))
+    return rows
 
 
 # -- Dirichlet-form convergence table ---------------------------------------
@@ -270,35 +266,27 @@ def limiting_form_quadrature(f: CylinderFunction, model: InteractionModel,
     return EstimateWithError(scale * integral, 0.0, 0)
 
 
-def mosco_m2_check(f: CylinderFunction,
-                   make_model_window: Callable[[int], tuple[InteractionModel, Window]],
-                   n_list, tau: float, steps: int, seed: int, replicas: int = 4,
-                   init: str = "exact_gaussian", s_hat: float | None = None,
+def mosco_m2_check(f: CylinderFunction, model: InteractionModel,
+                   windows: Sequence[Window], tau: float, steps: int, seed: int,
+                   replicas: int = 4, init: str = "exact_gaussian",
                    burn_steps: int | None = None) -> M2Table:
-    """Empirical one-step form per window size against its limiting value:
-    quadrature on quadratic models, else a chain on the largest window.
-    Window i is one run_replicas call, replica r on chain id i*replicas + r."""
-    ns, model_max, window_max, s_hat = _window_sizes(make_model_window, n_list,
-                                                     s_hat, seed, init)
-    if f.n_coords > ns[0]:
-        raise ValueError(f"{f.name} needs {f.n_coords} coordinates, smallest n is {ns[0]}")
-
-    if model_max.is_quadratic:
-        lim = limiting_form_quadrature(f, model_max, window_max, tau, s_hat)
+    """Empirical one-step form on each window V_n of a sequence against its
+    limiting value: quadrature on quadratic models, else a chain on the
+    largest window."""
+    largest = _largest(windows)
+    if f.n_coords > windows[0].n:
+        raise ValueError(f"{f.name} needs {f.n_coords} coordinates, smallest n is {windows[0].n}")
+    s_hat = _s_hat(model, largest, seed, init)
+    if model.is_quadratic:
+        lim = limiting_form_quadrature(f, model, largest, tau, s_hat)
     else:
-        run = run_chain(model_max, window_max, ProposalSpec(tau, window_max.n),
-                        steps, seed, chain_id=REFERENCE_CHAIN_ID - 2,
-                        recording="thinned", init=init, burn_steps=burn_steps)
+        run = run_chain(model, largest, ProposalSpec(tau, largest.n), steps, seed,
+                        chain_id=REFERENCE_CHAIN_ID - 2, recording="thinned",
+                        init=init, burn_steps=burn_steps)
         lim = limiting_form(f, tau, s_hat, run.states[:, : f.n_coords])
-
-    def one_n(ni: int, n: int):
-        model, window = make_model_window(n)
-        ids = range(ni * replicas, (ni + 1) * replicas)
-        runs = run_replicas(model, window, ProposalSpec(tau, window.n), steps,
-                            seed, replicas, ids, track_first=f.n_coords,
-                            init=init, burn_steps=burn_steps)
+    rows = []
+    for window, runs in _window_runs(model, windows, tau, steps, seed, replicas,
+                                     init, burn_steps, track_first=f.n_coords):
         emp = pool_replicas(dirichlet_form_empirical(f, r) for r in runs)
-        return M2Row(n, emp, lim, abs(emp.value - lim.value))
-
-    rows = [one_n(ni, n) for ni, n in enumerate(ns)]
+        rows.append(M2Row(window.n, emp, lim, abs(emp.value - lim.value)))
     return M2Table(tuple(rows), lim, s_hat)

@@ -25,7 +25,7 @@ from gibbsrwm.oracle import gaussian_s2_exact
 from gibbsrwm.sampler import (ProposalSpec, chain_rng, run_chain,
                               run_replicas)
 from gibbsrwm.scaling import (c_mc_oracle, c_theoretical, mosco_m2_check,
-                              product_chain_family, sweep_tau, tau_star)
+                              sweep_tau, tau_star)
 
 SEED = 20250808
 
@@ -136,8 +136,10 @@ def test_criterion_06_mosco_m2_table():
     monotonically (2 SE slack) and the final gap is within 2 combined SE of
     zero against the quadrature limit."""
     f = CYLINDER_FUNCTIONS["sin_x1"]
-    table = mosco_m2_check(f, product_chain_family(1.0), [25, 100, 400],
-                           tau=2.38, steps=200_000, seed=SEED, replicas=4)
+    model = gaussian_product(1.0)
+    windows = [build_line(n, model.neighborhood) for n in (25, 100, 400)]
+    table = mosco_m2_check(f, model, windows, tau=2.38, steps=200_000, seed=SEED,
+                           replicas=4)
     rows = table.rows
     assert [r.n for r in rows] == [25, 100, 400]
     for a, b in zip(rows, rows[1:]):

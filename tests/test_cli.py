@@ -8,11 +8,11 @@ import sys
 
 import pytest
 
+from gibbsrwm import scaling
 from gibbsrwm.checks import BATTERY
 from gibbsrwm.cli import COMMANDS, RUN_KEYS, check_run_keys, main
-from gibbsrwm.config import (MODEL_FAMILIES, QUADRATIC_FAMILIES, ConfigError,
-                             RunSpec, build_model, config_hash, load_config,
-                             parse_config)
+from gibbsrwm.config import (ConfigError, RunSpec, build_model, config_hash,
+                             load_config, parse_config)
 from test_runio import read_csv
 
 SRC = str(pathlib.Path(__file__).resolve().parents[1] / "src")
@@ -279,6 +279,22 @@ class TestCliCommands:
             assert self.run_cli(command, write_config(tmp_path, doc, f"{d}.json")) == 0
             tables.append((tmp_path / f"d{d}" / output).read_bytes())
         assert tables[0] == tables[1] == tables[2]
+
+    @pytest.mark.parametrize("command,extra", [
+        ("sweep-n", {}), ("dirichlet-check", {"cylinder": "sin_x1"})])
+    def test_bad_n_list_entry_exits_before_any_chain(self, tmp_path, capsys,
+                                                      monkeypatch, command, extra):
+        # 10 is no (2L+1)^2: every window is built before n = 9 runs.
+        calls = []
+        monkeypatch.setattr(scaling, "run_replicas",
+                            lambda *a, **k: calls.append(a) or [])
+        doc = {"model": {"family": "gff"}, "graph": {"d": 2},
+               "run": {"steps": 100, "tau": 1.0, "n_list": [9, 10, 25],
+                       "replicas": 2, **extra},
+               "seed": 1, "output_dir": str(tmp_path / "o")}
+        assert self.run_cli(command, write_config(tmp_path, doc)) == 2
+        assert "run.n_list" in capsys.readouterr().err
+        assert calls == []
 
     def test_estimate_s_gff(self, tmp_path):
         doc = {
@@ -634,13 +650,6 @@ class TestRunKeys:
         assert "run.init" in err and "'burn_in'" in err and "phi4" in err
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("family", MODEL_FAMILIES)
-    def test_quadratic_families_are_the_quadratic_models(self, family):
-        params = {"a": 0.25} if family == "phi4" else {}
-        cfg = parse_config(base_config(model={"family": family,
-                                              "parameters": params}))
-        assert build_model(cfg).is_quadratic == (family in QUADRATIC_FAMILIES)
-
     @pytest.mark.parametrize("bad", ["nope", 3, ["determinism"]])
     def test_unknown_battery_entry_rejected(self, tmp_path, capsys, bad):
         # Once exit 3: a ValueError for an unknown name, a TypeError for a
@@ -652,6 +661,18 @@ class TestRunKeys:
         assert err.startswith("config error: run.battery") and repr(bad) in err
         assert all(name in err for name in BATTERY)
         assert not (tmp_path / "o").exists()
+
+    def test_readme_table_is_run_keys(self):
+        readme = (pathlib.Path(__file__).resolve().parent.parent
+                  / "README.md").read_text()
+        table = re.search(r"\| command \| needs \| may take \|\n\|[-|]+\|\n"
+                          r"((?:\|.*\|\n)+)", readme).group(1)
+        rows = {}
+        for line in table.splitlines():
+            command, needs, may_take = (re.findall(r"`([a-z_-]+)`", cell)
+                                        for cell in line.strip("|").split("|"))
+            rows[command[0]] = (set(needs), set(may_take))
+        assert rows == RUN_KEYS
 
     def test_readme_example_config_is_valid(self):
         readme = (pathlib.Path(__file__).resolve().parent.parent

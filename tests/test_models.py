@@ -307,14 +307,6 @@ class TestModelZoo:
         with pytest.raises(ValueError):
             gaussian_product(0.0)
 
-    def test_free_boundary_rejected_when_unsupported(self):
-        m = custom_pairwise({(1,): 0.5, (-1,): 0.5},
-                            lambda x: 0.5 * x * x, lambda x: x,
-                            supports_free_boundary=False)
-        w = build_box(1, 1, m.neighborhood, boundary_mode="free")
-        with pytest.raises(ValueError, match="free boundary"):
-            hamiltonian(m, zeros_configuration(w))
-
     def test_custom_pairwise_symmetry_enforced(self):
         with pytest.raises(ValueError):
             custom_pairwise({(1,): 1.0, (-1,): 0.5},
@@ -335,6 +327,15 @@ class TestModelZoo:
                     - 0.4 * (1 * 2) - 0.4 * (2 * 1 + 2 * 3) - 0.4 * (3 * 2))
         assert hamiltonian(m, cfg) == pytest.approx(expected)
 
+    def test_custom_pairwise_free_boundary(self):
+        # Its pair terms have no diagonal part, so dropping the exterior terms
+        # (free) gives the energy of a zero exterior.
+        m = custom_pairwise({(1,): 0.8, (-1,): 0.8},
+                            lambda x: 0.5 * x * x, lambda x: x)
+        free, zero = (Configuration(build_box(1, 1, m.neighborhood, mode),
+                                    [1.0, 2.0, 3.0]) for mode in ("free", "zero"))
+        assert hamiltonian(m, free) == pytest.approx(naive_hamiltonian(m, free))
+        assert hamiltonian(m, free) == pytest.approx(hamiltonian(m, zero))
 
 
 class TestConfiguration:

@@ -16,8 +16,14 @@ from gibbsrwm.oracle import build_precision, gaussian_exact_samples
 from gibbsrwm.sampler import ProposalSpec, chain_rng, run_replicas
 from gibbsrwm.scaling import (c_mc_oracle, c_theoretical, efficiency,
                               limiting_form_quadrature, mosco_m2_check,
-                              product_chain_family, sweep_n, sweep_tau,
-                              tau_star)
+                              sweep_n, sweep_tau, tau_star)
+
+PRODUCT = gaussian_product(1.0)
+
+
+def lines(ns):
+    """The product model's line windows of sizes ns."""
+    return [build_line(n, PRODUCT.neighborhood) for n in ns]
 
 
 @pytest.fixture
@@ -250,7 +256,7 @@ class TestStackedSweep:
         assert draws == [(steps, w.n)] * 8
 
     def test_n_sweep_runs_one_point_per_window(self, captured_runs):
-        sweep_n(product_chain_family(1.0), [2, 3], tau=1.0, steps=50, seed=5,
+        sweep_n(PRODUCT, lines([2, 3]), tau=1.0, steps=50, seed=5,
                 replicas=2)
         assert [[r.chain_id for r in runs] for runs in captured_runs] == \
             [[0, 1], [2, 3]]
@@ -258,13 +264,13 @@ class TestStackedSweep:
 
 class TestSweepN:
     def test_single_site_runs(self):
-        rows = sweep_n(product_chain_family(1.0), [1], tau=1.0, steps=500,
+        rows = sweep_n(PRODUCT, lines([1]), tau=1.0, steps=500,
                        seed=5, replicas=2)
         assert rows[0].n == 1
         assert 0.0 <= rows[0].acceptance.value <= 1.0
 
     def test_gaps_shrink_for_product_family(self):
-        rows = sweep_n(product_chain_family(1.0), [4, 32, 256], tau=1.0,
+        rows = sweep_n(PRODUCT, lines([4, 32, 256]), tau=1.0,
                        steps=6000, seed=6, replicas=4)
         gaps = [r.gap for r in rows]
         ses = [r.acceptance.std_error for r in rows]
@@ -273,13 +279,14 @@ class TestSweepN:
 
     def test_large_n_acceptance_near_limit(self):
         # tau=1, s=1: limiting acceptance 2*Phi(-1/2) ~ 0.6171
-        rows = sweep_n(product_chain_family(1.0), [400], tau=1.0, steps=20_000,
+        rows = sweep_n(PRODUCT, lines([400]), tau=1.0, steps=20_000,
                        seed=12, replicas=4)
         assert abs(rows[0].acceptance.value - c_theoretical(1.0, 1.0)) <= 0.01
 
     def test_requires_increasing_ns(self):
-        with pytest.raises(ValueError):
-            sweep_n(product_chain_family(1.0), [8, 4], tau=1.0, steps=10, seed=0)
+        for ns in ([8, 4], [4, 4], []):
+            with pytest.raises(ValueError, match="strictly increasing"):
+                sweep_n(PRODUCT, lines(ns), tau=1.0, steps=10, seed=0)
 
 
 class TestMoscoM2:
@@ -288,27 +295,33 @@ class TestMoscoM2:
                              value=lambda x: np.ones(x.shape[:-1]),
                              gradient=lambda x: np.zeros_like(x),
                              sup_value=1.0, sup_gradient=0.0)
-        table = mosco_m2_check(f, product_chain_family(1.0), [4, 8], tau=1.0,
+        table = mosco_m2_check(f, PRODUCT, lines([4, 8]), tau=1.0,
                                steps=400, seed=7, replicas=2)
         assert all(r.empirical.value == 0.0 for r in table.rows)
         assert table.limiting.value == 0.0
 
     def test_tau_zero_degenerate(self):
         f = CYLINDER_FUNCTIONS["sin_x1"]
-        table = mosco_m2_check(f, product_chain_family(1.0), [4, 8], tau=0.0,
+        table = mosco_m2_check(f, PRODUCT, lines([4, 8]), tau=0.0,
                                steps=400, seed=8, replicas=2)
         assert all(r.empirical.value == 0.0 and r.gap == r.limiting.value == 0.0
                    for r in table.rows)
 
+    def test_requires_increasing_windows(self):
+        f = CYLINDER_FUNCTIONS["sin_x1"]
+        for ns in ([8, 4], [4, 4], []):
+            with pytest.raises(ValueError, match="strictly increasing"):
+                mosco_m2_check(f, PRODUCT, lines(ns), tau=1.0, steps=10, seed=0)
+
     def test_function_must_fit_smallest_window(self):
         f = CYLINDER_FUNCTIONS["gauss_bump_x1x2"]
         with pytest.raises(ValueError):
-            mosco_m2_check(f, product_chain_family(1.0), [1, 8], tau=1.0,
+            mosco_m2_check(f, PRODUCT, lines([1, 8]), tau=1.0,
                            steps=100, seed=0)
 
     def test_rows_carry_shared_limiting_value(self):
         f = CYLINDER_FUNCTIONS["sin_x1"]
-        table = mosco_m2_check(f, product_chain_family(1.0), [4, 8], tau=2.38,
+        table = mosco_m2_check(f, PRODUCT, lines([4, 8]), tau=2.38,
                                steps=2000, seed=9, replicas=2)
         assert all(r.limiting == table.limiting for r in table.rows)
         assert all(r.gap == abs(r.empirical.value - table.limiting.value)
@@ -338,14 +351,11 @@ class TestMoscoM2:
     def test_quadratic_models_take_the_quadrature_route(self):
         f = CYLINDER_FUNCTIONS["gauss_bump_x1x2"]
         model = gff(1.0, 1.0, d=2)
-
-        def make(n):
-            return model, build_box(2, (math.isqrt(n) - 1) // 2, model.neighborhood)
-
-        table = mosco_m2_check(f, make, [9, 25], tau=1.0, steps=200, seed=1,
+        windows = [build_box(2, L, model.neighborhood) for L in (1, 2)]
+        table = mosco_m2_check(f, model, windows, tau=1.0, steps=200, seed=1,
                                replicas=2)
         assert table.limiting == limiting_form_quadrature(
-            f, model, make(25)[1], 1.0, table.s_hat)
+            f, model, windows[-1], 1.0, table.s_hat)
 
     def test_quadrature_memory_stays_small(self):
         model = gff(1.0, 1.0, d=2)

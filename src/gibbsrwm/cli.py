@@ -176,9 +176,11 @@ def cmd_dirichlet_check(cfg: ExperimentConfig, writer: ManifestWriter):
 
 
 def cmd_clt_check(cfg: ExperimentConfig, writer: ManifestWriter):
-    model, window, run = _one_chain(cfg, "full", cfg.run.thin)
+    # States serve only the estimated s^2 of a non-quadratic model.
+    quadratic = build_model(cfg).is_quadratic
+    model, window, run = _one_chain(cfg, "full", 0 if quadratic else cfg.run.thin)
     dh = delta_h_stats(run.records)
-    if model.is_quadratic:
+    if quadratic:
         s2 = gaussian_s2_exact(model, window)
     else:
         s2 = estimate_s2(model, run).value

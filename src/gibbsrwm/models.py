@@ -129,10 +129,10 @@ class QuadraticOperator:
     def n(self) -> int:
         return self.diag.shape[0]
 
-    def gradient(self, x: np.ndarray) -> np.ndarray:
+    def gradient(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Qx - b along the last axis of `x`, the gradient of the quadratic
-        part."""
-        out = self.diag * x
+        part, written into `out` if given (an array of x's shape)."""
+        out = np.multiply(self.diag, x, out=out)
         if self.offdiag is not None:
             rows = x.reshape(-1, self.n)
             out += (self.offdiag @ rows.T).T.reshape(x.shape)
@@ -196,28 +196,31 @@ def quadratic_operator(model: InteractionModel, window: Window) -> QuadraticOper
                              None if model.is_quadratic else model.self_energy)
 
 
-def gradient_dh(d: np.ndarray, g: np.ndarray, q: np.ndarray,
+def gradient_dh(d: np.ndarray, g: np.ndarray, half_q: np.ndarray,
                 remainder: Callable[[np.ndarray], np.ndarray] | None,
-                x: np.ndarray, rem_x: np.ndarray | None):
+                x: np.ndarray, rem_x: np.ndarray | None, terms: np.ndarray,
+                out: np.ndarray):
     """dH of the (R, k) moves x + d from the (R, n) states x, in gradient
-    form: d.g + q/2 with g = Qx - b and q = d'Qd (the sampler passes
-    sigma**2 z'Qz for d = sigma * z), plus the change of the operator's
-    remainder (rem_x is its value at x).  Elementwise products
-    summed along the last axis keep each row's value independent of R and
-    k.
+    form: d.g + q/2 with g = Qx - b and half_q = q/2 for q = d'Qd (the
+    sampler passes sigma**2 z'Qz / 2 for d = sigma * z), plus the change of
+    the operator's remainder (rem_x is its value at x).  Elementwise
+    products summed along the last axis keep each row's value independent
+    of R and k.
 
-    Returns (dH, remainder(x + d)), or (dH, None) without a remainder: a
-    caller that accepts a move takes its remainder from there instead of
+    dH is written into `out`, an (R, k) array; `terms`, a scratch array of
+    d's shape, holds the products before they are summed.  Returns
+    (out, remainder(x + d)), or (out, None) without a remainder: a caller
+    that accepts a move takes its remainder from there instead of
     evaluating it again.
     """
-    terms = d * g[:, None]
-    dh = terms.sum(axis=-1)
-    dh += 0.5 * q
+    np.multiply(d, g[:, None], out=terms)
+    np.add.reduce(terms, axis=-1, out=out)
+    out += half_q
     if remainder is None:
-        return dh, None
+        return out, None
     rem_y = remainder(x[:, None] + d)
-    dh += np.subtract(rem_y, rem_x[:, None], out=terms).sum(axis=-1)
-    return dh, rem_y
+    out += np.add.reduce(np.subtract(rem_y, rem_x[:, None], out=terms), axis=-1)
+    return out, rem_y
 
 
 def hamiltonian(model: InteractionModel, config: Configuration) -> float:
@@ -231,12 +234,12 @@ def delta_hamiltonian(model: InteractionModel, x: Configuration, y: Configuratio
     if y.window is not x.window:
         raise ValueError("configurations live on different windows")
     op = quadratic_operator(model, x.window)
-    xs, d = x.values[None], (y.values - x.values)[None]
+    xs, d = x.values[None], (y.values - x.values)[None, None]  # one move
     q = np.empty(1)
-    op.quad_forms(d, q)
+    op.quad_forms(d[0], q)
     rem_x = op.remainder(xs) if op.remainder is not None else None
-    dh, _ = gradient_dh(d[:, None], op.gradient(xs), q[:, None], op.remainder,
-                        xs, rem_x)
+    dh, _ = gradient_dh(d, op.gradient(xs), 0.5 * q[:, None], op.remainder, xs,
+                        rem_x, np.empty_like(d), np.empty((1, 1)))
     return float(dh[0, 0])
 
 

@@ -255,6 +255,8 @@ def quad_acceptance(model: InteractionModel, window: Window, tau: float,
     """
     if increment_family not in ("standard_normal", "uniform"):
         raise ValueError(f"unknown increment family {increment_family!r}")
+    if not math.isfinite(tau):
+        raise ValueError("tau must be finite")
     if tau < 0:
         raise ValueError("tau must be >= 0")
     sigma2 = tau * tau / window.n

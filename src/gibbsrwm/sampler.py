@@ -44,6 +44,12 @@ row accepts.  The chain, its records and its draw order are those of the
 one-step kernel, bit for bit; K (see _lookahead) only sets how much work
 each round does.  Every product and sum in dH treats a row on its own, so a
 row's dH does not depend on the other rows, on K or on the chunk length.
+A round writes its dH and accept flags in place into the chunk's record
+buffers, and the next round, which starts after the committed step,
+overwrites the slots past it.  Its scratch arrays are allocated once per
+chunk, and it commits without fancy indexing where it can: a single row
+tests its accept flag, and a batch on a window without pair couplings
+moves with masked ufuncs.
 
 Each chain's ChainSummary is streamed chunk by chunk (_SummaryStream), so a
 run keeps arrays of all its steps only when it records them ("full").  In
@@ -70,11 +76,14 @@ CHUNK = 256  # most steps per chunk
 # (c, n) block, so the block held is (S, c, n) for S <= R distinct streams.
 CHUNK_BYTES = 16 * 2**20
 # Fixed cost of one Metropolis round (Python and numpy call overhead) in
-# site evaluations; see _lookahead.  On one 2-vCPU x86 core a round costs
-# 25-45 us and its dH 1.5 ns per site (7.5 ns with phi4's quartic self
-# term), an overhead of 3 000-30 000 site evaluations.  1 500 is kept: a
-# round commits at most 1/a steps on average whatever its size, and phi4
-# (n = 99) and single-site chains cost the same per step up to 25 000.
+# site evaluations; see _lookahead.  On one 2-vCPU x86 Xeon core, whose
+# speed drifts by a third over hours, a single-site round costs 14-20 us
+# (one row) to 21-29 us (four rows), a phi4 round (n = 99) 46-71 us, and
+# dH 1.5 ns per site (7 ns with phi4's quartic self term): a single-site
+# round's overhead is 9 000-19 000 site evaluations.  1 500 is kept: a
+# round commits at most 1/a steps on average whatever its size, and a
+# 30 000-step phi4 chain took the same 0.54-0.58 s CPU at 500, 1 500,
+# 3 000 and 6 000.
 ROUND_SITES = 1500
 BURN_TAU = 2.38  # proposal scale of the burn-in that init "burn_in" runs
 _MASK64 = (1 << 64) - 1
@@ -106,6 +115,8 @@ class ProposalSpec:
     increment_family: str = "standard_normal"
 
     def __post_init__(self):
+        if not math.isfinite(self.tau):
+            raise ValueError("tau must be finite")
         if self.tau < 0:
             raise ValueError("tau must be >= 0")
         if self.n < 1:
@@ -324,6 +335,13 @@ def _drive(model: InteractionModel, window: Window, specs: list[ProposalSpec],
     qz = np.empty((S, width))
     dh_buf = np.empty((R, width))
     acc_buf = np.empty((R, width), dtype=bool)
+
+    def scratch(k):
+        """Contiguous round scratch: (R, k, n) terms and moves (None when
+        every row owns its stream), (R, k) probabilities and finite flags."""
+        return (np.empty((R, k, n)), None if own else np.empty((R, k, n)),
+                np.empty((R, k)), np.empty((R, k), dtype=bool))
+
     n_snaps = steps // thin if thin else 0
     states = np.empty((R, n_snaps, n)) if n_snaps else None
     path = np.empty((R, steps + 1, track_first)) if track_first else None
@@ -338,53 +356,91 @@ def _drive(model: InteractionModel, window: Window, specs: list[ProposalSpec],
             urngs[s].random(out=us[s, :c])
             op.quad_forms(z[s, :c], qz[s, :c])
         z_c, us_c = z[:, :c], us[rows_of, :c]
-        quad_c = sigma_sq * qz[rows_of, :c]
-        dh_c, acc_c = dh_buf[:, :c], acc_buf[:, :c]
+        half_q = 0.5 * (sigma_sq * qz[rows_of, :c])
         if own:
             z_c *= scale  # the proposal moves d = sigma * z, in place
         # Before any step, assume every proposal is accepted: K = 1.
         accepted = int(stream.accept.sum())
         K = _lookahead(accepted / (R * t) if t else 1.0, R, n, c)
+        views = scratch(K)
         # exp(-max(dh, 0)) is 1 for downhill moves and may underflow.
         with np.errstate(under="ignore"):
             j = 0
             while j < c:
                 k = min(K, c - j)
+                terms_k, moves_k, p, fin = views if k == K else scratch(k)
                 if own:
                     d = z_c[:, j:j + k]
                 else:
-                    d = z_c[rows_of, j:j + k]
+                    d = np.take(z_c[:, j:j + k], rows_of, axis=0, mode="clip",
+                                out=moves_k)
                     d *= scale
-                dh, rem_y = gradient_dh(d, g, quad_c[:, j:j + k], remainder, x, rem_x)
-                # A non-finite dH (inf - inf in the energies) is rejected.
-                acc = (us_c[:, j:j + k] < np.exp(-np.maximum(dh, 0.0))) & np.isfinite(dh)
+                # dH and the accept flags go straight into the chunk's
+                # records.  The slots past the committed step m are
+                # rewritten by the next round, which starts at j + m and
+                # spans at least k - m steps.
+                dh, acc = dh_buf[:, j:j + k], acc_buf[:, j:j + k]
+                _, rem_y = gradient_dh(d, g, half_q[:, j:j + k], remainder, x,
+                                       rem_x, terms_k, dh)
+                # acc = (u < exp(-max(dh, 0))) & isfinite(dh): a non-finite
+                # dH (inf - inf in the energies) is rejected.
+                np.maximum(dh, 0.0, out=p)
+                # p is contiguous: on numpy 2.4.6, np.negative(a, out=a) on
+                # an (R, 1) column view of a wider buffer misreads rows >= 1.
+                np.negative(p, out=p)
+                np.exp(p, out=p)
+                np.less(us_c[:, j:j + k], p, out=acc)
+                acc &= np.isfinite(dh, out=fin)
                 m = k
                 if k > 1:
-                    hits = acc.any(axis=0).nonzero()[0]
-                    m = int(hits[0]) + 1 if hits.size else k
+                    hits = acc[0] if R == 1 else np.logical_or.reduce(acc, axis=0)
+                    first = int(hits.argmax())
+                    if hits[first]:
+                        m = first + 1
                 start, end = t + j, t + j + m
-                dh_c[:, j:j + m] = dh[:, :m]
-                acc_c[:, j:j + m] = acc[:, :m]
-                # Every committed step but the last was rejected by every
-                # row, so the state after each of them is x.
-                if path is not None:
-                    path[:, start + 1:end] = x[:, None, :track_first]
-                if states is not None:
-                    states[:, start // thin:(end - 1) // thin] = x[:, None]
+                if m > 1:
+                    # Every committed step but the last was rejected by
+                    # every row, so the state after each of them is x.
+                    if path is not None:
+                        path[:, start + 1:end] = x[:, None, :track_first]
+                    if states is not None:
+                        states[:, start // thin:(end - 1) // thin] = x[:, None]
                 # g is recomputed from x, never updated, so it cannot drift.
                 # A move's remainder is the one its dH was evaluated at.
-                moved = acc[:, m - 1].nonzero()[0]
-                if moved.size:
-                    rows = slice(None) if moved.size == R else moved
-                    x[rows] += d[rows, m - 1]
+                last = acc[:, m - 1]
+                if R == 1:
+                    if last[0]:
+                        x += d[:, m - 1]
+                        if rem_y is not None:
+                            rem_x[:] = rem_y[:, m - 1]
+                        op.gradient(x, out=g)
+                elif op.offdiag is None:
+                    # A row that stays keeps its bits, a -0.0 included, and
+                    # its g recomputed from the same x is the same.
+                    mask = last[:, None]
+                    np.add(x, d[:, m - 1], out=x, where=mask)
                     if rem_y is not None:
-                        rem_x[rows] = rem_y[rows, m - 1]
-                    g[rows] = op.gradient(x[rows])
+                        np.copyto(rem_x, rem_y[:, m - 1], where=mask)
+                    op.gradient(x, out=g)
+                else:
+                    # Only the moved rows' sparse product: a full-batch one
+                    # costs a large window several times more.
+                    moved = last.nonzero()[0]
+                    if moved.size:
+                        rows = slice(None) if moved.size == R else moved
+                        x[rows] += d[rows, m - 1]
+                        if rem_y is not None:
+                            rem_x[rows] = rem_y[rows, m - 1]
+                        g[rows] = op.gradient(x[rows])
                 if path is not None:
                     path[:, end] = x[:, :track_first]
                 if states is not None and end % thin == 0:
                     states[:, end // thin - 1] = x
                 j += m
+        # quad_forms' block temporaries set a large window's peak RSS: free
+        # the round scratch before the next chunk's draws.
+        del views, terms_k, moves_k, p, fin, d
+        dh_c, acc_c = dh_buf[:, :c], acc_buf[:, :c]
         d_first = z_c[:, :, 0] if own else z_c[rows_of, :, 0] * sigma[:, None]
         jump_c = np.where(acc_c, d_first ** 2, 0.0)
         stream.add(acc_c, dh_c, jump_c)

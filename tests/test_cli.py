@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from gibbsrwm import scaling
+from gibbsrwm import cli, sampler, scaling
 from gibbsrwm.checks import BATTERY
 from gibbsrwm.cli import COMMANDS, RUN_KEYS, check_run_keys, main
 from gibbsrwm.config import (ConfigError, RunSpec, build_model, config_hash,
@@ -326,6 +326,31 @@ class TestCliCommands:
         assert out["target_mean"] == pytest.approx(0.5)
         assert out["target_var"] == pytest.approx(1.0)
         assert out["ks_stat"] >= 0.0
+
+    def test_clt_check_quadratic_chain_keeps_no_states(self, tmp_path,
+                                                       monkeypatch):
+        # s^2 is exact on a quadratic model, so its chain keeps no states,
+        # and clt.json is that of the same chain keeping every thin-th one.
+        doc = {"model": {"family": "gff", "parameters": {"beta": 1.0, "m2": 1.0}},
+               "graph": {"d": 2, "L": 2},
+               "run": {"steps": 2000, "tau": 2.0, "thin": 10}, "seed": 6}
+        runs = []
+
+        def spy(*args, **kwargs):
+            runs.append(sampler.run_chain(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(cli, "run_chain", spy)
+        path = write_config(tmp_path, dict(doc, output_dir=str(tmp_path / "a")))
+        assert self.run_cli("clt-check", path) == 0
+        monkeypatch.setattr(cli, "run_chain",
+                            lambda *a, **k: spy(*a, **dict(k, thin=10)))
+        path = write_config(tmp_path, dict(doc, output_dir=str(tmp_path / "b")))
+        assert self.run_cli("clt-check", path) == 0
+        assert runs[0].states is None
+        assert runs[1].states.shape == (200, 25)
+        assert (tmp_path / "a" / "clt.json").read_bytes() == \
+            (tmp_path / "b" / "clt.json").read_bytes()
 
     def test_clt_check_non_quadratic_target_from_states(self, tmp_path):
         # Without an exact s^2, the target comes from the thinned states.

@@ -264,6 +264,19 @@ class TestGradient:
                   - hamiltonian(model, Configuration(window, dn))) / (2 * h)
             assert grads[i] == pytest.approx(fd, abs=1e-6)
 
+    @pytest.mark.parametrize("model", [gaussian_product(1.0, d=2),
+                                       gff(1.0, 0.5, d=2), phi4(0.25, -0.5, d=2)],
+                             ids=["product", "gff", "phi4"])
+    @pytest.mark.parametrize("shape", [(1,), (4,)])
+    def test_gradient_into_buffer_is_the_gradient(self, model, shape):
+        w = build_box(2, 2, model.neighborhood, "constant", 0.3)
+        op = quadratic_operator(model, w)
+        assert (op.offdiag is None) == (model.family == "gaussian_product")
+        x = RNG.standard_normal(shape + (w.n,))
+        g = np.full_like(x, np.nan)
+        assert op.gradient(x, out=g) is g
+        assert np.array_equal(g, op.gradient(x))
+
     def test_boundary_needs_flag(self):
         m = gff(1.0, 1.0, d=1)
         w = build_box(1, 1, m.neighborhood)

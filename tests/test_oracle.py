@@ -569,6 +569,14 @@ class TestQuadAcceptance:
         with pytest.raises(ValueError, match="tau must be >= 0"):
             quad_acceptance(model, w, -0.5)
 
+    @pytest.mark.parametrize("family", ["standard_normal", "uniform"])
+    @pytest.mark.parametrize("tau", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_tau_raises_named_error(self, tau, family):
+        m = gaussian_product(1.0, d=1)
+        with pytest.raises(ValueError, match="tau must be finite"):
+            quad_acceptance(m, build_line(1, m.neighborhood), tau,
+                            increment_family=family)
+
     @pytest.mark.parametrize("case", sorted(QUAD_REFERENCE))
     def test_matches_former_quadratures(self, case):
         m, w, values = QUAD_REFERENCE[case]

@@ -132,6 +132,11 @@ class TestProposalSpec:
         with pytest.raises(ValueError):
             ProposalSpec(1.0, 10, "cauchy")
 
+    @pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_tau_rejected(self, tau):
+        with pytest.raises(ValueError, match="tau must be finite"):
+            ProposalSpec(tau, 10)
+
     @pytest.mark.parametrize("family", ["standard_normal", "uniform"])
     def test_increment_moments(self, family):
         spec = ProposalSpec(1.0, 1, family)
@@ -808,6 +813,74 @@ class TestSharedStreams:
         assert len(draws) == distinct * (3 + burn_chunks)
         assert draws[-distinct:] == [(5, w.n)] * distinct
         assert len(starts) == (distinct if init == "exact_gaussian" else 0)
+
+
+class TestOneProposalRounds:
+    """A batch with R n > ROUND_SITES runs one proposal per round, on (R, 1)
+    column views of its chunk buffers; its solo chains run several.  Each
+    row still equals its solo chain bit for bit."""
+
+    TAUS = [1.0, 2.38, 3.5, 6.0]
+    STEPS = sampler.CHUNK + 40
+
+    @pytest.mark.parametrize("ids", [[0, 1, 2, 3], [0, 1, 0, 1]],
+                             ids=["own-streams", "shared-streams"])
+    @pytest.mark.parametrize("model_name", ["gff", "product"])
+    def test_rows_equal_solo_chains(self, monkeypatch, model_name, ids):
+        if model_name == "gff":
+            m = gff(1.0, 1.0, d=2)
+            w = build_box(2, 10, m.neighborhood, "constant", 0.3)  # n = 441
+        else:
+            m = gaussian_product(1.0, d=1)  # diagonal Q: the masked commit
+            w = build_line(400, m.neighborhood)
+        assert len(self.TAUS) * w.n > sampler.ROUND_SITES
+        counter = CountingRounds()
+        monkeypatch.setattr(sampler, "gradient_dh", counter)
+        kwargs = dict(recording="full", thin=7, track_first=3)
+        specs = [ProposalSpec(tau, w.n) for tau in self.TAUS]
+        runs = run_replicas(m, w, specs, self.STEPS, seed=29,
+                            n_replicas=len(specs), chain_ids=ids, **kwargs)
+        assert counter.calls == self.STEPS
+        for run, spec, cid in zip(runs, specs, ids):
+            counter.calls = 0
+            solo = run_chain(m, w, spec, self.STEPS, seed=29, chain_id=cid,
+                             **kwargs)
+            for a, b in zip(dataclasses.astuple(run.records),
+                            dataclasses.astuple(solo.records)):
+                assert np.array_equal(a, b)
+            assert np.array_equal(run.states, solo.states)
+            assert np.array_equal(run.first_coord_path, solo.first_coord_path)
+            assert np.array_equal(run.final_state.values, solo.final_state.values)
+            for a, b in zip(dataclasses.astuple(run.summary),
+                            dataclasses.astuple(solo.summary)):
+                assert np.array_equal(a, b)
+        # The last solo chain, at the lowest acceptance, ran multi-proposal
+        # rounds.
+        assert counter.calls < self.STEPS
+
+
+class TestSignedZeros:
+    @pytest.mark.parametrize("model_name", ["gff", "product"])
+    def test_rows_that_never_move_keep_negative_zeros(self, model_name):
+        # Row 1's proposals are far too wide to be accepted; row 0 moves.
+        if model_name == "gff":
+            m = gff(1.0, 1.0, d=1)
+            w = build_box(1, 3, m.neighborhood)
+        else:
+            m = gaussian_product(1.0, d=1)
+            w = build_line(7, m.neighborhood)
+        values = np.linspace(-1.0, 1.0, w.n)
+        values[::2] = -0.0
+        runs = run_replicas(m, w, [ProposalSpec(1.0, w.n), ProposalSpec(1e6, w.n)],
+                            300, seed=3, n_replicas=2, recording="full", thin=10,
+                            track_first=w.n, init="given",
+                            init_config=Configuration(w, values))
+        assert runs[0].summary.accept_count > 0
+        assert runs[1].summary.accept_count == 0
+        for x in (runs[1].final_state.values, *runs[1].states,
+                  *runs[1].first_coord_path):
+            assert np.array_equal(np.signbit(x), np.signbit(values))
+            assert np.array_equal(x, values)
 
 
 class TestLookahead:

@@ -13,12 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import acceptance_rate, batch_means_se, pool_replicas
+from .estimators import acceptance_rate, batch_means_se
 from .lattice import build_box, build_line
 from .models import gaussian_product, gff
 from .oracle import build_precision, gaussian_exact_samples, quad_acceptance
 from .sampler import ProposalSpec, chain_rng, run_chain, run_replicas
-from .scaling import c_mc_oracle, c_theoretical
+from .scaling import c_mc_oracle, c_theoretical, sweep_tau
 
 
 @dataclass(frozen=True)
@@ -57,21 +57,16 @@ def mc_vs_quad_acceptance_uniform(seed: int) -> CheckResult:
     acceptance at tau = 1 and 2.38, 3 SE of four pooled replicas."""
     model = gaussian_product(1.0, d=1)
     window = build_line(100, model.neighborhood)
-    taus, replicas, steps = (1.0, 2.38), 4, 40_000
-    # Replica r runs on chain id r at both taus, so its increments are drawn once.
-    runs = run_replicas(model, window, [ProposalSpec(tau, 100, "uniform")
-                                        for tau in taus for _ in range(replicas)],
-                        steps, seed, n_replicas=len(taus) * replicas,
-                        chain_ids=list(range(replicas)) * len(taus), recording="summary")
+    curve = sweep_tau(model, window, (1.0, 2.38), 40_000, 4, seed,
+                      increment_family="uniform", s_hat=1.0)
     worst = 0.0
     details = []
-    for i, tau in enumerate(taus):
-        mc = pool_replicas(acceptance_rate(run.summary)
-                           for run in runs[i * replicas:(i + 1) * replicas])
-        q = quad_acceptance(model, window, tau, increment_family="uniform")
+    for row in curve.rows:
+        mc = row.acceptance
+        q = quad_acceptance(model, window, row.tau, increment_family="uniform")
         z = (mc.value - q) / max(mc.std_error, 1e-12)
         worst = max(worst, abs(z))
-        details.append(f"tau={tau}: mc={mc.value:.4f} quad={q:.4f} z={z:+.2f}")
+        details.append(f"tau={row.tau}: mc={mc.value:.4f} quad={q:.4f} z={z:+.2f}")
     return CheckResult("mc_vs_quad_acceptance_uniform", worst <= 3.0,
                        "; ".join(details) + f"; worst |z|={worst:.2f} (limit 3)")
 
@@ -189,17 +184,11 @@ BATTERY = {
 }
 
 
-def run_battery(names, seed: int, corrupt_determinism: bool = False) -> list[CheckResult]:
+def run_battery(names, seed: int) -> list[CheckResult]:
     picked = list(names)
     if not picked:
         raise ValueError("empty check battery")
     unknown = [n for n in picked if n not in BATTERY]
     if unknown:
         raise ValueError(f"unknown checks: {', '.join(unknown)}")
-    results = []
-    for name in picked:
-        if name == "determinism":
-            results.append(determinism(seed, corrupt=corrupt_determinism))
-        else:
-            results.append(BATTERY[name](seed))
-    return results
+    return [BATTERY[name](seed) for name in picked]

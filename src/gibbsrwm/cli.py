@@ -3,7 +3,7 @@
 One subcommand per experiment kind; every command reads a single JSON config
 document, writes CSV/JSON artifacts plus a manifest into the output
 directory, and is byte-reproducible given (config, seed).  A `run` key that
-the command does not read (see RUN_KEYS) is a config error.
+the command does not read (see config.RUN_KEYS) is a config error.
 
 Exit codes: 0 success, 2 config error, 3 runtime error, 4 check failure.
 """
@@ -18,8 +18,8 @@ import time
 import numpy as np
 
 from .checks import BATTERY, run_battery
-from .config import (ConfigError, ExperimentConfig, _check_keys, build_model,
-                     build_window, load_config, parse_config)
+from .config import (RUN_KEYS, ConfigError, ExperimentConfig, _check_keys,
+                     build_model, build_window, load_config, parse_config)
 from .estimators import (CYLINDER_FUNCTIONS, acceptance_rate, delta_h_stats,
                          esjd_first_coord, estimate_s2, ks_normal)
 from .oracle import gaussian_s2_exact
@@ -38,23 +38,6 @@ class CheckFailure(RuntimeError):
     pass
 
 
-# command -> (run keys it needs, run keys it may take).  Every other run key
-# is a config error: a key either does something or is rejected.  `steps` is
-# the one exception: every document needs it, and oracle-check ignores it.
-RUN_KEYS = {
-    "sample": ({"steps", "tau"},
-               {"replicas", "init", "burn_steps", "increment_family"}),
-    "sweep-tau": ({"steps", "tau_grid"},
-                  {"replicas", "init", "burn_steps", "increment_family"}),
-    "sweep-n": ({"steps", "tau", "n_list"}, {"replicas", "init", "burn_steps"}),
-    "estimate-s": ({"steps", "tau"}, {"replicas", "thin", "init", "burn_steps",
-                                      "increment_family"}),
-    "dirichlet-check": ({"steps", "tau", "n_list", "cylinder"},
-                        {"replicas", "init", "burn_steps"}),
-    "clt-check": ({"steps", "tau"}, {"replicas", "thin", "init", "burn_steps",
-                                     "increment_family"}),
-    "oracle-check": ({"steps"}, {"battery", "corrupt_determinism"}),
-}
 SINGLE_CHAIN = ("sample", "estimate-s", "clt-check")
 
 
@@ -203,8 +186,7 @@ def cmd_clt_check(cfg: ExperimentConfig, writer: ManifestWriter):
 
 def cmd_oracle_check(cfg: ExperimentConfig, writer: ManifestWriter):
     names = cfg.run.battery if cfg.run.battery is not None else list(BATTERY)
-    results = run_battery(names, cfg.seed,
-                          corrupt_determinism=cfg.run.corrupt_determinism)
+    results = run_battery(names, cfg.seed)
     writer.register(write_csv(
         writer.path("checks.csv"),
         ["check", "status", "detail"],

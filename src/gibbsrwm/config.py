@@ -13,7 +13,8 @@ import math
 from dataclasses import dataclass, field
 
 from .estimators import CYLINDER_FUNCTIONS
-from .lattice import Neighborhood, Window, build_box, build_line, nearest_neighbor
+from .lattice import (Neighborhood, Window, _as_vertex, build_box, build_line,
+                      nearest_neighbor)
 from .models import InteractionModel, gaussian_product, gff, phi4
 from .sampler import INCREMENT_FAMILIES
 
@@ -22,13 +23,29 @@ class ConfigError(ValueError):
     pass
 
 
-MODEL_FAMILIES = ("gaussian_product", "gff", "phi4")
 INIT_MODES = ("exact_gaussian", "burn_in")
-# Each family's parameters, with the values build_model gives omitted ones.
+# The model families, each with its parameters and the values omitted ones take.
 _FAMILY_PARAMS = {
     "gaussian_product": {"variance": 1.0},
     "gff": {"beta": 1.0, "m2": 1.0},
     "phi4": {"a": 1.0, "b": 0.0, "coupling": 1.0},
+}
+# command -> (run keys it needs, run keys it may take).  Every other run key
+# is a config error: a key either does something or is rejected.  `steps` is
+# the one exception: every document needs it, and oracle-check ignores it.
+RUN_KEYS = {
+    "sample": ({"steps", "tau"},
+               {"replicas", "init", "burn_steps", "increment_family"}),
+    "sweep-tau": ({"steps", "tau_grid"},
+                  {"replicas", "init", "burn_steps", "increment_family"}),
+    "sweep-n": ({"steps", "tau", "n_list"}, {"replicas", "init", "burn_steps"}),
+    "estimate-s": ({"steps", "tau"}, {"replicas", "thin", "init", "burn_steps",
+                                      "increment_family"}),
+    "dirichlet-check": ({"steps", "tau", "n_list", "cylinder"},
+                        {"replicas", "init", "burn_steps"}),
+    "clt-check": ({"steps", "tau"}, {"replicas", "thin", "init", "burn_steps",
+                                     "increment_family"}),
+    "oracle-check": ({"steps"}, {"battery"}),
 }
 
 
@@ -75,19 +92,21 @@ def _increasing(obj, key, where, **rule):
 
 
 def _coordinate_rows(rows, d: int, where: str) -> list[list[int]]:
-    """A nonempty list of points of d coordinates each, every coordinate an
-    integer by the _number(..., integer=True) rule (no bools, no fractions)."""
+    """A nonempty list of points of d coordinates each, every point a vertex
+    by the library's rule (`lattice._as_vertex`)."""
     if not (isinstance(rows, list) and rows and all(
             isinstance(row, list) and len(row) == d for row in rows)):
         raise ConfigError(f"{where}: expected a nonempty list of {d}-coordinate lists")
-    return [[_number(row, a, f"{where}[{k}]", integer=True) for a in range(d)]
-            for k, row in enumerate(rows)]
+    try:
+        return [list(_as_vertex(row)) for row in rows]
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 @dataclass(frozen=True)
 class ModelSpec:
     family: str
-    params: dict
+    params: dict  # every parameter of the family, omitted ones at their defaults
     neighborhood: str | list = "default"
 
 
@@ -113,7 +132,6 @@ class RunSpec:
     increment_family: str = "standard_normal"
     cylinder: str | None = None
     battery: list[str] | None = None
-    corrupt_determinism: bool = False
 
 
 @dataclass(frozen=True)
@@ -133,13 +151,12 @@ def parse_config(doc: dict) -> ExperimentConfig:
     m = doc["model"]
     _check_keys(m, {"family", "parameters", "neighborhood"}, {"family"}, "model")
     family = m["family"]
-    if family not in MODEL_FAMILIES:
+    if family not in _FAMILY_PARAMS:
         raise ConfigError(f"model.family: unknown family {family!r}")
     parameters = m.get("parameters", {})
     _check_keys(parameters, set(_FAMILY_PARAMS[family]), set(), "model.parameters")
-    for key in parameters:
-        _number(parameters, key, "model.parameters")
-    p = {**_FAMILY_PARAMS[family], **parameters}
+    p = {**_FAMILY_PARAMS[family],
+         **{key: _number(parameters, key, "model.parameters") for key in parameters}}
     if family == "gaussian_product" and p["variance"] <= 0:
         raise ConfigError("model.parameters.variance: must be > 0")
     if family == "gff":
@@ -169,7 +186,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
         vl = _coordinate_rows(vl, d, "graph.vertex_list")
     if isinstance(nb, list):
         nb = _coordinate_rows(nb, d, "model.neighborhood")
-    model = ModelSpec(family, dict(parameters), nb)
+    model = ModelSpec(family, p, nb)
     mode = g.get("boundary_mode", "zero")
     if mode not in ("zero", "constant", "free"):
         raise ConfigError(f"graph.boundary_mode: unknown mode {mode!r}")
@@ -178,9 +195,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
     graph = GraphSpec(d, L, vl, mode, const)
 
     r = doc["run"]
-    _check_keys(r, {"steps", "tau", "tau_grid", "n_list", "replicas", "thin",
-                    "init", "burn_steps", "increment_family", "cylinder",
-                    "battery", "corrupt_determinism"},
+    _check_keys(r, set().union(*(a | b for a, b in RUN_KEYS.values())),
                 {"steps"}, "run")
     # Keys left out keep RunSpec's defaults.
     given = {"steps": _number(r, "steps", "run", lo=1, integer=True)}
@@ -205,10 +220,6 @@ def parse_config(doc: dict) -> ExperimentConfig:
         if not isinstance(r["battery"], list) or not r["battery"]:
             raise ConfigError("run.battery: expected a nonempty list of check names")
         given["battery"] = r["battery"]
-    if "corrupt_determinism" in r:
-        if not isinstance(r["corrupt_determinism"], bool):
-            raise ConfigError("run.corrupt_determinism: expected a boolean")
-        given["corrupt_determinism"] = r["corrupt_determinism"]
     run = RunSpec(**given)
 
     seed = _number(doc, "seed", "config", lo=0, integer=True)
@@ -238,32 +249,13 @@ def config_hash(doc: dict) -> str:
     return hashlib.sha256(canonical_json(doc).encode()).hexdigest()
 
 
-def build_neighborhood(cfg: ExperimentConfig) -> Neighborhood:
-    nb = cfg.model.neighborhood
-    d = cfg.graph.d
-    if isinstance(nb, list):
-        return Neighborhood.from_offsets(nb)
-    if nb == "nearest_neighbor":
-        return nearest_neighbor(d)
-    # family defaults: on-site for the product model, nearest-neighbor else
-    if cfg.model.family == "gaussian_product":
-        from .lattice import self_neighborhood
-
-        return self_neighborhood(d)
-    return nearest_neighbor(d)
-
-
 def build_model(cfg: ExperimentConfig) -> InteractionModel:
-    nb = build_neighborhood(cfg)
-    fam = cfg.model.family
-    p = {**_FAMILY_PARAMS.get(fam, {}), **cfg.model.params}
+    fam, p, nb = cfg.model.family, cfg.model.params, cfg.model.neighborhood
     if fam == "gaussian_product":
-        return gaussian_product(p["variance"], d=cfg.graph.d)
-    if fam == "gff":
-        return gff(p["beta"], p["m2"], neighborhood=nb)
-    if fam == "phi4":
-        return phi4(p["a"], p["b"], p["coupling"], neighborhood=nb)
-    raise ConfigError(f"unhandled family {fam}")
+        return gaussian_product(**p, d=cfg.graph.d)
+    nb = (Neighborhood.from_offsets(nb) if isinstance(nb, list)
+          else nearest_neighbor(cfg.graph.d))
+    return (gff if fam == "gff" else phi4)(**p, neighborhood=nb)
 
 
 def build_window(cfg: ExperimentConfig, model: InteractionModel,

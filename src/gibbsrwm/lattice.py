@@ -32,12 +32,23 @@ from dataclasses import dataclass
 import numpy as np
 
 Vertex = tuple[int, ...]
+_BOOL_TYPES = frozenset((bool, np.bool_))  # int() reads True as 1: not a coordinate
 
 
 def _as_vertex(v) -> Vertex:
+    """v as a tuple of Python ints: the one vertex rule of the package, for
+    window vertices, neighborhood offsets and config vertex lists alike.
+
+    Each coordinate must be an integer-valued number: an int of any size, a
+    numpy integer, or an integral float such as 3.0.  A bool, a fraction, a
+    non-finite or a non-numeric coordinate, or no coordinate at all, is a
+    ValueError that names v."""
     cs = tuple(v)
-    out = tuple(map(int, cs))
-    if not out or out != cs:
+    try:
+        out = tuple(map(int, cs))
+    except (TypeError, ValueError, OverflowError):  # int() of nan, inf, "a"
+        out = ()
+    if not out or out != cs or not _BOOL_TYPES.isdisjoint(map(type, cs)):
         raise ValueError(f"a vertex needs one or more integer coordinates, got {cs}")
     return out
 
@@ -237,6 +248,8 @@ class Window:
         self.neighborhood = neighborhood
         self.boundary_mode = boundary_mode
         self.boundary_constant = float(boundary_constant)
+        if not math.isfinite(self.boundary_constant):
+            raise ValueError(f"boundary_constant must be finite, got {boundary_constant}")
         self._explicit = dict(explicit_values or {})
         self.adjacency = None
         if adjacency is not None:
@@ -296,7 +309,10 @@ class Window:
             return None
         if vertex not in self._explicit:
             raise MissingBoundaryValueError(vertex)
-        return float(self._explicit[vertex])
+        value = float(self._explicit[vertex])
+        if not math.isfinite(value):
+            raise ValueError(f"boundary value at {vertex} must be finite, got {value}")
+        return value
 
     def interior_indices(self) -> np.ndarray:
         """Indices of the sites off the boundary, ascending (read-only)."""

@@ -37,10 +37,10 @@ REFERENCE_CHAIN_ID = 0xFFFF_FFFF  # reserved stream for the s-hat reference run
 
 def c_theoretical(tau: float, s: float) -> float:
     """Limiting acceptance 2*Phi(-tau*s/2), via erfc for tail accuracy."""
-    if s <= 0:
-        raise ValueError("s must be positive")
-    if tau < 0:
-        raise ValueError("tau must be >= 0")
+    if not 0 < s < math.inf:
+        raise ValueError(f"s must be positive and finite, got {s}")
+    if not 0 <= tau < math.inf:
+        raise ValueError(f"tau must be >= 0 and finite, got {tau}")
     return math.erfc(tau * s / (2.0 * math.sqrt(2.0)))
 
 
@@ -68,8 +68,8 @@ def tau_star(s: float) -> float:
     """Golden-section maximizer of tau^2 c(tau) on the bracket (1e-8, 2.38/s,
     20/s) to a relative width of 1e-10, in the steps of scipy's golden
     `minimize_scalar`, so the same tau* to the last bit."""
-    if s <= 0:
-        raise ValueError("s must be positive")
+    if not 0 < s < math.inf:
+        raise ValueError(f"s must be positive and finite, got {s}")
     g = 0.61803399
     lo, x1, hi = 1e-8, 2.38 / s, 20.0 / s
     x2 = x1 + (1.0 - g) * (hi - x1)

@@ -17,11 +17,6 @@ def test_determinism_negative_control():
     assert determinism(3, corrupt=False).passed is True
 
 
-def test_corrupt_flag_routed_through_battery():
-    results = run_battery(["determinism"], seed=5, corrupt_determinism=True)
-    assert results[0].passed is False
-
-
 def test_increment_moments_standalone():
     assert increment_moments(7).passed
 

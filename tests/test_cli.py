@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -6,13 +7,15 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from gibbsrwm import cli, sampler, scaling
-from gibbsrwm.checks import BATTERY
+from gibbsrwm.checks import BATTERY, determinism
 from gibbsrwm.cli import COMMANDS, RUN_KEYS, check_run_keys, main
 from gibbsrwm.config import (ConfigError, RunSpec, build_model, config_hash,
                              load_config, parse_config)
+from gibbsrwm.lattice import Neighborhood, Window, nearest_neighbor
 from test_runio import read_csv
 
 SRC = str(pathlib.Path(__file__).resolve().parents[1] / "src")
@@ -175,6 +178,40 @@ class TestConfigValidation:
         path.write_text("{not json")
         with pytest.raises(ConfigError, match="line"):
             load_config(str(path))
+
+
+# One vertex rule for the config and the library: each coordinate below is
+# rejected by parse_config and by the lattice constructors alike.
+BAD_COORDINATES = [True, np.False_, 1.5, math.nan, math.inf, -math.inf, "2"]
+GOOD_COORDINATES = [(2**70, 2**70), (3.0, 3), (np.int64(5), 5), (-4, -4)]
+
+
+class TestVertexRule:
+    @pytest.mark.parametrize("c", BAD_COORDINATES, ids=repr)
+    def test_bad_coordinate_rejected_by_config_and_library(self, c):
+        doc = base_config()
+        doc["graph"] = {"d": 1, "vertex_list": [[0], [c]]}
+        with pytest.raises(ConfigError, match=r"^graph\.vertex_list: .*integer"):
+            parse_config(doc)
+        doc = base_config(model={"family": "gff", "neighborhood": [[c]]})
+        with pytest.raises(ConfigError, match=r"^model\.neighborhood: .*integer"):
+            parse_config(doc)
+        with pytest.raises(ValueError, match="integer coordinates"):
+            Window([(0,), (c,)], nearest_neighbor(1))
+        with pytest.raises(ValueError, match="integer coordinates"):
+            Neighborhood.from_offsets([(c,)])
+
+    @pytest.mark.parametrize("c,expected", GOOD_COORDINATES,
+                             ids=["huge", "integral_float", "np_int64", "negative"])
+    def test_good_coordinate_same_vertex_on_both_sides(self, c, expected):
+        doc = base_config(model={"family": "gff", "neighborhood": [[c]]})
+        doc["graph"] = {"d": 1, "vertex_list": [[c], [c + 1]]}
+        cfg = parse_config(doc)
+        assert cfg.graph.vertex_list == [[expected], [expected + 1]]
+        assert Window([(c,), (c + 1,)], nearest_neighbor(1)).vertices == \
+            ((expected,), (expected + 1,))
+        assert build_model(cfg).neighborhood == Neighborhood.from_offsets([(c,)])
+        assert type(cfg.graph.vertex_list[0][0]) is int
 
 
 class TestCliCommands:
@@ -365,19 +402,24 @@ class TestCliCommands:
         assert out["target_mean"] > 0.0
         assert out["target_var"] == pytest.approx(2.0 * out["target_mean"])
 
-    def test_oracle_check_pass_and_negative_control(self, tmp_path):
+    def test_oracle_check_pass_and_negative_control(self, tmp_path, monkeypatch):
         doc = base_config(output_dir=str(tmp_path / "o"))
         doc["run"] = {"steps": 100,
                       "battery": ["determinism", "increment_moments"]}
         assert self.run_cli("oracle-check", write_config(tmp_path, doc)) == 0
         header, rows = read_csv(str(tmp_path / "o" / "checks.csv"))
         assert all(r[1] == "PASS" for r in rows)
+        # A failing check: exit 4, a FAIL row, and the manifest still written.
+        monkeypatch.setitem(BATTERY, "determinism",
+                            lambda seed: determinism(seed, corrupt=True))
         doc2 = base_config(output_dir=str(tmp_path / "p"))
-        doc2["run"] = {"steps": 100, "battery": ["determinism"],
-                       "corrupt_determinism": True}
+        doc2["run"] = {"steps": 100, "battery": ["determinism", "increment_moments"]}
         assert self.run_cli("oracle-check", write_config(tmp_path, doc2, "c2.json")) == 4
         _, rows2 = read_csv(str(tmp_path / "p" / "checks.csv"))
-        assert rows2[0][1] == "FAIL"
+        assert [r[:2] for r in rows2] == [["determinism", "FAIL"],
+                                          ["increment_moments", "PASS"]]
+        manifest = json.loads((tmp_path / "p" / "manifest.json").read_text())
+        assert manifest["outputs"] == ["checks.csv"]
 
     def test_empty_battery_is_config_error(self, tmp_path):
         doc = base_config(output_dir=str(tmp_path / "o"))
@@ -565,8 +607,7 @@ READ_KEYS = {
     "clt-check": ({"steps": 200, "tau": 1.0, "replicas": 1, "thin": 5,
                    "init": "burn_in", "burn_steps": 50,
                    "increment_family": "uniform"}, "clt.json"),
-    "oracle-check": ({"steps": 100, "battery": ["determinism"],
-                      "corrupt_determinism": False}, "checks.csv"),
+    "oracle-check": ({"steps": 100, "battery": ["determinism"]}, "checks.csv"),
 }
 
 # Run keys each command once accepted but never read, so they changed no
@@ -574,16 +615,15 @@ READ_KEYS = {
 # "increment_family": "uniform" and exited 0.
 UNREAD_KEYS = [
     *[("sample", k) for k in ("tau_grid", "n_list", "thin", "cylinder",
-                              "battery", "corrupt_determinism")],
+                              "battery")],
     *[("sweep-tau", k) for k in ("tau", "n_list", "thin", "cylinder",
-                                 "battery", "corrupt_determinism")],
+                                 "battery")],
     *[("sweep-n", k) for k in ("tau_grid", "thin", "increment_family",
-                               "cylinder", "battery", "corrupt_determinism")],
+                               "cylinder", "battery")],
     *[(c, k) for c in ("estimate-s", "clt-check")
-      for k in ("tau_grid", "n_list", "cylinder", "battery",
-                "corrupt_determinism")],
+      for k in ("tau_grid", "n_list", "cylinder", "battery")],
     *[("dirichlet-check", k) for k in ("tau_grid", "thin", "increment_family",
-                                       "battery", "corrupt_determinism")],
+                                       "battery")],
     *[("oracle-check", k) for k in ("tau", "tau_grid", "n_list", "replicas",
                                     "thin", "init", "burn_steps",
                                     "increment_family", "cylinder")],
@@ -591,7 +631,7 @@ UNREAD_KEYS = [
 VALUES = {"tau": 1.0, "tau_grid": [1.0, 2.0], "n_list": [4, 9], "replicas": 2,
           "thin": 5, "init": "burn_in", "burn_steps": 50,
           "increment_family": "uniform", "cylinder": "sin_x1",
-          "battery": ["determinism"], "corrupt_determinism": False}
+          "battery": ["determinism"]}
 
 
 class TestRunKeys:
@@ -686,6 +726,20 @@ class TestRunKeys:
         assert err.startswith("config error: run.battery") and repr(bad) in err
         assert all(name in err for name in BATTERY)
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", sorted(READ_KEYS))
+    def test_key_outside_run_keys_rejected(self, tmp_path, capsys, command):
+        # corrupt_determinism, once an oracle-check key, now reads as unknown.
+        run, _ = READ_KEYS[command]
+        doc = base_config(output_dir=str(tmp_path / "o"),
+                          run={**run, "corrupt_determinism": False})
+        assert main([command, "--config", write_config(tmp_path, doc)]) == 2
+        assert "'corrupt_determinism'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_runspec_fields_are_run_keys(self):
+        assert {f.name for f in dataclasses.fields(RunSpec)} == \
+            set().union(*(needs | may_take for needs, may_take in RUN_KEYS.values()))
 
     def test_readme_table_is_run_keys(self):
         readme = (pathlib.Path(__file__).resolve().parent.parent

@@ -139,6 +139,16 @@ class TestWindow:
             Window([(0,), (1,)], nb, boundary_mode="explicit",
                    explicit_values={})
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_boundary_value_rejected(self, bad):
+        # A nan constant once built a window on which every dH was nan.
+        nb = Neighborhood.from_offsets([(1,)])
+        with pytest.raises(ValueError, match="boundary_constant must be finite"):
+            build_line(5, nb, "constant", bad)
+        with pytest.raises(ValueError, match=r"boundary value at \(2,\) must be finite"):
+            Window([(0,), (1,)], nb, boundary_mode="explicit",
+                   explicit_values={(-1,): 0.3, (2,): bad})
+
     def test_free_mode_has_no_stored_values(self):
         nb = Neighborhood.from_offsets([(1,)])
         w = Window([(0,), (1,)], nb, boundary_mode="free")

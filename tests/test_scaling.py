@@ -75,6 +75,14 @@ class TestCTheoretical:
         with pytest.raises(ValueError):
             c_theoretical(-1.0, 1.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_tau_or_s_raises_named_error(self, bad):
+        # Once nan for a nan argument and 0.0 for tau or s = inf.
+        with pytest.raises(ValueError, match="^tau must"):
+            c_theoretical(bad, 1.0)
+        with pytest.raises(ValueError, match="^s must"):
+            c_theoretical(1.0, bad)
+
     @given(st.floats(0.01, 10.0), st.floats(0.05, 20.0), st.floats(0.1, 10.0))
     @settings(max_examples=100)
     def test_depends_only_on_tau_times_s(self, tau, s, lam):
@@ -106,6 +114,12 @@ class TestCMcOracle:
 class TestTauStar:
     def test_unit_s(self):
         assert tau_star(1.0) == pytest.approx(OPT, abs=1e-6)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_bad_s_raises_named_error(self, bad):
+        # Once nan for s = nan and 1e-8 for s = inf.
+        with pytest.raises(ValueError, match="^s must be positive and finite"):
+            tau_star(bad)
 
     def test_relative_gap_to_nominal_constant(self):
         # the optimizer's 2.3812/s sits within 1e-3 of 2.38/s in relative terms

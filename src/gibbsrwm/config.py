@@ -190,6 +190,9 @@ def parse_config(doc: dict) -> ExperimentConfig:
     mode = g.get("boundary_mode", "zero")
     if mode not in ("zero", "constant", "free"):
         raise ConfigError(f"graph.boundary_mode: unknown mode {mode!r}")
+    if "boundary_constant" in g and mode != "constant":
+        raise ConfigError("graph.boundary_constant: read only under "
+                          f"boundary_mode 'constant', not {mode!r}")
     const = (_number(g, "boundary_constant", "graph")
              if "boundary_constant" in g else 0.0)
     graph = GraphSpec(d, L, vl, mode, const)

@@ -117,17 +117,19 @@ class QuadraticOperator:
     Q holds the pair terms, plus the self term when the model is quadratic;
     the remainder is the self energy otherwise, and None for quadratic
     models.  Every product below treats the rows of a batch one by one: a
-    row's bits do not depend on the rows beside it.
+    row's bits do not depend on the rows beside it.  `diag` and `shift` may
+    also be given in a batch's (R, n) shape, so that `gradient` of an (R, n)
+    batch multiplies operands of one shape.
     """
 
-    diag: np.ndarray                   # (n,)
+    diag: np.ndarray                   # (n,), or (R, n) for a batch
     offdiag: sparse.csr_matrix | None  # (n, n) zero diagonal; None without pairs
-    shift: np.ndarray                  # b, (n,)
+    shift: np.ndarray                  # b, shaped as diag
     remainder: Callable[[np.ndarray], np.ndarray] | None = None  # elementwise
 
     @property
     def n(self) -> int:
-        return self.diag.shape[0]
+        return self.diag.shape[-1]
 
     def gradient(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Qx - b along the last axis of `x`, the gradient of the quadratic

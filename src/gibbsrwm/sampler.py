@@ -51,6 +51,19 @@ chunk, and it commits without fancy indexing where it can: a single row
 tests its accept flag, and a batch on a window without pair couplings
 moves with masked ufuncs.
 
+Each ufunc of a round gets contiguous operands of one shape, so numpy runs
+its plain loop.  The chunk's dH and accept buffers, the uniforms and q/2
+gathered once per chunk, and a round's probabilities and finite flags are
+step-major, (steps, R): a round's steps are one contiguous block, which
+gradient_dh reads and writes through transposed (R, k) views.  The records
+and the summary stream still take row-major (R, c) arrays, one copy per
+chunk, because a row sum over a transposed view adds in another order and
+would move dh_sum and jump_sq_sum in their last bits.  Rows that share a
+stream scale their gathered increments by an (R, k, n) sigma operand, and
+a commit of the whole batch (one row, or a window without pair couplings)
+takes g from an operator whose Q diagonal and b have the batch's (R, n)
+shape (_commit_operator).
+
 Each chain's ChainSummary is streamed chunk by chunk (_SummaryStream), so a
 run keeps arrays of all its steps only when it records them ("full").  In
 "summary" mode and burn-in, a row holds one chunk plus the accept flags and
@@ -61,13 +74,13 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .lattice import Window
-from .models import (Configuration, InteractionModel, gradient_dh,
-                     quadratic_operator)
+from .models import (Configuration, InteractionModel, QuadraticOperator,
+                     gradient_dh, quadratic_operator)
 from .oracle import build_precision, gaussian_exact_samples
 
 CHUNK = 256  # most steps per chunk
@@ -77,13 +90,14 @@ CHUNK = 256  # most steps per chunk
 CHUNK_BYTES = 16 * 2**20
 # Fixed cost of one Metropolis round (Python and numpy call overhead) in
 # site evaluations; see _lookahead.  On one 2-vCPU x86 Xeon core, whose
-# speed drifts by a third over hours, a single-site round costs 14-20 us
-# (one row) to 21-29 us (four rows), a phi4 round (n = 99) 46-71 us, and
-# dH 1.5 ns per site (7 ns with phi4's quartic self term): a single-site
-# round's overhead is 9 000-19 000 site evaluations.  1 500 is kept: a
-# round commits at most 1/a steps on average whatever its size, and a
-# 30 000-step phi4 chain took the same 0.54-0.58 s CPU at 500, 1 500,
-# 3 000 and 6 000.
+# speed drifts by a third over hours, a single-site round costs 16-20 us
+# (one row) to 15-20 us (four rows), a phi4 round (n = 99) 46-55 us, and
+# dH 1.3 ns per site (6 ns with phi4's quartic self term): a single-site
+# round's overhead is 11 000-15 000 site evaluations.  1 500 is kept: a
+# round commits at most 1/a steps on average whatever its size, and in five
+# alternating repetitions no value of 500, 1 500 and 3 000 was fastest on
+# every chain (one row: 0.62, 0.60, 0.59 s; four rows: 0.60, 0.55, 0.58 s;
+# a 30 000-step phi4 chain: 0.48, 0.44, 0.43 s, medians).
 ROUND_SITES = 1500
 BURN_TAU = 2.38  # proposal scale of the burn-in that init "burn_in" runs
 _MASK64 = (1 << 64) - 1
@@ -292,6 +306,21 @@ def _lookahead(accept_rate: float, rows: int, n: int, room: int) -> int:
     return int(k[np.argmin((ROUND_SITES + k * rows * n) / steps)])
 
 
+def _commit_operator(op: QuadraticOperator, rows: int) -> QuadraticOperator:
+    """The operator a commit of the whole (rows, n) batch takes g = Qx - b
+    from: `op` with Q's diagonal and b in the batch's shape, so that each
+    product has operands of one shape (a view for one row, an (rows, n)
+    tile each for several).  Several rows on a window with pair couplings
+    commit only their moved rows, through `op` itself."""
+    if rows > 1 and op.offdiag is not None:
+        return op
+
+    def batch(a):
+        return a[None] if rows == 1 else np.tile(a, (rows, 1))
+
+    return replace(op, diag=batch(op.diag), shift=batch(op.shift))
+
+
 def _drive(model: InteractionModel, window: Window, specs: list[ProposalSpec],
            steps: int, rngs: list[np.random.Generator],
            urngs: list[np.random.Generator], streams: Sequence[int],
@@ -317,10 +346,11 @@ def _drive(model: InteractionModel, window: Window, specs: list[ProposalSpec],
     own = np.array_equal(rows_of, np.arange(S))  # row r reads stream r
     sigma = np.array([spec.sigma for spec in specs])
     scale = sigma[:, None, None]
-    sigma_sq = (sigma * sigma)[:, None]
+    sigma_sq = sigma * sigma
     x = np.asarray(x0, dtype=float)
     op = quadratic_operator(model, window)
     g = op.gradient(x)
+    batch_op = _commit_operator(op, R)
     remainder = op.remainder
     rem_x = remainder(x) if remainder is not None else None
 
@@ -333,14 +363,18 @@ def _drive(model: InteractionModel, window: Window, specs: list[ProposalSpec],
     z = np.empty((S, width, n))  # one buffer per stream, refilled every chunk
     us = np.empty((S, width))
     qz = np.empty((S, width))
-    dh_buf = np.empty((R, width))
-    acc_buf = np.empty((R, width), dtype=bool)
+    # Step-major: a round's steps [j, j + k) are one contiguous block.
+    dh_buf = np.empty((width, R))
+    acc_buf = np.empty((width, R), dtype=bool)
 
     def scratch(k):
-        """Contiguous round scratch: (R, k, n) terms and moves (None when
-        every row owns its stream), (R, k) probabilities and finite flags."""
-        return (np.empty((R, k, n)), None if own else np.empty((R, k, n)),
-                np.empty((R, k)), np.empty((R, k), dtype=bool))
+        """Contiguous round scratch: (R, k, n) terms, moves and their sigma
+        operand (both None when every row owns its stream), and (k, R)
+        probabilities and finite flags."""
+        shared = (None, None) if own else (
+            np.empty((R, k, n)), np.broadcast_to(scale, (R, k, n)).copy())
+        return (np.empty((R, k, n)), *shared, np.empty((k, R)),
+                np.empty((k, R), dtype=bool))
 
     n_snaps = steps // thin if thin else 0
     states = np.empty((R, n_snaps, n)) if n_snaps else None
@@ -355,8 +389,13 @@ def _drive(model: InteractionModel, window: Window, specs: list[ProposalSpec],
             specs[0].draw_increments(rngs[s], (c, n), out=z[s, :c])
             urngs[s].random(out=us[s, :c])
             op.quad_forms(z[s, :c], qz[s, :c])
-        z_c, us_c = z[:, :c], us[rows_of, :c]
-        half_q = 0.5 * (sigma_sq * qz[rows_of, :c])
+        z_c = z[:, :c]
+        # Each row's uniforms and q/2 = 0.5 * (sigma**2 * z'Qz), products
+        # in that order, gathered once as (c, R) arrays.
+        us_c = np.take(us[:, :c].T, rows_of, axis=1)
+        half_q = np.take(qz[:, :c].T, rows_of, axis=1)
+        half_q *= sigma_sq
+        half_q *= 0.5
         if own:
             z_c *= scale  # the proposal moves d = sigma * z, in place
         # Before any step, assume every proposal is accepted: K = 1.
@@ -368,20 +407,20 @@ def _drive(model: InteractionModel, window: Window, specs: list[ProposalSpec],
             j = 0
             while j < c:
                 k = min(K, c - j)
-                terms_k, moves_k, p, fin = views if k == K else scratch(k)
+                terms_k, moves_k, sigma_k, p, fin = views if k == K else scratch(k)
                 if own:
                     d = z_c[:, j:j + k]
                 else:
                     d = np.take(z_c[:, j:j + k], rows_of, axis=0, mode="clip",
                                 out=moves_k)
-                    d *= scale
+                    d *= sigma_k
                 # dH and the accept flags go straight into the chunk's
                 # records.  The slots past the committed step m are
                 # rewritten by the next round, which starts at j + m and
                 # spans at least k - m steps.
-                dh, acc = dh_buf[:, j:j + k], acc_buf[:, j:j + k]
-                _, rem_y = gradient_dh(d, g, half_q[:, j:j + k], remainder, x,
-                                       rem_x, terms_k, dh)
+                dh, acc = dh_buf[j:j + k], acc_buf[j:j + k]
+                _, rem_y = gradient_dh(d, g, half_q[j:j + k].T, remainder, x,
+                                       rem_x, terms_k, dh.T)
                 # acc = (u < exp(-max(dh, 0))) & isfinite(dh): a non-finite
                 # dH (inf - inf in the energies) is rejected.
                 np.maximum(dh, 0.0, out=p)
@@ -389,11 +428,11 @@ def _drive(model: InteractionModel, window: Window, specs: list[ProposalSpec],
                 # an (R, 1) column view of a wider buffer misreads rows >= 1.
                 np.negative(p, out=p)
                 np.exp(p, out=p)
-                np.less(us_c[:, j:j + k], p, out=acc)
+                np.less(us_c[j:j + k], p, out=acc)
                 acc &= np.isfinite(dh, out=fin)
                 m = k
                 if k > 1:
-                    hits = acc[0] if R == 1 else np.logical_or.reduce(acc, axis=0)
+                    hits = acc[:, 0] if R == 1 else np.logical_or.reduce(acc, axis=1)
                     first = int(hits.argmax())
                     if hits[first]:
                         m = first + 1
@@ -407,13 +446,13 @@ def _drive(model: InteractionModel, window: Window, specs: list[ProposalSpec],
                         states[:, start // thin:(end - 1) // thin] = x[:, None]
                 # g is recomputed from x, never updated, so it cannot drift.
                 # A move's remainder is the one its dH was evaluated at.
-                last = acc[:, m - 1]
+                last = acc[m - 1]
                 if R == 1:
                     if last[0]:
                         x += d[:, m - 1]
                         if rem_y is not None:
                             rem_x[:] = rem_y[:, m - 1]
-                        op.gradient(x, out=g)
+                        batch_op.gradient(x, out=g)
                 elif op.offdiag is None:
                     # A row that stays keeps its bits, a -0.0 included, and
                     # its g recomputed from the same x is the same.
@@ -421,7 +460,7 @@ def _drive(model: InteractionModel, window: Window, specs: list[ProposalSpec],
                     np.add(x, d[:, m - 1], out=x, where=mask)
                     if rem_y is not None:
                         np.copyto(rem_x, rem_y[:, m - 1], where=mask)
-                    op.gradient(x, out=g)
+                    batch_op.gradient(x, out=g)
                 else:
                     # Only the moved rows' sparse product: a full-batch one
                     # costs a large window several times more.
@@ -438,14 +477,18 @@ def _drive(model: InteractionModel, window: Window, specs: list[ProposalSpec],
                     states[:, end // thin - 1] = x
                 j += m
         # quad_forms' block temporaries set a large window's peak RSS: free
-        # the round scratch before the next chunk's draws.
-        del views, terms_k, moves_k, p, fin, d
-        dh_c, acc_c = dh_buf[:, :c], acc_buf[:, :c]
+        # the round scratch before the next chunk's draws, and q/2 before
+        # the records' copies.
+        del views, terms_k, moves_k, sigma_k, p, fin, d, half_q
+        # Summaries and records take row-major (R, c) copies: a row sum over
+        # a transposed view would add its terms in another order.
+        dh_c = np.ascontiguousarray(dh_buf[:c].T)
+        acc_c = np.ascontiguousarray(acc_buf[:c].T)
         d_first = z_c[:, :, 0] if own else z_c[rows_of, :, 0] * sigma[:, None]
         jump_c = np.where(acc_c, d_first ** 2, 0.0)
         stream.add(acc_c, dh_c, jump_c)
         if records is not None:
-            for column, chunk in zip(records, (dh_c, acc_c, us_c, jump_c)):
+            for column, chunk in zip(records, (dh_c, acc_c, us_c.T, jump_c)):
                 column[:, t:t + c] = chunk
         t += c
     return x, stream, records, states, path

@@ -13,8 +13,8 @@ import pytest
 from gibbsrwm import cli, sampler, scaling
 from gibbsrwm.checks import BATTERY, determinism
 from gibbsrwm.cli import COMMANDS, RUN_KEYS, check_run_keys, main
-from gibbsrwm.config import (ConfigError, RunSpec, build_model, config_hash,
-                             load_config, parse_config)
+from gibbsrwm.config import (ConfigError, RunSpec, build_model, build_window,
+                             config_hash, load_config, parse_config)
 from gibbsrwm.lattice import Neighborhood, Window, nearest_neighbor
 from test_runio import read_csv
 
@@ -212,6 +212,48 @@ class TestVertexRule:
             ((expected,), (expected + 1,))
         assert build_model(cfg).neighborhood == Neighborhood.from_offsets([(c,)])
         assert type(cfg.graph.vertex_list[0][0]) is int
+
+
+class TestBoundaryConstant:
+    """graph.boundary_constant is read only by a constant boundary: under
+    any other mode it is a config error, raised before anything is written."""
+
+    @staticmethod
+    def doc(tmp_path, **graph):
+        return base_config(output_dir=str(tmp_path / "o"),
+                           model={"family": "gff"},
+                           graph={"d": 1, "L": 2, **graph},
+                           run={"steps": 200, "tau": 1.0})
+
+    @pytest.mark.parametrize("mode", [None, "zero", "free"],
+                             ids=["default", "zero", "free"])
+    def test_rejected_unless_constant(self, tmp_path, capsys, mode):
+        # Once accepted and ignored: sample wrote the same trajectory.csv
+        # and summary.json with and without the key.
+        graph = {"boundary_constant": 7.5}
+        if mode is not None:
+            graph["boundary_mode"] = mode
+        doc = self.doc(tmp_path, **graph)
+        message = r"^graph\.boundary_constant: read only under boundary_mode"
+        with pytest.raises(ConfigError, match=message):
+            parse_config(doc)
+        assert main(["sample", "--config", write_config(tmp_path, doc)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: graph.boundary_constant")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("const", [7.5, None], ids=["given", "omitted"])
+    def test_constant_mode_reads_it(self, tmp_path, const):
+        graph = {"boundary_mode": "constant"}
+        if const is not None:
+            graph["boundary_constant"] = const
+        doc = self.doc(tmp_path, **graph)
+        cfg = parse_config(doc)
+        window = build_window(cfg, build_model(cfg))
+        want = 0.0 if const is None else const
+        assert cfg.graph.boundary_constant == window.boundary_constant == want
+        assert main(["sample", "--config", write_config(tmp_path, doc)]) == 0
+        assert (tmp_path / "o" / "summary.json").exists()
 
 
 class TestCliCommands:

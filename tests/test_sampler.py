@@ -9,7 +9,8 @@ import pytest
 from gibbsrwm import sampler
 from gibbsrwm.lattice import build_box, build_line
 from gibbsrwm.models import (Configuration, custom_pairwise, delta_hamiltonian,
-                             gaussian_product, gff, phi4, zeros_configuration)
+                             gaussian_product, gff, phi4, quadratic_operator,
+                             zeros_configuration)
 from gibbsrwm.oracle import build_precision, gaussian_exact_samples
 from gibbsrwm.sampler import (ProposalSpec, chain_rng, run_chain, run_replicas,
                               uniform_rng)
@@ -857,6 +858,114 @@ class TestOneProposalRounds:
         # The last solo chain, at the lowest acceptance, ran multi-proposal
         # rounds.
         assert counter.calls < self.STEPS
+
+
+class TestSingleSiteBatch:
+    """The batch of checks.mc_vs_quad_acceptance: one site, four rows at
+    tau = 0.5, 1, 2 and 4, each on its own stream, in rounds of several
+    proposals that commit with masked ufuncs.  Each row equals its solo
+    chain bit for bit."""
+
+    TAUS = (0.5, 1.0, 2.0, 4.0)
+    STEPS = 2 * sampler.CHUNK + 37
+
+    def test_rows_equal_solo_chains(self, monkeypatch):
+        counter = CountingRounds()
+        monkeypatch.setattr(sampler, "gradient_dh", counter)
+        m = gaussian_product(1.0, d=1)
+        w = build_line(1, m.neighborhood)
+        specs = [ProposalSpec(tau, 1) for tau in self.TAUS]
+        kwargs = dict(recording="full", thin=7, track_first=1)
+        runs = run_replicas(m, w, specs, self.STEPS, seed=31,
+                            n_replicas=len(specs),
+                            chain_ids=range(len(specs)), **kwargs)
+        assert counter.calls < self.STEPS
+        accepted = np.array([run.records.accepted for run in runs])
+        # Some committed steps move some rows and leave the others.
+        assert (accepted.any(axis=0) & ~accepted.all(axis=0)).any()
+        for cid, (run, spec) in enumerate(zip(runs, specs)):
+            solo = run_chain(m, w, spec, self.STEPS, seed=31, chain_id=cid,
+                             **kwargs)
+            for a, b in zip(dataclasses.astuple(run.records),
+                            dataclasses.astuple(solo.records)):
+                assert np.array_equal(a, b)
+            assert np.array_equal(run.states, solo.states)
+            assert np.array_equal(run.first_coord_path, solo.first_coord_path)
+            assert np.array_equal(run.final_state.values, solo.final_state.values)
+            for a, b in zip(dataclasses.astuple(run.summary),
+                            dataclasses.astuple(solo.summary)):
+                assert np.array_equal(a, b)
+
+
+class TestSummarySums:
+    """jump_sq_sum and dh_sum add one chunk at a time, in chunk order, each
+    chunk's records summed as one contiguous run of values."""
+
+    WIDTH = 200
+    STEPS = 3 * WIDTH + 57
+
+    @pytest.mark.parametrize("ids", [[0, 1, 2], [0, 1, 0]],
+                             ids=["own-streams", "shared-streams"])
+    def test_sums_add_chunk_sums_in_order(self, monkeypatch, ids):
+        m = gff(1.0, 0.5, d=1)
+        w = build_box(1, 3, m.neighborhood, "constant", 0.3)
+        monkeypatch.setattr(sampler, "CHUNK_BYTES", self.WIDTH * 8 * len(ids) * w.n)
+        specs = [ProposalSpec(tau, w.n) for tau in (1.0, 2.38, 4.0)]
+        runs = run_replicas(m, w, specs, self.STEPS, seed=13,
+                            n_replicas=len(ids), chain_ids=ids, recording="full")
+        for run in runs:
+            dh, jump = run.records.delta_h, run.records.jump_sq_first_coord
+            dh_sum = jump_sum = 0.0
+            for t in range(0, self.STEPS, self.WIDTH):
+                dh_sum += dh[t:t + self.WIDTH].sum()
+                jump_sum += jump[t:t + self.WIDTH].sum()
+            assert run.summary.dh_sum == dh_sum
+            assert run.summary.jump_sq_sum == jump_sum
+
+
+class TestCommitOperator:
+    """The batch-shaped operator of a full-batch commit gives the window
+    operator's gradient bit for bit, signed zeros included."""
+
+    @staticmethod
+    def window_operator(model_name):
+        if model_name == "product":
+            m = gaussian_product(2.0, d=1)
+            w = build_line(6, m.neighborhood)
+        elif model_name == "gff_zero":
+            m = gff(1.0, 0.5, d=1)
+            w = build_box(1, 3, m.neighborhood)
+        else:
+            m = gff(0.7, 0.3, d=2)
+            w = build_box(2, 2, m.neighborhood, "constant", -1.5)
+        return quadratic_operator(m, w)
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    @pytest.mark.parametrize("model_name", ["product", "gff_zero", "gff_constant"])
+    def test_gradient_equals_window_operator(self, model_name, rows):
+        op = self.window_operator(model_name)
+        batch = sampler._commit_operator(op, rows)
+        if rows > 1 and op.offdiag is not None:
+            # Such a batch commits only its moved rows, through op itself.
+            assert batch is op
+        else:
+            assert batch.diag.shape == batch.shift.shape == (rows, op.n)
+            assert batch.n == op.n
+        x = np.random.default_rng(rows).standard_normal((rows, op.n))
+        x[:, ::2] = -0.0
+        x[-1] = -0.0
+        want = op.gradient(x)
+        if model_name == "product":
+            assert np.signbit(want[x == 0]).all()  # -0.0 * Q_kk - 0.0
+        for got in (batch.gradient(x), batch.gradient(x, out=np.empty_like(x))):
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_one_row_takes_views(self):
+        op = self.window_operator("gff_constant")
+        batch = sampler._commit_operator(op, 1)
+        assert np.shares_memory(batch.diag, op.diag)
+        assert np.shares_memory(batch.shift, op.shift)
 
 
 class TestSignedZeros:

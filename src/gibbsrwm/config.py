@@ -13,8 +13,8 @@ import math
 from dataclasses import dataclass, field
 
 from .estimators import CYLINDER_FUNCTIONS
-from .lattice import (Neighborhood, Window, _as_vertex, build_box, build_line,
-                      nearest_neighbor)
+from .lattice import (BOUNDARY_MODES, Neighborhood, Window, _as_vertex,
+                      build_box, build_line, nearest_neighbor)
 from .models import InteractionModel, gaussian_product, gff, phi4
 from .sampler import INCREMENT_FAMILIES
 
@@ -188,7 +188,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
         nb = _coordinate_rows(nb, d, "model.neighborhood")
     model = ModelSpec(family, p, nb)
     mode = g.get("boundary_mode", "zero")
-    if mode not in ("zero", "constant", "free"):
+    if mode not in BOUNDARY_MODES:
         raise ConfigError(f"graph.boundary_mode: unknown mode {mode!r}")
     if "boundary_constant" in g and mode != "constant":
         raise ConfigError("graph.boundary_constant: read only under "

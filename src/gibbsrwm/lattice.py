@@ -1,29 +1,33 @@
 """Lattice windows, interaction neighborhoods, and window-growth diagnostics.
 
-Vertices live on the integer lattice Z^d and are represented as plain tuples
-of ints.  A Window is a finite vertex set together with its boundary (the
-sites whose full neighborhood sticks out of the window) and a frozen
-configuration on the outside sites that the boundary interacts with.
+Vertices live on the integer lattice Z^d and are read and shown as plain
+tuples of ints.  A Window is a finite vertex set together with its boundary
+(the sites whose full neighborhood sticks out of the window) and a frozen
+configuration on the outside sites that the boundary interacts with: zero,
+a constant, or none at all (a free boundary drops the terms that reach out).
 
 A window has one neighborhood, and a model runs only on a window built with
 the model's own (adjacency-form windows aside): the neighborhood decides both
 the boundary, whose complement is the interior the estimators average over,
 and the site tables the energy is assembled from.
 
-A lattice window's geometry comes from one (n, d) integer coordinate array,
-with numpy and no Python loop over sites: `_geometry` gives every site and
-every site + offset a mixed-radix key over the window's bounding box padded
-by the neighborhood's reach, and finds each target among the sorted site
-keys by binary search.  The boundary, the exterior halo and the site tables
-are all read from that one lookup, once, when the window is built;
-`build_box` builds its coordinates with `np.indices`.  Adjacency-form
-windows take their neighbors from the adjacency lists instead and have no
-boundary.  Only the hull and inradius diagnostics import scipy
+A window holds arrays: its (n, d) integer coordinate array, its interior
+indices and its site tables.  The geometry comes from the coordinates with
+numpy and no Python loop over sites: `_geometry` gives every site and every
+site + offset a mixed-radix key over the window's bounding box padded by the
+neighborhood's reach, and finds each target among the sorted site keys by
+binary search.  The interior and the site tables are read from that one
+lookup, once, when the window is built; `build_box` builds its coordinates
+with `np.indices`.  The per-vertex Python views (`vertices`, `index_of`,
+`boundary`) are built from the arrays only when first read.
+Adjacency-form windows take their neighbors from the adjacency lists instead
+and have no boundary.  Only the hull and inradius diagnostics import scipy
 (`scipy.spatial`), where they are called.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -132,26 +136,18 @@ def _coordinates(rows, d: int) -> np.ndarray:
         return np.array(rows, dtype=object).reshape(len(rows), d)
 
 
-@dataclass(frozen=True)
-class _Geometry:
-    """Where each (slot, site) of a lattice window points, for one offset list."""
-
-    nbr: np.ndarray              # (S, n) index of site i + offset s, or -1 outside
-    halo: tuple[Vertex, ...]     # the distinct outside targets, sorted
-    halo_of: np.ndarray          # halo position of each outside slot, slot-major
-
-
-def _geometry(coords: np.ndarray, offsets) -> _Geometry:
-    """Neighbor lookup of the distinct coordinate rows `coords` at `offsets`.
+def _geometry(coords: np.ndarray, offsets) -> np.ndarray:
+    """(S, n) neighbor lookup of the coordinate rows `coords` at `offsets`:
+    the index of site i + offset s, or -1 outside.  A repeated row is a
+    ValueError.
 
     Every site and every target gets one mixed-radix key over the window's
     bounding box padded by the offsets' reach, so a target is inside iff its
-    key is a site's key, and keys sort as the vertex tuples do.  Keys are
-    int64, or Python ints when the padded box has 2**63 cells or more."""
+    key is a site's key.  Keys are int64, or Python ints when the padded box
+    has 2**63 cells or more."""
     n, d = coords.shape
     if n == 0:
-        return _Geometry(np.empty((len(offsets), 0), dtype=np.intp), (),
-                         np.empty(0, dtype=np.intp))
+        return np.empty((len(offsets), 0), dtype=np.intp)
     reach = [max((abs(off[a]) for off in offsets), default=0) for a in range(d)]
     lo = [int(c) for c in coords.min(axis=0)]
     ext = [int(c) - m + 2 * r + 1 for c, m, r in zip(coords.max(axis=0), lo, reach)]
@@ -161,41 +157,29 @@ def _geometry(coords: np.ndarray, offsets) -> _Geometry:
         coords = coords.astype(object)
     key = sum((coords[:, a] - lo[a] + reach[a]) * stride[a] for a in range(d))
     key = key.astype(dtype, copy=False)
-    shift = np.array([sum(map(operator.mul, off, stride)) for off in offsets],
-                     dtype=dtype)
-    targets = (shift[:, None] + key[None, :]).ravel()
     order = np.argsort(key, kind="stable")  # a merge sort: linear on a box's sorted keys
     sorted_keys = key[order]
+    if (sorted_keys[1:] == sorted_keys[:-1]).any():
+        raise ValueError("window vertices are not distinct")
+    shift = np.array([sum(map(operator.mul, off, stride)) for off in offsets],
+                     dtype=dtype)
+    targets = shift[:, None] + key[None, :]
     pos = np.minimum(np.searchsorted(sorted_keys, targets), n - 1)
-    inside = sorted_keys[pos] == targets
-    nbr = np.where(inside, order[pos], -1).reshape(len(offsets), n)
-    halo_keys, halo_of = np.unique(targets[~inside], return_inverse=True)
-    halo_keys = halo_keys.astype(object)
-    halo = zip(*[((halo_keys // stride[a]) % ext[a] + lo[a] - reach[a]).tolist()
-                 for a in range(d)])
-    return _Geometry(nbr, tuple(halo), halo_of)
-
-
-def _vertex_set_geometry(vertices, neighborhood: Neighborhood):
-    vs = list({_as_vertex(v) for v in vertices})
-    return vs, _geometry(_coordinates(vs, neighborhood.d), neighborhood.nonzero_offsets)
-
-
-def boundary_of(vertices, neighborhood: Neighborhood) -> frozenset[Vertex]:
-    """Sites k in the window with k + offsets not fully inside the window."""
-    vs, geom = _vertex_set_geometry(vertices, neighborhood)
-    return frozenset(itertools.compress(vs, (geom.nbr < 0).any(axis=0)))
+    outside = sorted_keys[pos] != targets
+    nbr = order[pos]
+    nbr[outside] = -1
+    return nbr
 
 
 def exterior_halo(vertices, neighborhood: Neighborhood) -> frozenset[Vertex]:
     """Outside sites reachable from the boundary: (offsets + bdry) minus window."""
-    return frozenset(_vertex_set_geometry(vertices, neighborhood)[1].halo)
-
-
-class MissingBoundaryValueError(KeyError):
-    def __init__(self, vertex: Vertex):
-        super().__init__(f"no boundary value for outside vertex {vertex}")
-        self.vertex = vertex
+    vs = list({_as_vertex(v) for v in vertices})
+    coords = _coordinates(vs, neighborhood.d)
+    offsets = neighborhood.nonzero_offsets
+    s, i = np.nonzero(_geometry(coords, offsets) < 0)
+    # Python ints: a site + offset may leave int64.
+    offs = np.array(offsets, dtype=object).reshape(len(offsets), neighborhood.d)
+    return frozenset(map(tuple, (coords[i].astype(object) + offs[s]).tolist()))
 
 
 @dataclass(frozen=True)
@@ -216,67 +200,62 @@ class SiteTables:
     active: np.ndarray  # (S, n) bool
 
 
-BOUNDARY_MODES = ("zero", "constant", "free", "explicit")
+BOUNDARY_MODES = ("zero", "constant", "free")
 
 
 class Window:
     """Finite vertex set V_n with boundary and frozen outside configuration.
 
-    Immutable after construction.  ``boundary_mode`` fixes the outside
-    configuration: "zero" and "constant" define it everywhere outside,
-    "free" drops potential terms that reach outside, "explicit" reads from
-    a user-supplied map.
+    Immutable after construction.  The window holds its sites as ``coords``,
+    an (n, d) coordinate array, plus the interior indices and site tables
+    built from it; the per-vertex views ``vertices``, ``index_of`` and
+    ``boundary`` are built from those arrays on first read.
+    ``boundary_mode`` fixes the outside configuration: "zero" and
+    "constant" (``boundary_constant``) define it everywhere outside, and
+    "free" drops potential terms that reach outside.  A non-zero
+    ``boundary_constant`` that the window would not read is a ValueError.
     """
 
     def __init__(self, vertices, neighborhood: Neighborhood, boundary_mode="zero",
-                 boundary_constant=0.0, explicit_values=None, adjacency=None):
+                 boundary_constant=0.0, adjacency=None):
         if boundary_mode not in BOUNDARY_MODES:
             raise ValueError(f"unknown boundary_mode {boundary_mode!r}")
-        coords = None
+        d = neighborhood.d
         if (isinstance(vertices, np.ndarray) and vertices.dtype == np.int64
-                and vertices.ndim == 2 and vertices.shape[1] == neighborhood.d):
-            coords = vertices
-            self.vertices: tuple[Vertex, ...] = tuple(zip(*coords.T.tolist()))
+                and vertices.ndim == 2 and vertices.shape[1] == d):
+            coords = vertices.copy()
         else:
-            self.vertices = tuple(_as_vertex(v) for v in vertices)
-        n = len(self.vertices)
-        self.index_of: dict[Vertex, int] = dict(zip(self.vertices, range(n)))
-        if len(self.index_of) != n:
-            raise ValueError("window vertices are not distinct")
-        if set(map(len, self.vertices)) - {neighborhood.d}:
-            raise ValueError("vertex dimension does not match neighborhood")
+            rows = [_as_vertex(v) for v in vertices]
+            if set(map(len, rows)) - {d}:
+                raise ValueError("vertex dimension does not match neighborhood")
+            coords = _coordinates(rows, d)
+        coords.setflags(write=False)
+        self.coords = coords
         self.neighborhood = neighborhood
         self.boundary_mode = boundary_mode
         self.boundary_constant = float(boundary_constant)
         if not math.isfinite(self.boundary_constant):
             raise ValueError(f"boundary_constant must be finite, got {boundary_constant}")
-        self._explicit = dict(explicit_values or {})
+        if self.boundary_constant and (boundary_mode != "constant" or adjacency is not None):
+            raise ValueError(f"boundary_constant {boundary_constant} is read only by a "
+                             "lattice window with boundary_mode 'constant'")
+        n = self.n
+        offsets = None if adjacency is not None else neighborhood.nonzero_offsets
+        nbr = _geometry(coords, offsets or ())  # a repeated vertex raises here
+        interior = np.flatnonzero(~(nbr < 0).any(axis=0))
         self.adjacency = None
         if adjacency is not None:
             self.adjacency = tuple(tuple(int(j) for j in nbrs) for nbrs in adjacency)
-            if len(self.adjacency) != self.n:
+            if len(self.adjacency) != n:
                 raise ValueError("adjacency list length does not match vertex count")
             for i, nbrs in enumerate(self.adjacency):
                 for j in nbrs:
-                    if not 0 <= j < self.n:
+                    if not 0 <= j < n:
                         raise ValueError(f"adjacency index {j} out of range")
                     if j == i:
                         raise ValueError(f"adjacency lists vertex {i} as its own neighbor")
                     if i not in self.adjacency[j]:
                         raise ValueError("adjacency relation is not symmetric")
-        self.boundary: frozenset[Vertex] = frozenset()
-        self.boundary_values: dict[Vertex, float] = {}
-        interior = np.arange(n, dtype=np.intp)
-        if self.adjacency is None:
-            offsets = neighborhood.nonzero_offsets
-            geom = _geometry(_coordinates(self.vertices if coords is None else coords,
-                                          neighborhood.d), offsets)
-            nbr = geom.nbr
-            on_boundary = (nbr < 0).any(axis=0)
-            self.boundary = frozenset(itertools.compress(self.vertices, on_boundary))
-            interior = np.flatnonzero(~on_boundary)
-        else:
-            offsets = None
             degree = max((len(a) for a in self.adjacency), default=0)
             nbr = np.full((degree, n), -1, dtype=np.intp)
             for i, nbrs in enumerate(self.adjacency):
@@ -285,8 +264,8 @@ class Window:
         active = nbr >= 0
         if self.adjacency is None and boundary_mode != "free":
             # Outside slots read the frozen configuration: every slot is active.
-            self.boundary_values = {v: self.boundary_value_at(v) for v in geom.halo}
-            frozen[~active] = np.array(list(self.boundary_values.values()))[geom.halo_of]
+            if boundary_mode == "constant":
+                frozen[~active] = self.boundary_constant
             active = np.ones_like(active)
         for arr in (interior, nbr, frozen, active):
             arr.setflags(write=False)
@@ -295,24 +274,24 @@ class Window:
 
     @property
     def n(self) -> int:
-        return len(self.vertices)
+        return len(self.coords)
 
-    def boundary_value_at(self, vertex: Vertex):
-        """Frozen value at an outside vertex, or None when dropped (free mode)."""
-        if vertex in self.index_of:
-            raise ValueError(f"{vertex} is inside the window")
-        if self.boundary_mode == "zero":
-            return 0.0
-        if self.boundary_mode == "constant":
-            return self.boundary_constant
-        if self.boundary_mode == "free":
-            return None
-        if vertex not in self._explicit:
-            raise MissingBoundaryValueError(vertex)
-        value = float(self._explicit[vertex])
-        if not math.isfinite(value):
-            raise ValueError(f"boundary value at {vertex} must be finite, got {value}")
-        return value
+    @functools.cached_property
+    def vertices(self) -> tuple[Vertex, ...]:
+        """The sites as tuples of ints, in window order."""
+        return tuple(zip(*self.coords.T.tolist()))
+
+    @functools.cached_property
+    def index_of(self) -> dict[Vertex, int]:
+        """Window index of each site, in window order."""
+        return dict(zip(self.vertices, range(self.n)))
+
+    @functools.cached_property
+    def boundary(self) -> frozenset[Vertex]:
+        """The sites off the interior: those whose neighborhood reaches outside."""
+        on_boundary = np.ones(self.n, dtype=bool)
+        on_boundary[self._interior] = False
+        return frozenset(itertools.compress(self.vertices, on_boundary))
 
     def interior_indices(self) -> np.ndarray:
         """Indices of the sites off the boundary, ascending (read-only)."""

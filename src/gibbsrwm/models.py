@@ -93,10 +93,6 @@ class Configuration:
         self.values = vals
 
 
-def zeros_configuration(window: Window) -> Configuration:
-    return Configuration(window, np.zeros(window.n))
-
-
 def _check_model_window(model: InteractionModel, window: Window):
     if window.adjacency is None and window.neighborhood != model.neighborhood:
         raise ValueError(f"{model.family} needs a window built with its own "
@@ -258,25 +254,6 @@ def hamiltonian_gradient(model: InteractionModel, window: Window, values: np.nda
     if not model.is_quadratic:
         g += model.d_self_energy(x)
     return g
-
-
-def grad_hamiltonian(model: InteractionModel, config: Configuration, k,
-                     allow_boundary: bool = False) -> float:
-    """Energy gradient at vertex k.
-
-    For interior k this equals the infinite-volume gradient of the
-    translation-invariant potential; boundary sites need allow_boundary=True
-    and return the window-energy gradient instead.
-    """
-    vertex = _as_vertex(k)
-    w = config.window
-    if vertex not in w.index_of:
-        raise KeyError(f"vertex {vertex} not in window")
-    if vertex in w.boundary and not allow_boundary:
-        raise ValueError(f"vertex {vertex} is on the window boundary; "
-                         "pass allow_boundary=True for the window gradient")
-    g = hamiltonian_gradient(model, w, config.values)
-    return float(g[w.index_of[vertex]])
 
 
 # -- Model zoo ---------------------------------------------------------------

@@ -255,6 +255,14 @@ class TestBoundaryConstant:
         assert main(["sample", "--config", write_config(tmp_path, doc)]) == 0
         assert (tmp_path / "o" / "summary.json").exists()
 
+    def test_unknown_mode_rejected(self, tmp_path, capsys):
+        # The config reads lattice.BOUNDARY_MODES, which has no "explicit".
+        doc = self.doc(tmp_path, boundary_mode="explicit")
+        assert main(["sample", "--config", write_config(tmp_path, doc)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: graph.boundary_mode: unknown mode 'explicit'")
+        assert not (tmp_path / "o").exists()
+
 
 class TestCliCommands:
     def run_cli(self, command, cfg_path, *extra):

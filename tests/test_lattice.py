@@ -1,13 +1,13 @@
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gibbsrwm.lattice import (BOUNDARY_MODES, MissingBoundaryValueError,
-                              Neighborhood, Window, boundary_of,
+from gibbsrwm.lattice import (BOUNDARY_MODES, Neighborhood, Window,
                               boundary_ratio, build_box, build_line,
                               exterior_halo, h2_diagnostics, loglog_slope,
                               nearest_neighbor, self_neighborhood)
@@ -55,6 +55,10 @@ class TestNeighborhood:
         assert len(nearest_neighbor(3).nonzero_offsets) == 6
 
 
+def boundary_of(vertices, nb):
+    return Window(vertices, nb).boundary
+
+
 class TestBoundary:
     def test_single_vertex_self_neighborhood(self):
         assert boundary_of([(0, 0)], self_neighborhood(2)) == frozenset()
@@ -91,7 +95,8 @@ class TestBuildBox:
         w = build_box(1, 1, nb)
         assert w.vertices == ((-1,), (0,), (1,))
         assert w.boundary == {(-1,), (1,)}
-        assert w.boundary_values == {(-2,): 0.0, (2,): 0.0}
+        assert exterior_halo(w.vertices, nb) == {(-2,), (2,)}
+        assert w.site_tables().frozen.tolist() == [[0.0] * 3] * 2
 
     def test_single_vertex_box(self):
         w = build_box(2, 0, self_neighborhood(2))
@@ -107,7 +112,8 @@ class TestBuildBox:
     def test_constant_boundary_values(self):
         w = build_box(1, 1, Neighborhood.from_offsets([(1,)]),
                       boundary_mode="constant", boundary_constant=2.5)
-        assert w.boundary_values == {(-2,): 2.5, (2,): 2.5}
+        # Slot (-1,) of site (-1,) and slot (1,) of site (1,) read the outside.
+        assert w.site_tables().frozen.tolist() == [[2.5, 0.0, 0.0], [0.0, 0.0, 2.5]]
 
     def test_index_bijection(self):
         w = build_box(2, 2, nearest_neighbor(2))
@@ -125,35 +131,39 @@ class TestBuildBox:
 
 
 class TestWindow:
-    def test_explicit_boundary_missing_value_names_vertex(self):
-        nb = Neighborhood.from_offsets([(1,)])
-        w = Window([(0,), (1,)], nb, boundary_mode="explicit",
-                   explicit_values={(-1,): 0.3, (2,): 0.1})
-        with pytest.raises(MissingBoundaryValueError) as err:
-            w.boundary_value_at((5,))
-        assert "(5,)" in str(err.value)
-
-    def test_explicit_construction_fails_eagerly(self):
-        nb = Neighborhood.from_offsets([(1,)])
-        with pytest.raises(MissingBoundaryValueError):
-            Window([(0,), (1,)], nb, boundary_mode="explicit",
-                   explicit_values={})
-
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_boundary_value_rejected(self, bad):
         # A nan constant once built a window on which every dH was nan.
         nb = Neighborhood.from_offsets([(1,)])
         with pytest.raises(ValueError, match="boundary_constant must be finite"):
             build_line(5, nb, "constant", bad)
-        with pytest.raises(ValueError, match=r"boundary value at \(2,\) must be finite"):
-            Window([(0,), (1,)], nb, boundary_mode="explicit",
-                   explicit_values={(-1,): 0.3, (2,): bad})
 
     def test_free_mode_has_no_stored_values(self):
         nb = Neighborhood.from_offsets([(1,)])
-        w = Window([(0,), (1,)], nb, boundary_mode="free")
-        assert w.boundary_values == {}
-        assert w.boundary_value_at((2,)) is None
+        t = Window([(0,), (1,)], nb, boundary_mode="free").site_tables()
+        assert t.active.tolist() == [[False, True], [True, False]]
+        assert not t.frozen.any()
+
+    @pytest.mark.parametrize("kw", [
+        dict(boundary_mode="zero"), dict(boundary_mode="free"),
+        dict(boundary_mode="constant", adjacency=[(1,), (0, 2), (1,)])],
+        ids=["zero", "free", "adjacency"])
+    def test_ignored_boundary_constant_rejected(self, kw):
+        # Only a lattice window in constant mode reads the constant; a zero
+        # of either sign is the builders' default and stays accepted.
+        vertices, nb = [(0,), (1,), (2,)], nearest_neighbor(1)
+        with pytest.raises(ValueError, match="boundary_constant"):
+            Window(vertices, nb, boundary_constant=7.5, **kw)
+        for zero in (0.0, -0.0):
+            tables = Window(vertices, nb, boundary_constant=zero, **kw).site_tables()
+            assert not tables.frozen.any()
+
+    def test_per_vertex_views_built_on_first_read(self):
+        w = build_box(2, 2, nearest_neighbor(2))
+        assert not {"vertices", "index_of", "boundary"} & set(vars(w))
+        assert w.coords.shape == (25, 2) and not w.coords.flags.writeable
+        assert w.vertices[0] == (-2, -2) and w.index_of[(2, 2)] == 24
+        assert (0, 0) not in w.boundary and w.vertices is w.vertices
 
     def test_adjacency_symmetric_required(self):
         with pytest.raises(ValueError):
@@ -174,9 +184,27 @@ class TestWindow:
         assert t.active.sum() == 4  # four directed edges
         assert not t.frozen.any()
 
-    def test_duplicate_vertices_rejected(self):
-        with pytest.raises(ValueError):
-            Window([(0,), (0,)], self_neighborhood(1))
+    @pytest.mark.parametrize("form", ["list", "int64_array", "adjacency"])
+    def test_duplicate_vertices_rejected(self, form):
+        vertices = [(0, 1), (2, 0), (0, 1)]
+        kw = {}
+        if form == "int64_array":
+            vertices = np.array(vertices, dtype=np.int64)
+        elif form == "adjacency":
+            kw["adjacency"] = [(), (), ()]
+        with pytest.raises(ValueError, match="not distinct"):
+            Window(vertices, nearest_neighbor(2), **kw)
+
+    def test_build_memory(self):
+        # The build holds arrays, not per-vertex tuples and dicts: a
+        # 201x201 box peaked at 13.6 MB when it built them, and at 6.3 MB since.
+        tracemalloc.start()
+        try:
+            build_box(2, 100, nearest_neighbor(2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6, peak
 
     @pytest.mark.parametrize("vertices", [[(0,), (1.7,), (3.2,)],
                                           [(0,), (np.float64(0.5),)]])
@@ -237,10 +265,13 @@ class TestH2Diagnostics:
             ratios.append(boundary_ratio(w.vertices, nb))
         assert loglog_slope(ns, ratios) <= -1.0 / d + 0.05
 
-    def test_halo_matches_stored_boundary_values(self):
+    def test_halo_matches_outside_slots(self):
         nb = nearest_neighbor(2)
         w = build_box(2, 3, nb)
-        assert set(w.boundary_values) == set(exterior_halo(w.vertices, nb))
+        t = w.site_tables()
+        outside = {_add(w.vertices[i], t.offsets[s])
+                   for s, i in zip(*np.nonzero(t.nbr < 0))}
+        assert outside == exterior_halo(w.vertices, nb)
 
 
 def test_build_line_any_size():
@@ -288,29 +319,26 @@ def loop_exterior_halo(vertices, nb):
     return frozenset(halo - vs)
 
 
-def loop_window(vertices, nb, mode, const=0.0, explicit=None):
-    """vertices, index_of, boundary, boundary_values and the interior indices
-    as the loop builder made them; raises MissingBoundaryValueError for the
-    first outside vertex without an explicit value, in sorted order."""
+def frozen_value(mode, constant):
+    """What an outside site reads under boundary mode `mode`: the frozen
+    value, or None where the term is dropped (free)."""
+    return {"zero": 0.0, "constant": float(constant), "free": None}[mode]
+
+
+def loop_window(vertices, nb):
+    """vertices, index_of, boundary and the interior indices as the loop
+    builder made them."""
     vs = tuple(tuple(int(c) for c in v) for v in vertices)
     boundary = loop_boundary_of(vs, nb)
-    values = {}
-    if mode != "free":
-        for v in sorted(loop_exterior_halo(vs, nb)):
-            if mode != "explicit":
-                values[v] = 0.0 if mode == "zero" else float(const)
-            elif v in explicit:
-                values[v] = float(explicit[v])
-            else:
-                raise MissingBoundaryValueError(v)
     interior = np.array([i for i, v in enumerate(vs) if v not in boundary],
                         dtype=np.intp)
-    return vs, {v: i for i, v in enumerate(vs)}, boundary, values, interior
+    return vs, {v: i for i, v in enumerate(vs)}, boundary, interior
 
 
 def loop_tables(window):
     """(nbr, frozen, active) of a lattice window, slot by slot and site by
     site."""
+    val = frozen_value(window.boundary_mode, window.boundary_constant)
     offs = window.neighborhood.nonzero_offsets
     nbr = np.full((len(offs), window.n), -1, dtype=np.intp)
     frozen = np.zeros((len(offs), window.n))
@@ -321,9 +349,7 @@ def loop_tables(window):
             j = window.index_of.get(tgt)
             if j is not None:
                 nbr[s, i] = j
-                continue
-            val = window.boundary_value_at(tgt)
-            if val is None:
+            elif val is None:
                 active[s, i] = False
             else:
                 frozen[s, i] = val
@@ -333,13 +359,6 @@ def loop_tables(window):
 def assert_bit_identical(got, want):
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
-
-
-def explicit_values_for(vertices, nb):
-    """A frozen value for every outside site `nb` reaches, with repeats and
-    both signed zeros."""
-    pool = [0.0, -0.0, 1.5, -2.25, 0.5, 1.5]
-    return {v: pool[sum(v) % len(pool)] for v in sorted(loop_exterior_halo(vertices, nb))}
 
 
 RANGE2 = custom_pairwise({v: 0.1 for v in [(2, 0), (-2, 0), (1, 1), (-1, -1),
@@ -365,20 +384,18 @@ GEOMETRY_CASES = {
 }
 
 
-def build_case(name, mode):
-    """Boxes and lines through their builders (explicit values: from an
-    integer array, as the builders pass them), the rest from the list."""
+def build_case(name, mode, const=None):
+    """Boxes and lines through their builders, the rest from the list; a
+    constant boundary reads `const`, 1.5 unless given."""
     vertices, nb = GEOMETRY_CASES[name]
-    if mode == "explicit":
-        built = name.startswith(("box", "line"))
-        return Window(np.array(vertices) if built else vertices, nb, mode,
-                      explicit_values=explicit_values_for(vertices, nb))
+    if const is None:
+        const = 1.5 if mode == "constant" else 0.0
     if name.startswith("box"):
         L = (round(len(vertices) ** (1 / nb.d)) - 1) // 2
-        return build_box(nb.d, L, nb, mode, 1.5)
+        return build_box(nb.d, L, nb, mode, const)
     if name.startswith("line"):
-        return build_line(len(vertices), nb, mode, 1.5)
-    return Window(vertices, nb, mode, 1.5)
+        return build_line(len(vertices), nb, mode, const)
+    return Window(vertices, nb, mode, const)
 
 
 class TestGeometryMatchesLoops:
@@ -389,14 +406,10 @@ class TestGeometryMatchesLoops:
     def test_window_and_tables(self, name, mode):
         vertices, nb = GEOMETRY_CASES[name]
         w = build_case(name, mode)
-        vs, index_of, boundary, values, interior = loop_window(
-            vertices, nb, mode, 1.5, w._explicit)
+        vs, index_of, boundary, interior = loop_window(vertices, nb)
         assert w.vertices == vs
         assert list(w.index_of.items()) == list(index_of.items())
         assert w.boundary == boundary
-        assert list(w.boundary_values.items()) == list(values.items())
-        assert [np.signbit(x) for x in w.boundary_values.values()] == \
-            [np.signbit(x) for x in values.values()]
         assert_bit_identical(w.interior_indices(), interior)
         assert not w.interior_indices().flags.writeable
         t = w.site_tables()
@@ -404,6 +417,18 @@ class TestGeometryMatchesLoops:
         for got, want in zip((t.nbr, t.frozen, t.active), loop_tables(w)):
             assert_bit_identical(got, want)
             assert not got.flags.writeable
+
+    @pytest.mark.parametrize("name", sorted(GEOMETRY_CASES))
+    def test_negative_zero_constant_is_kept(self, name):
+        # A constant of -0.0 is stored as given, sign bit and all, in every
+        # active outside slot; the loop tables fill -0.0 the same way.
+        w = build_case(name, "constant", -0.0)
+        t = w.site_tables()
+        for got, want in zip((t.nbr, t.frozen, t.active), loop_tables(w)):
+            assert_bit_identical(got, want)
+        outside = t.active & (t.nbr < 0)
+        assert np.signbit(t.frozen[outside]).all()
+        assert not np.signbit(t.frozen[~outside]).any()
 
     @pytest.mark.parametrize("name", ["box_d2", "annulus_shuffled", "box_range2",
                                       "huge_coordinates", "sparse_d4"])
@@ -417,18 +442,6 @@ class TestGeometryMatchesLoops:
             sorted(itertools.product(range(-2, 3), repeat=3)))
         assert build_line(4).vertices == ((0,), (1,), (2,), (3,))
 
-    @pytest.mark.parametrize("name", ["box_d2", "annulus_shuffled", "box_range2"])
-    def test_missing_explicit_value_names_the_same_vertex(self, name):
-        vertices, nb = GEOMETRY_CASES[name]
-        full = explicit_values_for(vertices, nb)
-        for dropped in (sorted(full)[::3], sorted(full)[-1:]):
-            explicit = {v: x for v, x in full.items() if v not in dropped}
-            with pytest.raises(MissingBoundaryValueError) as want:
-                loop_window(vertices, nb, "explicit", explicit=explicit)
-            with pytest.raises(MissingBoundaryValueError) as got:
-                Window(vertices, nb, "explicit", explicit_values=explicit)
-            assert got.value.vertex == want.value.vertex
-            assert str(got.value) == str(want.value)
 
 
 @given(st.sets(st.tuples(st.integers(-4, 4), st.integers(-4, 4)), min_size=1,
@@ -439,12 +452,10 @@ class TestGeometryMatchesLoops:
 def test_random_windows_match_loops(vertices, offsets, mode):
     vertices = sorted(vertices, key=lambda v: (v[1] * 7 + v[0]) % 11)
     nb = Neighborhood.from_offsets(offsets or [(0, 0)])
-    explicit = explicit_values_for(vertices, nb)
-    w = Window(vertices, nb, mode, -0.0, explicit_values=explicit)
-    vs, index_of, boundary, values, interior = loop_window(vertices, nb, mode,
-                                                           -0.0, explicit)
+    w = Window(vertices, nb, mode, -0.0)
+    vs, index_of, boundary, interior = loop_window(vertices, nb)
     assert w.vertices == vs and w.boundary == boundary
-    assert list(w.boundary_values.items()) == list(values.items())
+    assert list(w.index_of.items()) == list(index_of.items())
     assert_bit_identical(w.interior_indices(), interior)
     t = w.site_tables()
     for got, want in zip((t.nbr, t.frozen, t.active), loop_tables(w)):

@@ -1,15 +1,14 @@
 import numpy as np
 import pytest
 
-from gibbsrwm.lattice import (Window, build_box, build_line, exterior_halo,
-                              nearest_neighbor)
+from gibbsrwm.lattice import Window, build_box, build_line, nearest_neighbor
 from gibbsrwm.models import (Configuration, custom_pairwise, delta_hamiltonian,
-                             gaussian_product, gff, grad_hamiltonian,
-                             hamiltonian, hamiltonian_gradient,
-                             log_density_ratio, phi4, quadratic_operator,
-                             zeros_configuration)
+                             gaussian_product, gff, hamiltonian,
+                             hamiltonian_gradient, log_density_ratio, phi4,
+                             quadratic_operator)
 from gibbsrwm.oracle import build_precision
 from gibbsrwm.sampler import ProposalSpec, run_replicas
+from test_lattice import frozen_value
 
 RNG = np.random.default_rng(20240811)
 
@@ -17,16 +16,17 @@ RNG = np.random.default_rng(20240811)
 def naive_site_energy(model, window, values, k):
     """Slow per-site energy straight from the pair-term definition."""
     x_k = values[window.index_of[k]]
+    outside = frozen_value(window.boundary_mode, window.boundary_constant)
     self_e = float(model.self_energy(np.array([x_k]))[0])
     total = self_e
     for v in model.neighborhood.nonzero_offsets:
         tgt = tuple(a + b for a, b in zip(k, v))
         if tgt in window.index_of:
             nv = values[window.index_of[tgt]]
+        elif outside is None:  # free boundary: term dropped
+            continue
         else:
-            nv = window.boundary_value_at(tgt)
-            if nv is None:  # free boundary: term dropped
-                continue
+            nv = outside
         total += model.pair_diag[v] * x_k**2 - model.pair_cross[v] * x_k * nv
     return total
 
@@ -47,10 +47,11 @@ def models_to_probe():
 
 def slot_loop_site_energies(model, window, values):
     """Per-site energies eps_k by a per-slot gather-then-select loop straight
-    from the window definition (index_of, boundary_value_at, adjacency): the
-    test-side reference for the operator's H."""
+    from the window definition (index_of, the boundary mode's frozen value,
+    adjacency): the test-side reference for the operator's H."""
     x = np.asarray(values, dtype=float)
     n = window.n
+    outside = frozen_value(window.boundary_mode, window.boundary_constant)
     if window.adjacency is None:
         slots = [(model.pair_diag[v], model.pair_cross[v],
                   [tuple(a + b for a, b in zip(k, v)) for k in window.vertices])
@@ -70,10 +71,10 @@ def slot_loop_site_energies(model, window, values):
         for i, tgt in enumerate(targets):
             if tgt in window.index_of:
                 idx[i], inside[i] = window.index_of[tgt], True
-            elif tgt is None or window.boundary_value_at(tgt) is None:
+            elif tgt is None or outside is None:
                 active[i] = False
             else:
-                bval[i] = window.boundary_value_at(tgt)
+                bval[i] = outside
         nv = np.where(inside, x[..., idx], bval)
         term = diag * x * x - cross * x * nv
         eps = eps + np.where(active, term, 0.0)
@@ -83,20 +84,18 @@ def slot_loop_site_energies(model, window, values):
 def gather_windows():
     nb = nearest_neighbor(2)
     rect = [(i, j) for i in range(4) for j in range(3)]
-    halo = sorted(exterior_halo(rect, nb))
-    explicit = {v: (-0.0 if k % 3 == 0 else 0.4 * k - 2.0) for k, v in enumerate(halo)}
     ring = [[(i - 1) % 7, (i + 1) % 7] for i in range(7)]
     return {
         "zero": build_box(2, 3, nb),
         "constant": build_box(2, 3, nb, "constant", -1.7),
         "free": build_box(2, 3, nb, "free"),
-        "explicit": Window(rect, nb, "explicit", explicit_values=explicit),
+        "rect_constant": Window(rect, nb, "constant", 0.4),
         "adjacency": Window([(i, 0) for i in range(7)], nb, adjacency=ring),
     }
 
 
 class TestSiteEnergiesGather:
-    @pytest.mark.parametrize("name", ["zero", "constant", "free", "explicit",
+    @pytest.mark.parametrize("name", ["zero", "constant", "free", "rect_constant",
                                       "adjacency"])
     @pytest.mark.parametrize("model", [gff(0.7, 0.3, d=2), gff(1.0, 1.0, d=2),
                                        phi4(0.25, -0.5, d=2)],
@@ -120,7 +119,7 @@ class TestHamiltonian:
     def test_gaussian_zero_config(self):
         m = gaussian_product(1.0, d=1)
         w = build_line(3, m.neighborhood)
-        assert hamiltonian(m, zeros_configuration(w)) == 0.0
+        assert hamiltonian(m, Configuration(w, np.zeros(w.n))) == 0.0
 
     def test_gaussian_sum_of_squares(self):
         m = gaussian_product(1.0, d=1)
@@ -162,7 +161,7 @@ class TestHamiltonian:
                  (gaussian_product(1.0, d=2), build_box(2, 2, nearest_neighbor(2)))]
         for model, w in cases:
             for call in (lambda: quadratic_operator(model, w),
-                         lambda: hamiltonian(model, zeros_configuration(w)),
+                         lambda: hamiltonian(model, Configuration(w, np.zeros(w.n))),
                          lambda: build_precision(model, w),
                          lambda: run_replicas(model, w, ProposalSpec(1.0, w.n), 10, 0)):
                 with pytest.raises(ValueError, match="model.neighborhood"):
@@ -230,25 +229,39 @@ class TestGradient:
     def test_gaussian_gradient_is_identity(self):
         m = gaussian_product(1.0, d=1)
         w = build_line(5, m.neighborhood)
-        cfg = Configuration(w, RNG.standard_normal(5))
+        x = RNG.standard_normal(5)
+        g = hamiltonian_gradient(m, w, x)
         for k in w.vertices:
-            assert grad_hamiltonian(m, cfg, k) == pytest.approx(
-                cfg.values[w.index_of[k]])
+            assert g[w.index_of[k]] == pytest.approx(x[w.index_of[k]])
 
     def test_gff_interior_formula(self):
         m = gff(1.3, 0.7, d=2)
         w = build_box(2, 2, m.neighborhood)
-        cfg = Configuration(w, RNG.standard_normal(w.n))
-        x = cfg.values
+        x = RNG.standard_normal(w.n)
         i = w.index_of[(0, 0)]
         nbrs = [w.index_of[v] for v in ((0, 1), (0, -1), (1, 0), (-1, 0))]
         expected = 1.3 * sum(x[i] - x[j] for j in nbrs) + 0.7 * x[i]
-        assert grad_hamiltonian(m, cfg, (0, 0)) == pytest.approx(expected)
+        assert hamiltonian_gradient(m, w, x)[i] == pytest.approx(expected)
+
+    @pytest.mark.parametrize("mode,const", [("zero", 0.0), ("constant", -0.6),
+                                            ("free", 0.0)])
+    def test_gff_corner_formula(self, mode, const):
+        # The corner (1, 1) of a 3x3 box has two neighbors inside and two
+        # outside. An outside slot's term (beta/2)(x^2 - x c) reads the frozen
+        # value c, and drops out under a free boundary.
+        m = gff(1.3, 0.7, d=2)
+        w = build_box(2, 1, m.neighborhood, mode, const)
+        x = RNG.standard_normal(w.n)
+        i = w.index_of[(1, 1)]
+        inside = sum(x[i] - x[w.index_of[v]] for v in ((0, 1), (1, 0)))
+        outside = 0.0 if mode == "free" else 2 * (x[i] - 0.5 * const)
+        expected = 1.3 * (inside + outside) + 0.7 * x[i]
+        assert hamiltonian_gradient(m, w, x)[i] == pytest.approx(expected)
 
     def test_phi4_odd_symmetry_at_zero(self):
         m = phi4(0.5, -1.0, d=1)
         w = build_box(1, 2, m.neighborhood)
-        assert grad_hamiltonian(m, zeros_configuration(w), (0,)) == 0.0
+        assert hamiltonian_gradient(m, w, np.zeros(w.n))[w.index_of[(0,)]] == 0.0
 
     @pytest.mark.parametrize("name,model,window", models_to_probe())
     def test_matches_finite_differences(self, name, model, window):
@@ -276,27 +289,6 @@ class TestGradient:
         g = np.full_like(x, np.nan)
         assert op.gradient(x, out=g) is g
         assert np.array_equal(g, op.gradient(x))
-
-    def test_boundary_needs_flag(self):
-        m = gff(1.0, 1.0, d=1)
-        w = build_box(1, 1, m.neighborhood)
-        cfg = zeros_configuration(w)
-        with pytest.raises(ValueError):
-            grad_hamiltonian(m, cfg, (1,))
-        assert grad_hamiltonian(m, cfg, (1,), allow_boundary=True) == 0.0
-
-    def test_unknown_vertex(self):
-        m = gaussian_product(1.0, d=1)
-        w = build_line(2, m.neighborhood)
-        with pytest.raises(KeyError):
-            grad_hamiltonian(m, zeros_configuration(w), (9,))
-
-    def test_fractional_vertex_rejected(self):
-        # int() would read (0.5,) as the window site (0,).
-        m = gaussian_product(1.0, d=1)
-        w = build_line(2, m.neighborhood)
-        with pytest.raises(ValueError, match="integer coordinates"):
-            grad_hamiltonian(m, zeros_configuration(w), (0.5,))
 
 
 class TestTranslationInvariance:

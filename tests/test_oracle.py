@@ -108,7 +108,8 @@ L_SHAPE = [(i, j) for i in range(8) for j in range(8) if i < 3 or j < 3][::-1]
 NN2 = nearest_neighbor(2)
 BAND_CASES = {
     **{f"gff-d{d}-L{L}-{mode}": (gff(0.7, 0.3, d=d),
-                                 build_box(d, L, nearest_neighbor(d), mode, 1.3))
+                                 build_box(d, L, nearest_neighbor(d), mode,
+                                           1.3 if mode == "constant" else 0.0))
        for d, L in ((1, 6), (2, 4), (3, 2))
        for mode in ("zero", "constant", "free")},
     "gff-range2": (gff(0.7, 0.3, neighborhood=RANGE2),
@@ -388,7 +389,8 @@ CHORD_RING[0] += (3,)
 CHORD_RING[5] += (3,)
 
 S2_CASES = {
-    **{f"gff{b},{m2}-L{L}-{mode}": (gff(b, m2), build_box(2, L, NN2, mode, 2.5))
+    **{f"gff{b},{m2}-L{L}-{mode}": (gff(b, m2), build_box(
+        2, L, NN2, mode, 2.5 if mode == "constant" else 0.0))
        for b, m2 in ((1.0, 1.0), (0.7, 0.3), (1.0, 0.01))
        for L in (3, 7) for mode in ("zero", "constant", "free")},
     "gff-3d": (gff(0.9, 0.2, d=3), build_box(3, 2, nearest_neighbor(3))),

@@ -9,12 +9,12 @@ import pytest
 from gibbsrwm import sampler
 from gibbsrwm.lattice import build_box, build_line
 from gibbsrwm.models import (Configuration, custom_pairwise, delta_hamiltonian,
-                             gaussian_product, gff, phi4, quadratic_operator,
-                             zeros_configuration)
+                             gaussian_product, gff, phi4, quadratic_operator)
 from gibbsrwm.oracle import build_precision, gaussian_exact_samples
 from gibbsrwm.sampler import (ProposalSpec, chain_rng, run_chain, run_replicas,
                               uniform_rng)
 from test_estimators import summarize_records
+from test_lattice import frozen_value
 from test_models import slot_loop_site_energies
 
 
@@ -197,7 +197,7 @@ class TestPropose:
     def test_state_unmodified(self):
         m = gaussian_product(1.0, d=1)
         w = build_line(5, m.neighborhood)
-        x = zeros_configuration(w)
+        x = Configuration(w, np.zeros(w.n))
         run = run_chain(m, w, ProposalSpec(1.0, 5), 300, seed=2, init="given",
                         init_config=x)
         assert run.records.accepted.any()
@@ -464,7 +464,7 @@ class TestRunChain:
         w = build_line(5, m.neighborhood)
         with pytest.raises(ValueError, match="n_replicas must be >= 1"):
             run_replicas(m, w, ProposalSpec(1.0, 5), 10, seed=0, n_replicas=0,
-                         init=init, init_config=zeros_configuration(w))
+                         init=init, init_config=Configuration(w, np.zeros(w.n)))
 
     @pytest.mark.parametrize("recording", sampler.RECORDING_MODES)
     def test_thin_validation(self, recording):
@@ -516,7 +516,7 @@ class TestRunChain:
         w = build_line(20, m.neighborhood)
         with np.errstate(over="ignore", invalid="ignore"):
             run = run_chain(m, w, ProposalSpec(1e160, w.n), 50, seed=0,
-                            init="given", init_config=zeros_configuration(w))
+                            init="given", init_config=Configuration(w, np.zeros(w.n)))
         assert np.isposinf(run.records.delta_h).all()
         assert not run.records.accepted.any()
         assert np.array_equal(run.final_state.values, np.zeros(w.n))
@@ -524,7 +524,8 @@ class TestRunChain:
         assert run.summary.acceptance == 0.0
         with np.errstate(over="ignore", invalid="ignore"):
             streamed = run_chain(m, w, ProposalSpec(1e160, w.n), 50, seed=0,
-                                 init="given", init_config=zeros_configuration(w),
+                                 init="given",
+                                 init_config=Configuration(w, np.zeros(w.n)),
                                  recording="summary")
         assert streamed.summary.nonfinite_dh == 50
 
@@ -572,7 +573,7 @@ class TestRunChain:
         m = gaussian_product(1.0, d=1)
         w = build_line(20, m.neighborhood)
         spec = ProposalSpec(2.38, w.n)
-        init = dict(init="given", init_config=zeros_configuration(w))
+        init = dict(init="given", init_config=Configuration(w, np.zeros(w.n)))
         peaks = []
         for steps in (10 * sampler.CHUNK, 100 * sampler.CHUNK):
             tracemalloc.start()
@@ -614,7 +615,7 @@ class TestRunChain:
         ids = [0, 1]
         row_block = 8 * sampler.CHUNK * w.n
         assert 18 * row_block <= sampler.CHUNK_BYTES  # a full CHUNK either way
-        init = dict(init="given", init_config=zeros_configuration(w))
+        init = dict(init="given", init_config=Configuration(w, np.zeros(w.n)))
         peaks = []
         for taus in ([2.38], np.linspace(0.5, 4.5, 9)):
             specs = [ProposalSpec(t, w.n) for t in taus for _ in ids]
@@ -1081,7 +1082,7 @@ class TestLookahead:
         w = build_box(1, 49, m.neighborhood)
         steps = 2048
         run_chain(m, w, ProposalSpec(1.4, w.n), steps, seed=1, init="given",
-                  init_config=zeros_configuration(w), recording="summary")
+                  init_config=Configuration(w, np.zeros(w.n)), recording="summary")
         assert counter.calls <= steps / 2
 
     def test_large_batch_makes_one_call_per_step(self, counter):
@@ -1090,7 +1091,7 @@ class TestLookahead:
         steps = 300
         runs = run_replicas(m, w, ProposalSpec(6.0, w.n), steps, seed=1,
                             n_replicas=8, init="given",
-                            init_config=zeros_configuration(w))
+                            init_config=Configuration(w, np.zeros(w.n)))
         assert max(r.summary.acceptance for r in runs) < 0.2
         assert counter.calls == steps
 
@@ -1107,9 +1108,10 @@ class TestLookahead:
 
 def exact_energy(model, window, values, self_exact):
     """H(x) in exact rational arithmetic, straight from the pair-term
-    definition (index_of, boundary_value_at); `self_exact` maps a Fraction
-    to the self energy."""
+    definition (index_of, the boundary mode's frozen value); `self_exact`
+    maps a Fraction to the self energy."""
     x = [Fraction(v) for v in values]
+    outside = frozen_value(window.boundary_mode, window.boundary_constant)
     total = Fraction(0)
     for i, k in enumerate(window.vertices):
         total += self_exact(x[i])
@@ -1117,11 +1119,10 @@ def exact_energy(model, window, values, self_exact):
             tgt = tuple(a + b for a, b in zip(k, v))
             if tgt in window.index_of:
                 nv = x[window.index_of[tgt]]
+            elif outside is None:
+                continue
             else:
-                nv = window.boundary_value_at(tgt)
-                if nv is None:
-                    continue
-                nv = Fraction(nv)
+                nv = Fraction(outside)
             total += (Fraction(model.pair_diag[v]) * x[i] * x[i]
                       - Fraction(model.pair_cross[v]) * x[i] * nv)
     return total

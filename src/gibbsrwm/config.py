@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 from .estimators import CYLINDER_FUNCTIONS
-from .lattice import (BOUNDARY_MODES, Neighborhood, Window, _as_vertex,
+from .lattice import (BOUNDARY_MODES, Neighborhood, Window, _vertex_array,
                       build_box, build_line, nearest_neighbor)
 from .models import InteractionModel, gaussian_product, gff, phi4
 from .sampler import INCREMENT_FAMILIES
@@ -93,12 +93,12 @@ def _increasing(obj, key, where, **rule):
 
 def _coordinate_rows(rows, d: int, where: str) -> list[list[int]]:
     """A nonempty list of points of d coordinates each, every point a vertex
-    by the library's rule (`lattice._as_vertex`)."""
+    by the library's rule (`lattice._vertex_array`), as lists of ints."""
     if not (isinstance(rows, list) and rows and all(
             isinstance(row, list) and len(row) == d for row in rows)):
         raise ConfigError(f"{where}: expected a nonempty list of {d}-coordinate lists")
     try:
-        return [list(_as_vertex(row)) for row in rows]
+        return _vertex_array(rows, d).tolist()
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from None
 

@@ -18,8 +18,9 @@ site + offset a mixed-radix key over the window's bounding box padded by the
 neighborhood's reach, and finds each target among the sorted site keys by
 binary search.  The interior and the site tables are read from that one
 lookup, once, when the window is built; `build_box` builds its coordinates
-with `np.indices`.  The per-vertex Python views (`vertices`, `index_of`,
-`boundary`) are built from the arrays only when first read.
+with `np.indices`, and a vertex list is converted in one numpy pass by the
+vertex rule (`_vertex_array`).  The per-vertex Python views (`vertices`,
+`index_of`, `boundary`) are built from the arrays only when first read.
 Adjacency-form windows take their neighbors from the adjacency lists instead
 and have no boundary.  Only the hull and inradius diagnostics import scipy
 (`scipy.spatial`), where they are called.
@@ -39,22 +40,63 @@ Vertex = tuple[int, ...]
 _BOOL_TYPES = frozenset((bool, np.bool_))  # int() reads True as 1: not a coordinate
 
 
-def _as_vertex(v) -> Vertex:
-    """v as a tuple of Python ints: the one vertex rule of the package, for
-    window vertices, neighborhood offsets and config vertex lists alike.
+def _is_coordinate(c) -> bool:
+    """The vertex rule for one coordinate (see _vertex_array)."""
+    if type(c) in _BOOL_TYPES:
+        return False
+    try:
+        return int(c) == c
+    except (TypeError, ValueError, OverflowError):  # int() of nan, inf, "a"
+        return False
+
+
+def _vertex_array(rows, d: int | None = None) -> np.ndarray:
+    """`rows` as an (n, d) coordinate array by the one vertex rule of the
+    package, for window vertices, neighborhood offsets and config vertex
+    lists alike: int64, or Python ints (dtype object) where a coordinate
+    does not fit.  d defaults to the first row's length.
 
     Each coordinate must be an integer-valued number: an int of any size, a
     numpy integer, or an integral float such as 3.0.  A bool, a fraction, a
-    non-finite or a non-numeric coordinate, or no coordinate at all, is a
-    ValueError that names v."""
-    cs = tuple(v)
+    non-finite or a non-numeric coordinate, or a row with no coordinate at
+    all, is a ValueError that names the first such row.  Rows that pass but
+    do not all have d coordinates are a ValueError after that.
+
+    One pass over all coordinates at once: when every coordinate is a
+    Python or numpy integer (a bool is neither here), all of them pass;
+    otherwise each is checked as int(c) == c.  An int64 array is copied."""
+    if (isinstance(rows, np.ndarray) and rows.dtype == np.int64 and rows.ndim == 2
+            and rows.shape[1] and d in (None, rows.shape[1])):
+        return rows.copy()
+    rows = list(map(tuple, rows))
+    lengths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
+    cells = np.fromiter(itertools.chain.from_iterable(rows), dtype=object,
+                        count=int(lengths.sum()))
+    bad = np.flatnonzero(lengths == 0)
+    kinds = set(map(type, cells))
+    if not (kinds.isdisjoint(_BOOL_TYPES)
+            and all(issubclass(k, (int, np.integer)) for k in kinds)):
+        with np.errstate(all="ignore"):  # int(nan) sets the FPU's invalid flag
+            flags = np.frompyfunc(_is_coordinate, 1, 1)(cells).astype(bool)
+        bad_cells = np.flatnonzero(~flags)
+        bad = np.append(bad, np.searchsorted(np.cumsum(lengths), bad_cells, side="right"))
+    if bad.size:
+        raise ValueError("a vertex needs one or more integer coordinates, "
+                         f"got {rows[bad.min()]}")
+    if d is None:
+        d = int(lengths[0]) if rows else 0
+    if (lengths != d).any():
+        raise ValueError("vertex dimension does not match neighborhood")
     try:
-        out = tuple(map(int, cs))
-    except (TypeError, ValueError, OverflowError):  # int() of nan, inf, "a"
-        out = ()
-    if not out or out != cs or not _BOOL_TYPES.isdisjoint(map(type, cs)):
-        raise ValueError(f"a vertex needs one or more integer coordinates, got {cs}")
-    return out
+        cells = cells.astype(np.int64)
+    except OverflowError:
+        cells = np.frompyfunc(int, 1, 1)(cells)
+    return cells.reshape(len(rows), d)
+
+
+def _as_vertex(v) -> Vertex:
+    """v as a tuple of Python ints: the rule of _vertex_array on one row."""
+    return tuple(_vertex_array([v])[0].tolist())
 
 
 def _neg(a: Vertex) -> Vertex:
@@ -128,14 +170,6 @@ def nearest_neighbor(d: int) -> Neighborhood:
     return Neighborhood.from_offsets(offs)
 
 
-def _coordinates(rows, d: int) -> np.ndarray:
-    """(n, d) vertex coordinates: int64, or Python ints where they do not fit."""
-    try:
-        return np.asarray(rows, dtype=np.int64).reshape(len(rows), d)
-    except OverflowError:
-        return np.array(rows, dtype=object).reshape(len(rows), d)
-
-
 def _geometry(coords: np.ndarray, offsets) -> np.ndarray:
     """(S, n) neighbor lookup of the coordinate rows `coords` at `offsets`:
     the index of site i + offset s, or -1 outside.  A repeated row is a
@@ -173,8 +207,10 @@ def _geometry(coords: np.ndarray, offsets) -> np.ndarray:
 
 def exterior_halo(vertices, neighborhood: Neighborhood) -> frozenset[Vertex]:
     """Outside sites reachable from the boundary: (offsets + bdry) minus window."""
-    vs = list({_as_vertex(v) for v in vertices})
-    coords = _coordinates(vs, neighborhood.d)
+    coords = _vertex_array(vertices, neighborhood.d)
+    # One row per distinct vertex: _geometry rejects a repeated one.
+    last = dict(zip(map(tuple, coords.tolist()), range(len(coords))))
+    coords = coords[list(last.values())]
     offsets = neighborhood.nonzero_offsets
     s, i = np.nonzero(_geometry(coords, offsets) < 0)
     # Python ints: a site + offset may leave int64.
@@ -221,14 +257,7 @@ class Window:
         if boundary_mode not in BOUNDARY_MODES:
             raise ValueError(f"unknown boundary_mode {boundary_mode!r}")
         d = neighborhood.d
-        if (isinstance(vertices, np.ndarray) and vertices.dtype == np.int64
-                and vertices.ndim == 2 and vertices.shape[1] == d):
-            coords = vertices.copy()
-        else:
-            rows = [_as_vertex(v) for v in vertices]
-            if set(map(len, rows)) - {d}:
-                raise ValueError("vertex dimension does not match neighborhood")
-            coords = _coordinates(rows, d)
+        coords = _vertex_array(vertices, d)
         coords.setflags(write=False)
         self.coords = coords
         self.neighborhood = neighborhood
@@ -354,7 +383,7 @@ class WindowSequenceReport:
 
 def count_hull_lattice_points(vertices) -> int:
     """Number of integer points inside the convex hull of the vertex set."""
-    pts = np.array([_as_vertex(v) for v in vertices], dtype=float)
+    pts = _vertex_array(vertices).astype(float)
     n, d = pts.shape
     if n == 1 or d == 1:
         return int(pts.max() - pts.min()) + 1
@@ -379,7 +408,7 @@ def discrete_inradius(vertices) -> float:
     """
     from scipy.spatial import cKDTree
 
-    pts = np.array(sorted({_as_vertex(v) for v in vertices}))
+    pts = _vertex_array(vertices)
     lo = pts.min(axis=0) - 1
     shape = tuple(pts.max(axis=0) + 2 - lo)
     # Every cell of the padded bounding box, in lexicographic order, minus
@@ -393,8 +422,8 @@ def discrete_inradius(vertices) -> float:
 
 def boundary_ratio(vertices, neighborhood: Neighborhood) -> float:
     """Outside sites the boundary reaches, relative to the window size."""
-    vs = [_as_vertex(v) for v in vertices]
-    return len(exterior_halo(vs, neighborhood)) / len(vs)
+    coords = _vertex_array(vertices, neighborhood.d)
+    return len(exterior_halo(coords, neighborhood)) / len(coords)
 
 
 def h2_diagnostics(d: int, L_list, neighborhood: Neighborhood) -> WindowSequenceReport:
@@ -407,9 +436,9 @@ def h2_diagnostics(d: int, L_list, neighborhood: Neighborhood) -> WindowSequence
         w = build_box(d, L, neighborhood)
         rows.append(H2Row(
             n=w.n,
-            hull_ratio=count_hull_lattice_points(w.vertices) / w.n,
-            inradius=discrete_inradius(w.vertices),
-            boundary_ratio=boundary_ratio(w.vertices, neighborhood),
+            hull_ratio=count_hull_lattice_points(w.coords) / w.n,
+            inradius=discrete_inradius(w.coords),
+            boundary_ratio=boundary_ratio(w.coords, neighborhood),
         ))
     return WindowSequenceReport(tuple(rows))
 

@@ -129,11 +129,16 @@ class QuadraticOperator:
 
     def gradient(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Qx - b along the last axis of `x`, the gradient of the quadratic
-        part, written into `out` if given (an array of x's shape)."""
+        part, written into `out` if given (an array of x's shape).  A 1-D
+        `x` takes one sparse matvec, which sums each row of the product in
+        the order a batch's product does, so its bits are the batch row's."""
         out = np.multiply(self.diag, x, out=out)
         if self.offdiag is not None:
-            rows = x.reshape(-1, self.n)
-            out += (self.offdiag @ rows.T).T.reshape(x.shape)
+            if x.ndim == 1:
+                out += self.offdiag @ x
+            else:
+                rows = x.reshape(-1, self.n)
+                out += (self.offdiag @ rows.T).T.reshape(x.shape)
         out -= self.shift
         return out
 
@@ -206,17 +211,19 @@ def gradient_dh(d: np.ndarray, g: np.ndarray, half_q: np.ndarray,
     of R and k.
 
     dH is written into `out`, an (R, k) array; `terms`, a scratch array of
-    d's shape, holds the products before they are summed.  Returns
-    (out, remainder(x + d)), or (out, None) without a remainder: a caller
-    that accepts a move takes its remainder from there instead of
-    evaluating it again.
+    d's shape, holds the products before they are summed, then x + d and
+    the remainder's change.  Returns (out, remainder(x + d)), or
+    (out, None) without a remainder: a caller that accepts a move takes its
+    remainder from there instead of evaluating it again.
     """
     np.multiply(d, g[:, None], out=terms)
     np.add.reduce(terms, axis=-1, out=out)
     out += half_q
     if remainder is None:
         return out, None
-    rem_y = remainder(x[:, None] + d)
+    rem_y = remainder(np.add(x[:, None], d, out=terms))
+    if np.may_share_memory(rem_y, terms):
+        rem_y = rem_y.copy()  # a remainder that returns (a view of) its input
     out += np.add.reduce(np.subtract(rem_y, rem_x[:, None], out=terms), axis=-1)
     return out, rem_y
 

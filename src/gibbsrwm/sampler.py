@@ -51,18 +51,29 @@ chunk, and it commits without fancy indexing where it can: a single row
 tests its accept flag, and a batch on a window without pair couplings
 moves with masked ufuncs.
 
+The accept test is taken in log space: a move is accepted iff dH < -log u
+and dH is finite.  -log u is computed once per chunk from each stream's
+uniforms, so a round does only the work that depends on its state: one
+comparison, one finiteness test and their and.  For u > 0 this is the
+event u < min(1, exp(-dH)); the two floating-point forms can differ only
+when u lies within rounding of exp(-dH).  A uniform of 0 (probability
+2**-53 per draw) gives -log u = +inf, which accepts every finite dH, where
+exp(-dH) would have underflowed to 0 and rejected a dH above about 745.
+The records keep u itself.
+
 Each ufunc of a round gets contiguous operands of one shape, so numpy runs
-its plain loop.  The chunk's dH and accept buffers, the uniforms and q/2
-gathered once per chunk, and a round's probabilities and finite flags are
-step-major, (steps, R): a round's steps are one contiguous block, which
-gradient_dh reads and writes through transposed (R, k) views.  The records
-and the summary stream still take row-major (R, c) arrays, one copy per
-chunk, because a row sum over a transposed view adds in another order and
-would move dh_sum and jump_sq_sum in their last bits.  Rows that share a
-stream scale their gathered increments by an (R, k, n) sigma operand, and
-a commit of the whole batch (one row, or a window without pair couplings)
-takes g from an operator whose Q diagonal and b have the batch's (R, n)
-shape (_commit_operator).
+its plain loop.  The chunk's dH and accept buffers, the thresholds and q/2
+gathered once per chunk, and a round's finite flags are step-major,
+(steps, R): a round's steps are one contiguous block, which gradient_dh
+reads and writes through transposed (R, k) views.  The records and the
+summary stream still take row-major (R, c) arrays, one copy per chunk,
+because a row sum over a transposed view adds in another order and would
+move dh_sum and jump_sq_sum in their last bits.  Rows that share a stream
+scale their gathered increments by an (R, k, n) sigma operand.  A single
+row commits through 1-D views of its state and g, with one sparse matvec
+(the batch product's row, bit for bit); a batch on a window without pair
+couplings takes g from an operator whose Q diagonal and b have the batch's
+(R, n) shape (_commit_operator).
 
 Each chain's ChainSummary is streamed chunk by chunk (_SummaryStream), so a
 run keeps arrays of all its steps only when it records them ("full").  In
@@ -308,17 +319,15 @@ def _lookahead(accept_rate: float, rows: int, n: int, room: int) -> int:
 
 def _commit_operator(op: QuadraticOperator, rows: int) -> QuadraticOperator:
     """The operator a commit of the whole (rows, n) batch takes g = Qx - b
-    from: `op` with Q's diagonal and b in the batch's shape, so that each
-    product has operands of one shape (a view for one row, an (rows, n)
-    tile each for several).  Several rows on a window with pair couplings
-    commit only their moved rows, through `op` itself."""
-    if rows > 1 and op.offdiag is not None:
+    from.  Several rows without pair couplings get `op` with Q's diagonal
+    and b tiled to the batch's shape, so that each product has operands of
+    one shape.  Otherwise it is `op` itself: one row commits through 1-D
+    views of its state, and several rows with pair couplings commit only
+    their moved rows."""
+    if rows == 1 or op.offdiag is not None:
         return op
-
-    def batch(a):
-        return a[None] if rows == 1 else np.tile(a, (rows, 1))
-
-    return replace(op, diag=batch(op.diag), shift=batch(op.shift))
+    return replace(op, diag=np.tile(op.diag, (rows, 1)),
+                   shift=np.tile(op.shift, (rows, 1)))
 
 
 def _drive(model: InteractionModel, window: Window, specs: list[ProposalSpec],
@@ -362,6 +371,7 @@ def _drive(model: InteractionModel, window: Window, specs: list[ProposalSpec],
                    np.empty((R, steps)), np.empty((R, steps)))
     z = np.empty((S, width, n))  # one buffer per stream, refilled every chunk
     us = np.empty((S, width))
+    thresholds = np.empty((S, width))
     qz = np.empty((S, width))
     # Step-major: a round's steps [j, j + k) are one contiguous block.
     dh_buf = np.empty((width, R))
@@ -370,11 +380,10 @@ def _drive(model: InteractionModel, window: Window, specs: list[ProposalSpec],
     def scratch(k):
         """Contiguous round scratch: (R, k, n) terms, moves and their sigma
         operand (both None when every row owns its stream), and (k, R)
-        probabilities and finite flags."""
+        finite flags."""
         shared = (None, None) if own else (
             np.empty((R, k, n)), np.broadcast_to(scale, (R, k, n)).copy())
-        return (np.empty((R, k, n)), *shared, np.empty((k, R)),
-                np.empty((k, R), dtype=bool))
+        return (np.empty((R, k, n)), *shared, np.empty((k, R), dtype=bool))
 
     n_snaps = steps // thin if thin else 0
     states = np.empty((R, n_snaps, n)) if n_snaps else None
@@ -382,17 +391,23 @@ def _drive(model: InteractionModel, window: Window, specs: list[ProposalSpec],
     if path is not None:
         path[:, 0] = x[:, :track_first]
 
+    # One row commits through 1-D views of its state and gradient.
+    x_row, g_row = (x[0], g[0]) if R == 1 else (None, None)
     t = 0
     while t < steps:
         c = min(width, steps - t)
         for s in range(S):
             specs[0].draw_increments(rngs[s], (c, n), out=z[s, :c])
             urngs[s].random(out=us[s, :c])
+            # The accept thresholds -log u, +inf where u = 0.
+            with np.errstate(divide="ignore"):
+                np.log(us[s, :c], out=thresholds[s, :c])
+            np.negative(thresholds[s, :c], out=thresholds[s, :c])
             op.quad_forms(z[s, :c], qz[s, :c])
         z_c = z[:, :c]
-        # Each row's uniforms and q/2 = 0.5 * (sigma**2 * z'Qz), products
+        # Each row's thresholds and q/2 = 0.5 * (sigma**2 * z'Qz), products
         # in that order, gathered once as (c, R) arrays.
-        us_c = np.take(us[:, :c].T, rows_of, axis=1)
+        limit = np.take(thresholds[:, :c].T, rows_of, axis=1)
         half_q = np.take(qz[:, :c].T, rows_of, axis=1)
         half_q *= sigma_sq
         half_q *= 0.5
@@ -402,84 +417,76 @@ def _drive(model: InteractionModel, window: Window, specs: list[ProposalSpec],
         accepted = int(stream.accept.sum())
         K = _lookahead(accepted / (R * t) if t else 1.0, R, n, c)
         views = scratch(K)
-        # exp(-max(dh, 0)) is 1 for downhill moves and may underflow.
-        with np.errstate(under="ignore"):
-            j = 0
-            while j < c:
-                k = min(K, c - j)
-                terms_k, moves_k, sigma_k, p, fin = views if k == K else scratch(k)
-                if own:
-                    d = z_c[:, j:j + k]
-                else:
-                    d = np.take(z_c[:, j:j + k], rows_of, axis=0, mode="clip",
-                                out=moves_k)
-                    d *= sigma_k
-                # dH and the accept flags go straight into the chunk's
-                # records.  The slots past the committed step m are
-                # rewritten by the next round, which starts at j + m and
-                # spans at least k - m steps.
-                dh, acc = dh_buf[j:j + k], acc_buf[j:j + k]
-                _, rem_y = gradient_dh(d, g, half_q[j:j + k].T, remainder, x,
-                                       rem_x, terms_k, dh.T)
-                # acc = (u < exp(-max(dh, 0))) & isfinite(dh): a non-finite
-                # dH (inf - inf in the energies) is rejected.
-                np.maximum(dh, 0.0, out=p)
-                # p is contiguous: on numpy 2.4.6, np.negative(a, out=a) on
-                # an (R, 1) column view of a wider buffer misreads rows >= 1.
-                np.negative(p, out=p)
-                np.exp(p, out=p)
-                np.less(us_c[j:j + k], p, out=acc)
-                acc &= np.isfinite(dh, out=fin)
-                m = k
-                if k > 1:
-                    hits = acc[:, 0] if R == 1 else np.logical_or.reduce(acc, axis=1)
-                    first = int(hits.argmax())
-                    if hits[first]:
-                        m = first + 1
-                start, end = t + j, t + j + m
-                if m > 1:
-                    # Every committed step but the last was rejected by
-                    # every row, so the state after each of them is x.
-                    if path is not None:
-                        path[:, start + 1:end] = x[:, None, :track_first]
-                    if states is not None:
-                        states[:, start // thin:(end - 1) // thin] = x[:, None]
-                # g is recomputed from x, never updated, so it cannot drift.
-                # A move's remainder is the one its dH was evaluated at.
-                last = acc[m - 1]
-                if R == 1:
-                    if last[0]:
-                        x += d[:, m - 1]
-                        if rem_y is not None:
-                            rem_x[:] = rem_y[:, m - 1]
-                        batch_op.gradient(x, out=g)
-                elif op.offdiag is None:
-                    # A row that stays keeps its bits, a -0.0 included, and
-                    # its g recomputed from the same x is the same.
-                    mask = last[:, None]
-                    np.add(x, d[:, m - 1], out=x, where=mask)
-                    if rem_y is not None:
-                        np.copyto(rem_x, rem_y[:, m - 1], where=mask)
-                    batch_op.gradient(x, out=g)
-                else:
-                    # Only the moved rows' sparse product: a full-batch one
-                    # costs a large window several times more.
-                    moved = last.nonzero()[0]
-                    if moved.size:
-                        rows = slice(None) if moved.size == R else moved
-                        x[rows] += d[rows, m - 1]
-                        if rem_y is not None:
-                            rem_x[rows] = rem_y[rows, m - 1]
-                        g[rows] = op.gradient(x[rows])
+        j = 0
+        while j < c:
+            k = min(K, c - j)
+            terms_k, moves_k, sigma_k, fin = views if k == K else scratch(k)
+            if own:
+                d = z_c[:, j:j + k]
+            else:
+                d = np.take(z_c[:, j:j + k], rows_of, axis=0, mode="clip",
+                            out=moves_k)
+                d *= sigma_k
+            # dH and the accept flags go straight into the chunk's records.
+            # The slots past the committed step m are rewritten by the next
+            # round, which starts at j + m and spans at least k - m steps.
+            dh, acc = dh_buf[j:j + k], acc_buf[j:j + k]
+            _, rem_y = gradient_dh(d, g, half_q[j:j + k].T, remainder, x,
+                                   rem_x, terms_k, dh.T)
+            # acc = (dh < -log u) & isfinite(dh): a non-finite dH (inf - inf
+            # in the energies) is rejected.
+            np.less(dh, limit[j:j + k], out=acc)
+            acc &= np.isfinite(dh, out=fin)
+            m = k
+            if k > 1:
+                hits = acc[:, 0] if R == 1 else np.logical_or.reduce(acc, axis=1)
+                first = int(hits.argmax())
+                if hits[first]:
+                    m = first + 1
+            start, end = t + j, t + j + m
+            if m > 1:
+                # Every committed step but the last was rejected by every
+                # row, so the state after each of them is x.
                 if path is not None:
-                    path[:, end] = x[:, :track_first]
-                if states is not None and end % thin == 0:
-                    states[:, end // thin - 1] = x
-                j += m
+                    path[:, start + 1:end] = x[:, None, :track_first]
+                if states is not None:
+                    states[:, start // thin:(end - 1) // thin] = x[:, None]
+            # g is recomputed from x, never updated, so it cannot drift.  A
+            # move's remainder is the one its dH was evaluated at.
+            last = acc[m - 1]
+            if R == 1:
+                if last[0]:
+                    x_row += d[0, m - 1]
+                    if rem_y is not None:
+                        rem_x[0] = rem_y[0, m - 1]
+                    op.gradient(x_row, out=g_row)
+            elif op.offdiag is None:
+                # A row that stays keeps its bits, a -0.0 included, and its
+                # g recomputed from the same x is the same.
+                mask = last[:, None]
+                np.add(x, d[:, m - 1], out=x, where=mask)
+                if rem_y is not None:
+                    np.copyto(rem_x, rem_y[:, m - 1], where=mask)
+                batch_op.gradient(x, out=g)
+            else:
+                # Only the moved rows' sparse product: a full-batch one costs
+                # a large window several times more.
+                moved = last.nonzero()[0]
+                if moved.size:
+                    rows = slice(None) if moved.size == R else moved
+                    x[rows] += d[rows, m - 1]
+                    if rem_y is not None:
+                        rem_x[rows] = rem_y[rows, m - 1]
+                    g[rows] = op.gradient(x[rows])
+            if path is not None:
+                path[:, end] = x[:, :track_first]
+            if states is not None and end % thin == 0:
+                states[:, end // thin - 1] = x
+            j += m
         # quad_forms' block temporaries set a large window's peak RSS: free
         # the round scratch before the next chunk's draws, and q/2 before
         # the records' copies.
-        del views, terms_k, moves_k, sigma_k, p, fin, d, half_q
+        del views, terms_k, moves_k, sigma_k, fin, d, half_q
         # Summaries and records take row-major (R, c) copies: a row sum over
         # a transposed view would add its terms in another order.
         dh_c = np.ascontiguousarray(dh_buf[:c].T)
@@ -488,7 +495,7 @@ def _drive(model: InteractionModel, window: Window, specs: list[ProposalSpec],
         jump_c = np.where(acc_c, d_first ** 2, 0.0)
         stream.add(acc_c, dh_c, jump_c)
         if records is not None:
-            for column, chunk in zip(records, (dh_c, acc_c, us_c.T, jump_c)):
+            for column, chunk in zip(records, (dh_c, acc_c, us[rows_of, :c], jump_c)):
                 column[:, t:t + c] = chunk
         t += c
     return x, stream, records, states, path

@@ -1,6 +1,7 @@
 import itertools
 import random
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gibbsrwm.lattice import (BOUNDARY_MODES, Neighborhood, Window,
-                              boundary_ratio, build_box, build_line,
+                              _as_vertex, _vertex_array, boundary_ratio, build_box, build_line,
                               exterior_halo, h2_diagnostics, loglog_slope,
                               nearest_neighbor, self_neighborhood)
 from gibbsrwm.models import custom_pairwise
@@ -221,6 +222,64 @@ class TestWindow:
         w = Window([(0.0,), (2**70,), (-2**70,), (np.int64(3),)],
                    self_neighborhood(1))
         assert w.vertices == ((0,), (2**70,), (-2**70,), (3,))
+
+
+def reference_vertex(v):
+    """The one-vertex rule as plain Python: each coordinate an
+    integer-valued number that is not a bool, and at least one of them."""
+    cs = tuple(v)
+    try:
+        out = tuple(map(int, cs))
+    except (TypeError, ValueError, OverflowError):
+        out = ()
+    if not out or out != cs or any(type(c) in (bool, np.bool_) for c in cs):
+        raise ValueError(cs)
+    return out
+
+
+COORDINATES = st.one_of(
+    st.integers(-5, 5), st.integers(-2**80, 2**80), st.booleans(),
+    st.floats(), st.integers(-2**70, 2**70).map(float),
+    st.integers(-5, 5).map(np.int64), st.floats(width=32).map(np.float32),
+    st.sampled_from([np.True_, np.uint64(2**64 - 1), np.float64(0.5), "2",
+                     None, Fraction(1, 2), Fraction(4, 2), (1,)]))
+
+
+@given(st.integers(0, 3).flatmap(lambda d: st.tuples(st.just(d), st.lists(
+    st.lists(COORDINATES, min_size=d, max_size=d), max_size=6))),
+       st.booleans())
+@settings(max_examples=400, deadline=None)
+def test_array_rule_is_the_one_row_rule(case, ints_only):
+    # _vertex_array over all rows at once accepts exactly the rows that
+    # _as_vertex and the plain-Python rule accept, with the same values,
+    # and names the first row they reject.
+    d, rows = case
+    if ints_only:  # the lane where every coordinate is an integer type
+        rows = [[c for c in row if type(c) in (int, np.int64)] for row in rows]
+        rows = [row for row in rows if len(row) == d]
+    verdicts = []
+    for row in rows:
+        try:
+            verdicts.append(reference_vertex(row))
+        except ValueError:
+            verdicts.append(None)
+            with pytest.raises(ValueError, match="integer coordinates"):
+                _as_vertex(row)
+        else:
+            got = _as_vertex(row)
+            assert got == verdicts[-1] and all(type(c) is int for c in got)
+    try:
+        coords = _vertex_array(rows, d)
+    except ValueError as exc:
+        bad = next(row for row, v in zip(rows, verdicts) if v is None)
+        assert str(exc) == ("a vertex needs one or more integer coordinates, "
+                            f"got {tuple(bad)}")
+    else:
+        assert None not in verdicts
+        assert coords.shape == (len(rows), d)
+        assert tuple(map(tuple, coords.tolist())) == tuple(verdicts)
+        fits = all(-2**63 <= c < 2**63 for v in verdicts for c in v)
+        assert coords.dtype == (np.int64 if fits else object)
 
 
 class TestH2Diagnostics:

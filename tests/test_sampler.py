@@ -292,6 +292,103 @@ class TestStep:
         assert np.allclose(rec.jump_sq_first_coord, jump, rtol=1e-9, atol=1e-15)
 
 
+class ScriptedUniforms:
+    """Stands in for a chain's uniform stream: every draw is `value`."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def random(self, out):
+        out.fill(self.value)
+        return out
+
+
+def steep_energy(x):
+    """1e4 x**2 on [-5, 5], -inf above it and NaN below it."""
+    e = np.where(x > 5.0, -np.inf, 1e4 * x * x)
+    return np.where(x < -5.0, np.nan, e)
+
+
+class TestLogSpaceAccept:
+    """A move is accepted iff dH < -log u and dH is finite, with -log u
+    computed once per chunk (+inf where u = 0)."""
+
+    @pytest.mark.parametrize("batch", [False, True], ids=["one_row", "batch"])
+    @pytest.mark.parametrize("model_name", ["product", "gff", "phi4"])
+    def test_records_satisfy_the_rule(self, model_name, batch):
+        init = {}
+        if model_name == "product":
+            m = gaussian_product(1.0, d=1)
+            w = build_line(10, m.neighborhood)
+        elif model_name == "gff":
+            m = gff(1.0, 1.0, d=2)
+            w = build_box(2, 2, m.neighborhood, "constant", 0.7)
+        else:
+            m = phi4(0.25, -0.5, d=1)
+            w = build_box(1, 6, m.neighborhood)
+            init = dict(init="burn_in", burn_steps=200)
+        # The batch has rows that share a stream at different scales.
+        taus, ids = ([1.0, 2.4, 4.0], [0, 0, 1]) if batch else ([2.4], [3])
+        runs = run_replicas(m, w, [ProposalSpec(tau, w.n) for tau in taus],
+                            2 * sampler.CHUNK + 50, seed=11, n_replicas=len(ids),
+                            chain_ids=ids, recording="full", **init)
+        for run in runs:
+            rec = run.records
+            with np.errstate(divide="ignore"):
+                limit = -np.log(rec.u)
+            assert np.array_equal(
+                rec.accepted, np.isfinite(rec.delta_h) & (rec.delta_h < limit))
+            assert 0 < rec.accepted.sum() < len(rec)
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_zero_uniform_accepts_every_finite_dh(self, monkeypatch, rows):
+        monkeypatch.setattr(sampler, "uniform_rng",
+                            lambda seed, chain_id=0: ScriptedUniforms(0.0))
+        m = custom_pairwise({(1,): 0.0}, steep_energy, steep_energy)
+        w = build_line(1, m.neighborhood)
+        runs = run_replicas(m, w, ProposalSpec(20.0, w.n), 400, seed=2,
+                            n_replicas=rows, recording="full", init="given",
+                            init_config=Configuration(w, np.zeros(w.n)))
+        for run in runs:
+            rec = run.records
+            dh = rec.delta_h
+            assert np.all(rec.u == 0.0)
+            assert np.isneginf(dh).any() and np.isnan(dh).any()
+            assert np.array_equal(rec.accepted, np.isfinite(dh))
+            # exp(-dH) underflows above dH = 745, where the exp form of the
+            # test rejected even u = 0.
+            assert (dh[np.isfinite(dh)] > 745.0).any()
+            with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+                exp_form = np.isfinite(dh) & (rec.u < np.exp(-np.maximum(dh, 0.0)))
+            assert (rec.accepted & ~exp_form).any()
+            assert np.all(np.abs(run.final_state.values) <= 5.0)
+
+    @pytest.mark.parametrize("model_name", ["product", "gff"])
+    def test_largest_uniform_accepts_zero_dh(self, monkeypatch, model_name):
+        # Generator.random's largest value: -log u is 2**-53 > 0, so a dH of
+        # +0.0 or -0.0 is still accepted, as u < exp(0) = 1 accepts it.
+        u_max = 1.0 - 2.0**-53
+        monkeypatch.setattr(sampler, "uniform_rng",
+                            lambda seed, chain_id=0: ScriptedUniforms(u_max))
+        if model_name == "product":
+            m = gaussian_product(1.0, d=1)
+            w = build_line(4, m.neighborhood)
+        else:
+            m = gff(1.0, 1.0, d=1)
+            w = build_box(1, 3, m.neighborhood)
+        x0 = np.linspace(-1.0, 1.0, w.n)
+        x0[::2] = -0.0
+        runs = run_replicas(m, w, ProposalSpec(0.0, w.n), 300, seed=4,
+                            n_replicas=2, recording="full", track_first=w.n,
+                            init="given", init_config=Configuration(w, x0))
+        for run in runs:
+            rec = run.records
+            assert np.all(rec.u == u_max)
+            assert np.all(rec.delta_h == 0.0)
+            assert rec.accepted.all()
+            assert run.summary.accept_count == 300
+
+
 @pytest.fixture
 def no_draws(monkeypatch):
     """Fail the test if run_replicas factors Q, draws a start or runs a chain."""
@@ -946,8 +1043,10 @@ class TestCommitOperator:
     def test_gradient_equals_window_operator(self, model_name, rows):
         op = self.window_operator(model_name)
         batch = sampler._commit_operator(op, rows)
-        if rows > 1 and op.offdiag is not None:
-            # Such a batch commits only its moved rows, through op itself.
+        if rows == 1 or op.offdiag is not None:
+            # One row commits through 1-D views (see the test below), and
+            # several rows with pair couplings only their moved rows, both
+            # through op itself.
             assert batch is op
         else:
             assert batch.diag.shape == batch.shift.shape == (rows, op.n)
@@ -961,6 +1060,24 @@ class TestCommitOperator:
         for got in (batch.gradient(x), batch.gradient(x, out=np.empty_like(x))):
             assert np.array_equal(got, want)
             assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.parametrize("model_name", ["product", "gff_zero", "gff_constant"])
+    def test_one_dimensional_state_equals_its_batch_row(self, model_name):
+        # A single chain commits through op.gradient of its 1-D state: one
+        # sparse matvec, which must give the batch product's row bit for bit.
+        op = self.window_operator(model_name)
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal((5, op.n)) * 10.0 ** rng.uniform(-8, 8, (5, op.n))
+        x[:, ::2] = -0.0
+        x[-1] = -0.0
+        want = op.gradient(x)
+        for r in range(len(x)):
+            row = x[r].copy()
+            for got in (op.gradient(row), op.gradient(row, out=np.empty(op.n))):
+                assert got.shape == (op.n,)
+                assert np.array_equal(got, want[r])
+                assert np.array_equal(np.signbit(got), np.signbit(want[r]))
+            assert np.array_equal(row, x[r])
 
     def test_one_row_takes_views(self):
         op = self.window_operator("gff_constant")
@@ -1075,6 +1192,19 @@ class TestLookahead:
         assert np.isneginf(dh[sampler.CHUNK:]).any()
         assert not run.records.accepted[~np.isfinite(dh)].any()
         assert run.summary.nonfinite_dh == np.count_nonzero(~np.isfinite(dh))
+        assert counter.calls < steps
+
+    @pytest.mark.parametrize("ids", [[0], [0, 1]])
+    def test_remainder_that_returns_its_input(self, counter, ids):
+        # gradient_dh hands the remainder x + d in its own scratch array: a
+        # self potential that returns its argument must still give the
+        # one-step chain, not the scratch's later contents.
+        m = custom_pairwise({(1,): 0.5, (-1,): 0.5}, lambda x: x, lambda x: 1.0 + 0 * x)
+        w = build_box(1, 3, m.neighborhood)
+        steps = sampler.CHUNK + 40
+        runs = assert_matches_reference(m, w, ProposalSpec(2.0, w.n), steps, seed=6,
+                                        ids=ids, init_values=np.zeros(w.n))
+        assert 0 < runs[0].summary.acceptance < 1
         assert counter.calls < steps
 
     def test_phi4_chain_makes_at_most_half_as_many_calls_as_steps(self, counter):

@@ -14,6 +14,8 @@ SCRIPTS = ROOT / "scripts"
 # Tiny arguments per script, and the CSV files it writes under results/.
 RUNS = {
     "gff_gradient_moment": (["--sides", "3", "--steps", "200"], []),
+    # Writes only into a scratch directory of its own, removed at exit.
+    "output_digests": (["--steps", "40", "--battery", "c_identity"], []),
     "mosco_m2_table": (["--n-list", "2", "4", "--steps", "300",
                         "--replicas", "2"], ["m2_sin_x1.csv"]),
     "optimal_scaling_sweep": (["--n", "4", "--steps", "200", "--replicas", "2",

@@ -17,7 +17,7 @@ from .estimators import acceptance_rate, batch_means_se
 from .lattice import build_box, build_line
 from .models import gaussian_product, gff
 from .oracle import build_precision, gaussian_exact_samples, quad_acceptance
-from .sampler import ProposalSpec, chain_rng, run_chain, run_replicas
+from .sampler import ProposalSpec, chain_rng, run_replicas
 from .scaling import c_mc_oracle, c_theoretical, sweep_tau
 
 
@@ -82,8 +82,8 @@ def detailed_balance(seed: int, steps: int = 200_000) -> CheckResult:
     n_cells = 8
     model = gaussian_product(1.0, d=1)
     window = build_line(1, model.neighborhood)
-    run = run_chain(model, window, ProposalSpec(1.5, 1), steps, seed,
-                    recording="summary", track_first=1)
+    run = run_replicas(model, window, ProposalSpec(1.5, 1), steps, seed,
+                       track_first=1)[0]
     xs = run.first_coord_path[:, 0]
     edges = np.linspace(-2.4, 2.4, n_cells + 1)
     cells = np.digitize(xs, edges)  # 0 and n_cells+1 are the tails
@@ -127,14 +127,13 @@ def c_identity(seed: int) -> CheckResult:
     return CheckResult("c_identity", ok, "; ".join(details) + " (limit 4)")
 
 
-def determinism(seed: int, corrupt: bool = False) -> CheckResult:
-    """Bit-identical rerun of a 3000-step chain; `corrupt` is the negative control."""
+def determinism(seed: int) -> CheckResult:
+    """Bit-identical rerun of a 3000-step chain."""
     model = gaussian_product(1.0, d=1)
     window = build_line(32, model.neighborhood)
     spec = ProposalSpec(1.7, 32)
-    a = run_chain(model, window, spec, 3000, seed, recording="full")
-    b = run_chain(model, window, spec, 3000, seed + (1 if corrupt else 0),
-                  recording="full")
+    a, b = (run_replicas(model, window, spec, 3000, seed, recording="full")[0]
+            for _ in range(2))
     same = (np.array_equal(a.records.delta_h, b.records.delta_h)
             and np.array_equal(a.records.u, b.records.u)
             and np.array_equal(a.final_state.values, b.final_state.values))

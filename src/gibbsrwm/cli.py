@@ -25,7 +25,7 @@ from .estimators import (CYLINDER_FUNCTIONS, acceptance_rate, delta_h_stats,
 from .oracle import gaussian_s2_exact
 from .runio import (ManifestWriter, write_csv, write_estimates_csv,
                     write_json)
-from .sampler import ProposalSpec, run_chain
+from .sampler import ProposalSpec, run_replicas
 from .scaling import mosco_m2_check, sweep_n, sweep_tau
 
 EXIT_OK = 0
@@ -44,8 +44,9 @@ SINGLE_CHAIN = ("sample", "estimate-s", "clt-check")
 def check_run_keys(command: str, cfg: ExperimentConfig):
     """Reject the run keys `command` does not read, a missing one it needs,
     `burn_steps` unless `init` is "burn_in", the exact Gaussian start of a
-    non-quadratic model, fewer than two thinned states, and a battery entry
-    that names no check."""
+    non-quadratic model, fewer than two thinned states, a battery entry that
+    names no check, and a cylinder function of more coordinates than the
+    smallest window of run.n_list holds."""
     required, optional = RUN_KEYS[command]
     run = cfg.raw["run"]
     _check_keys(run, required | optional, required, f"run (for {command})")
@@ -64,32 +65,50 @@ def check_run_keys(command: str, cfg: ExperimentConfig):
     if "thin" in optional and cfg.run.steps < 2 * cfg.run.thin:
         raise ConfigError(f"run (for {command}): steps ({cfg.run.steps}) must be at "
                           f"least 2 * thin ({cfg.run.thin}), for two thinned states")
+    f = CYLINDER_FUNCTIONS.get(cfg.run.cylinder)
+    if f is not None and f.n_coords > cfg.run.n_list[0]:
+        raise ConfigError(f"run.cylinder: {f.name} needs {f.n_coords} coordinates, "
+                          f"but the smallest n of run.n_list is {cfg.run.n_list[0]}")
     for name in cfg.run.battery or ():
         if not isinstance(name, str) or name not in BATTERY:
             raise ConfigError(f"run.battery: unknown check {name!r}; checks: "
                               f"{', '.join(BATTERY)}")
 
 
-def _one_chain(cfg: ExperimentConfig, recording: str, thin: int):
+def _s2_window(window):
+    """`window`, which a command reads s^2 from: a config error, raised
+    before any chain runs, unless it has an interior vertex to read it at."""
+    if not window.interior_indices().size:
+        raise ConfigError(f"graph: the window s^2 is read on (n={window.n}) "
+                          "has no interior vertex")
+    return window
+
+
+def _one_chain(cfg: ExperimentConfig, recording: str, thin: int,
+               reads_s2: bool = True):
     """The model, the window and the one chain run on them at run.tau."""
     model = build_model(cfg)
     window = build_window(cfg, model)
+    if reads_s2:
+        _s2_window(window)
     spec = ProposalSpec(cfg.run.tau, window.n, cfg.run.increment_family)
-    return model, window, run_chain(model, window, spec, cfg.run.steps, cfg.seed,
-                                    recording=recording, thin=thin,
-                                    init=cfg.run.init,
-                                    burn_steps=cfg.run.burn_steps)
+    return model, window, run_replicas(
+        model, window, spec, cfg.run.steps, cfg.seed, recording=recording,
+        thin=thin, init=cfg.run.init, burn_steps=cfg.run.burn_steps)[0]
 
 
 def _n_windows(cfg: ExperimentConfig, model):
     """The model's window for every entry of run.n_list, all built before
-    any chain runs, so a bad entry is a config error first."""
-    return [build_window(cfg, model, n_override=n) for n in cfg.run.n_list]
+    any chain runs, so a bad entry is a config error first; s^2 is read on
+    the largest."""
+    windows = [build_window(cfg, model, n_override=n) for n in cfg.run.n_list]
+    _s2_window(windows[-1])
+    return windows
 
 
 def cmd_sample(cfg: ExperimentConfig, writer: ManifestWriter):
     # Per-step records only: sample writes no states, so none are kept.
-    _, window, run = _one_chain(cfg, "full", thin=0)
+    _, window, run = _one_chain(cfg, "full", thin=0, reads_s2=False)
     rec = run.records
     writer.register(write_csv(
         writer.path("trajectory.csv"),
@@ -113,7 +132,7 @@ def cmd_sample(cfg: ExperimentConfig, writer: ManifestWriter):
 
 def cmd_sweep_tau(cfg: ExperimentConfig, writer: ManifestWriter):
     model = build_model(cfg)
-    window = build_window(cfg, model)
+    window = _s2_window(build_window(cfg, model))
     curve = sweep_tau(model, window, cfg.run.tau_grid, cfg.run.steps,
                       cfg.run.replicas, cfg.seed,
                       increment_family=cfg.run.increment_family,

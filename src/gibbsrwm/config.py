@@ -157,16 +157,6 @@ def parse_config(doc: dict) -> ExperimentConfig:
     _check_keys(parameters, set(_FAMILY_PARAMS[family]), set(), "model.parameters")
     p = {**_FAMILY_PARAMS[family],
          **{key: _number(parameters, key, "model.parameters") for key in parameters}}
-    if family == "gaussian_product" and p["variance"] <= 0:
-        raise ConfigError("model.parameters.variance: must be > 0")
-    if family == "gff":
-        for key in ("beta", "m2"):
-            if p[key] < 0:
-                raise ConfigError(f"model.parameters.{key}: must be >= 0")
-        if p["beta"] == p["m2"] == 0:
-            raise ConfigError("model.parameters: beta and m2 must not both be 0")
-    if family == "phi4" and p["a"] <= 0:
-        raise ConfigError("model.parameters.a: must be > 0 (normalizable density)")
     nb = m.get("neighborhood", "default")
     if not (nb == "default" or nb == "nearest_neighbor" or isinstance(nb, list)):
         raise ConfigError("model.neighborhood: 'default', 'nearest_neighbor', "
@@ -229,7 +219,12 @@ def parse_config(doc: dict) -> ExperimentConfig:
     out = doc.get("output_dir", "out")
     if not isinstance(out, str) or not out:
         raise ConfigError("config.output_dir: expected a nonempty string")
-    return ExperimentConfig(model, graph, run, seed, out, raw=doc)
+    cfg = ExperimentConfig(model, graph, run, seed, out, raw=doc)
+    try:  # the family's constructor holds its parameter rules
+        build_model(cfg)
+    except ValueError as exc:
+        raise ConfigError(f"model.parameters: {exc}") from None
+    return cfg
 
 
 def load_config(path: str) -> ExperimentConfig:

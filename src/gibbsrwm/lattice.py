@@ -368,19 +368,6 @@ class H2Row:
     boundary_ratio: float
 
 
-@dataclass(frozen=True)
-class WindowSequenceReport:
-    rows: tuple[H2Row, ...]
-
-    def __post_init__(self):
-        ns = [r.n for r in self.rows]
-        if ns != sorted(set(ns)):
-            raise ValueError("rows must be sorted by strictly increasing n")
-        for r in self.rows:
-            if r.hull_ratio < 0 or r.boundary_ratio < 0:
-                raise ValueError("ratios must be nonnegative")
-
-
 def count_hull_lattice_points(vertices) -> int:
     """Number of integer points inside the convex hull of the vertex set."""
     pts = _vertex_array(vertices).astype(float)
@@ -426,8 +413,9 @@ def boundary_ratio(vertices, neighborhood: Neighborhood) -> float:
     return len(exterior_halo(coords, neighborhood)) / len(coords)
 
 
-def h2_diagnostics(d: int, L_list, neighborhood: Neighborhood) -> WindowSequenceReport:
-    """Growth diagnostics for the box family [-L, L]^d along increasing L."""
+def h2_diagnostics(d: int, L_list, neighborhood: Neighborhood) -> tuple[H2Row, ...]:
+    """Growth diagnostics for the box family [-L, L]^d along increasing L,
+    one row per L."""
     Ls = [int(L) for L in L_list]
     if Ls != sorted(set(Ls)):
         raise ValueError("L_list must be strictly increasing")
@@ -440,7 +428,7 @@ def h2_diagnostics(d: int, L_list, neighborhood: Neighborhood) -> WindowSequence
             inradius=discrete_inradius(w.coords),
             boundary_ratio=boundary_ratio(w.coords, neighborhood),
         ))
-    return WindowSequenceReport(tuple(rows))
+    return tuple(rows)
 
 
 def loglog_slope(xs, ys) -> float:

@@ -269,7 +269,7 @@ def hamiltonian_gradient(model: InteractionModel, window: Window, values: np.nda
 def gaussian_product(variance: float = 1.0, d: int = 1) -> InteractionModel:
     """Independent N(0, variance) at every site."""
     if variance <= 0:
-        raise ValueError("variance must be positive")
+        raise ValueError("variance must be > 0")
     inv2v = 0.5 / variance
     return InteractionModel(
         family="gaussian_product",
@@ -289,8 +289,11 @@ def gff(beta: float = 1.0, m2: float = 1.0, d: int = 2,
     diagonal, -1 across window edges), so boundary edges enter at full
     weight and the zero-boundary precision matrix is beta*L + m2*I.
     """
-    if beta < 0 or m2 < 0 or (beta == 0 and m2 == 0):
-        raise ValueError("need beta >= 0, m2 >= 0, not both zero")
+    for name, value in (("beta", beta), ("m2", m2)):
+        if value < 0:
+            raise ValueError(f"{name} must be >= 0")
+    if beta == m2 == 0:
+        raise ValueError("beta and m2 must not both be 0")
     nb = neighborhood or nearest_neighbor(d)
     return InteractionModel(
         family="gff",
@@ -311,7 +314,7 @@ def phi4(a: float, b: float, coupling: float = 1.0, d: int = 1,
     Out-of-assumptions stress model: the quartic's curvature is unbounded.
     """
     if a <= 0:
-        raise ValueError("a must be positive for a normalizable density")
+        raise ValueError("a must be > 0 (normalizable density)")
     nb = neighborhood or nearest_neighbor(d)
     return InteractionModel(
         family="phi4",

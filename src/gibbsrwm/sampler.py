@@ -8,10 +8,11 @@ then its increments, step after step; uniform_rng (the same key, jumped by
 values whether a block is drawn in one call or in several, so a chain does
 not depend on how its steps are cut into chunks.  _drive sizes each chunk
 for R rows so that R blocks of (c, n) increments would stay within
-CHUNK_BYTES, and memory stays bounded as n grows.  A single chain equals its
-replica in a batch bit for bit, except that the two float sums of its
-summary (jump_sq_sum and dh_sum, added chunk by chunk) may differ in their
-last bits when the budget gives the two runs different chunk lengths.
+CHUNK_BYTES, and memory stays bounded as n grows.  run_replicas is the one
+entry point: a single chain is a batch of one row, and it equals its
+replica in a larger batch bit for bit, except that the two float sums of
+its summary (jump_sq_sum and dh_sum, added chunk by chunk) may differ in
+their last bits when the budget gives the two runs different chunk lengths.
 Each row of a batch has its own proposal scale sigma = tau / sqrt(n), so
 one batch may stack the replicas of several tau values, as
 scaling.sweep_tau does with its grid.
@@ -510,6 +511,9 @@ def run_replicas(model: InteractionModel, window: Window,
                  burn_steps: int | None = None) -> list[ChainRun]:
     """Run replicas, each on the streams of its chain id; results in the
     order of `chain_ids` (default 0, 1, ..., one distinct id per replica).
+    A single chain is one replica with its chain id: it runs the same steps
+    as the matching replica of a batched run, bit for bit (see the module
+    docstring).
 
     `spec` is one ProposalSpec for every replica or a sequence of one per
     replica; all of them have the window's n and one increment family.
@@ -594,15 +598,3 @@ def run_replicas(model: InteractionModel, window: Window,
         final_state=Configuration(window, x[r]),
     ) for r in range(n_replicas)]
 
-
-def run_chain(model: InteractionModel, window: Window, spec: ProposalSpec,
-              steps: int, seed: int, chain_id: int = 0, recording: str = "full",
-              thin: int = 10, track_first: int = 0, init: str = "exact_gaussian",
-              init_config: Configuration | None = None,
-              burn_steps: int | None = None) -> ChainRun:
-    """Single chain; its steps are those of the matching replica of a
-    batched run, bit for bit (see the module docstring)."""
-    return run_replicas(model, window, spec, steps, seed, n_replicas=1,
-                        chain_ids=[chain_id], recording=recording, thin=thin,
-                        track_first=track_first, init=init,
-                        init_config=init_config, burn_steps=burn_steps)[0]

@@ -30,7 +30,7 @@ from .estimators import (CylinderFunction, EstimateWithError, acceptance_rate,
 from .lattice import Window
 from .models import InteractionModel
 from .oracle import build_precision, gaussian_s2_exact, quad_expectation_1d
-from .sampler import ProposalSpec, chain_rng, run_chain, run_replicas
+from .sampler import ProposalSpec, chain_rng, run_replicas
 
 REFERENCE_CHAIN_ID = 0xFFFF_FFFF  # reserved stream for the s-hat reference run
 
@@ -123,14 +123,15 @@ def _check_grid(grid):
     return taus
 
 
-def _s_hat(model: InteractionModel, window: Window, seed: int, init: str) -> float:
+def _s_hat(model: InteractionModel, window: Window, seed: int, init: str,
+           burn_steps: int | None) -> float:
     """s-hat, exact on quadratic models, else from one reference chain at
-    tau = 2.38 (20 000 steps, every 10th state)."""
+    tau = 2.38 (20 000 steps, every 10th state), started like the main ones."""
     if model.is_quadratic:
         return math.sqrt(gaussian_s2_exact(model, window))
-    run = run_chain(model, window, ProposalSpec(2.38, window.n), 20_000, seed,
-                    chain_id=REFERENCE_CHAIN_ID, recording="thinned", thin=10,
-                    init=init)
+    run = run_replicas(model, window, ProposalSpec(2.38, window.n), 20_000,
+                       seed, chain_ids=[REFERENCE_CHAIN_ID], recording="thinned",
+                       thin=10, init=init, burn_steps=burn_steps)[0]
     return math.sqrt(estimate_s2(model, run).value)
 
 
@@ -146,7 +147,7 @@ def sweep_tau(model: InteractionModel, window: Window, tau_grid, steps: int,
     different tau are correlated."""
     taus = _check_grid(tau_grid)
     if s_hat is None:
-        s_hat = _s_hat(model, window, seed, init)
+        s_hat = _s_hat(model, window, seed, init, burn_steps)
     specs = [ProposalSpec(tau, window.n, increment_family)
              for tau in taus for _ in range(replicas)]
     runs = run_replicas(model, window, specs, steps, seed, len(specs),
@@ -199,7 +200,7 @@ def sweep_n(model: InteractionModel, windows: Sequence[Window], tau: float,
     """Acceptance on each window V_n of a sequence at fixed tau, with the
     limiting value from s-hat on the largest window."""
     largest = _largest(windows)
-    c_lim = c_theoretical(tau, _s_hat(model, largest, seed, init))
+    c_lim = c_theoretical(tau, _s_hat(model, largest, seed, init, burn_steps))
     rows = []
     for window, runs in _window_runs(model, windows, tau, steps, seed, replicas,
                                      init, burn_steps):
@@ -276,13 +277,14 @@ def mosco_m2_check(f: CylinderFunction, model: InteractionModel,
     largest = _largest(windows)
     if f.n_coords > windows[0].n:
         raise ValueError(f"{f.name} needs {f.n_coords} coordinates, smallest n is {windows[0].n}")
-    s_hat = _s_hat(model, largest, seed, init)
+    s_hat = _s_hat(model, largest, seed, init, burn_steps)
     if model.is_quadratic:
         lim = limiting_form_quadrature(f, model, largest, tau, s_hat)
     else:
-        run = run_chain(model, largest, ProposalSpec(tau, largest.n), steps, seed,
-                        chain_id=REFERENCE_CHAIN_ID - 2, recording="thinned",
-                        init=init, burn_steps=burn_steps)
+        run = run_replicas(model, largest, ProposalSpec(tau, largest.n), steps,
+                           seed, chain_ids=[REFERENCE_CHAIN_ID - 2],
+                           recording="thinned", init=init,
+                           burn_steps=burn_steps)[0]
         lim = limiting_form(f, tau, s_hat, run.states[:, : f.n_coords])
     rows = []
     for window, runs in _window_runs(model, windows, tau, steps, seed, replicas,

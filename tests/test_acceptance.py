@@ -22,8 +22,7 @@ from gibbsrwm.models import (Configuration, custom_pairwise, gaussian_product,
                              gff, hamiltonian, hamiltonian_gradient,
                              log_density_ratio, phi4)
 from gibbsrwm.oracle import gaussian_s2_exact
-from gibbsrwm.sampler import (ProposalSpec, chain_rng, run_chain,
-                              run_replicas)
+from gibbsrwm.sampler import ProposalSpec, chain_rng, run_replicas
 from gibbsrwm.scaling import (c_mc_oracle, c_theoretical, mosco_m2_check,
                               sweep_tau, tau_star)
 
@@ -169,11 +168,11 @@ def test_criterion_08_h2_diagnostics():
     the inscribed radius grows strictly."""
     nb = nearest_neighbor(2)
     rep = h2_diagnostics(2, [2, 4, 8, 16], nb)
-    ns = [r.n for r in rep.rows]
-    ratios = [r.boundary_ratio for r in rep.rows]
+    ns = [r.n for r in rep]
+    ratios = [r.boundary_ratio for r in rep]
     slope = loglog_slope(ns, ratios)
     assert slope <= -0.45, slope
-    radii = [r.inradius for r in rep.rows]
+    radii = [r.inradius for r in rep]
     assert all(a < b for a, b in zip(radii, radii[1:])), radii
     report("8 H2 diagnostics",
            f"log-log slope {slope:.3f} <= -0.45; inradii {radii}")
@@ -271,9 +270,9 @@ def test_criterion_10_property_suites():
     worst_shift = 0.0
     for i in range(20):
         start = rng.standard_normal(wb.n)
-        a, b = [run_chain(model, window, ProposalSpec(2.38, window.n), 300,
-                          SEED + i, init="given",
-                          init_config=Configuration(window, start)).records
+        a, b = [run_replicas(model, window, ProposalSpec(2.38, window.n), 300,
+                             SEED + i, recording="full", init="given",
+                             init_config=Configuration(window, start))[0].records
                 for model, window in ((base, wb), (shifted, ws))]
         worst_shift = max(worst_shift, np.max(np.abs(
             np.exp(-np.maximum(a.delta_h, 0.0))

@@ -1,5 +1,6 @@
 import pytest
 
+from gibbsrwm import checks
 from gibbsrwm.checks import (BATTERY, determinism, increment_moments,
                              mc_vs_quad_acceptance_uniform, run_battery)
 
@@ -12,9 +13,17 @@ def test_fast_battery_passes():
                                          "c_identity"]
 
 
-def test_determinism_negative_control():
-    assert determinism(3, corrupt=True).passed is False
-    assert determinism(3, corrupt=False).passed is True
+def test_determinism_negative_control(monkeypatch):
+    assert determinism(3).passed is True
+    # A rerun whose second chain draws from another seed must fail.
+    seeds = iter([3, 4])
+    run_replicas = checks.run_replicas
+
+    def reseeded(model, window, spec, steps, seed, **kwargs):
+        return run_replicas(model, window, spec, steps, next(seeds), **kwargs)
+
+    monkeypatch.setattr(checks, "run_replicas", reseeded)
+    assert determinism(3).passed is False
 
 
 def test_increment_moments_standalone():

@@ -10,11 +10,12 @@ import sys
 import numpy as np
 import pytest
 
-from gibbsrwm import cli, sampler, scaling
-from gibbsrwm.checks import BATTERY, determinism
+from gibbsrwm import cli, models, sampler, scaling
+from gibbsrwm.checks import BATTERY, CheckResult
 from gibbsrwm.cli import COMMANDS, RUN_KEYS, check_run_keys, main
-from gibbsrwm.config import (ConfigError, RunSpec, build_model, build_window,
-                             config_hash, load_config, parse_config)
+from gibbsrwm.config import (_FAMILY_PARAMS, ConfigError, RunSpec, build_model,
+                             build_window, config_hash, load_config,
+                             parse_config)
 from gibbsrwm.lattice import Neighborhood, Window, nearest_neighbor
 from test_runio import read_csv
 
@@ -137,8 +138,8 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("params,message", [
         ({"beta": 0.0, "m2": 0.0}, r"model\.parameters: beta and m2 must not both be 0"),
-        ({"beta": -1.0}, r"model\.parameters\.beta: must be >= 0"),
-        ({"m2": -0.5}, r"model\.parameters\.m2: must be >= 0"),
+        ({"beta": -1.0}, r"model\.parameters: beta must be >= 0"),
+        ({"m2": -0.5}, r"model\.parameters: m2 must be >= 0"),
     ])
     def test_gff_rejects_what_the_model_rejects(self, tmp_path, capsys, params,
                                                 message):
@@ -151,6 +152,38 @@ class TestConfigValidation:
         assert main(["sample", "--config", write_config(tmp_path, doc)]) == 2
         assert re.match(f"config error: {message}", capsys.readouterr().err)
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("family,params", [
+        ("gaussian_product", {"variance": 0.0}),
+        ("gff", {"beta": -1.0}),
+        ("gff", {"m2": -0.5}),
+        ("gff", {"beta": 0.0, "m2": 0.0}),
+        ("phi4", {"a": 0.0}),
+    ])
+    def test_constructor_rules_reject_model_parameters(self, tmp_path, capsys,
+                                                        family, params):
+        # parse_config holds no parameter rule of its own: it builds the
+        # model, and the constructor's ValueError is the config error.
+        doc = base_config(output_dir=str(tmp_path / "o"),
+                          model={"family": family, "parameters": params})
+        with pytest.raises(ValueError) as raised:
+            getattr(models, family)(**{**_FAMILY_PARAMS[family], **params})
+        with pytest.raises(ConfigError) as exc:
+            parse_config(doc)
+        assert str(exc.value) == f"model.parameters: {raised.value}"
+        assert main(["sample", "--config", write_config(tmp_path, doc)]) == 2
+        assert "config error: model.parameters: " in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("family,params", [
+        ("gaussian_product", {"variance": 1e-300}),
+        ("gff", {"beta": 0.0, "m2": 1.0}),
+        ("phi4", {"a": 1e-300}),
+    ])
+    def test_constructor_rules_accept_model_parameters(self, family, params):
+        doc = base_config(model={"family": family, "parameters": params})
+        model = build_model(parse_config(doc))
+        assert params.items() <= dict(model.params).items()
 
     @pytest.mark.parametrize("params", [{"beta": 0.0}, {"m2": 0.0}])
     def test_gff_one_zero_parameter_is_valid(self, params):
@@ -424,13 +457,13 @@ class TestCliCommands:
         runs = []
 
         def spy(*args, **kwargs):
-            runs.append(sampler.run_chain(*args, **kwargs))
-            return runs[-1]
+            runs.extend(sampler.run_replicas(*args, **kwargs))
+            return runs[-1:]
 
-        monkeypatch.setattr(cli, "run_chain", spy)
+        monkeypatch.setattr(cli, "run_replicas", spy)
         path = write_config(tmp_path, dict(doc, output_dir=str(tmp_path / "a")))
         assert self.run_cli("clt-check", path) == 0
-        monkeypatch.setattr(cli, "run_chain",
+        monkeypatch.setattr(cli, "run_replicas",
                             lambda *a, **k: spy(*a, **dict(k, thin=10)))
         path = write_config(tmp_path, dict(doc, output_dir=str(tmp_path / "b")))
         assert self.run_cli("clt-check", path) == 0
@@ -460,8 +493,8 @@ class TestCliCommands:
         header, rows = read_csv(str(tmp_path / "o" / "checks.csv"))
         assert all(r[1] == "PASS" for r in rows)
         # A failing check: exit 4, a FAIL row, and the manifest still written.
-        monkeypatch.setitem(BATTERY, "determinism",
-                            lambda seed: determinism(seed, corrupt=True))
+        monkeypatch.setitem(BATTERY, "determinism", lambda seed: CheckResult(
+            "determinism", False, "reruns differ"))
         doc2 = base_config(output_dir=str(tmp_path / "p"))
         doc2["run"] = {"steps": 100, "battery": ["determinism", "increment_moments"]}
         assert self.run_cli("oracle-check", write_config(tmp_path, doc2, "c2.json")) == 4
@@ -533,12 +566,70 @@ class TestCliCommands:
         assert cfg.graph.vertex_list == [[2**70], [-2**70], [3]]
         assert cfg.model.neighborhood == [[1], [-2]]
 
-    def test_runtime_error_exit_code(self, tmp_path):
-        # cylinder needs 2 coordinates but the smallest window has 1
+    def test_runtime_error_exit_code(self, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise FloatingPointError("overflow")
+
+        monkeypatch.setattr(cli, "run_replicas", fail)
         doc = base_config(output_dir=str(tmp_path / "o"))
-        doc["run"] = {"steps": 100, "tau": 1.0, "n_list": [1, 4],
+        assert self.run_cli("sample", write_config(tmp_path, doc)) == 3
+        assert "runtime error: FloatingPointError: overflow" in capsys.readouterr().err
+
+    def test_cylinder_wider_than_smallest_window_is_config_error(self, tmp_path,
+                                                                  capsys):
+        # Once exit 3 from mosco_m2_check's ValueError.
+        doc = base_config(output_dir=str(tmp_path / "o"))
+        doc["run"] = {"steps": 100, "tau": 1.0, "n_list": [1, 9],
                       "cylinder": "gauss_bump_x1x2", "replicas": 1}
-        assert self.run_cli("dirichlet-check", write_config(tmp_path, doc)) == 3
+        assert self.run_cli("dirichlet-check", write_config(tmp_path, doc)) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: run.cylinder: gauss_bump_x1x2 needs 2 coordinates")
+        assert not (tmp_path / "o").exists()
+        doc["run"]["n_list"] = [2, 9]
+        assert self.run_cli("dirichlet-check", write_config(tmp_path, doc)) == 0
+
+    @pytest.mark.parametrize("command,family,run", [
+        ("estimate-s", "gff", {"tau": 1.0}),
+        ("clt-check", "gff", {"tau": 1.0}),
+        ("sweep-tau", "gff", {"tau_grid": [1.0]}),
+        ("sweep-tau", "phi4", {"tau_grid": [1.0], "init": "burn_in"}),
+        ("sweep-n", "gff", {"tau": 1.0, "n_list": [1]}),
+        ("dirichlet-check", "gff", {"tau": 1.0, "n_list": [1],
+                                    "cylinder": "sin_x1"}),
+    ], ids=lambda v: v if isinstance(v, str) else None)
+    def test_window_without_interior_exits_before_any_chain(
+            self, tmp_path, capsys, monkeypatch, command, family, run):
+        # s^2 is read at interior vertices, and a one-site box has none.
+        # These once exited 3, some of them only after the whole chain.
+        def no_chain(*args, **kwargs):
+            raise AssertionError("a chain ran")
+
+        monkeypatch.setattr(sampler, "_drive", no_chain)
+        doc = {"model": {"family": family}, "graph": {"d": 2, "L": 0},
+               "run": {"steps": 200, "replicas": 1, **run}, "seed": 1,
+               "output_dir": str(tmp_path / "o")}
+        assert self.run_cli(command, write_config(tmp_path, doc)) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: graph: the window s^2 is read on (n=1) has no "
+            "interior vertex")
+        assert not (tmp_path / "o").exists()
+
+    def test_s_hat_chain_reads_burn_steps(self, tmp_path):
+        # The s-hat reference chain once burnt in for 50 n steps whatever
+        # run.burn_steps said, so both runs wrote the same s_hat.
+        s_hats = []
+        for burn in (100, 5000):
+            doc = {"model": {"family": "phi4",
+                             "parameters": {"a": 0.25, "b": -0.5}},
+                   "graph": {"d": 1, "L": 3},
+                   "run": {"steps": 100, "tau_grid": [1.0], "replicas": 1,
+                           "init": "burn_in", "burn_steps": burn},
+                   "seed": 2, "output_dir": str(tmp_path / str(burn))}
+            path = write_config(tmp_path, doc, f"{burn}.json")
+            assert self.run_cli("sweep-tau", path) == 0
+            info = json.loads((tmp_path / str(burn) / "sweep_info.json").read_text())
+            s_hats.append(info["s_hat"])
+        assert s_hats[0] != s_hats[1]
 
     def test_estimates_csv_schema(self, tmp_path):
         doc = base_config(output_dir=str(tmp_path / "o"))

@@ -13,7 +13,8 @@ from gibbsrwm.lattice import Window, build_box, build_line
 from gibbsrwm.models import gaussian_product, gff
 from gibbsrwm.oracle import build_precision, gaussian_exact_samples, gaussian_s2_exact
 from gibbsrwm.sampler import (N_BATCHES, ChainSummary, ProposalSpec,
-                              StepRecords, batch_means, chain_rng, run_chain)
+                              StepRecords, batch_means, chain_rng,
+                              run_replicas)
 from gibbsrwm.scaling import c_theoretical
 
 
@@ -101,14 +102,14 @@ class TestAcceptanceRate:
     def test_tau_zero_chain(self):
         m = gaussian_product(1.0, d=1)
         w = build_line(5, m.neighborhood)
-        run = run_chain(m, w, ProposalSpec(0.0, 5), 200, seed=0,
-                        recording="summary")
+        run = run_replicas(m, w, ProposalSpec(0.0, 5), 200, seed=0)[0]
         assert acceptance_rate(run.summary).value == 1.0
 
     def test_value_in_unit_interval_and_recomputable(self):
         m = gaussian_product(1.0, d=1)
         w = build_line(20, m.neighborhood)
-        run = run_chain(m, w, ProposalSpec(1.5, 20), 2000, seed=3)
+        run = run_replicas(m, w, ProposalSpec(1.5, 20), 2000, seed=3,
+                           recording="full")[0]
         est = acceptance_rate(run.summary)
         assert 0.0 <= est.value <= 1.0
         assert est.value == run.records.accepted.mean()
@@ -119,7 +120,8 @@ class TestDeltaHStats:
     def test_tau_zero(self):
         m = gaussian_product(1.0, d=1)
         w = build_line(5, m.neighborhood)
-        run = run_chain(m, w, ProposalSpec(0.0, 5), 300, seed=0)
+        run = run_replicas(m, w, ProposalSpec(0.0, 5), 300, seed=0,
+                           recording="full")[0]
         stats = delta_h_stats(run.records)
         assert stats.mean.value == 0.0
         assert stats.variance.value == 0.0
@@ -134,7 +136,8 @@ class TestDeltaHStats:
         # proposed-move energy differences at stationarity: mean ~ var/2
         m = gaussian_product(1.0, d=1)
         w = build_line(400, m.neighborhood)
-        run = run_chain(m, w, ProposalSpec(1.0, 400), 30_000, seed=4)
+        run = run_replicas(m, w, ProposalSpec(1.0, 400), 30_000, seed=4,
+                           recording="full")[0]
         stats = delta_h_stats(run.records)
         assert 2 * stats.mean.value == pytest.approx(
             stats.variance.value, abs=6 * stats.variance.std_error)
@@ -218,7 +221,7 @@ class TestEstimateS2:
     def test_needs_states_on_chain_runs(self):
         m = gaussian_product(1.0, d=1)
         w = build_line(5, m.neighborhood)
-        run = run_chain(m, w, ProposalSpec(1.0, 5), 50, seed=1, recording="summary")
+        run = run_replicas(m, w, ProposalSpec(1.0, 5), 50, seed=1)[0]
         with pytest.raises(ValueError):
             estimate_s2(m, run)
 
@@ -258,27 +261,31 @@ class TestDirichletFormEmpirical:
     def test_constant_function_zero(self):
         m = gaussian_product(1.0, d=1)
         w = build_line(10, m.neighborhood)
-        run = run_chain(m, w, ProposalSpec(1.0, 10), 200, seed=1, track_first=1)
+        run = run_replicas(m, w, ProposalSpec(1.0, 10), 200, seed=1,
+                           recording="full", track_first=1)[0]
         assert dirichlet_form_empirical(constant_cylinder(), run).value == 0.0
 
     def test_tau_zero_chain_zero(self):
         m = gaussian_product(1.0, d=1)
         w = build_line(10, m.neighborhood)
-        run = run_chain(m, w, ProposalSpec(0.0, 10), 200, seed=1, track_first=1)
+        run = run_replicas(m, w, ProposalSpec(0.0, 10), 200, seed=1,
+                           recording="full", track_first=1)[0]
         f = CYLINDER_FUNCTIONS["sin_x1"]
         assert dirichlet_form_empirical(f, run).value == 0.0
 
     def test_needs_tracked_path(self):
         m = gaussian_product(1.0, d=1)
         w = build_line(10, m.neighborhood)
-        run = run_chain(m, w, ProposalSpec(1.0, 10), 50, seed=1)
+        run = run_replicas(m, w, ProposalSpec(1.0, 10), 50, seed=1,
+                           recording="full")[0]
         with pytest.raises(ValueError):
             dirichlet_form_empirical(CYLINDER_FUNCTIONS["sin_x1"], run)
 
     def test_function_wider_than_window(self):
         m = gaussian_product(1.0, d=1)
         w = build_line(1, m.neighborhood)
-        run = run_chain(m, w, ProposalSpec(1.0, 1), 50, seed=1, track_first=1)
+        run = run_replicas(m, w, ProposalSpec(1.0, 1), 50, seed=1,
+                           recording="full", track_first=1)[0]
         with pytest.raises(ValueError):
             dirichlet_form_empirical(CYLINDER_FUNCTIONS["gauss_bump_x1x2"], run)
 
@@ -286,8 +293,8 @@ class TestDirichletFormEmpirical:
         m = gaussian_product(1.0, d=1)
         w = build_line(200, m.neighborhood)
         f = CYLINDER_FUNCTIONS["sin_x1"]
-        run = run_chain(m, w, ProposalSpec(2.38, 200), 60_000, seed=7,
-                        recording="summary", track_first=1)
+        run = run_replicas(m, w, ProposalSpec(2.38, 200), 60_000, seed=7,
+                           track_first=1)[0]
         emp = dirichlet_form_empirical(f, run)
         scale = 0.5 * 2.38**2 * c_theoretical(2.38, 1.0)
         limit = scale * (1 + math.exp(-2)) / 2

@@ -286,26 +286,26 @@ class TestH2Diagnostics:
     def test_1d_boundary_ratios(self):
         nb = Neighborhood.from_offsets([(1,)])
         rep = h2_diagnostics(1, [1, 2, 4], nb)
-        assert [r.boundary_ratio for r in rep.rows] == [
+        assert [r.boundary_ratio for r in rep] == [
             pytest.approx(2 / 3), pytest.approx(2 / 5), pytest.approx(2 / 9)]
 
     def test_self_neighborhood_zero_ratio(self):
         rep = h2_diagnostics(1, [1], self_neighborhood(1))
-        assert rep.rows[0].boundary_ratio == 0.0
+        assert rep[0].boundary_ratio == 0.0
 
     def test_2d_inradius(self):
         rep = h2_diagnostics(2, [4, 8], nearest_neighbor(2))
-        assert [r.inradius for r in rep.rows] == [4.0, 8.0]
+        assert [r.inradius for r in rep] == [4.0, 8.0]
 
     def test_box_hull_ratio_is_one(self):
         rep = h2_diagnostics(2, [1, 2, 3], nearest_neighbor(2))
-        assert all(r.hull_ratio == 1.0 for r in rep.rows)
+        assert all(r.hull_ratio == 1.0 for r in rep)
 
     def test_rows_sorted_and_ratio_nonincreasing(self):
         rep = h2_diagnostics(2, [2, 4, 8], nearest_neighbor(2))
-        ns = [r.n for r in rep.rows]
+        ns = [r.n for r in rep]
         assert ns == sorted(ns)
-        ratios = [r.boundary_ratio for r in rep.rows]
+        ratios = [r.boundary_ratio for r in rep]
         assert all(a >= b for a, b in zip(ratios, ratios[1:]))
 
     def test_requires_increasing_L(self):

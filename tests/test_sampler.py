@@ -11,7 +11,7 @@ from gibbsrwm.lattice import build_box, build_line
 from gibbsrwm.models import (Configuration, custom_pairwise, delta_hamiltonian,
                              gaussian_product, gff, phi4, quadratic_operator)
 from gibbsrwm.oracle import build_precision, gaussian_exact_samples
-from gibbsrwm.sampler import (ProposalSpec, chain_rng, run_chain, run_replicas,
+from gibbsrwm.sampler import (ProposalSpec, chain_rng, run_replicas,
                               uniform_rng)
 from test_estimators import summarize_records
 from test_lattice import frozen_value
@@ -114,11 +114,11 @@ def assert_matches_reference(model, window, spec, steps, seed, ids, thin=0,
 
 def given_run(model, window, tau, steps, values, seed=0,
               increment_family="standard_normal"):
-    """Fully recorded run_chain from the given values, tracking every site."""
+    """One fully recorded chain from the given values, tracking every site."""
     spec = ProposalSpec(tau, window.n, increment_family)
-    return run_chain(model, window, spec, steps, seed, init="given",
-                     track_first=window.n,
-                     init_config=Configuration(window, values))
+    return run_replicas(model, window, spec, steps, seed, recording="full",
+                        track_first=window.n, init="given",
+                        init_config=Configuration(window, values))[0]
 
 
 class TestProposalSpec:
@@ -198,8 +198,8 @@ class TestPropose:
         m = gaussian_product(1.0, d=1)
         w = build_line(5, m.neighborhood)
         x = Configuration(w, np.zeros(w.n))
-        run = run_chain(m, w, ProposalSpec(1.0, 5), 300, seed=2, init="given",
-                        init_config=x)
+        run = run_replicas(m, w, ProposalSpec(1.0, 5), 300, seed=2,
+                           recording="full", init="given", init_config=x)[0]
         assert run.records.accepted.any()
         assert np.array_equal(x.values, np.zeros(5))
 
@@ -470,8 +470,8 @@ class TestRunChain:
         m = gff(1.0, 1.0, d=1)
         w = build_box(1, 5, m.neighborhood)
         spec = ProposalSpec(1.0, w.n)
-        a = run_chain(m, w, spec, 700, seed=11)
-        b = run_chain(m, w, spec, 700, seed=11)
+        a, b = (run_replicas(m, w, spec, 700, seed=11, recording="full")[0]
+                for _ in range(2))
         assert np.array_equal(a.records.delta_h, b.records.delta_h)
         assert np.array_equal(a.records.accepted, b.records.accepted)
         assert np.array_equal(a.final_state.values, b.final_state.values)
@@ -487,8 +487,9 @@ class TestRunChain:
             runs = run_replicas(m, w, spec, 400, seed=13, n_replicas=3,
                                 recording="full", track_first=w.n, init=init)
             for cid in range(3):
-                solo = run_chain(m, w, spec, 400, seed=13, chain_id=cid,
-                                 track_first=w.n, init=init)
+                solo = run_replicas(m, w, spec, 400, seed=13, chain_ids=[cid],
+                                    recording="full", track_first=w.n,
+                                    init=init)[0]
                 assert np.array_equal(runs[cid].records.u, solo.records.u)
                 assert np.array_equal(runs[cid].first_coord_path,
                                       solo.first_coord_path)
@@ -506,9 +507,9 @@ class TestRunChain:
         m = gaussian_product(1.0, d=1)
         w = build_line(8, m.neighborhood)
         spec = ProposalSpec(1.0, 8)
-        full = run_chain(m, w, spec, 100, seed=1, recording="full", thin=10)
-        thinned = run_chain(m, w, spec, 100, seed=1, recording="thinned", thin=10)
-        summary = run_chain(m, w, spec, 100, seed=1, recording="summary")
+        full, thinned, summary = (
+            run_replicas(m, w, spec, 100, seed=1, recording=mode, thin=10)[0]
+            for mode in ("full", "thinned", "summary"))
         assert full.records is not None and full.states.shape == (10, 8)
         assert thinned.records is None and thinned.states.shape == (10, 8)
         assert summary.records is None and summary.states is None
@@ -518,7 +519,8 @@ class TestRunChain:
     def test_track_first_path(self):
         m = gaussian_product(1.0, d=1)
         w = build_line(8, m.neighborhood)
-        run = run_chain(m, w, ProposalSpec(1.0, 8), 50, seed=2, track_first=2)
+        run = run_replicas(m, w, ProposalSpec(1.0, 8), 50, seed=2,
+                           recording="full", track_first=2)[0]
         assert run.first_coord_path.shape == (51, 2)
         assert np.array_equal(run.first_coord_path[-1], run.final_state.values[:2])
 
@@ -526,7 +528,8 @@ class TestRunChain:
         m = gaussian_product(1.0, d=1)
         w = build_line(5, m.neighborhood)
         # huge tau: nearly everything is rejected
-        run = run_chain(m, w, ProposalSpec(200.0, 5), 300, seed=3, track_first=1)
+        run = run_replicas(m, w, ProposalSpec(200.0, 5), 300, seed=3,
+                           recording="full", track_first=1)[0]
         rejected = ~run.records.accepted
         assert rejected.any()
         path = run.first_coord_path[:, 0]
@@ -536,13 +539,13 @@ class TestRunChain:
         m = gaussian_product(1.0, d=1)
         w = build_line(5, m.neighborhood)
         with pytest.raises(ValueError):
-            run_chain(m, w, ProposalSpec(1.0, 5), 0, seed=0)
+            run_replicas(m, w, ProposalSpec(1.0, 5), 0, seed=0)
         with pytest.raises(ValueError):
-            run_chain(m, w, ProposalSpec(1.0, 4), 10, seed=0)
+            run_replicas(m, w, ProposalSpec(1.0, 4), 10, seed=0)
         with pytest.raises(ValueError):
-            run_chain(m, w, ProposalSpec(1.0, 5), 10, seed=0, recording="verbose")
+            run_replicas(m, w, ProposalSpec(1.0, 5), 10, seed=0, recording="verbose")
         with pytest.raises(ValueError):
-            run_chain(m, w, ProposalSpec(1.0, 5), 10, seed=0, track_first=9)
+            run_replicas(m, w, ProposalSpec(1.0, 5), 10, seed=0, track_first=9)
 
     def test_negative_burn_steps_rejected(self):
         m = gaussian_product(1.0, d=1)
@@ -569,14 +572,14 @@ class TestRunChain:
         w = build_line(5, m.neighborhood)
         args = (m, w, ProposalSpec(1.0, 5), 20)
         with pytest.raises(ValueError, match="thin must be >= 0"):
-            run_chain(*args, seed=0, recording=recording, thin=-2)
+            run_replicas(*args, seed=0, recording=recording, thin=-2)
         if recording == "thinned":
             with pytest.raises(ValueError, match="needs thin >= 1"):
-                run_chain(*args, seed=0, recording=recording, thin=0)
+                run_replicas(*args, seed=0, recording=recording, thin=0)
         else:
             # "full" with thin 0 keeps the records without snapshots, as
             # the CLI's `sample` asks for; "summary" keeps neither.
-            run = run_chain(*args, seed=0, recording=recording, thin=0)
+            run = run_replicas(*args, seed=0, recording=recording, thin=0)[0]
             assert run.states is None
             assert (run.records is not None) == (recording == "full")
 
@@ -612,18 +615,18 @@ class TestRunChain:
         m = phi4(1.0, -1.0, d=1)
         w = build_line(20, m.neighborhood)
         with np.errstate(over="ignore", invalid="ignore"):
-            run = run_chain(m, w, ProposalSpec(1e160, w.n), 50, seed=0,
-                            init="given", init_config=Configuration(w, np.zeros(w.n)))
+            run = run_replicas(m, w, ProposalSpec(1e160, w.n), 50, seed=0,
+                               recording="full", init="given",
+                               init_config=Configuration(w, np.zeros(w.n)))[0]
         assert np.isposinf(run.records.delta_h).all()
         assert not run.records.accepted.any()
         assert np.array_equal(run.final_state.values, np.zeros(w.n))
         assert run.summary.nonfinite_dh == 50
         assert run.summary.acceptance == 0.0
         with np.errstate(over="ignore", invalid="ignore"):
-            streamed = run_chain(m, w, ProposalSpec(1e160, w.n), 50, seed=0,
-                                 init="given",
-                                 init_config=Configuration(w, np.zeros(w.n)),
-                                 recording="summary")
+            streamed = run_replicas(m, w, ProposalSpec(1e160, w.n), 50, seed=0,
+                                    init="given",
+                                    init_config=Configuration(w, np.zeros(w.n)))[0]
         assert streamed.summary.nonfinite_dh == 50
 
     def test_nan_delta_h_rejected(self):
@@ -633,8 +636,8 @@ class TestRunChain:
         w = build_line(20, m.neighborhood)
         x0 = Configuration(w, np.full(w.n, 1e100))
         with np.errstate(over="ignore", invalid="ignore"):
-            run = run_chain(m, w, ProposalSpec(2.38, w.n), 50, seed=0,
-                            init="given", init_config=x0)
+            run = run_replicas(m, w, ProposalSpec(2.38, w.n), 50, seed=0,
+                               recording="full", init="given", init_config=x0)[0]
         assert np.isnan(run.records.delta_h).all()
         assert not run.records.accepted.any()
         assert np.array_equal(run.final_state.values, x0.values)
@@ -735,9 +738,9 @@ class TestRunChain:
                             chain_ids=[3, 1, 0, 2], recording="full",
                             track_first=2)
         for run, tau, cid in zip(runs, taus, [3, 1, 0, 2]):
-            solo = run_chain(m, w, ProposalSpec(tau, w.n, "uniform"),
-                             sampler.CHUNK + 30, seed=6, chain_id=cid,
-                             track_first=2)
+            solo = run_replicas(m, w, ProposalSpec(tau, w.n, "uniform"),
+                                sampler.CHUNK + 30, seed=6, chain_ids=[cid],
+                                recording="full", track_first=2)[0]
             assert run.tau == tau
             for a, b in zip(dataclasses.astuple(run.records),
                             dataclasses.astuple(solo.records)):
@@ -761,7 +764,8 @@ class TestRunChain:
     def test_acceptance_invariant_recomputable(self):
         m = gff(1.0, 1.0, d=1)
         w = build_box(1, 4, m.neighborhood)
-        run = run_chain(m, w, ProposalSpec(1.3, w.n), 500, seed=21)
+        run = run_replicas(m, w, ProposalSpec(1.3, w.n), 500, seed=21,
+                           recording="full")[0]
         rec = run.records
         with np.errstate(under="ignore"):
             p = np.where(rec.delta_h > 0, np.exp(-np.maximum(rec.delta_h, 0.0)), 1.0)
@@ -862,8 +866,8 @@ class TestSharedStreams:
                             self.STEPS, seed=17, n_replicas=len(self.IDS),
                             chain_ids=self.IDS, **kwargs)
         for run, tau, cid in zip(runs, self.TAUS, self.IDS):
-            solo = run_chain(m, w, ProposalSpec(tau, w.n, family), self.STEPS,
-                             seed=17, chain_id=cid, **kwargs)
+            solo = run_replicas(m, w, ProposalSpec(tau, w.n, family), self.STEPS,
+                                seed=17, chain_ids=[cid], **kwargs)[0]
             assert (run.chain_id, run.tau) == (cid, tau)
             if recording == "full":
                 for a, b in zip(dataclasses.astuple(run.records),
@@ -942,8 +946,8 @@ class TestOneProposalRounds:
         assert counter.calls == self.STEPS
         for run, spec, cid in zip(runs, specs, ids):
             counter.calls = 0
-            solo = run_chain(m, w, spec, self.STEPS, seed=29, chain_id=cid,
-                             **kwargs)
+            solo = run_replicas(m, w, spec, self.STEPS, seed=29, chain_ids=[cid],
+                                **kwargs)[0]
             for a, b in zip(dataclasses.astuple(run.records),
                             dataclasses.astuple(solo.records)):
                 assert np.array_equal(a, b)
@@ -982,8 +986,8 @@ class TestSingleSiteBatch:
         # Some committed steps move some rows and leave the others.
         assert (accepted.any(axis=0) & ~accepted.all(axis=0)).any()
         for cid, (run, spec) in enumerate(zip(runs, specs)):
-            solo = run_chain(m, w, spec, self.STEPS, seed=31, chain_id=cid,
-                             **kwargs)
+            solo = run_replicas(m, w, spec, self.STEPS, seed=31, chain_ids=[cid],
+                                **kwargs)[0]
             for a, b in zip(dataclasses.astuple(run.records),
                             dataclasses.astuple(solo.records)):
                 assert np.array_equal(a, b)
@@ -1155,7 +1159,8 @@ class TestLookahead:
         runs = assert_matches_reference(m, w, spec, steps, seed=17, ids=ids)
         assert counter.calls < steps
         for run, cid in zip(runs, ids):
-            solo = run_chain(m, w, spec, steps, seed=17, chain_id=cid)
+            solo = run_replicas(m, w, spec, steps, seed=17, chain_ids=[cid],
+                                recording="full")[0]
             assert np.array_equal(run.records.delta_h, solo.records.delta_h)
             assert np.array_equal(run.records.accepted, solo.records.accepted)
             assert np.array_equal(run.final_state.values, solo.final_state.values)
@@ -1211,8 +1216,8 @@ class TestLookahead:
         m = phi4(0.25, -0.5, d=1)
         w = build_box(1, 49, m.neighborhood)
         steps = 2048
-        run_chain(m, w, ProposalSpec(1.4, w.n), steps, seed=1, init="given",
-                  init_config=Configuration(w, np.zeros(w.n)), recording="summary")
+        run_replicas(m, w, ProposalSpec(1.4, w.n), steps, seed=1, init="given",
+                     init_config=Configuration(w, np.zeros(w.n)))
         assert counter.calls <= steps / 2
 
     def test_large_batch_makes_one_call_per_step(self, counter):
@@ -1263,8 +1268,8 @@ class TestGradientFormAccuracy:
 
     def replay(self, model, window, spec, steps, seed, init):
         """Each step's recorded dH, its state x and its proposal y."""
-        run = run_chain(model, window, spec, steps, seed, track_first=window.n,
-                        **init)
+        run = run_replicas(model, window, spec, steps, seed, recording="full",
+                           track_first=window.n, **init)[0]
         rng = chain_rng(seed, 0)
         if init["init"] == "exact_gaussian":
             gaussian_exact_samples(build_precision(model, window), rng, 1)

@@ -2,10 +2,11 @@
 """SHA-256 digests of the primary outputs of every CLI command, so that two
 checkouts can be compared byte for byte.
 
-Runs six commands on three configs: the README product config (n = 99), a
-9x9 GFF with constant boundary 0.7, and a phi4 chain started by burn-in, all
-at small step counts; oracle-check, whose battery does not read the model,
-runs on the product config only.  Each run happens in a scratch directory
+Runs six commands on four configs: the README product config (n = 99), a
+9x9 GFF with constant boundary 0.7, a phi4 chain started by burn-in, and a
+33x33 GFF (n = 1 089) whose chunks sampler.CHUNK_BYTES cuts below
+sampler.CHUNK steps, all at small step counts; oracle-check, whose battery
+does not read the model, runs on the product config only.  Each run happens in a scratch directory
 that is removed afterwards, and writes to a relative output directory, so
 the config echo and its hash are the same in every checkout.  Prints one
 line per primary file, "<sha256>  <config>/<command>/<file>"
@@ -38,6 +39,8 @@ CONFIGS = {
                       "parameters": {"a": 0.25, "b": -0.5, "coupling": 1.0}},
                      {"d": 1, "L": 49}, 1.4, [9, 25, 49],
                      {"init": "burn_in", "burn_steps": 500}),
+    "gff_chunked": ({"family": "gff", "parameters": {"beta": 1.0, "m2": 1.0}},
+                    {"d": 2, "L": 16}, 2.0, [9, 25, 81], {}),
 }
 
 

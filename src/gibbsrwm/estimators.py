@@ -14,7 +14,8 @@ from typing import Callable
 
 import numpy as np
 
-from .models import InteractionModel, hamiltonian_gradient
+from .models import (QUAD_BLOCK, InteractionModel, _energy_gradient,
+                     quadratic_operator)
 from .sampler import ChainRun, ChainSummary, StepRecords, batch_means
 
 
@@ -107,7 +108,9 @@ def estimate_s2(model: InteractionModel, trajectory, window=None) -> EstimateWit
     window is built with the model's neighborhood, so its interior is the
     set of sites whose whole interaction range lies inside.
     Accepts a ChainRun carrying thinned states, or a raw (T, n) state array
-    plus its window.
+    plus its window.  The gradient is evaluated over a few states at a time
+    (QUAD_BLOCK elements), with the arithmetic of hamiltonian_gradient, so
+    memory beyond the states does not grow with T.
     """
     if isinstance(trajectory, ChainRun):
         states, window = trajectory.states, trajectory.window
@@ -123,8 +126,12 @@ def estimate_s2(model: InteractionModel, trajectory, window=None) -> EstimateWit
     interior = window.interior_indices()
     if interior.size == 0:
         raise ValueError("window has no interior vertex")
-    grads = hamiltonian_gradient(model, window, states)
-    per_state = (grads[:, interior] ** 2).mean(axis=1)
+    op = quadratic_operator(model, window)
+    block = max(1, QUAD_BLOCK // window.n)
+    per_state = np.empty(states.shape[0])
+    for start in range(0, states.shape[0], block):
+        grads = _energy_gradient(model, op, states[start:start + block])
+        per_state[start:start + block] = (grads[:, interior] ** 2).mean(axis=1)
     return EstimateWithError(float(per_state.mean()), batch_means_se(per_state),
                              per_state.size)
 

@@ -253,14 +253,22 @@ def log_density_ratio(model: InteractionModel, x: Configuration, y: Configuratio
     return -delta_hamiltonian(model, x, y)
 
 
-def hamiltonian_gradient(model: InteractionModel, window: Window, values: np.ndarray) -> np.ndarray:
-    """Gradient of the window energy at every site, Qx - b plus the self
-    terms' derivative for non-quadratic models; batch axes allowed."""
-    x = np.asarray(values, dtype=float)
-    g = quadratic_operator(model, window).gradient(x)
+def _energy_gradient(model: InteractionModel, op: QuadraticOperator,
+                     x: np.ndarray) -> np.ndarray:
+    """Qx - b from the model's operator `op`, plus the self terms'
+    derivative for non-quadratic models; each state's bits do not depend
+    on the other states of the batch."""
+    g = op.gradient(x)
     if not model.is_quadratic:
         g += model.d_self_energy(x)
     return g
+
+
+def hamiltonian_gradient(model: InteractionModel, window: Window, values: np.ndarray) -> np.ndarray:
+    """Gradient of the window energy at every site, Qx - b plus the self
+    terms' derivative for non-quadratic models; batch axes allowed."""
+    return _energy_gradient(model, quadratic_operator(model, window),
+                            np.asarray(values, dtype=float))
 
 
 # -- Model zoo ---------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 Floats are serialized with the shortest round-trip decimal representation
 and a fixed column order, so a rerun with the same config and seed yields
-byte-identical files.
+byte-identical files.  JSON is strict: a non-finite float is written as
+null.
 
 Every file is written to a temporary file beside its target and moved into
 place only once complete, so a failed write leaves the target as it was.
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import datetime
 import json
+import math
 import os
 import re
 import tempfile
@@ -121,8 +123,23 @@ def write_csv(path: str, header: list[str], rows=(), *, columns=None) -> str:
     return path
 
 
+def _finite_or_null(obj):
+    """`obj` with every non-finite float, at any depth, replaced by None."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {key: _finite_or_null(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(value) for value in obj]
+    return obj
+
+
 def write_json(path: str, obj) -> str:
-    _atomic_write(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    """Strict JSON of `obj`: a non-finite float is written as null, since
+    JSON has no token for it."""
+    text = json.dumps(_finite_or_null(obj), indent=2, sort_keys=True,
+                      allow_nan=False)
+    _atomic_write(path, text + "\n")
     return path
 
 

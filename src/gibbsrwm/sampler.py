@@ -7,12 +7,17 @@ then its increments, step after step; uniform_rng (the same key, jumped by
 2**128 draws) gives its accept uniforms.  A Philox stream yields the same
 values whether a block is drawn in one call or in several, so a chain does
 not depend on how its steps are cut into chunks.  _drive sizes each chunk
-for R rows so that R blocks of (c, n) increments would stay within
-CHUNK_BYTES, and memory stays bounded as n grows.  run_replicas is the one
-entry point: a single chain is a batch of one row, and it equals its
-replica in a larger batch bit for bit, except that the two float sums of
-its summary (jump_sq_sum and dh_sum, added chunk by chunk) may differ in
-their last bits when the budget gives the two runs different chunk lengths.
+by the S distinct streams whose blocks it holds,
+
+    c = min(CHUNK, steps, max(1, CHUNK_BYTES // (8 S n))),
+
+so that the S blocks of (c, n) increments stay within CHUNK_BYTES, and
+memory stays bounded as n grows.  The two float sums of a summary
+(jump_sq_sum and dh_sum) fold in one block of CHUNK steps at a time, in
+block order, whatever the chunk length (_SummaryStream).  run_replicas is
+the one entry point: a single chain is a batch of one row, and it equals
+its replica in a larger batch bit for bit, its summary included, under any
+CHUNK_BYTES.
 Each row of a batch has its own proposal scale sigma = tau / sqrt(n), so
 one batch may stack the replicas of several tau values, as
 scaling.sweep_tau does with its grid.
@@ -79,7 +84,8 @@ couplings takes g from an operator whose Q diagonal and b have the batch's
 Each chain's ChainSummary is streamed chunk by chunk (_SummaryStream), so a
 run keeps arrays of all its steps only when it records them ("full").  In
 "summary" mode and burn-in, a row holds one chunk plus the accept flags and
-jumps of at most one batch (steps // N_BATCHES steps), not of every step.
+jumps of at most one batch (steps // N_BATCHES steps) and the dH and jumps
+of at most one block, not of every step.
 """
 
 from __future__ import annotations
@@ -95,11 +101,16 @@ from .models import (Configuration, InteractionModel, QuadraticOperator,
                      gradient_dh, quadratic_operator)
 from .oracle import build_precision, gaussian_exact_samples
 
-CHUNK = 256  # most steps per chunk
-# Byte budget of one chunk's increments for R rows: c = CHUNK_BYTES //
-# (8 R n), at least 1 and at most CHUNK.  Rows that share a stream share its
-# (c, n) block, so the block held is (S, c, n) for S <= R distinct streams.
-CHUNK_BYTES = 16 * 2**20
+CHUNK = 256  # most steps per chunk, and the steps of one summary block
+# Byte budget of the (S, c, n) increments of one chunk, S the distinct
+# streams: c = CHUNK_BYTES // (8 S n), at least 1 and at most CHUNK.  On a
+# 2-vCPU x86 Xeon with a 2 MB L2, 2 MiB gives a 49x49 window with 8 streams
+# 13-step chunks, one 2.0 MB block that stays in L2 through the draw,
+# quad_forms and the rounds.  Against 16 MiB its peak RSS fell from 107.5 to
+# 93.4 MB in 30 of 30 alternating pairs, and its median CPU time moved by
+# -2.1 % to +0.9 % over three sets of 10, while 8 streams at n = 100 keep
+# c = CHUNK.
+CHUNK_BYTES = 2 * 2**20
 # Fixed cost of one Metropolis round (Python and numpy call overhead) in
 # site evaluations; see _lookahead.  On one 2-vCPU x86 Xeon core, whose
 # speed drifts by a third over hours, a single-site round costs 16-20 us
@@ -226,11 +237,14 @@ def batch_means(xs) -> np.ndarray:
 class _SummaryStream:
     """Every row's ChainSummary, built chunk by chunk while _drive runs.
 
-    Counts are integers and the two sums add one chunk at a time, so only
-    the sums depend on the chunk length, in their last bits.  Each batch
-    mean is taken from that batch's own contiguous slice, which gives
-    batch_means bit for bit, so the buffer holds at most one batch plus one
-    chunk of at most `chunk` steps per row.
+    Counts are integers.  The two sums fold in one block of CHUNK steps at
+    a time, 0.0 + records[b:b + CHUNK].sum() in block order, so no summary
+    depends on the chunk length: chunks shorter than CHUNK wait in a buffer
+    until their block is full or the run ends, and chunks of CHUNK steps
+    are whole blocks.  Each batch mean is taken from that batch's own
+    contiguous slice, which gives batch_means bit for bit.  The buffers hold
+    at most one block and one batch plus one chunk of at most `chunk` steps
+    per row.
     """
 
     def __init__(self, rows: int, steps: int, chunk: int):
@@ -240,6 +254,12 @@ class _SummaryStream:
         self.nonfinite = np.zeros(rows, dtype=np.int64)
         self.jump_sum = np.zeros(rows)
         self.dh_sum = np.zeros(rows)
+        self.seen = 0
+        # [0] dH, [1] jump_sq of the block not yet complete; chunks of
+        # min(CHUNK, steps) steps are all whole blocks or the run's end.
+        self.block = (np.empty((2, rows, CHUNK + chunk))
+                      if chunk < min(CHUNK, steps) else None)
+        self.held = 0
         # [0] accept flags, [1] jump_sq: batch means, and the samples of the
         # batches not yet complete.
         self.batches = np.empty((2, rows, self.n_batches))
@@ -251,8 +271,7 @@ class _SummaryStream:
         """Fold in one chunk of (rows, c) accept flags, dH and jump_sq."""
         self.accept += np.count_nonzero(acc, axis=1)
         self.nonfinite += np.count_nonzero(~np.isfinite(dh), axis=1)
-        self.jump_sum += jump.sum(axis=1)
-        self.dh_sum += dh.sum(axis=1)
+        self._add_sums(dh, jump)
         if self.done == self.n_batches:
             return  # the tail beyond the last batch is trimmed
         buf, fill, size = self.pending, self.fill, self.size
@@ -269,6 +288,29 @@ class _SummaryStream:
             buf[:, :, :fill - used] = buf[:, :, used:fill]
             fill -= used
         self.fill = fill
+
+    def _add_sums(self, dh: np.ndarray, jump: np.ndarray):
+        """Add each block of CHUNK steps, or the run's last partial block,
+        to the sums once it is complete."""
+        c = dh.shape[1]
+        self.seen += c
+        end = self.seen == self.steps
+        if not self.held and (c == CHUNK or end):  # a whole block
+            self.jump_sum += jump.sum(axis=1)
+            self.dh_sum += dh.sum(axis=1)
+            return
+        buf, held = self.block, self.held
+        buf[0, :, held:held + c] = dh
+        buf[1, :, held:held + c] = jump
+        held += c
+        while held >= CHUNK or (held and end):
+            k = min(held, CHUNK)
+            dh_k, jump_k = buf[:, :, :k].sum(axis=2)
+            self.dh_sum += dh_k
+            self.jump_sum += jump_k
+            buf[:, :, :held - k] = buf[:, :, k:held]
+            held -= k
+        self.held = held
 
     def summary(self, row: int) -> ChainSummary:
         return ChainSummary(
@@ -364,7 +406,7 @@ def _drive(model: InteractionModel, window: Window, specs: list[ProposalSpec],
     remainder = op.remainder
     rem_x = remainder(x) if remainder is not None else None
 
-    width = min(CHUNK, steps, max(1, CHUNK_BYTES // (8 * R * n)))
+    width = min(CHUNK, steps, max(1, CHUNK_BYTES // (8 * S * n)))
     stream = _SummaryStream(R, steps, width)
     records = None
     if keep_arrays:

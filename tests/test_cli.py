@@ -312,6 +312,25 @@ class TestCliCommands:
         assert header == ["t", "delta_h", "accepted", "jump_sq_first_coord"]
         assert len(rows) == doc["run"]["steps"]
 
+    def test_non_finite_summary_fields_are_json_null(self, tmp_path):
+        # dH of about 1e300 overflows the dH variance and its error bars;
+        # the file must still be strict JSON.
+        doc = base_config(output_dir=str(tmp_path / "o"),
+                          model={"family": "gaussian_product",
+                                 "parameters": {"variance": 1e-300}},
+                          graph={"d": 1, "L": 6},
+                          run={"steps": 200, "tau": 2.38})
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert self.run_cli("sample", write_config(tmp_path, doc)) == 0
+
+        def reject(token):
+            raise ValueError(f"non-JSON token {token}")
+
+        summary = json.loads((tmp_path / "o" / "summary.json").read_text(),
+                             parse_constant=reject)
+        for key in ("dh_mean_se", "dh_var", "dh_var_se"):
+            assert summary[key] is None
+
     @pytest.mark.parametrize("command", ["sample", "estimate-s", "clt-check"])
     def test_single_chain_commands_reject_several_replicas(self, tmp_path, capsys,
                                                            command):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from gibbsrwm.estimators import (CYLINDER_FUNCTIONS, CylinderFunction,
                                  estimate_s2, ks_normal, limiting_form,
                                  pool_replicas)
 from gibbsrwm.lattice import Window, build_box, build_line
-from gibbsrwm.models import gaussian_product, gff
+from gibbsrwm.models import (QUAD_BLOCK, gaussian_product, gff,
+                             hamiltonian_gradient, phi4)
 from gibbsrwm.oracle import build_precision, gaussian_exact_samples, gaussian_s2_exact
 from gibbsrwm.sampler import (N_BATCHES, ChainSummary, ProposalSpec,
                               StepRecords, batch_means, chain_rng,
@@ -211,6 +213,40 @@ class TestEstimateS2:
         a = estimate_s2(m, vals, window=w)
         b = estimate_s2(m, vals2, window=w2)
         assert a.value == pytest.approx(b.value, abs=1e-12)
+
+    @pytest.mark.parametrize("model_name", ["gff", "phi4"])
+    def test_blocks_give_the_whole_array_bits(self, model_name):
+        # The states are evaluated QUAD_BLOCK // n at a time; T is not a
+        # multiple of that block.
+        if model_name == "gff":
+            m = gff(1.0, 1.0, d=2)
+            w = build_box(2, 7, m.neighborhood)
+        else:
+            m = phi4(0.25, -0.5, d=1)
+            w = build_box(1, 49, m.neighborhood)
+        block = QUAD_BLOCK // w.n
+        states = chain_rng(7, 0).standard_normal((3 * block + 17, w.n))
+        grads = hamiltonian_gradient(m, w, states)
+        per_state = (grads[:, w.interior_indices()] ** 2).mean(axis=1)
+        est = estimate_s2(m, states, window=w)
+        assert est.value == float(per_state.mean())
+        assert est.std_error == batch_means_se(per_state)
+        assert est.n_samples == len(states)
+
+    def test_memory_grows_by_less_than_one_block(self):
+        m = gff(1.0, 1.0, d=2)
+        w = build_box(2, 10, m.neighborhood)
+        block_bytes = 8 * (QUAD_BLOCK // w.n) * w.n
+        peaks = []
+        for count in (300, 3000):
+            states = chain_rng(8, 0).standard_normal((count, w.n))
+            tracemalloc.start()
+            try:
+                estimate_s2(m, states, window=w)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < block_bytes, peaks
 
     def test_no_interior_errors(self):
         m = gff(1.0, 1.0, d=1)

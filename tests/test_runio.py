@@ -1,3 +1,5 @@
+import json
+import math
 import os
 import stat
 import tracemalloc
@@ -52,6 +54,23 @@ def test_outputs_honour_umask(tmp_path, umask, mode):
         assert stat.S_IMODE(os.stat(path).st_mode) == mode
     assert read_csv(csv_path) == (["x"], [["1.5"]])
     assert tmp_files(tmp_path) == []
+
+
+def test_json_writes_non_finite_floats_as_null(tmp_path):
+    finite = {"b": [1.5, 2, np.float64(0.1)], "a": {"x": -0.0, "s": "t"}}
+    path = write_json(str(tmp_path / "f.json"), finite)
+    assert read_bytes(path) == (json.dumps(finite, indent=2, sort_keys=True)
+                                + "\n").encode()
+    doc = {"inf": math.inf, "nested": [{"nan": math.nan}, (-math.inf, 1.0)],
+           "n": np.float64("nan"), "ok": 2.5}
+    path = write_json(str(tmp_path / "n.json"), doc)
+
+    def reject(token):
+        raise ValueError(f"non-JSON token {token}")
+
+    assert json.loads(read_bytes(path), parse_constant=reject) == {
+        "inf": None, "nested": [{"nan": None}, [None, 1.0]], "n": None,
+        "ok": 2.5}
 
 
 def test_columns_write_the_same_bytes_as_rows(tmp_path):

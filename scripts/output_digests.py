@@ -6,12 +6,13 @@ Runs six commands on four configs: the README product config (n = 99), a
 9x9 GFF with constant boundary 0.7, a phi4 chain started by burn-in, and a
 33x33 GFF (n = 1 089) whose chunks sampler.CHUNK_BYTES cuts below
 sampler.CHUNK steps, all at small step counts; oracle-check, whose battery
-does not read the model, runs on the product config only.  Each run happens in a scratch directory
-that is removed afterwards, and writes to a relative output directory, so
-the config echo and its hash are the same in every checkout.  Prints one
-line per primary file, "<sha256>  <config>/<command>/<file>"
-(manifest.json, which holds timestamps, is left out), and "exit <code>  ..."
-for a command that does not exit 0.
+does not read the model, runs on the product config only.  Each run happens
+in a scratch directory that is removed afterwards, and writes to a relative
+output directory, so the config echo and its hash are the same in every
+checkout.  Prints one line per primary file,
+"<sha256>  <config>/<command>/<file>" (manifest.json, which holds
+timestamps, is left out), and "exit <code>  ..." for a command that does
+not exit 0.
 
 Run it in each checkout and diff the two outputs:
 

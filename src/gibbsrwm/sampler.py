@@ -239,12 +239,11 @@ class _SummaryStream:
 
     Counts are integers.  The two sums fold in one block of CHUNK steps at
     a time, 0.0 + records[b:b + CHUNK].sum() in block order, so no summary
-    depends on the chunk length: chunks shorter than CHUNK wait in a buffer
-    until their block is full or the run ends, and chunks of CHUNK steps
-    are whole blocks.  Each batch mean is taken from that batch's own
-    contiguous slice, which gives batch_means bit for bit.  The buffers hold
-    at most one block and one batch plus one chunk of at most `chunk` steps
-    per row.
+    depends on the chunk length: each chunk waits in a buffer until its
+    block is full or the run ends.  Each batch mean is taken from that
+    batch's own contiguous slice, which gives batch_means bit for bit.  The
+    buffers hold one block, and one batch plus one chunk of at most `chunk`
+    steps, per row.
     """
 
     def __init__(self, rows: int, steps: int, chunk: int):
@@ -255,10 +254,8 @@ class _SummaryStream:
         self.jump_sum = np.zeros(rows)
         self.dh_sum = np.zeros(rows)
         self.seen = 0
-        # [0] dH, [1] jump_sq of the block not yet complete; chunks of
-        # min(CHUNK, steps) steps are all whole blocks or the run's end.
-        self.block = (np.empty((2, rows, CHUNK + chunk))
-                      if chunk < min(CHUNK, steps) else None)
+        # [0] dH, [1] jump_sq of the block not yet complete.
+        self.block = np.empty((2, rows, min(CHUNK, steps)))
         self.held = 0
         # [0] accept flags, [1] jump_sq: batch means, and the samples of the
         # batches not yet complete.
@@ -290,26 +287,23 @@ class _SummaryStream:
         self.fill = fill
 
     def _add_sums(self, dh: np.ndarray, jump: np.ndarray):
-        """Add each block of CHUNK steps, or the run's last partial block,
-        to the sums once it is complete."""
-        c = dh.shape[1]
-        self.seen += c
-        end = self.seen == self.steps
-        if not self.held and (c == CHUNK or end):  # a whole block
-            self.jump_sum += jump.sum(axis=1)
-            self.dh_sum += dh.sum(axis=1)
-            return
+        """Fill the block buffer from one chunk, and add each block of CHUNK
+        steps, or the run's last partial block, to the sums once it is
+        complete."""
         buf, held = self.block, self.held
-        buf[0, :, held:held + c] = dh
-        buf[1, :, held:held + c] = jump
-        held += c
-        while held >= CHUNK or (held and end):
-            k = min(held, CHUNK)
-            dh_k, jump_k = buf[:, :, :k].sum(axis=2)
-            self.dh_sum += dh_k
-            self.jump_sum += jump_k
-            buf[:, :, :held - k] = buf[:, :, k:held]
-            held -= k
+        c, start = dh.shape[1], 0
+        while start < c:
+            k = min(CHUNK - held, c - start)
+            buf[0, :, held:held + k] = dh[:, start:start + k]
+            buf[1, :, held:held + k] = jump[:, start:start + k]
+            held += k
+            start += k
+            self.seen += k
+            if held == CHUNK or self.seen == self.steps:
+                dh_b, jump_b = buf[:, :, :held].sum(axis=2)
+                self.dh_sum += dh_b
+                self.jump_sum += jump_b
+                held = 0
         self.held = held
 
     def summary(self, row: int) -> ChainSummary:

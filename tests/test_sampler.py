@@ -1021,7 +1021,7 @@ class TestSummarySums:
         monkeypatch.setattr(sampler, "_SummaryStream", Widths)
         return widths
 
-    @pytest.mark.parametrize("width", [200, 100, 5])
+    @pytest.mark.parametrize("width", [sampler.CHUNK, 200, 100, 5])
     @pytest.mark.parametrize("ids", [[0, 1, 2], [0, 1, 0]],
                              ids=["own-streams", "shared-streams"])
     def test_sums_add_block_sums_in_order(self, monkeypatch, ids, width):
